@@ -16,14 +16,13 @@ locally with the same command line.  Expected outcomes:
   step-attributed crash report (never a hang);
 * a paper-scale DES storm (512 ranks, compiled replay engine) run twice
   from pristine plan replicas — bit-identical makespan and event counts;
-* a killed rank mid-SCF with checkpointing — recovered via
-  checkpoint/restart, converging to the sequential energy;
-* (``--controller``) a killed rank mid-band-parallel-SCF under the
-  :class:`~repro.dft.recovery.RecoveryController` — the planner picks a
-  degraded layout on the survivors (no caller-supplied shrink target),
-  the checkpoint is regrouped onto it, and the run converges to the
-  fault-free oracle; run twice to compare static vs adaptive
-  checkpoint cadence.
+* a killed rank mid-SCF with checkpointing — the
+  :class:`~repro.dft.recovery.RecoveryController` picks a degraded
+  layout on the survivors (no caller-supplied shrink target), regroups
+  the checkpoint onto it, and the run reaches the fault-free oracle
+  energy: ``scf-kill-resume`` (2 ranks -> 1), and with ``--controller``
+  the band-parallel ``ctrl-kill-nb{2,4}`` rows plus a static vs
+  adaptive checkpoint-cadence comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import DistributedStencil
+from repro.core import DegradationError, DegradationPolicy, DistributedStencil
 from repro.grid import Decomposition, GridDescriptor, HaloSpec, gather, scatter
 from repro.stencil import apply_stencil_global, laplacian_coefficients
 from repro.transport import (
@@ -164,86 +163,20 @@ def _des_replay_scale(seed: int) -> ChaosOutcome:
     )
 
 
-def _scf_kill_resume(seed: int, timeout: float) -> ChaosOutcome:
-    """Rank kill mid-SCF; checkpoint/restart resumes and completes."""
-    from repro.core.jobspec import (
-        JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec,
-    )
-    from repro.dft import DistributedSCF, MemoryCheckpointStore
-
-    n = 6
-    gd = GridDescriptor((n, n, n), pbc=(False,) * 3, spacing=0.6)
-    x, y, z = gd.coordinates()
-    c = (n + 1) * 0.6 / 2
-    v = 0.5 * ((x - c) ** 2 + 1.44 * (y - c) ** 2 + 1.96 * (z - c) ** 2)
-    spec = JobSpec(
-        problem=ProblemSpec.from_grid(gd, 1),
-        layout=LayoutSpec(n_cores=2),
-        runtime=RuntimeSpec(
-            mixing=0.6, tolerance=0.0, max_iterations=4,
-            band_iterations=4, seed=seed,
-        ),
-    )
-
-    def make(store):
-        return DistributedSCF.from_spec(
-            spec, v, occupations=[2.0], checkpoint_store=store
-        )
-
-    oracle = make(None).run()  # fault-free twin, no shared store
-    scf = make(MemoryCheckpointStore())
-    # ~1400 transport ops per SCF iteration at this size: op 3500 lands
-    # mid-iteration 3, after checkpoints 1 and 2 committed
-    plan = FaultPlan(seed=seed, kill_at={1: 3500})
-    errors: list[str] = []
-
-    def factory(attempt: int):
-        return FaultyTransport(InprocTransport(2, default_timeout=timeout), plan)
-
-    try:
-        res = scf.run_with_recovery(
-            max_restarts=2,
-            transport_factory=factory,
-            on_restart=lambda k, exc: errors.append(type(exc).__name__),
-        )
-    except TransportError as exc:
-        return ChaosOutcome(
-            scenario="scf-kill-resume",
-            injected=len(plan.events),
-            attempts=1,
-            outcome="crashed",
-            identical=False,
-            errors=(type(exc).__name__,),
-        )
-    identical = bool(
-        np.isfinite(res.total_energy)
-        and abs(res.total_energy - oracle.total_energy) < 1e-6
-    )
-    return ChaosOutcome(
-        scenario="scf-kill-resume",
-        injected=len(plan.events),
-        attempts=res.restarts + 1,
-        outcome="recovered" if res.restarts else "clean",
-        identical=identical,
-        errors=tuple(sorted(set(errors))),
-    )
-
-
-def _controller_kill(
-    seed: int, timeout: float, nb: int, adaptive: bool,
+def _scf_kill(
+    name: str, seed: int, timeout: float, *, n_bands: int, n_cores: int,
+    nb: int, kill_at: dict[int, int], policy,
     flightrec_dir: str | None = None,
 ) -> ChaosOutcome:
-    """Rank kill mid-band-parallel SCF; the RecoveryController replans.
+    """Rank kill mid-SCF; the RecoveryController replans and resumes.
 
-    Unlike ``scf-kill-resume`` no shrink target is supplied: the
-    controller consumes the crash report, asks the planner for the best
-    feasible layout on the survivors, and regroups the checkpoint onto
-    it.  With ``adaptive=True`` the checkpoint cadence is derived live
-    from Daly's interval instead of the static ``checkpoint_every``.
+    No shrink target is supplied: the controller consumes the crash
+    report, asks the planner for the best feasible layout on the
+    survivors, and regroups the latest committed checkpoint onto it;
+    the run must then reach the fault-free oracle energy.
     ``flightrec_dir`` attaches a flight recorder and writes its crash
     dump(s) there as JSON — the CI artifact on fatal injections.
     """
-    from repro.core import DegradationError, DegradationPolicy
     from repro.core.jobspec import (
         JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec,
     )
@@ -259,8 +192,8 @@ def _controller_kill(
     c = (n + 1) * 0.6 / 2
     v = 0.5 * ((x - c) ** 2 + 1.44 * (y - c) ** 2 + 1.96 * (z - c) ** 2)
     spec = JobSpec(
-        problem=ProblemSpec.from_grid(gd, 4),
-        layout=LayoutSpec(n_cores=4, n_band_groups=nb),
+        problem=ProblemSpec.from_grid(gd, n_bands),
+        layout=LayoutSpec(n_cores=n_cores, n_band_groups=nb),
         runtime=RuntimeSpec(
             mixing=0.6, tolerance=0.0, max_iterations=4,
             band_iterations=4, checkpoint_every=1, seed=seed,
@@ -269,36 +202,29 @@ def _controller_kill(
 
     def make(store):
         return DistributedSCF.from_spec(
-            spec, v, occupations=[2.0] * 4, checkpoint_store=store
+            spec, v, occupations=[2.0] * n_bands, checkpoint_store=store
         )
 
     oracle = make(None).run()  # fault-free twin, no shared store
-    scf = make(MemoryCheckpointStore())
-    # ~200 transport ops per rank per SCF iteration at this size: op 400
-    # lands mid-run, after at least one checkpoint committed (static
-    # cadence; the adaptive cadence may checkpoint less often, in which
-    # case the degraded layout replays from scratch — still exact)
-    plan = FaultPlan(seed=seed, kill_at={2: 400})
+    # the kill must land mid-run, after at least one checkpoint
+    # committed (static cadence; the adaptive cadence may checkpoint
+    # less often, in which case the degraded layout replays from
+    # scratch — still exact)
+    plan = FaultPlan(seed=seed, kill_at=kill_at)
 
     def factory(attempt: int, n_ranks: int):
         inner = InprocTransport(n_ranks, default_timeout=timeout)
         return FaultyTransport(inner, plan) if attempt == 0 else inner
 
-    policy = DegradationPolicy(
-        max_restarts=2,
-        adaptive_cadence=adaptive,
-        expected_mtbf=0.5 if adaptive else None,
-    )
     recorder = None
     if flightrec_dir is not None:
         from repro.obs import FlightRecorder
 
         recorder = FlightRecorder(capacity=8, plane="real")
     ctrl = RecoveryController(
-        scf, policy=policy, transport_factory=factory,
-        flight_recorder=recorder,
+        make(MemoryCheckpointStore()), policy=policy,
+        transport_factory=factory, flight_recorder=recorder,
     )
-    name = f"ctrl-kill-nb{nb}" + ("-adaptive" if adaptive else "")
     try:
         res = ctrl.run()
     except (TransportError, DegradationError) as exc:
@@ -371,30 +297,28 @@ def run_chaos_suite(
     # twice from pristine plan replicas; any heap-order drift shows up
     # as a makespan or event-count mismatch
     outcomes.append(_des_replay_scale(seed))
+    static = DegradationPolicy(max_restarts=2, adaptive_cadence=False)
     if scf:
-        outcomes.append(_scf_kill_resume(seed, timeout))
+        # ~1400 transport ops per rank per SCF iteration at this size:
+        # op 3500 lands mid-iteration 3, after checkpoints 1 and 2
+        # committed; the survivor finishes alone (2r -> 1r)
+        outcomes.append(_scf_kill(
+            "scf-kill-resume", seed, timeout, n_bands=1, n_cores=2, nb=1,
+            kill_at={1: 3500}, policy=static,
+        ))
     if controller:
-        # planner-driven degradation, kill mid-run with nb in {2, 4};
-        # the adaptive row exists to compare cadence policies side by
-        # side in the printed matrix
-        outcomes.append(
-            _controller_kill(
-                seed, timeout, nb=2, adaptive=False,
+        # band-parallel runs, ~200 ops per rank per iteration: op 400
+        # lands mid-run.  nb in {2, 4}; the adaptive row exists to
+        # compare cadence policies side by side in the printed matrix
+        adaptive = DegradationPolicy(max_restarts=2, expected_mtbf=0.5)
+        for nb, policy, suffix in (
+            (2, static, ""), (4, static, ""), (2, adaptive, "-adaptive"),
+        ):
+            outcomes.append(_scf_kill(
+                f"ctrl-kill-nb{nb}{suffix}", seed, timeout, n_bands=4,
+                n_cores=4, nb=nb, kill_at={2: 400}, policy=policy,
                 flightrec_dir=flightrec_dir,
-            )
-        )
-        outcomes.append(
-            _controller_kill(
-                seed, timeout, nb=4, adaptive=False,
-                flightrec_dir=flightrec_dir,
-            )
-        )
-        outcomes.append(
-            _controller_kill(
-                seed, timeout, nb=2, adaptive=True,
-                flightrec_dir=flightrec_dir,
-            )
-        )
+            ))
     return outcomes
 
 

@@ -24,7 +24,7 @@ examples and integration tests:
   (docs/ROBUSTNESS.md).
 * :mod:`repro.dft.band_ortho` — the functional executor of the band-ring
   orthogonalization plan (2D grid x band decomposition,
-  ``DistributedSCF(n_band_groups=...)``).
+  ``DistributedSCF.from_spec`` on a ``LayoutSpec(n_band_groups=...)``).
 """
 
 from repro.dft.band_ortho import BandRingExecutor, band_axis_sum

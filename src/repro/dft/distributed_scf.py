@@ -40,31 +40,24 @@ group holds the identical density, so one group speaks for all).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh as geigh
 
-from repro.core.approaches import Approach, FLAT_OPTIMIZED
 from repro.core.engine import DistributedStencil
-from repro.core.jobspec import (
-    JobSpec,
-    LayoutSpec,
-    ProblemSpec,
-    RuntimeSpec,
-    check_restart_compatible,
-)
+from repro.core.jobspec import JobSpec, check_restart_compatible
 from repro.core.schedule import compile_band_schedule
 from repro.core.workspace import Workspace
 from repro.dft.band_ortho import BandRingExecutor, band_axis_sum
 from repro.dft.checkpoint import SCFCheckpoint, regroup_checkpoint
 from repro.dft.distributed import DistributedPoissonSolver
+from repro.dft.xc import lda_energy, lda_potential
 from repro.grid.array import LocalGrid, gather, scatter
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
-from repro.grid.grid import GridDescriptor
 from repro.grid.halo import HaloSpec
 from repro.stencil.coefficients import laplacian_coefficients
-from repro.transport.errors import TransportError
 from repro.transport.inproc import GroupEndpoint, RankEndpoint, run_ranks
 
 
@@ -78,7 +71,7 @@ class DistributedSCFResult:
     total_energy: float
     iterations: int
     converged: bool
-    restarts: int = 0  # recovery restarts consumed (run_with_recovery)
+    restarts: int = 0  # failed attempts RecoveryController.run recovered from
     final_ranks: int = 0  # rank count of the attempt that finished
     final_band_groups: int = 1  # band groups of the attempt that finished
 
@@ -88,62 +81,31 @@ class DistributedSCF:
 
     def __init__(
         self,
-        grid: GridDescriptor,
+        spec: JobSpec,
         external_potential: np.ndarray,
-        n_bands: int,
-        n_ranks: int,
-        n_band_groups: int = 1,
+        *,
         occupations: list[float] | None = None,
-        mixing: float = 0.5,
-        tolerance: float = 1e-4,
-        max_iterations: int = 30,
-        band_iterations: int = 10,
-        approach: Approach = FLAT_OPTIMIZED,
-        xc: str = "none",
-        seed: int = 0,
         checkpoint_store=None,
-        checkpoint_every: int = 1,
         metrics=None,
         cadence=None,
     ):
+        grid = spec.grid()
         grid.check_array(external_potential, "external_potential")
-        # One validation point: the JobSpec constructors raise the typed
-        # errors (positive counts, known xc, divisible band groups) the
-        # ad-hoc checks used to duplicate per layer.
-        self.spec = JobSpec(
-            problem=ProblemSpec.from_grid(grid, n_bands),
-            layout=LayoutSpec(
-                approach=approach.name,
-                n_cores=n_ranks,
-                n_band_groups=n_band_groups,
-            ),
-            runtime=RuntimeSpec(
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-                band_iterations=band_iterations,
-                mixing=mixing,
-                xc=xc,
-                seed=seed,
-                checkpoint_every=checkpoint_every,
-            ),
-        )
-        self._spec_dict = self.spec.to_dict()
+        #: the one source of layout and runtime parameters; carried
+        #: verbatim (including ``batch_size`` / ``ramp_up``, which the
+        #: functional plane does not consume but the checkpoint marker
+        #: and config hash must preserve)
+        self.spec = spec
+        self._spec_dict = spec.to_dict()
         self.grid = grid
         self.v_ext = external_potential
-        self.n_bands = n_bands
+        self.n_bands = n_bands = spec.problem.n_grids
         self.occ = np.asarray(
             occupations if occupations is not None else [2.0] * n_bands, dtype=float
         )
         if self.occ.shape != (n_bands,):
             raise ValueError(f"occupations must have {n_bands} entries")
-        self.mixing = mixing
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
-        self.band_iterations = band_iterations
-        self.xc = xc
-        self.seed = seed
         self.checkpoint_store = checkpoint_store
-        self.checkpoint_every = checkpoint_every
         #: optional :class:`repro.core.recovery_policy.AdaptiveCadence`;
         #: when set, it replaces the static ``checkpoint_every`` gate —
         #: see ``_rank_run`` (the extra allreduce only runs when enabled,
@@ -159,14 +121,16 @@ class DistributedSCF:
         # its own domain decomposition of the full grid.  BandGroups
         # raises the typed divisibility errors (G % nb, P % nb).
         self.layout = BandGroups(
-            n_ranks=n_ranks, n_bands=n_bands, n_groups=n_band_groups
+            n_ranks=spec.layout.n_cores,
+            n_bands=n_bands,
+            n_groups=spec.layout.n_band_groups,
         )
         self.decomp = Decomposition(grid, self.layout.ranks_per_group)
         self.halo = HaloSpec(2)
         lap = laplacian_coefficients(2, spacing=grid.spacing)
         # kinetic = -1/2 laplacian; the engine is operator-agnostic
         self.kinetic_engine = DistributedStencil(self.decomp, lap.scale(-0.5))
-        self.approach = approach
+        self.approach = approach = spec.approach_obj()
         # Compile the all-bands kinetic schedule once; every Hamiltonian
         # and preconditioner application across the SCF loop re-executes
         # this plan via the cache instead of recompiling.  Each group
@@ -208,34 +172,16 @@ class DistributedSCF:
         metrics=None,
         cadence=None,
     ) -> "DistributedSCF":
-        """Build the distributed loop straight from a :class:`JobSpec`.
-
-        The spec is carried verbatim (including ``batch_size`` /
-        ``ramp_up``, which the functional plane does not consume but the
-        checkpoint marker and config hash must preserve).
-        """
-        scf = cls(
-            spec.grid(),
+        """Build the distributed loop from a :class:`JobSpec` (the
+        spelled form of the constructor)."""
+        return cls(
+            spec,
             external_potential,
-            spec.problem.n_grids,
-            spec.layout.n_cores,
-            n_band_groups=spec.layout.n_band_groups,
             occupations=occupations,
-            mixing=spec.runtime.mixing,
-            tolerance=spec.runtime.tolerance,
-            max_iterations=spec.runtime.max_iterations,
-            band_iterations=spec.runtime.band_iterations,
-            approach=spec.approach_obj(),
-            xc=spec.runtime.xc,
-            seed=spec.runtime.seed,
             checkpoint_store=checkpoint_store,
-            checkpoint_every=spec.runtime.checkpoint_every,
             metrics=metrics,
             cadence=cadence,
         )
-        scf.spec = spec
-        scf._spec_dict = spec.to_dict()
-        return scf
 
     # -- distributed primitives (all run inside rank functions) ---------------
     def _apply_h(
@@ -307,32 +253,47 @@ class DistributedSCF:
         if evals.min() < 1e-12:
             raise ValueError("bands became linearly dependent")
         inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
-        self._rotate(ep, ring, states, inv_sqrt)
+        self._rotate(ep, ring, interiors, inv_sqrt)
 
     def _rotate(
         self, ep: RankEndpoint, ring: BandRingExecutor,
-        states: dict[int, LocalGrid], u: np.ndarray,
-    ) -> None:
-        """states <- u @ states (u is the full G x G matrix, identical
-        on all ranks); the rank's rows come out of the ring's rotate
-        phase, so the blocks of other groups only transit once."""
-        bands = sorted(states)
-        shape = states[bands[0]].interior.shape
-        local = np.stack([states[b].interior.reshape(-1) for b in bands])
-        rotated = ring.rotate(ep, u, local)
-        for i, b in enumerate(bands):
-            states[b].interior[...] = rotated[i].reshape(shape)
-
-    def _rotate_arrays(
-        self, ep: RankEndpoint, ring: BandRingExecutor,
         arrays: dict[int, np.ndarray], u: np.ndarray,
-    ) -> dict[int, np.ndarray]:
-        """Same rotation for plain interior arrays (H psi blocks)."""
+    ) -> None:
+        """arrays <- u @ arrays in place (u is the full G x G matrix,
+        identical on all ranks); the rank's rows come out of the ring's
+        rotate phase, so the blocks of other groups only transit once.
+        Serves state interiors and plain H psi blocks alike."""
         bands = sorted(arrays)
-        shape = arrays[bands[0]].shape
         local = np.stack([arrays[b].reshape(-1) for b in bands])
         rotated = ring.rotate(ep, u, local)
-        return {b: rotated[i].reshape(shape) for i, b in enumerate(bands)}
+        for i, b in enumerate(bands):
+            arrays[b][...] = rotated[i].reshape(arrays[b].shape)
+
+    def _rayleigh_ritz(
+        self, ep: RankEndpoint, gep: RankEndpoint, ring: BandRingExecutor,
+        states: dict[int, LocalGrid], v_local: np.ndarray,
+    ):
+        """Diagonalize H in the span of ``states`` and rotate them onto
+        its eigenvectors; returns ``(energies, H psi, u)`` with ``H psi``
+        still in the pre-rotation basis."""
+        h_states = self._apply_h(gep, states, v_local)
+        interiors = {b: states[b].interior for b in states}
+        h_sub = self._band_matrix(ep, ring, interiors, h_states)
+        h_sub = 0.5 * (h_sub + h_sub.T)
+        energies, u = np.linalg.eigh(h_sub)
+        self._rotate(ep, ring, interiors, u.T)
+        return energies, h_states, u
+
+    def _density(
+        self, ep: RankEndpoint, domain: int, states: dict[int, LocalGrid]
+    ) -> np.ndarray:
+        """rho on this rank's block.  Each group only knows its own
+        bands' share, so the band-axis sum completes it (deterministic:
+        every band peer ends up with the bitwise-identical total)."""
+        rho = np.zeros(self.decomp.block_shape(domain))
+        for b in states:
+            rho += self.occ[b] * states[b].interior ** 2
+        return band_axis_sum(ep, self.layout, rho)
 
     # -- the rank program --------------------------------------------------------
     def _rank_run(
@@ -340,6 +301,7 @@ class DistributedSCF:
         restore=None, step_tracer=None, flight_recorder=None,
     ):
         rank = ep.rank
+        rt = self.spec.runtime
         lay = self.layout
         group = lay.group_of(rank)
         domain = lay.domain_of(rank)
@@ -389,17 +351,27 @@ class DistributedSCF:
         m_seconds = self.metrics.histogram("scf_iteration_seconds")
         m_residual = self.metrics.gauge("scf_residual")
         m_energy = self.metrics.gauge("scf_band_energy_sum")
-        for it in range(start_it + 1, self.max_iterations + 1):
+
+        def end_iteration(it, it_t0, energies):
+            if not report:
+                return
+            m_iters.inc()
+            m_seconds.observe(time.perf_counter() - it_t0)
+            m_energy.set(float(np.dot(self.occ, energies)))
+            if flight_recorder is not None:
+                # rotate the flight window at the iteration boundary so
+                # the ring buffer holds whole iterations (the deltas
+                # include this iteration's counter increments)
+                flight_recorder.mark_iteration(it)
+
+        for it in range(start_it + 1, rt.max_iterations + 1):
             it_t0 = time.perf_counter()
             v_local = v_ext + v_h + v_xc
-            for _ in range(self.band_iterations):
-                h_states = self._apply_h(gep, states, v_local)
-                interiors = {b: states[b].interior for b in states}
-                h_sub = self._band_matrix(ep, ring, interiors, h_states)
-                h_sub = 0.5 * (h_sub + h_sub.T)
-                energies, u = np.linalg.eigh(h_sub)
-                self._rotate(ep, ring, states, u.T)
-                h_states = self._rotate_arrays(ep, ring, h_states, u.T)
+            for _ in range(rt.band_iterations):
+                energies, h_states, u = self._rayleigh_ritz(
+                    ep, gep, ring, states, v_local
+                )
+                self._rotate(ep, ring, h_states, u.T)
 
                 residuals = {
                     b: h_states[b] - energies[b] * states[b].interior
@@ -421,8 +393,6 @@ class DistributedSCF:
                     partial[5 * b + 3] = float(np.vdot(psi, d)) * self.h3
                     partial[5 * b + 4] = float(np.vdot(d, d)) * self.h3
                 red = ep.allreduce(partial)
-                from scipy.linalg import eigh as geigh
-
                 for b in bands:
                     app, apd, add, spd, sdd = red[5 * b: 5 * b + 5]
                     a = np.array([[app, apd], [apd, add]])
@@ -436,13 +406,8 @@ class DistributedSCF:
                     )
                 self._lowdin_rotate(ep, ring, states)
 
-            # density, Hartree, XC; each group only knows its own bands'
-            # share, so the band-axis sum completes rho (deterministic:
-            # every band peer ends up with the bitwise-identical total)
-            rho = np.zeros_like(v_ext)
-            for b in bands:
-                rho += self.occ[b] * states[b].interior ** 2
-            rho = band_axis_sum(ep, lay, rho)
+            # density, Hartree, XC
+            rho = self._density(ep, domain, states)
             if rho_old is not None:
                 local_change = float(np.abs(rho - rho_old).sum() * self.h3)
                 # all groups hold the same rho: group 0 speaks for all
@@ -451,32 +416,26 @@ class DistributedSCF:
                 )
                 if report:
                     m_residual.set(change)
-                if change < self.tolerance:
+                if change < rt.tolerance:
                     converged = True
-                    if report:
-                        m_iters.inc()
-                        m_seconds.observe(time.perf_counter() - it_t0)
-                        m_energy.set(float(np.dot(self.occ, energies)))
-                        if flight_recorder is not None:
-                            flight_recorder.mark_iteration(it)
+                    end_iteration(it, it_t0, energies)
                     break
             rho_old = rho.copy()
 
             # every group solves the identical Poisson problem on its own
             # domain decomposition (redundant but communication-local);
             # identical rho in, deterministic solver, identical v_h out
+            # (the rank solver reads only its own domain's entry)
             v_h_new = self.poisson._rank_solve(
-                gep, self._rho_blocks_for(domain, rho)
+                gep, {domain: self._density_block(rho, domain)}
             )[0].interior
-            v_h = (1 - self.mixing) * v_h + self.mixing * v_h_new
-            if self.xc == "lda":
-                from repro.dft.xc import lda_potential
-
-                v_xc = (1 - self.mixing) * v_xc + self.mixing * lda_potential(rho)
+            v_h = (1 - rt.mixing) * v_h + rt.mixing * v_h_new
+            if rt.xc == "lda":
+                v_xc = (1 - rt.mixing) * v_xc + rt.mixing * lda_potential(rho)
 
             due = (
                 self.checkpoint_store is not None
-                and it % self.checkpoint_every == 0
+                and it % rt.checkpoint_every == 0
             )
             if self.cadence is not None and self.checkpoint_store is not None:
                 # adaptive cadence: rank 0's measured iteration wall time
@@ -508,62 +467,29 @@ class DistributedSCF:
                     jobspec=self._spec_dict,
                 )
 
-            if report:
-                m_iters.inc()
-                m_seconds.observe(time.perf_counter() - it_t0)
-                m_energy.set(float(np.dot(self.occ, energies)))
-                if flight_recorder is not None:
-                    # rotate the flight window at the iteration boundary
-                    # so the ring buffer holds whole iterations (the
-                    # deltas include this iteration's counter increments)
-                    flight_recorder.mark_iteration(it)
+            end_iteration(it, it_t0, energies)
 
         # final Rayleigh-Ritz: report clean eigenvalues of the last
         # potential (the in-loop energies lag the post-line-step states)
-        v_local = v_ext + v_h + v_xc
-        h_states = self._apply_h(gep, states, v_local)
-        interiors = {b: states[b].interior for b in states}
-        h_sub = self._band_matrix(ep, ring, interiors, h_states)
-        h_sub = 0.5 * (h_sub + h_sub.T)
-        energies, u = np.linalg.eigh(h_sub)
-        self._rotate(ep, ring, states, u.T)
+        energies, _, _ = self._rayleigh_ritz(
+            ep, gep, ring, states, v_ext + v_h + v_xc
+        )
 
         # total energy (allreduced pieces; group 0 contributes the grid
         # sums since every group holds the identical density)
-        rho = np.zeros_like(v_ext)
-        for b in bands:
-            rho += self.occ[b] * states[b].interior ** 2
-        rho = band_axis_sum(ep, lay, rho)
+        rho = self._density(ep, domain, states)
         local = np.array([
             float((rho * v_h).sum() * self.h3),
             float((rho * v_xc).sum() * self.h3),
         ]) if group == 0 else np.zeros(2)
         e_h2, e_vxc = ep.allreduce(local)
         total = float(np.dot(self.occ, energies)) - 0.5 * e_h2
-        if self.xc == "lda":
-            from repro.dft.xc import lda_energy
-
+        if rt.xc == "lda":
             local_exc = (
                 lda_energy(rho, self.grid.spacing) if group == 0 else 0.0
             )
             total += float(ep.allreduce(local_exc)[0]) - e_vxc
         return states, energies, rho, total, it, converged
-
-    def _rho_blocks_for(
-        self, domain: int, rho_interior: np.ndarray
-    ) -> list[LocalGrid]:
-        """The blocks list the Poisson rank-solver expects.
-
-        Its rank function only reads entry ``[domain]``; the other
-        entries are placeholders (each rank builds its own list
-        locally).  Indexing is by domain within the band group — the
-        Poisson solve runs over the group endpoint."""
-        blocks = [
-            LocalGrid(self.decomp, r, self.poisson.halo)
-            for r in range(self.decomp.n_domains)
-        ]
-        blocks[domain].interior[...] = rho_interior
-        return blocks
 
     # -- public API --------------------------------------------------------------
     def run(
@@ -615,7 +541,7 @@ class DistributedSCF:
         if resume_from is None:
             # every group draws the same full band set, then keeps its
             # slice — initial states are independent of n_band_groups
-            rng = np.random.default_rng(self.seed)
+            rng = np.random.default_rng(self.spec.runtime.seed)
             initial = [
                 rng.standard_normal(self.grid.shape) for _ in range(self.n_bands)
             ]
@@ -702,72 +628,6 @@ class DistributedSCF:
                 band.append(lg)
             initial_blocks.append(band)
         return initial_blocks, ckpt
-
-    def with_ranks(self, n_ranks: int) -> "DistributedSCF":
-        """A copy of this SCF over ``n_ranks`` domains.
-
-        Recompiles the kinetic schedule plan and the Poisson solver for
-        the new layout; shares the checkpoint store, so a recovery can
-        shrink onto surviving ranks and keep checkpointing.
-        """
-        spec = replace(
-            self.spec, layout=replace(self.spec.layout, n_cores=n_ranks)
-        )
-        return DistributedSCF.from_spec(
-            spec,
-            self.v_ext,
-            occupations=list(self.occ),
-            checkpoint_store=self.checkpoint_store,
-            metrics=self.metrics if self.metrics.enabled else None,
-            cadence=self.cadence,
-        )
-
-    def run_with_recovery(
-        self,
-        max_restarts: int = 2,
-        transport_factory=None,
-        shrink_to: int | None = None,
-        on_restart=None,
-    ) -> DistributedSCFResult:
-        """Run to convergence, restarting from checkpoints on rank loss.
-
-        Each attempt gets a transport from ``transport_factory(attempt)``
-        (default: a fresh in-process transport).  When an attempt dies
-        with a :class:`~repro.transport.errors.TransportError`, the run
-        resumes from the latest *committed* checkpoint — with
-        ``shrink_to`` ranks if given (the node-loss scenario: the
-        schedule is recompiled and all state redistributed) — up to
-        ``max_restarts`` times before the error propagates.
-
-        This is the *caller-configured* loop; :class:`repro.dft.recovery
-        .RecoveryController` supersedes it with a planner-driven
-        degradation ladder that picks the shrink target itself.
-        """
-        if self.checkpoint_store is None:
-            raise ValueError("run_with_recovery needs a checkpoint_store")
-        scf = self
-        restarts = 0
-        while True:
-            transport = (
-                transport_factory(restarts) if transport_factory is not None else None
-            )
-            resume = scf.checkpoint_store.latest()
-            try:
-                result = scf.run(transport=transport, resume_from=resume)
-                result.restarts = restarts
-                return result
-            except TransportError as exc:
-                restarts += 1
-                if restarts > max_restarts:
-                    raise
-                scf.checkpoint_store.discard_pending()
-                if on_restart is not None:
-                    on_restart(restarts, exc)
-                if (
-                    shrink_to is not None
-                    and scf.layout.n_ranks != shrink_to
-                ):
-                    scf = scf.with_ranks(shrink_to)
 
     def _density_block(self, rho_interior: np.ndarray, rank: int) -> LocalGrid:
         lg = LocalGrid(self.decomp, rank, self.halo)

@@ -159,9 +159,7 @@ class RecoveryController:
     def _degrade(self, report: CrashReport, attempt: int) -> None:
         """Replace :attr:`scf` with the best feasible smaller layout."""
         old_spec = self.scf.spec
-        from_ranks = old_spec.layout.n_cores
-        from_groups = old_spec.layout.n_band_groups
-        survivors = from_ranks - self.policy.ranks_lost_per_failure
+        survivors = old_spec.layout.n_cores - self.policy.ranks_lost_per_failure
         rejections: list = []
         for cores in range(survivors, self.policy.min_ranks - 1, -1):
             result = self.planner.degrade(old_spec, cores)
@@ -172,25 +170,9 @@ class RecoveryController:
                 self._m_replans.inc()
                 self._m_ranks.set(float(best.spec.layout.n_cores))
                 self._m_groups.set(float(best.spec.layout.n_band_groups))
-                latest = self.scf.checkpoint_store.latest()
-                self.steps.append(DegradationStep(
-                    attempt=attempt,
-                    failed_rank=report.failed_rank,
-                    error_type=report.error_type,
-                    transient=report.transient,
-                    from_ranks=from_ranks,
-                    from_groups=from_groups,
-                    to_ranks=best.spec.layout.n_cores,
-                    to_groups=best.spec.layout.n_band_groups,
-                    batch_size=best.spec.layout.batch_size,
-                    resumed_iteration=latest.iteration if latest else 0,
-                    checkpoint_every=(
-                        self.scf.cadence.last_interval
-                        if self.scf.cadence is not None
-                        else self.scf.checkpoint_every
-                    ),
-                    rejections=tuple(rejections),
-                ))
+                self._record_step(
+                    attempt, report, old_spec.layout, tuple(rejections)
+                )
                 return
             rejections.extend(result.rejected)
         if self.flight_recorder is not None:
@@ -201,6 +183,30 @@ class RecoveryController:
                 crash_report=report,
             ))
         raise DegradationError(survivors, rejections)
+
+    def _record_step(self, attempt, report, old_layout, rejections=()) -> None:
+        """Append the rung just taken; :attr:`scf` is already the
+        instance the next attempt runs (unchanged for an in-place retry)."""
+        latest = self.scf.checkpoint_store.latest()
+        cadence = self.scf.cadence
+        spec = self.scf.spec
+        self.steps.append(DegradationStep(
+            attempt=attempt,
+            failed_rank=report.failed_rank,
+            error_type=report.error_type,
+            transient=report.transient,
+            from_ranks=old_layout.n_cores,
+            from_groups=old_layout.n_band_groups,
+            to_ranks=spec.layout.n_cores,
+            to_groups=spec.layout.n_band_groups,
+            batch_size=spec.layout.batch_size,
+            resumed_iteration=latest.iteration if latest else 0,
+            checkpoint_every=(
+                cadence.last_interval if cadence is not None
+                else spec.runtime.checkpoint_every
+            ),
+            rejections=rejections,
+        ))
 
     def _rebuild(self, spec) -> None:
         """A fresh SCF for the degraded spec, sharing stores/telemetry."""
@@ -272,24 +278,7 @@ class RecoveryController:
                 self.scf.checkpoint_store.discard_pending()
                 if report.transient and policy.retry_transient_in_place:
                     self._m_transient.inc()
-                    latest = self.scf.checkpoint_store.latest()
-                    self.steps.append(DegradationStep(
-                        attempt=attempt,
-                        failed_rank=report.failed_rank,
-                        error_type=report.error_type,
-                        transient=True,
-                        from_ranks=self.scf.layout.n_ranks,
-                        from_groups=self.scf.layout.n_groups,
-                        to_ranks=self.scf.layout.n_ranks,
-                        to_groups=self.scf.layout.n_groups,
-                        batch_size=self.scf.spec.layout.batch_size,
-                        resumed_iteration=latest.iteration if latest else 0,
-                        checkpoint_every=(
-                            self.scf.cadence.last_interval
-                            if self.scf.cadence is not None
-                            else self.scf.checkpoint_every
-                        ),
-                    ))
+                    self._record_step(attempt, report, self.scf.spec.layout)
                     continue
                 fatal_failures += 1
                 self._degrade(report, attempt)

@@ -20,7 +20,6 @@ Design notes
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -98,12 +97,8 @@ class TransportStats:
       counters labeled with the rank, so a registry snapshot and this
       object report the *same* numbers (pinned by test).
 
-    Increment through :meth:`record_message`.  ``.messages``/``.bytes``
-    remain as **deprecated aliases**: readable, and assignable only
-    upward (``st.messages += 1`` still works; counters cannot decrease).
-    Assigning through them emits a :class:`DeprecationWarning` — the
-    dataclass-style mutation path will be removed once nothing trips the
-    warning.
+    Increment through :meth:`record_message`; ``.messages``/``.bytes``
+    are read-only views of the counters.
     """
 
     __slots__ = ("_messages", "_bytes")
@@ -134,34 +129,13 @@ class TransportStats:
         self._messages.inc(1)
         self._bytes.inc(nbytes)
 
-    # -- deprecated attribute API (pre-registry dataclass shape) ----------
     @property
     def messages(self) -> int:
         return int(self._messages.value)
 
-    @messages.setter
-    def messages(self, value: int) -> None:
-        warnings.warn(
-            "assigning TransportStats.messages is deprecated; "
-            "use record_message()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._messages.inc(value - self._messages.value)
-
     @property
     def bytes(self) -> int:
         return int(self._bytes.value)
-
-    @bytes.setter
-    def bytes(self, value: int) -> None:
-        warnings.warn(
-            "assigning TransportStats.bytes is deprecated; "
-            "use record_message()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._bytes.inc(value - self._bytes.value)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TransportStats):

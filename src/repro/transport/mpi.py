@@ -147,8 +147,7 @@ class MpiEndpoint:
         self.rank = self.comm.Get_rank()
         #: local message accounting, same shape as the inproc transport's
         #: per-rank stats — a thin view over the shared metrics registry
-        #: when one is passed (the old ``.messages``/``.bytes`` attribute
-        #: API survives as deprecated aliases on TransportStats).
+        #: when one is passed
         self.stats = TransportStats(registry=metrics, rank=self.rank)
 
     @property

@@ -137,11 +137,16 @@ class TestDesFaultReplay:
         assert a.total == b.total and a.fault_events == b.fault_events
 
 
+@pytest.fixture(scope="module")
+def chaos_seed0():
+    """One seed-0 suite run shared by every read-only assertion below."""
+    return run_chaos_suite(seed=0, scf=False)
+
+
 class TestChaosSuite:
-    def test_seed0_suite_passes(self):
-        outcomes = run_chaos_suite(seed=0, scf=False)
-        assert suite_passed(outcomes)
-        by_name = {o.scenario: o for o in outcomes}
+    def test_seed0_suite_passes(self, chaos_seed0):
+        assert suite_passed(chaos_seed0)
+        by_name = {o.scenario: o for o in chaos_seed0}
         for kind in ("delay", "duplicate", "drop", "corrupt"):
             o = by_name[f"one-{kind}"]
             assert o.injected == 1 and o.identical
@@ -149,23 +154,40 @@ class TestChaosSuite:
         assert kill.outcome == "crashed"
         assert "RankKilledError" in kill.errors
 
-    def test_suite_is_deterministic_per_seed(self):
-        a = run_chaos_suite(seed=0, scf=False)
-        b = run_chaos_suite(seed=0, scf=False)
-        assert a == b  # dataclass equality: full survival matrix
+    def test_suite_is_deterministic_per_seed(self, chaos_seed0):
+        # dataclass equality: full survival matrix
+        assert run_chaos_suite(seed=0, scf=False) == chaos_seed0
 
-    def test_survival_matrix_renders(self):
-        outcomes = run_chaos_suite(seed=0, scf=False)
-        text = survival_matrix(outcomes)
+    def test_survival_matrix_renders(self, chaos_seed0):
+        text = survival_matrix(chaos_seed0)
         assert "rank-kill" in text and "storm" in text
 
-    def test_suite_passed_rejects_hung_or_wrong_outcomes(self):
+    def test_suite_passed_rejects_hung_or_wrong_outcomes(self, chaos_seed0):
         from repro.analysis import ChaosOutcome
 
-        good = run_chaos_suite(seed=0, scf=False)
         bad = [
             ChaosOutcome("one-drop", 1, 3, "crashed", False, ("HaloTimeoutError",))
             if o.scenario == "one-drop" else o
-            for o in good
+            for o in chaos_seed0
         ]
         assert not suite_passed(bad)
+
+    @pytest.mark.parametrize("nb, name, config", [
+        # the `repro chaos` row: 1 band, 2 ranks -> the lone survivor
+        (1, "scf-kill-resume", dict(n_bands=1, n_cores=2, kill_at={1: 3500})),
+        # a `repro chaos --controller` row: 4 ranks x 2 band groups
+        (2, "ctrl-kill-nb2", dict(n_bands=4, n_cores=4, kill_at={2: 400})),
+    ], ids=["nb1", "nb2"])
+    def test_scf_kill_recovers_through_the_controller(self, nb, name, config):
+        from repro.analysis.chaos import _scf_kill
+        from repro.core import DegradationPolicy
+
+        outcome = _scf_kill(
+            name, 0, 1.0, nb=nb,
+            policy=DegradationPolicy(max_restarts=2, adaptive_cadence=False),
+            **config,
+        )
+        assert outcome.outcome == "recovered" and outcome.identical
+        assert outcome.attempts == 2
+        assert outcome.errors == ("RankKilledError",)
+        assert suite_passed([outcome])

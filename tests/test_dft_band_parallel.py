@@ -1,11 +1,12 @@
 """End-to-end tests: the SCF under the 2D grid x band decomposition.
 
-``DistributedSCF(n_band_groups=nb)`` splits the rank threads into band
-groups and runs the compiled ring-orthogonalization plan on real NumPy
-blocks.  The decomposition must be *exact*: every ``nb`` reaches the
-same converged state as the single-group run (round-off apart), the
-checkpoint/restart path carries the band-group layout, and the
-telemetry spans tag resources by band group.
+``DistributedSCF.from_spec`` with ``LayoutSpec(n_band_groups=nb)`` splits
+the rank threads into band groups and runs the compiled
+ring-orthogonalization plan on real NumPy blocks.  The decomposition
+must be *exact*: every ``nb`` reaches the same converged state as the
+single-group run (round-off apart), the checkpoint/restart path carries
+the band-group layout, and the telemetry spans tag resources by band
+group.
 """
 
 import numpy as np

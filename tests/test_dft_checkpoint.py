@@ -180,12 +180,9 @@ class TestKillResume:
     """The PR's acceptance scenario, at test-suite size."""
 
     def test_kill_resume_converges_to_fault_free_energy(self):
-        from repro.transport import (
-            FaultPlan,
-            FaultyTransport,
-            InprocTransport,
-            RankKilledError,
-        )
+        from repro.core import DegradationPolicy
+        from repro.dft import RecoveryController
+        from repro.transport import FaultPlan, FaultyTransport, InprocTransport
 
         converged = dict(tolerance=1e-3, max_iterations=30, band_iterations=10)
         oracle = aniso_scf(2, store=None, **converged).run()
@@ -194,17 +191,23 @@ class TestKillResume:
         # ~1370 transport ops per rank per iteration: op 3500 lands
         # mid-iteration 3, after checkpoints 1 and 2 committed
         plan = FaultPlan(seed=0, kill_at={1: 3500})
-        restarts = []
 
-        def factory(attempt):
-            return FaultyTransport(InprocTransport(2, default_timeout=1.0), plan)
+        def factory(attempt, n_ranks):
+            return FaultyTransport(
+                InprocTransport(n_ranks, default_timeout=1.0), plan
+            )
 
-        res = scf.run_with_recovery(
-            max_restarts=2, transport_factory=factory,
-            on_restart=lambda k, exc: restarts.append(type(exc).__name__),
+        # the controller replans onto the survivor (2 ranks -> 1) and
+        # resumes from checkpoint 2
+        ctrl = RecoveryController(
+            scf,
+            policy=DegradationPolicy(max_restarts=2, adaptive_cadence=False),
+            transport_factory=factory,
         )
-        assert restarts == ["RankKilledError"]
-        assert res.restarts == 1
+        res = ctrl.run()
+        assert [r.error_type for r in ctrl.reports] == ["RankKilledError"]
+        assert ctrl.steps[0].resumed_iteration == 2
+        assert res.restarts == 1 and res.final_ranks == 1
         assert res.converged
         assert abs(res.total_energy - oracle.total_energy) < 1e-6
 

@@ -11,17 +11,27 @@ The self-healing contract (docs/ROBUSTNESS.md):
   raises a typed :class:`DegradationError` carrying the rejections;
 * the adaptive cadence applies Daly's optimal interval within 10%;
 * every rung is observable: ``steps`` records the transition, the
-  ``recovery_*`` instruments land in the metrics registry.
+  ``recovery_*`` instruments land in the metrics registry;
+* a random seeded kill (any rank, any operation, any band grouping)
+  ends recovered-to-oracle or in a typed error — never a hang.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import AdaptiveCadence, DegradationError, DegradationPolicy
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
 from repro.dft import DistributedSCF, MemoryCheckpointStore, RecoveryController
 from repro.grid import GridDescriptor
-from repro.transport import FaultPlan, FaultyTransport, InprocTransport
+from repro.transport import (
+    FaultPlan,
+    FaultyTransport,
+    InprocTransport,
+    TransportError,
+)
 
 
 def aniso_trap(n=6, spacing=0.6):
@@ -58,10 +68,16 @@ def kill_then_clean(plan):
     return factory
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_run(nb):
+    """The fault-free 4-rank run with ``nb`` band groups, computed once."""
+    return band_scf(n_ranks=4, n_band_groups=nb).run()
+
+
 @pytest.fixture(scope="module")
 def oracle():
     """The fault-free run every recovered run must reproduce."""
-    return band_scf(n_ranks=4, n_band_groups=4).run()
+    return oracle_run(4)
 
 
 class TestConstruction:
@@ -160,8 +176,6 @@ class TestDegradationLadder:
             ),
             transport_factory=always_faulty,
         )
-        from repro.transport import TransportError
-
         with pytest.raises(TransportError):
             ctrl.run()
         assert len(ctrl.reports) == 2  # initial + one retry
@@ -183,6 +197,46 @@ class TestDegradationLadder:
             ctrl.run()
         assert exc.value.survivors == 0
         assert "no feasible degraded layout" in str(exc.value)
+
+
+#: transport operations every rank performs in a fault-free run of the
+#: fixture, per band grouping — the range a kill can land in (a kill
+#: drawn past a rank's last operation never fires, and the clean run is
+#: one of the outcomes the property covers)
+RUN_OPS = {1: 8800, 2: 5000, 4: 690}
+
+
+class TestRecoveryProperty:
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        victim=st.integers(0, 3),
+        nb_and_kill_op=st.sampled_from(sorted(RUN_OPS)).flatmap(
+            lambda nb: st.tuples(st.just(nb), st.integers(1, RUN_OPS[nb]))
+        ),
+    )
+    def test_random_kill_recovers_to_oracle_or_raises_typed(
+        self, seed, victim, nb_and_kill_op
+    ):
+        nb, kill_op = nb_and_kill_op
+        # the seed draws which sends are delayed around the kill
+        plan = FaultPlan(
+            seed=seed, p_delay=0.01, delay=1e-4, kill_at={victim: kill_op}
+        )
+        ctrl = RecoveryController(
+            band_scf(n_ranks=4, n_band_groups=nb,
+                     store=MemoryCheckpointStore()),
+            policy=DegradationPolicy(adaptive_cadence=False),
+            transport_factory=kill_then_clean(plan),
+        )
+        try:
+            res = ctrl.run()
+        except (DegradationError, TransportError):
+            return  # a typed terminal failure is an allowed outcome
+        assert res.restarts == len(ctrl.steps) <= 1
+        assert res.total_energy == pytest.approx(
+            oracle_run(nb).total_energy, abs=1e-8
+        )
 
 
 class TestObservability:

@@ -63,6 +63,14 @@ class TestRepositoryDocs:
             assert marker in text, marker
 
     def test_api_index_mentions_every_package(self):
+        import runpy
+
         text = (ROOT / "docs" / "API.md").read_text()
         for pkg in ("repro.des", "repro.machine", "repro.core", "repro.dft"):
             assert f"`{pkg}`" in text
+        generate = runpy.run_path(str(ROOT / "tools" / "gen_api_index.py"))[
+            "generate"
+        ]
+        assert text == generate(), (
+            "docs/API.md is stale: run `python tools/gen_api_index.py`"
+        )

@@ -146,11 +146,12 @@ class TestBasics:
     def test_stats_and_registry_are_the_same_counters(self):
         """TransportStats is a *view* over the registry, not a copy.
 
-        The deprecated attribute API (``stats[r].messages``) and the
+        The read-only attributes (``stats[r].messages``) and the
         registry counters (``transport_messages_total{rank=r}``) must
         report identical numbers because they are the same instrument.
         """
         from repro.obs.metrics import MetricsRegistry
+        from repro.transport.inproc import TransportStats
 
         reg = MetricsRegistry()
         tr = InprocTransport(2, metrics=reg)
@@ -171,32 +172,9 @@ class TestBasics:
         # through the stats view immediately
         reg.counter("transport_messages_total", rank=0).inc()
         assert tr.stats[0].messages == 2
-
-    def test_stats_deprecated_attribute_api(self):
-        from repro.transport.inproc import TransportStats
-
-        st = TransportStats()
-        st.record_message(64)
-        assert (st.messages, st.bytes) == (1, 64)
-        with pytest.warns(DeprecationWarning, match="messages is deprecated"):
-            st.messages += 2  # old dataclass-style mutation still works
-        with pytest.warns(DeprecationWarning, match="bytes is deprecated"):
-            st.bytes += 100
-        assert st == TransportStats(messages=3, bytes=164)
-        assert "messages=3" in repr(st)
-
-    def test_stats_reads_do_not_warn(self):
-        """Reading the aliases stays silent — only assignment warns."""
-        import warnings
-
-        from repro.transport.inproc import TransportStats
-
-        st = TransportStats()
-        st.record_message(8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert st.messages == 1
-            assert st.bytes == 8
+        # value semantics survive the counter backing
+        assert tr.stats[0] == TransportStats(messages=2, bytes=400)
+        assert "messages=2" in repr(tr.stats[0])
 
     def test_endpoint_bounds(self):
         tr = InprocTransport(2)

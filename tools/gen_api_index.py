@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.grid",
     "repro.stencil",
     "repro.transport",
+    "repro.obs",
     "repro.core",
     "repro.dft",
     "repro.analysis",
