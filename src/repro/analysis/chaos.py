@@ -133,7 +133,7 @@ def _des_replay_scale(seed: int) -> ChaosOutcome:
     tractable inside the suite.  A seeded storm over 512 simulated ranks
     runs twice from pristine :meth:`FaultPlan.replica` copies and must
     agree bit-exactly on makespan, fault count, message count and
-    fired-event count — any heap-order drift in the engine shows up here
+    fired-event count — any firing-order drift in the engine shows up here
     before it can corrupt a larger campaign.
     """
     from repro.core import FDJob, simulate_fd
@@ -294,7 +294,7 @@ def run_chaos_suite(
     kill = FaultPlan(seed=seed, kill_at={min(1, n_ranks - 1): 5})
     outcomes.append(sc.run("rank-kill", kill, max_retries=2, timeout=timeout))
     # paper-scale determinism: the compiled DES replays a 512-rank storm
-    # twice from pristine plan replicas; any heap-order drift shows up
+    # twice from pristine plan replicas; any firing-order drift shows up
     # as a makespan or event-count mismatch
     outcomes.append(_des_replay_scale(seed))
     static = DegradationPolicy(max_restarts=2, adaptive_cadence=False)

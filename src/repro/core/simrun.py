@@ -96,7 +96,7 @@ class SimResult:
     engine: str = ""
     #: schedule-IR steps replayed across all ranks (plan size metric)
     ir_steps: int = 0
-    #: heap entries the DES fired during the replay (throughput metric)
+    #: queue entries the DES fired during the replay (throughput metric)
     events: int = 0
 
 

@@ -30,10 +30,11 @@ This module is a drop-in second engine for the same replay:
 Bit-exactness contract
 ----------------------
 
-The compiled engine is **hop-parity exact**: for every heap entry the
-reference engine schedules, this engine schedules exactly one entry at
+The compiled engine is **hop-parity exact**: for every queue entry the
+reference engine schedules — on the simulator's heap or on its
+same-timestamp ready queue — this engine schedules exactly one entry at
 the same simulated time, in the same scheduling order.  Because the DES
-orders simultaneous entries by scheduling sequence, the whole replay —
+fires simultaneous entries in scheduling order, the whole replay —
 event count, message order under link/lock contention, FIFO handoffs,
 every timestamp, the activity trace and the step trace — reproduces the
 reference engine bit for bit.  ``tests/test_engine_equivalence.py``
@@ -44,7 +45,7 @@ canonical and this engine must match it, never the other way around.
 The per-primitive hop ledger (reference ⟷ compiled):
 
 ===========================  ==============================================
-reference primitive          heap entries (both engines)
+reference primitive          queue entries (both engines)
 ===========================  ==============================================
 process spawn                1 (``call_soon`` resume)
 ``timeout(d)``               2 (``call_at`` fire, ``call_soon`` resume)

@@ -2,15 +2,16 @@
 
 This is the substrate under the simulated Blue Gene/P: the torus links,
 DMA engines, MPI ranks and worker threads of the performance plane are all
-DES processes.  The kernel is intentionally minimal — a binary-heap event
-queue plus generator-based processes (the SimPy execution model) — because
+DES processes.  The kernel is intentionally minimal — a two-level event
+queue (a FIFO for the current time, a binary heap for the future) plus
+generator-based processes (the SimPy execution model) — because
 determinism and debuggability matter more here than feature breadth.
 
 Key concepts
 ------------
 
 ``Simulator``
-    owns the clock and the event heap; ``run()`` drains it.
+    owns the clock and the event queue; ``run()`` drains it.
 ``Event``
     a one-shot occurrence that processes can wait on; carries a value.
 ``Process``

@@ -3,13 +3,18 @@
 Execution model
 ---------------
 
-The simulator keeps a heap of ``(time, sequence, fn, args)`` entries.  The
-``sequence`` counter makes the ordering of simultaneous events deterministic
-(FIFO in scheduling order) — essential for reproducible message traces.
-Because the sequence is unique, the heap never compares ``fn``/``args``,
-so entries are plain tuples: no closure allocation per scheduled call.
+The simulator keeps a **two-level queue**.  Entries for a strictly
+future time live in a heap of ``(time, sequence, fn, args)`` tuples; the
+``sequence`` counter makes the ordering of simultaneous entries
+deterministic (FIFO in scheduling order) — essential for reproducible
+message traces — and, being unique, keeps the heap from ever comparing
+``fn``/``args``.  Entries for the *current* time — every ``call_soon``,
+and ``call_at(t)`` with ``t == now`` — skip the heap: they are appended
+to a FIFO ready queue of ``(fn, args)`` pairs.  Zero-delay hops are the
+large majority of a replay's entries, so most of them never pay a heap
+push and pop.
 
-Two layers share that heap:
+Two layers share that queue:
 
 * the **callback fast path** — :meth:`Simulator.call_at` /
   :meth:`Simulator.call_soon` schedule a bare ``fn(*args)`` with no event
@@ -22,20 +27,23 @@ Two layers share that heap:
   value when it fires.  If the yielded event failed, the exception is
   thrown into the generator so processes can use ordinary ``try/except``.
 
-Both layers interleave on one ``(time, sequence)`` total order, so a
-callback-layer reimplementation of an event-layer program can reproduce
-its schedule bit-for-bit by issuing the same number of hops.
+Both layers interleave on one total order — by time, then by scheduling
+order — so a callback-layer reimplementation of an event-layer program
+can reproduce its schedule bit-for-bit by issuing the same number of
+hops.
 
-The run loop pops *batches* of simultaneous entries: the clock is written
-once per distinct timestamp instead of once per event.  Within a batch,
-entries still fire strictly in sequence order, and entries scheduled for
-the current time by a firing callback join the same batch (exactly the
-one-at-a-time behaviour, minus the redundant clock stores and peeks).
+The run loop works one timestamp at a time: it stores the clock once,
+fires the heap entries of that time in sequence order, then drains the
+ready queue first in first out, including whatever the firing callbacks
+append to it, and only then advances.  Every heap entry of a timestamp
+was scheduled before the clock reached it and every ready entry after,
+so this is the order a single ``(time, sequence)`` heap would give.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -267,13 +275,17 @@ class Process(Event):
 
 
 class Simulator:
-    """Event heap + clock.  All simulation state hangs off one instance."""
+    """Two-level event queue + clock.  All simulation state hangs off one instance."""
 
     def __init__(self) -> None:
         self._now = 0.0
+        #: strictly future entries, ordered by ``(time, sequence)``
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        #: heap entries fired so far — one per scheduled callback, whether
+        #: ``(fn, args)`` entries scheduled for the current time, in
+        #: scheduling order
+        self._ready: deque[tuple[Callable[..., None], tuple]] = deque()
+        #: queue entries fired so far — one per scheduled callback, whether
         #: it came from the event layer or the fast path; engine
         #: equivalence tests assert this matches between engines
         self.events_processed = 0
@@ -287,23 +299,22 @@ class Simulator:
     def call_at(self, t: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``t`` (fast path).
 
-        One heap tuple, no event object; entries at equal times fire in
+        One queue entry, no event object; entries at equal times fire in
         scheduling order.
         """
-        if t < self._now:
-            raise SimulationError(f"cannot schedule into the past ({t} < {self._now})")
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        now = self._now
+        if t > now:
+            self._seq += 1
+            heapq.heappush(self._heap, (t, self._seq, fn, args))
+        elif t == now:
+            # a heap entry at ``now`` would overtake older ready entries
+            self._ready.append((fn, args))
+        else:
+            raise SimulationError(f"cannot schedule into the past ({t} < {now})")
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time (after pending callbacks)."""
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now, self._seq, fn, args))
-
-    # kept as aliases: external components (resources, tests) predate the
-    # public fast-path names
-    _schedule_at = call_at
-    _schedule_call = call_soon
+        self._ready.append((fn, args))
 
     # -- public API --------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -327,30 +338,42 @@ class Simulator:
         return Process(self, gen, name=name)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; returns the final simulation time.
+        """Drain the event queue; returns the final simulation time.
 
         With ``until``, stops once the next event would be strictly later
-        than ``until`` and fast-forwards the clock to exactly ``until``.
+        than ``until`` and fast-forwards the clock to exactly ``until``;
+        an ``until`` in the past with entries still pending raises
+        :class:`SimulationError`.
 
-        Simultaneous entries fire as one batch: the clock is stored once
-        per distinct timestamp, and entries a callback schedules for the
-        current time join the running batch (identical order to popping
-        one entry at a time).
+        Per timestamp: the heap entries of that time fire first, then the
+        ready queue (see the module docstring for why that is scheduling
+        order).
         """
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
+        t = self._now
+        if until is not None and until < t and (heap or ready):
+            raise SimulationError(f"cannot run until the past ({until} < {t})")
         fired = 0
-        while heap:
-            t = heap[0][0]
-            if until is not None and t > until:
-                self._now = until
-                self.events_processed += fired
-                return self._now
-            self._now = t
+        while True:
+            # on entry ``t`` is ``now``: its heap entries are what a
+            # raising callback left behind, and still precede the ready ones
             while heap and heap[0][0] == t:
                 entry = pop(heap)
                 fired += 1
                 entry[2](*entry[3])
+            while ready:
+                fn, args = popleft()
+                fired += 1
+                fn(*args)
+            if not heap:
+                break
+            t = heap[0][0]
+            if until is not None and t > until:
+                break
+            self._now = t
         if until is not None and until > self._now:
             self._now = until
         self.events_processed += fired
@@ -367,7 +390,7 @@ class Simulator:
         if not proc.triggered:
             raise SimulationError(
                 f"process {name or gen!r} never finished (deadlock: "
-                "event heap drained while the process still waits)"
+                "event queue drained while the process still waits)"
             )
         if not proc.ok:
             raise proc.value

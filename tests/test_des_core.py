@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel (repro.des.core)."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from repro.des import (
     SimulationError,
     Simulator,
 )
+from repro.des.core import Timeout
 
 
 def test_clock_starts_at_zero():
@@ -91,6 +94,53 @@ def test_run_until_past_last_event_fast_forwards():
     sim = Simulator()
     assert sim.run(until=42.0) == 42.0
     assert sim.now == 42.0
+
+
+def test_run_until_the_past_with_pending_entries_raises():
+    sim = Simulator()
+    log = []
+    sim.call_at(5.0, log.append, 5)
+    sim.call_at(9.0, log.append, 9)
+    assert sim.run(until=6.0) == 6.0
+    with pytest.raises(SimulationError, match="past"):
+        sim.run(until=2.0)
+    assert sim.now == 6.0
+    assert sim.run() == 9.0
+    assert log == [5, 9]
+    # nothing pending: a stale horizon is a no-op, the clock never goes back
+    assert sim.run(until=2.0) == 9.0
+
+
+def test_heap_entries_of_a_timestamp_fire_before_ready_entries_scheduled_during_it():
+    sim = Simulator()
+    log = []
+
+    def first():
+        log.append("first")
+        sim.call_soon(log.append, "soon")
+        sim.call_at(sim.now, log.append, "at-now")
+
+    sim.call_at(1.0, first)
+    sim.call_at(1.0, log.append, "second")
+    sim.run()
+    assert log == ["first", "second", "soon", "at-now"]
+    assert sim.events_processed == 4
+
+
+def test_run_resumes_a_timestamp_aborted_by_a_raising_callback():
+    sim = Simulator()
+    log = []
+
+    def boom():
+        sim.call_soon(log.append, "soon")
+        raise RuntimeError("boom")
+
+    sim.call_at(1.0, boom)
+    sim.call_at(1.0, log.append, "heap")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.run() == 1.0
+    assert log == ["heap", "soon"]
 
 
 def test_event_value_passes_through_yield():
@@ -370,3 +420,87 @@ def test_property_sequential_timeouts_accumulate(pairs):
     sim.run()
     for (a, b), p in zip(pairs, procs):
         assert p.value == pytest.approx(a + b)
+
+
+class _OneHeapSimulator:
+    """Reference model: every entry on one ``(time, seq)`` heap, popped one
+    at a time.  Offers what the event layer uses of :class:`Simulator`."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+
+    def call_at(self, t, fn, *args):
+        assert t >= self.now
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
+
+    def call_soon(self, fn, *args):
+        self.call_at(self.now, fn, *args)
+
+    def run(self, until=None):
+        while self._heap and (until is None or self._heap[0][0] <= until):
+            self.now, _, fn, args = heapq.heappop(self._heap)
+            self.events_processed += 1
+            fn(*args)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+
+# an op is ((kind, delay), ops issued when its callback fires); delays are
+# few and exact in binary so that timestamps collide
+_KINDS = ("future", "now", "soon", "timeout", "succeed")
+_HEADS = st.tuples(st.sampled_from(_KINDS), st.sampled_from((0.0, 0.5, 1.0, 1.5)))
+_OP = st.recursive(
+    st.tuples(_HEADS, st.just(())),
+    lambda kids: st.tuples(_HEADS, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=20,
+)
+
+
+def _play(sim, program, cut, late):
+    """Issue ``program`` at t=0, run to ``cut``, issue ``late``, run out."""
+    log = []
+
+    def issue(op, label):
+        (kind, delay), kids = op
+
+        def fire(*_):
+            log.append((label, sim.now))
+            for i, kid in enumerate(kids):
+                issue(kid, label + (i,))
+
+        if kind == "future":
+            sim.call_at(sim.now + delay + 0.5, fire)
+        elif kind == "now":
+            sim.call_at(sim.now, fire)
+        elif kind == "soon":
+            sim.call_soon(fire)
+        elif kind == "timeout":
+            Timeout(sim, delay).add_callback(fire)
+        else:
+            ev = Event(sim)
+            ev.add_callback(fire)
+            sim.call_at(sim.now + delay, ev.succeed)
+
+    for i, op in enumerate(program):
+        issue(op, ("program", i))
+    assert sim.run(until=cut) == cut
+    for i, op in enumerate(late):
+        issue(op, ("late", i))
+    sim.run()
+    return log, sim.now, sim.events_processed
+
+
+@given(
+    program=st.lists(_OP, min_size=1, max_size=6),
+    cut=st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.5)),
+    late=st.lists(_OP, max_size=3),
+)
+def test_property_two_level_queue_fires_in_one_heap_order(program, cut, late):
+    assert _play(Simulator(), program, cut, late) == _play(
+        _OneHeapSimulator(), program, cut, late
+    )
