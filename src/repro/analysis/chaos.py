@@ -51,9 +51,10 @@ class ChaosOutcome:
     scenario: str
     injected: int  # fault events that actually fired
     attempts: int
-    outcome: str  # "recovered" | "crashed" | "clean"
+    outcome: str  # "recovered" | "crashed" | "clean" | "unfired"
     identical: bool  # bit-identical to the fault-free oracle
-    errors: tuple[str, ...]  # error types seen across attempts
+    errors: tuple[str, ...]  # error types seen across attempts (an
+    # unfired row appends what was planned and how far the rank got)
 
 
 class _StencilScenario:
@@ -163,17 +164,46 @@ def _des_replay_scale(seed: int) -> ChaosOutcome:
     )
 
 
+def kill_op_mid_iteration(make_scf, rank: int, iteration: int = 3) -> int:
+    """The transport op of ``rank`` that lands mid-``iteration``.
+
+    Counted, not guessed: ``make_scf(store)`` runs once fault-free with
+    static cadence under a plan that only counts, the store notes where
+    the rank's kill clock stands at each of its checkpoint deposits, and
+    the op midway between deposits ``iteration - 1`` and ``iteration``
+    is returned — a kill there finds checkpoints ``1 .. iteration - 1``
+    committed, however many ops the solvers of the day need.
+    """
+    from repro.dft import MemoryCheckpointStore
+
+    plan = FaultPlan(seed=0)
+    clock_at: dict[int, int] = {}
+
+    class MarkingStore(MemoryCheckpointStore):
+        def deposit(self, **payload):
+            if payload["rank"] == rank:
+                clock_at[payload["iteration"]] = plan.ops(rank)
+            return super().deposit(**payload)
+
+    scf = make_scf(MarkingStore())
+    scf.run(transport=FaultyTransport(InprocTransport(scf.layout.n_ranks), plan))
+    return (clock_at[iteration - 1] + clock_at[iteration]) // 2
+
+
 def _scf_kill(
     name: str, seed: int, timeout: float, *, n_bands: int, n_cores: int,
-    nb: int, kill_at: dict[int, int], policy,
+    nb: int, kill_rank: int, policy,
     flightrec_dir: str | None = None,
 ) -> ChaosOutcome:
-    """Rank kill mid-SCF; the RecoveryController replans and resumes.
+    """Kill ``kill_rank`` mid-iteration 3 of a 4-iteration SCF; the
+    RecoveryController replans and resumes.
 
     No shrink target is supplied: the controller consumes the crash
     report, asks the planner for the best feasible layout on the
     survivors, and regroups the latest committed checkpoint onto it;
-    the run must then reach the fault-free oracle energy.
+    the run must then reach the fault-free oracle energy.  A planned
+    kill that never fires is an ``unfired`` row (a failure): the run
+    "survived" nothing.
     ``flightrec_dir`` attaches a flight recorder and writes its crash
     dump(s) there as JSON — the CI artifact on fatal injections.
     """
@@ -206,11 +236,11 @@ def _scf_kill(
         )
 
     oracle = make(None).run()  # fault-free twin, no shared store
-    # the kill must land mid-run, after at least one checkpoint
-    # committed (static cadence; the adaptive cadence may checkpoint
-    # less often, in which case the degraded layout replays from
-    # scratch — still exact)
-    plan = FaultPlan(seed=seed, kill_at=kill_at)
+    # the kill lands after checkpoints 1 and 2 committed (static
+    # cadence; the adaptive cadence may checkpoint less often, in which
+    # case the degraded layout replays from scratch — still exact)
+    kill_op = kill_op_mid_iteration(make, kill_rank)
+    plan = FaultPlan(seed=seed, kill_at={kill_rank: kill_op})
 
     def factory(attempt: int, n_ranks: int):
         inner = InprocTransport(n_ranks, default_timeout=timeout)
@@ -242,13 +272,19 @@ def _scf_kill(
         np.isfinite(res.total_energy)
         and abs(res.total_energy - oracle.total_energy) < 1e-8
     )
+    errors = tuple(sorted({r.error_type for r in ctrl.reports}))
+    if not any(e.kind == "kill" for e in plan.events):
+        errors += (
+            f"kill of rank {kill_rank} planned at op {kill_op} never "
+            f"fired: the rank finished after {plan.ops(kill_rank)} ops",
+        )
     return ChaosOutcome(
         scenario=name,
         injected=len(plan.events),
         attempts=res.restarts + 1,
-        outcome="recovered" if res.restarts else "clean",
+        outcome="recovered" if res.restarts else "unfired",
         identical=identical,
-        errors=tuple(sorted({r.error_type for r in ctrl.reports})),
+        errors=errors,
     )
 
 
@@ -299,16 +335,14 @@ def run_chaos_suite(
     outcomes.append(_des_replay_scale(seed))
     static = DegradationPolicy(max_restarts=2, adaptive_cadence=False)
     if scf:
-        # ~1400 transport ops per rank per SCF iteration at this size:
-        # op 3500 lands mid-iteration 3, after checkpoints 1 and 2
+        # rank 1 dies mid-iteration 3, after checkpoints 1 and 2
         # committed; the survivor finishes alone (2r -> 1r)
         outcomes.append(_scf_kill(
             "scf-kill-resume", seed, timeout, n_bands=1, n_cores=2, nb=1,
-            kill_at={1: 3500}, policy=static,
+            kill_rank=1, policy=static,
         ))
     if controller:
-        # band-parallel runs, ~200 ops per rank per iteration: op 400
-        # lands mid-run.  nb in {2, 4}; the adaptive row exists to
+        # band-parallel runs, nb in {2, 4}; the adaptive row exists to
         # compare cadence policies side by side in the printed matrix
         adaptive = DegradationPolicy(max_restarts=2, expected_mtbf=0.5)
         for nb, policy, suffix in (
@@ -316,7 +350,7 @@ def run_chaos_suite(
         ):
             outcomes.append(_scf_kill(
                 f"ctrl-kill-nb{nb}{suffix}", seed, timeout, n_bands=4,
-                n_cores=4, nb=nb, kill_at={2: 400}, policy=policy,
+                n_cores=4, nb=nb, kill_rank=2, policy=policy,
                 flightrec_dir=flightrec_dir,
             ))
     return outcomes
@@ -353,7 +387,9 @@ def suite_passed(outcomes: list[ChaosOutcome]) -> bool:
     * ``scf-kill-resume`` (when present) must end ``recovered`` with the
       oracle energy;
     * ``ctrl-kill-*`` (when present) must end ``recovered`` with the
-      oracle energy on whatever degraded layout the planner chose.
+      oracle energy on whatever degraded layout the planner chose;
+    * an ``unfired`` row — a planned kill the run never reached — fails:
+      nothing was survived.
     """
     ok = True
     for o in outcomes:

@@ -19,6 +19,8 @@ examples and integration tests:
 * :mod:`repro.dft.density` — electron density from occupied states.
 * :mod:`repro.dft.scf` — a small self-consistent field loop (Hartree
   interaction via the Poisson solver).
+* :mod:`repro.dft.distributed` — the conjugate-gradient Poisson solver
+  over the distributed FD engine.
 * :mod:`repro.dft.checkpoint` — atomic N-N checkpoint/restart of the
   distributed SCF, including shrink-to-fewer-ranks resume
   (docs/ROBUSTNESS.md).
@@ -43,7 +45,11 @@ from repro.dft.orthogonalize import gram_schmidt, lowdin, overlap_matrix
 from repro.dft.density import density_from_states
 from repro.dft.scf import SCFLoop, SCFResult
 from repro.dft.rmm_diis import KineticPreconditioner, RmmDiis, RmmDiisResult
-from repro.dft.distributed import DistributedPoissonSolver, DistributedPoissonResult
+from repro.dft.distributed import (
+    DistributedPoissonResult,
+    DistributedPoissonSolver,
+    PoissonBreakdownError,
+)
 from repro.dft.distributed_scf import DistributedSCF, DistributedSCFResult
 from repro.dft.recovery import RecoveryController
 from repro.dft.xc import lda_energy, lda_potential
@@ -69,6 +75,7 @@ __all__ = [
     "RmmDiisResult",
     "DistributedPoissonSolver",
     "DistributedPoissonResult",
+    "PoissonBreakdownError",
     "DistributedSCF",
     "DistributedSCFResult",
     "FileCheckpointStore",

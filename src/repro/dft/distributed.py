@@ -2,20 +2,23 @@
 
 GPAW's Poisson equation is the *other* consumer of the paper's stencil
 (section II) — and unlike the wave-function workload it has exactly one
-grid, so batching cannot help and every smoothing sweep pays its halo
-exchange in line.  This module composes the library's pieces into a
-distributed weighted-Jacobi solver:
+grid, so batching cannot help and every stencil application pays its
+halo exchange in line.  What can be cut is the *number* of applications
+and synchronisation points: the solver is conjugate gradients on the SPD
+operator ``-laplace`` in the single-reduction (Chronopoulos-Gear) form.
+Per iteration:
 
-* the :class:`~repro.core.engine.DistributedStencil` applies the Laplacian
-  per sweep (any approach's exchange schedule works; results are
-  identical),
-* the in-process transport's allreduce computes global residual norms,
-* convergence decisions are taken collectively, so all ranks stop on the
-  same sweep.
+* one :class:`~repro.core.engine.DistributedStencil` application — one
+  halo exchange, under any approach's schedule (results are identical),
+* one fused allreduce of ``[r.r, r.Ar]``; step lengths, the stopping test
+  and the breakdown test all derive from it, so every rank takes the
+  same decision in the same iteration,
+* in-place updates of vectors borrowed from the engine's
+  :class:`~repro.core.workspace.Workspace` — no steady-state allocation.
 
-It is the library's end-to-end composition test: a real PDE solved by the
-distributed engine must match the sequential solver bit-for-bit in exact
-arithmetic (same operations, same order per block).
+It is the library's end-to-end composition test: a real PDE solved by
+the distributed engine must reproduce the sequential multigrid solution
+and depend on the rank count only through reduction round-off.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ from repro.stencil.coefficients import laplacian_coefficients
 from repro.transport.inproc import RankEndpoint, run_ranks
 
 
+class PoissonBreakdownError(ArithmeticError):
+    """CG cannot continue; every rank raises it in the same iteration.
+
+    Positive-definiteness was lost or a reduction came back non-finite
+    (e.g. NaN in ``rho``).
+    """
+
+
 @dataclass
 class DistributedPoissonResult:
     """Gathered solution + convergence record."""
@@ -45,11 +56,13 @@ class DistributedPoissonResult:
 
 
 class DistributedPoissonSolver:
-    """Weighted-Jacobi Poisson solver over a rank set.
+    """Conjugate-gradient Poisson solver over a rank set.
 
     Solves ``laplace(phi) = -4 pi rho`` with the distributed stencil.
-    Jacobi (not multigrid) keeps every sweep a pure stencil application —
-    the exact workload profile the paper's Poisson discussion assumes.
+    CG (not multigrid) keeps every iteration one pure stencil application
+    — the workload profile the paper's Poisson discussion assumes.  A
+    solve of ``sweeps = k`` iterations costs ``k + 1`` applications and
+    ``k + 1`` allreduces (plus two mean projections when fully periodic).
     """
 
     def __init__(
@@ -57,23 +70,19 @@ class DistributedPoissonSolver:
         grid: GridDescriptor,
         n_ranks: int,
         radius: int = 2,
-        omega: float = 2 / 3,
         tolerance: float = 1e-6,
         max_sweeps: int = 5000,
         approach: Approach = FLAT_OPTIMIZED,
     ):
-        if not 0 < omega <= 1:
-            raise ValueError(f"omega must be in (0, 1], got {omega}")
         self.grid = grid
         self.decomp = Decomposition(grid, n_ranks)
         self.coeffs = laplacian_coefficients(radius, spacing=grid.spacing)
         self.engine = DistributedStencil(self.decomp, self.coeffs)
         self.halo = HaloSpec(radius)
-        self.omega = omega
         self.tolerance = tolerance
         self.max_sweeps = max_sweeps
         self.approach = approach
-        # Compile the exchange schedule once up front; every sweep's
+        # Compile the exchange schedule once up front; every iteration's
         # apply() re-executes this plan via the cache (one grid: the
         # Poisson workload batching cannot help).
         self.plan = self.engine.plan_for(approach, 1)
@@ -86,39 +95,64 @@ class DistributedPoissonSolver:
     def _rank_solve(
         self, ep: RankEndpoint, rho_blocks: list[LocalGrid]
     ) -> tuple[LocalGrid, float, int, bool]:
-        rank = ep.rank
-        rhs = -4.0 * np.pi * rho_blocks[rank].interior.copy()
+        rank, ws = ep.rank, self.engine.workspace
+        block = self.decomp.block_shape(rank)
+        padded = self.halo.padded_shape(block)
+        borrowed = [ws.borrow(padded), ws.borrow(padded)] + [
+            ws.borrow(block) for _ in range(3)
+        ]
+        try:
+            return self._cg(ep, rho_blocks[rank].interior, *borrowed)
+        finally:
+            for buf in borrowed:
+                ws.release(buf)
+
+    def _cg(self, ep, rho, r_data, w_data, p, s, tmp):
+        """CG for ``A x = 4 pi rho`` with ``A = -laplace``: ``r`` is the
+        residual, ``w = laplace(r)``, ``p`` the search direction and
+        ``s = laplace(p)`` by recurrence, so ``A`` is applied once."""
+        r_data.fill(0.0)  # stale arena contents must not reach the ghosts
+        phi = LocalGrid(self.decomp, ep.rank, self.halo)
+        grids = {0: LocalGrid(self.decomp, ep.rank, self.halo, r_data)}
+        out = {0: LocalGrid(self.decomp, ep.rank, self.halo, w_data)}
+        x, r, w = phi.interior, grids[0].interior, out[0].interior
+        np.multiply(rho, 4.0 * np.pi, out=r)
         if self.fully_periodic:
-            # neutralizing background: subtract the global mean of the rhs
-            local = np.array([rhs.sum(), rhs.size], dtype=np.float64)
-            total, count = ep.allreduce(local)
-            rhs -= total / count
-        rhs_norm2_local = float(np.sum(rhs * rhs))
-        rhs_norm = float(np.sqrt(ep.allreduce(rhs_norm2_local)[0]))
-
-        phi = LocalGrid(self.decomp, rank, self.halo)
-        if rhs_norm == 0.0:
-            return phi, 0.0, 0, True
-
-        inv_diag = 1.0 / self.coeffs.center
-        residual_norm = rhs_norm
-        for sweep in range(1, self.max_sweeps + 1):
-            lap = self.engine.apply(
-                ep, {0: phi}, approach=self.approach
-            )[0].interior
-            residual = rhs - lap
-            phi.interior[...] += self.omega * inv_diag * residual
-            if self.fully_periodic:
-                local = np.array(
-                    [phi.interior.sum(), phi.interior.size], dtype=np.float64
+            # neutralizing background: project the mean out of the rhs
+            r -= ep.allreduce(float(r.sum()))[0] / self.grid.n_points
+        p.fill(0.0)
+        s.fill(0.0)
+        rhs_norm = gamma = alpha = 0.0
+        for sweep in range(self.max_sweeps + 1):
+            self.engine.apply(ep, grids, approach=self.approach, out=out)
+            g, d = ep.allreduce(np.array([
+                np.multiply(r, r, out=tmp).sum(),
+                -np.multiply(r, w, out=tmp).sum(),
+            ]))  # [r.r, r.Ar]
+            if sweep == 0:
+                rhs_norm, beta, curvature = float(np.sqrt(g)), 0.0, d
+            else:
+                beta = g / gamma
+                curvature = d - beta * g / alpha  # p.Ap of the new p
+            if not np.isfinite(g + d) or (g > 0.0 and min(d, curvature) <= 0.0):
+                raise PoissonBreakdownError(
+                    f"CG breakdown in iteration {sweep}: r.r = {g}, "
+                    f"r.Ar = {d}, p.Ap = {curvature}"
                 )
-                total, count = ep.allreduce(local)
-                phi.interior[...] -= total / count
-            local_r2 = float(np.sum(residual * residual))
-            residual_norm = float(np.sqrt(ep.allreduce(local_r2)[0]))
-            if residual_norm <= self.tolerance * rhs_norm:
-                return phi, residual_norm, sweep, True
-        return phi, residual_norm, self.max_sweeps, False
+            residual_norm = float(np.sqrt(g))
+            converged = residual_norm <= self.tolerance * rhs_norm
+            if converged or sweep == self.max_sweeps:
+                break
+            gamma, alpha = g, g / curvature
+            p *= beta
+            p += r
+            s *= beta
+            s += w
+            x += np.multiply(p, alpha, out=tmp)
+            r += np.multiply(s, alpha, out=tmp)
+        if self.fully_periodic:
+            x -= ep.allreduce(float(x.sum()))[0] / self.grid.n_points
+        return phi, residual_norm, sweep, converged
 
     # -- public API --------------------------------------------------------------
     def solve(self, rho: np.ndarray) -> DistributedPoissonResult:

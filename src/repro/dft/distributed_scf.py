@@ -10,7 +10,8 @@ introduction describes, executed end to end on the functional plane:
   schedules),
 * orthogonalization and subspace diagonalization reduce band matrices
   with allreduces (the operation that *forces* the shared decomposition),
-* the Hartree potential comes from the distributed Jacobi Poisson solver,
+* the Hartree potential comes from the distributed conjugate-gradient
+  Poisson solver (one halo exchange + one allreduce per iteration),
 * the band update is the same preconditioned residual minimization as the
   sequential :class:`~repro.dft.rmm_diis.RmmDiis` — kinetic
   preconditioner sweeps included, each one a distributed stencil
@@ -423,8 +424,10 @@ class DistributedSCF:
             rho_old = rho.copy()
 
             # every group solves the identical Poisson problem on its own
-            # domain decomposition (redundant but communication-local);
-            # identical rho in, deterministic solver, identical v_h out
+            # domain decomposition: nb redundant CG solves whose halo
+            # exchanges and allreduces never leave the group; identical
+            # rho in, identical v_h out up to the round-off of each
+            # group's own reductions, which set CG's step lengths
             # (the rank solver reads only its own domain's entry)
             v_h_new = self.poisson._rank_solve(
                 gep, {domain: self._density_block(rho, domain)}

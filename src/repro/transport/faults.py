@@ -214,6 +214,12 @@ class FaultPlan:
             self._op_counts[rank] = op + 1
             return op
 
+    def ops(self, rank: int) -> int:
+        """Operations ``rank`` has issued so far (where its kill clock
+        stands) — read it on a fault-free run to aim ``kill_at``."""
+        with self._lock:
+            return self._op_counts.get(rank, 0)
+
     def next_send(self, rank: int) -> int:
         """Allocate the next *send* index of ``rank`` (fault clock).
 

@@ -174,9 +174,9 @@ class TestChaosSuite:
 
     @pytest.mark.parametrize("nb, name, config", [
         # the `repro chaos` row: 1 band, 2 ranks -> the lone survivor
-        (1, "scf-kill-resume", dict(n_bands=1, n_cores=2, kill_at={1: 3500})),
+        (1, "scf-kill-resume", dict(n_bands=1, n_cores=2, kill_rank=1)),
         # a `repro chaos --controller` row: 4 ranks x 2 band groups
-        (2, "ctrl-kill-nb2", dict(n_bands=4, n_cores=4, kill_at={2: 400})),
+        (2, "ctrl-kill-nb2", dict(n_bands=4, n_cores=4, kill_rank=2)),
     ], ids=["nb1", "nb2"])
     def test_scf_kill_recovers_through_the_controller(self, nb, name, config):
         from repro.analysis.chaos import _scf_kill
@@ -191,3 +191,20 @@ class TestChaosSuite:
         assert outcome.attempts == 2
         assert outcome.errors == ("RankKilledError",)
         assert suite_passed([outcome])
+
+    def test_unfired_planned_kill_is_a_failing_row(self, monkeypatch):
+        """A kill aimed past the end of the run survives nothing: the row
+        must say so and fail the suite instead of passing as clean."""
+        from repro.analysis import chaos
+        from repro.core import DegradationPolicy
+
+        monkeypatch.setattr(chaos, "kill_op_mid_iteration", lambda *a: 10 ** 9)
+        outcome = chaos._scf_kill(
+            "scf-kill-resume", 0, 1.0, n_bands=1, n_cores=2, nb=1,
+            kill_rank=1, policy=DegradationPolicy(max_restarts=2),
+        )
+        assert outcome.outcome == "unfired" and outcome.injected == 0
+        assert outcome.identical  # the untouched run still hit the oracle
+        assert "never fired" in outcome.errors[-1]
+        assert not suite_passed([outcome])
+        assert "unfired" in survival_matrix([outcome])

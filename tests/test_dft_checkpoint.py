@@ -180,6 +180,7 @@ class TestKillResume:
     """The PR's acceptance scenario, at test-suite size."""
 
     def test_kill_resume_converges_to_fault_free_energy(self):
+        from repro.analysis.chaos import kill_op_mid_iteration
         from repro.core import DegradationPolicy
         from repro.dft import RecoveryController
         from repro.transport import FaultPlan, FaultyTransport, InprocTransport
@@ -188,9 +189,12 @@ class TestKillResume:
         oracle = aniso_scf(2, store=None, **converged).run()
         assert oracle.converged
         scf = aniso_scf(2, store=MemoryCheckpointStore(), **converged)
-        # ~1370 transport ops per rank per iteration: op 3500 lands
-        # mid-iteration 3, after checkpoints 1 and 2 committed
-        plan = FaultPlan(seed=0, kill_at={1: 3500})
+        # counted on a fault-free run: rank 1 dies mid-iteration 3,
+        # after checkpoints 1 and 2 committed
+        kill_op = kill_op_mid_iteration(
+            lambda store: aniso_scf(2, store=store, **converged), rank=1
+        )
+        plan = FaultPlan(seed=0, kill_at={1: kill_op})
 
         def factory(attempt, n_ranks):
             return FaultyTransport(
