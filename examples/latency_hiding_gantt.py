@@ -11,6 +11,7 @@ Run:  python examples/latency_hiding_gantt.py
 
 from repro.core import FDJob, FLAT_OPTIMIZED, FLAT_ORIGINAL, simulate_fd
 from repro.grid import GridDescriptor
+from repro.obs.export import ascii_gantt
 
 
 def show(approach, batch_size):
@@ -22,7 +23,7 @@ def show(approach, batch_size):
     print(f"\n=== {approach.name} (batch {batch_size}) — "
           f"total {result.total * 1e3:.3f} ms, "
           f"utilization {result.utilization:.0%} ===")
-    print(trace.gantt(width=70, resources=rows))
+    print(ascii_gantt(trace, width=70, resources=rows))
 
 
 def main() -> None:

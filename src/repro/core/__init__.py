@@ -52,7 +52,6 @@ from repro.core.schedule import (
     recv_sources,
     ring_tag,
     timing_plane_workers,
-    tracer_hook,
 )
 from repro.core.engine import DistributedStencil, SequentialStencil
 from repro.core.workspace import Workspace
@@ -116,7 +115,6 @@ __all__ = [
     "plan_cache_stats",
     "ring_tag",
     "timing_plane_workers",
-    "tracer_hook",
     "DistributedStencil",
     "SequentialStencil",
     "Workspace",

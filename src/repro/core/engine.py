@@ -23,14 +23,12 @@ plane (:mod:`repro.core.perfmodel`, :mod:`repro.core.simrun`).
 
 ``apply`` accepts an ``on_step`` hook called with ``(step, worker, start,
 end)`` wall-clock timestamps around every interpreted step;
-:func:`repro.core.schedule.tracer_hook` adapts it to a
-:class:`repro.des.trace.Tracer`, so a real run can emit the same Gantt
-chart as the simulator.  For the unified telemetry plane use
-:func:`repro.obs.spans.engine_hook` instead: it records typed
+:func:`repro.obs.spans.engine_hook` adapts it to a thread-safe
+:class:`repro.obs.spans.SpanTracer` shared by all ranks, recording typed
 :class:`repro.obs.spans.StepSpan` objects (step kind, worker, grid batch,
-seq) into a thread-safe :class:`repro.obs.spans.SpanTracer` shared by all
-ranks, which the exporters in :mod:`repro.obs.export` turn into Chrome
-traces, utilization reports, and real-vs-sim diffs.
+seq) — the schema the simulator's traces use too, so the exporters in
+:mod:`repro.obs.export` turn a real run into the same Gantt chart,
+Chrome trace, utilization report and real-vs-sim diff.
 """
 
 from __future__ import annotations
@@ -232,7 +230,7 @@ class DistributedStencil:
 
         ``on_step(step, worker, start, end)`` is called around every
         interpreted schedule step with wall-clock timestamps — see
-        :func:`repro.core.schedule.tracer_hook`.
+        :func:`repro.obs.spans.engine_hook`.
         """
         if ep.size != self.decomp.n_domains:
             raise ValueError(

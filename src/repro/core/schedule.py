@@ -56,7 +56,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.core.approaches import Approach
 from repro.core.batching import batch_schedule, split_among_workers
@@ -939,41 +939,3 @@ def plan_dependencies(plan, owners=None) -> tuple[StepDependency, ...]:
                             ))
     return tuple(deps)
 
-
-# -- functional-plane tracing -------------------------------------------------
-def tracer_hook(
-    tracer, rank: int, worker_prefix: str = "rank"
-) -> Callable[[Step, int, float, float], None]:
-    """An ``on_step`` hook feeding a :class:`repro.des.trace.Tracer`.
-
-    Pass the result to ``DistributedStencil.apply(..., on_step=...)`` and
-    a *real* functional run records the same kind of Gantt trace the DES
-    produces: one resource per worker (``rank3.w0``), one span per step,
-    timestamps relative to the rank's first step.  Use one tracer per
-    rank — ``Tracer`` is not thread-safe across rank threads.
-
-    :func:`repro.obs.spans.engine_hook` is the structured successor: it
-    keeps the typed step metadata (kind, seq, grid batch) instead of a
-    flattened label, records raw (unshifted) timestamps, and one
-    thread-safe :class:`repro.obs.spans.SpanTracer` serves every rank.
-    """
-    origin: list[float] = []
-
-    def hook(step: Step, worker: int, start: float, end: float) -> None:
-        if not origin:
-            origin.append(start)
-        label = type(step).__name__
-        gid = getattr(step, "grid_id", None)
-        if gid is not None:
-            label += f" g{gid}"
-        seq = getattr(step, "seq", None)
-        if seq is not None:
-            label += f" seq{seq}"
-        tracer.record(
-            f"{worker_prefix}{rank}.w{worker}",
-            start - origin[0],
-            end - origin[0],
-            label,
-        )
-
-    return hook

@@ -49,7 +49,6 @@ from repro.core.schedule import (
     timing_plane_workers,
 )
 from repro.des.core import Event
-from repro.des.trace import Tracer
 from repro.obs.spans import SpanTracer
 from repro.grid.decompose import Decomposition
 from repro.transport.faults import FaultPlan
@@ -81,9 +80,10 @@ class SimResult:
     utilization: float
     comm_bytes_per_node: float
     messages: int
-    #: activity trace (compute spans per core, transfers per link); only
-    #: populated when ``simulate_fd(..., trace=True)``
-    trace: Optional[Tracer] = None
+    #: activity trace (compute spans per core, transfers per link) as a
+    #: ``SpanTracer(plane="sim")``; only populated when
+    #: ``simulate_fd(..., trace=True)``
+    trace: Optional[SpanTracer] = None
     #: schedule-step trace in the unified span schema (one StepSpan per
     #: replayed IR step, simulated time); only populated when
     #: ``simulate_fd(..., step_tracer=...)`` — diffable against a real
@@ -193,7 +193,7 @@ class _FDSimulation:
         self.fault_plan = fault_plan
         self.step_tracer = step_tracer
         mode, n_nodes = _node_mode_for(approach, n_cores)
-        self.tracer = Tracer() if trace else None
+        self.tracer = SpanTracer(plane="sim") if trace else None
         self.machine = Machine(n_nodes, mode, spec, tracer=self.tracer)
         self.comm = SimComm(self.machine, approach.thread_mode)
         self.decomp = Decomposition(job.grid, approach.domains_for(n_cores))

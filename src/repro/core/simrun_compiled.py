@@ -680,7 +680,9 @@ class _CompiledFDSimulation(_FDSimulation):
                 sum(b) / (nc * total) for b in self.nodes.values()
             ) / len(self.nodes)
         if self.trace_buf is not None:
-            self.tracer.extend(self.trace_buf)
+            record = self.tracer.record
+            for start, end, resource, label in self.trace_buf:
+                record(resource, start, end, label)
         if self.step_buf is not None:
             self.step_tracer.extend_steps(self.step_buf)
         return SimResult(

@@ -48,7 +48,6 @@ from repro.des.core import (
     AnyOf,
 )
 from repro.des.resources import Resource, Store
-from repro.des.trace import Span, Tracer
 
 __all__ = [
     "Simulator",
@@ -60,6 +59,4 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
-    "Span",
-    "Tracer",
 ]

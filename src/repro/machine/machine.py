@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from typing import Generator
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des import Simulator
 from repro.des.core import Event
-from repro.des.trace import Tracer
 from repro.machine.node import Node
 from repro.machine.partition import NodeMode, Partition
 from repro.machine.spec import BGP_SPEC, MachineSpec
 from repro.machine.torus import TorusNetwork, TorusTopology
 from repro.machine.tree import TreeNetwork
+
+if TYPE_CHECKING:
+    from repro.obs.spans import SpanTracer
 
 
 class Machine:
@@ -31,7 +33,7 @@ class Machine:
         mode: NodeMode = NodeMode.SMP,
         spec: MachineSpec = BGP_SPEC,
         sim: Simulator | None = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
         mapping: str = "TXYZ",
     ) -> None:
         self.spec = spec

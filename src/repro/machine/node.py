@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from typing import Generator
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des import Resource, Simulator
 from repro.des.core import Event
-from repro.des.trace import Tracer
 from repro.machine.spec import NodeSpec
+
+if TYPE_CHECKING:
+    from repro.obs.spans import SpanTracer
 
 
 class DmaEngine:
@@ -45,7 +47,7 @@ class Node:
         sim: Simulator,
         node_id: int,
         spec: NodeSpec,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id

@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des import Resource, Simulator
 from repro.des.core import Event
-from repro.des.trace import Tracer
 from repro.machine.spec import TorusSpec
 from repro.util.validation import check_shape3
+
+if TYPE_CHECKING:
+    from repro.obs.spans import SpanTracer
 
 #: The six axial directions: (dimension, step).
 DIRECTIONS: tuple[tuple[int, int], ...] = (
@@ -134,7 +136,7 @@ class TorusNetwork:
         sim: Simulator,
         topology: TorusTopology,
         spec: TorusSpec,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology

@@ -1,18 +1,16 @@
 """Trace exporters: Chrome tracing JSON, ASCII Gantt, utilization report.
 
 Every consumer here takes "a trace" — a :class:`~repro.obs.spans
-.SpanTracer` or any iterable of span-shaped objects (``resource`` /
-``start`` / ``end``; :class:`~repro.obs.spans.StepSpan` adds the
-schedule-IR tagging) — so real, simulated and modeled traces all export
-through the same three views:
+.SpanTracer` or any iterable of :class:`~repro.obs.spans.StepSpan` — so
+real, simulated and modeled traces, step traces and DES activity traces
+alike, all export through the same three views:
 
 * :func:`chrome_trace` — the ``chrome://tracing`` / Perfetto JSON array
   format.  Step metadata rides in ``args`` at full float precision, so
   :func:`parse_chrome_trace` round-trips the exact span set (the ``ts``/
   ``dur`` microsecond fields are for the viewer, not the source of
   truth).
-* :func:`ascii_gantt` — the terminal Gantt chart.  This is the *one*
-  implementation; ``repro.des.trace.Tracer.gantt`` delegates here.
+* :func:`ascii_gantt` — the terminal Gantt chart.
 * :func:`utilization_report` — the paper's compute/comm/sync breakdown
   and utilization %, computable from any plane's trace (the acceptance
   check diffs a real-run report against the perfmodel's).
@@ -46,20 +44,6 @@ def _as_spans(trace) -> list:
     return list(trace)
 
 
-def _sort_key(span) -> tuple:
-    """Deterministic total order for any span shape (see des.trace.Span
-    for why ``sorted(spans)`` alone is not deterministic)."""
-    key = getattr(span, "sort_key", None)
-    if key is not None:
-        return key
-    return (
-        span.start,
-        span.end,
-        span.resource,
-        getattr(span, "step_kind", getattr(span, "label", "")),
-    )
-
-
 # -- ASCII Gantt ---------------------------------------------------------------
 def ascii_gantt(
     trace,
@@ -73,9 +57,8 @@ def ascii_gantt(
     One row per resource, time flowing right; overlapping spans merge
     visually.  ``normalize=True`` shifts the time axis so the earliest
     span starts at zero — required for real-engine traces whose raw
-    timestamps are ``time.perf_counter`` values (DES traces already
-    start near zero, and ``des.trace.Tracer.gantt`` delegates here with
-    the historical ``normalize=False``).
+    timestamps are ``time.perf_counter`` values (the DES clock already
+    starts at zero).
     """
     spans = _as_spans(trace)
     rows = (
@@ -95,7 +78,7 @@ def ascii_gantt(
     lines = []
     for r in rows:
         cells = [" "] * width
-        for s in sorted(by_resource[r], key=_sort_key):
+        for s in sorted(by_resource[r], key=lambda s: s.sort_key):
             lo = int((s.start - t0) / total * (width - 1))
             hi = max(lo, int((s.end - t0) / total * (width - 1)))
             for i in range(lo, hi + 1):
@@ -127,7 +110,7 @@ def chrome_trace(trace) -> dict:
     schedule-IR tags travel in ``args`` — :func:`parse_chrome_trace`
     rebuilds the span set from those, losslessly.
     """
-    spans = sorted(_as_spans(trace), key=_sort_key)
+    spans = sorted(_as_spans(trace), key=lambda s: s.sort_key)
     t0 = min((s.start for s in spans), default=0.0)
     resources = sorted({s.resource for s in spans})
     events: list[dict] = []
@@ -169,24 +152,23 @@ def chrome_trace(trace) -> dict:
         )
     for s in spans:
         pid, tid = pids[s.resource]
-        kind = getattr(s, "step_kind", getattr(s, "label", "span"))
         args = {
             "resource": s.resource,
             "start": s.start,
             "end": s.end,
-            "plane": getattr(s, "plane", "real"),
-            "worker": getattr(s, "worker", 0),
-            "grid_ids": list(getattr(s, "grid_ids", ())),
+            "plane": s.plane,
+            "worker": s.worker,
+            "grid_ids": list(s.grid_ids),
         }
         for key in ("seq", "dim", "direction"):
-            val = getattr(s, key, None)
+            val = getattr(s, key)
             if val is not None:
                 args[key] = val
         events.append(
             {
                 "ph": "X",
-                "name": kind,
-                "cat": step_category(kind),
+                "name": s.step_kind,
+                "cat": s.category,
                 "ts": (s.start - t0) * 1e6,
                 "dur": (s.end - s.start) * 1e6,
                 "pid": pid,
@@ -254,7 +236,7 @@ def utilization_report(trace) -> dict:
     categories = {"compute": 0.0, "comm": 0.0, "sync": 0.0, "other": 0.0}
     step_kinds: dict[str, float] = {}
     for s in spans:
-        kind = getattr(s, "step_kind", getattr(s, "label", "span"))
+        kind = s.step_kind
         dur = s.end - s.start
         categories[step_category(kind)] += dur
         step_kinds[kind] = step_kinds.get(kind, 0.0) + dur
@@ -353,8 +335,7 @@ def diff_step_kinds(trace_a, trace_b) -> dict[str, dict]:
 def _totals(trace) -> dict[str, float]:
     out: dict[str, float] = {}
     for s in _as_spans(trace):
-        kind = getattr(s, "step_kind", getattr(s, "label", "span"))
-        out[kind] = out.get(kind, 0.0) + (s.end - s.start)
+        out[s.step_kind] = out.get(s.step_kind, 0.0) + (s.end - s.start)
     return out
 
 

@@ -1,16 +1,14 @@
 """The unified span schema: one trace format for all three planes.
 
-:mod:`repro.des.trace` gave the DES a ``Span`` of ``(resource, start,
-end, label)`` — enough for a Gantt chart, but the label is free text, so
-a real engine trace and a simulated trace of the *same compiled plan*
-could not be compared mechanically.  This module fixes the schema to the
-schedule IR: a :class:`StepSpan` names the **step kind**
-(``PostSend``/``WaitAll``/``ComputeInterior``/...), the worker, the grid
-batch, the exchange ``seq`` and the originating **plane** (``real``,
-``sim`` or ``model``).  Because every plane interprets the same
-:class:`~repro.core.schedule.SchedulePlan`, traces become diffable
-step-for-step: same per-worker step-kind sequence, differing only in
-timestamps.
+The schema is fixed to the schedule IR: a :class:`StepSpan` names the
+**step kind** (``PostSend``/``WaitAll``/``ComputeInterior``/...), the
+worker, the grid batch, the exchange ``seq`` and the originating
+**plane** (``real``, ``sim`` or ``model``).  Because every plane
+interprets the same :class:`~repro.core.schedule.SchedulePlan`, traces
+are diffable step-for-step: same per-worker step-kind sequence, differing
+only in timestamps.  Resource activity (a simulated core computing, a
+torus link carrying a message) is a :class:`StepSpan` without a step
+tag: its free label is the ``step_kind``.
 
 Producers
 ---------
@@ -19,18 +17,17 @@ Producers
   ``on_step`` callback of :meth:`repro.core.engine.DistributedStencil
   .apply`.
 * DES — ``simulate_fd(..., step_tracer=...)`` records each replayed step
-  at simulated time (:mod:`repro.core.simrun`).
+  at simulated time (:mod:`repro.core.simrun`); ``simulate_fd(...,
+  trace=True)`` records per-core compute and per-link transfer spans
+  through :meth:`SpanTracer.record`.
 * analytic model — :meth:`repro.core.perfmodel.PerformanceModel
   .step_trace` emits the representative worker's closed-form timeline.
 
 Timestamps are stored **raw** (``time.perf_counter`` for real runs,
 simulated seconds for the others); consumers normalize against
 :meth:`SpanTracer.t0` so traces from different clocks align at zero.
-Exporters live in :mod:`repro.obs.export`.
-
-Unlike ``des.trace.Span``, :class:`StepSpan` deliberately does *not*
-use ``order=True`` — see the ordering pitfall documented there; sorting
-goes through the explicit :attr:`StepSpan.sort_key`.
+Exporters live in :mod:`repro.obs.export`; they order spans by the
+explicit :attr:`StepSpan.sort_key`.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ def step_category(step_kind: str) -> str:
     """The paper's breakdown bucket of one step kind.
 
     ``comm`` / ``compute`` / ``sync`` for schedule-IR steps, ``other``
-    for free-text labels recorded through the legacy interface.
+    for free-text labels recorded through :meth:`SpanTracer.record`.
     """
     if step_kind in COMM_STEPS:
         return "comm"
@@ -204,7 +201,7 @@ class SpanTracer:
     def record(
         self, resource: str, start: float, end: float, label: str = ""
     ) -> None:
-        """Legacy ``des.trace.Tracer``-shaped entry point (free label)."""
+        """Record one resource-activity span; ``label`` becomes the step kind."""
         self.add(
             StepSpan(
                 resource=resource,
@@ -320,13 +317,12 @@ def engine_hook(
 ) -> Callable:
     """An ``on_step`` hook recording real engine steps into ``tracer``.
 
-    Resource naming matches :func:`repro.core.schedule.tracer_hook`
-    (``rank{rank}.w{worker}``) so real, simulated and modeled traces of
-    the same plan line up row-for-row.  Unlike ``tracer_hook``, one
-    :class:`SpanTracer` serves *all* ranks of a run (it is thread-safe),
-    and timestamps stay raw — ``time.perf_counter`` is one clock across
-    the rank threads, so spans are globally aligned and normalization
-    happens at export time.
+    Resources are named ``rank{rank}.w{worker}``, as in the DES step
+    trace, so real, simulated and modeled traces of the same plan line
+    up row-for-row.  One :class:`SpanTracer` serves *all* ranks of a run
+    (it is thread-safe), and timestamps stay raw — ``time.perf_counter``
+    is one clock across the rank threads, so spans are globally aligned
+    and normalization happens at export time.
     """
 
     names: dict[int, str] = {}

@@ -25,7 +25,7 @@ REDIST_TAG_BASE = 1 << 24
 CHECKPOINT_TAG_BASE = 1 << 26
 #: mirrors repro.core.schedule.RING_TAG_BASE (band orthogonalization ring)
 RING_TAG_BASE = 1 << 27
-#: mirrors repro.transport.inproc.RankEndpoint._COLL_TAG_BASE
+#: tag space of every endpoint's allreduce (repro.transport.inproc)
 COLL_TAG_BASE = 1 << 28
 
 _DIR_SIGN = {0: "+", 1: "-"}

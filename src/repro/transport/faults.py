@@ -36,7 +36,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.transport.errors import CorruptPayloadError, RankKilledError
-from repro.transport.inproc import ANY_SOURCE, ANY_TAG, TransportStats
+from repro.transport.inproc import ANY_SOURCE, ANY_TAG, TransportStats, _allreduce
 
 #: the injectable fault kinds, in decision order
 FAULT_KINDS = ("delay", "drop", "duplicate", "corrupt")
@@ -383,29 +383,15 @@ class FaultyEndpoint:
         self.inner.barrier(timeout=timeout)
 
     # -- collectives -------------------------------------------------------
-    _COLL_TAG_BASE = 1 << 28
-
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce routed through *this* endpoint's faulty sends.
 
-        Re-implements the inproc gather-to-root + broadcast so collective
-        traffic is subject to the same faults and framing as halo
-        traffic (delegating to the inner endpoint would bypass both).
+        Runs the shared body over this endpoint rather than delegating to
+        the inner one, so collective traffic is subject to the same
+        faults and framing as halo traffic.
         """
         self._op("allreduce")
-        payload = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        tag = self._COLL_TAG_BASE + round_id
-        if self.size == 1:
-            return payload.copy()
-        if self.rank == 0:
-            total = payload.astype(np.float64, copy=True)
-            for _ in range(self.size - 1):
-                total += self.recv(src=ANY_SOURCE, tag=tag)
-            for dst in range(1, self.size):
-                self.isend(dst, total, tag=tag + 1)
-            return total
-        self.isend(0, payload, tag=tag)
-        return self.recv(src=0, tag=tag + 1)
+        return _allreduce(self, value, round_id)
 
 
 class FaultyTransport:

@@ -26,6 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.transport.errors import (
+    COLL_TAG_BASE,
     HaloTimeoutError,
     PeerDeadError,
     TransportError,
@@ -356,30 +357,14 @@ class RankEndpoint:
         self.transport._barrier.wait(self.rank, timeout=timeout)
 
     # -- collectives ------------------------------------------------------------
-    _COLL_TAG_BASE = 1 << 28  # tag space reserved for collective rounds
-
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce over all ranks; returns the reduced array.
 
-        Gather-to-root + broadcast over the point-to-point layer — the
-        functional twin of :meth:`repro.smpi.comm.RankContext.allreduce`.
-        Concurrent collectives must use distinct ``round_id`` values; a
-        *sequence* of allreduces on the same id is safe (FIFO matching).
+        The functional twin of
+        :meth:`repro.smpi.comm.RankContext.allreduce` (see
+        :func:`_allreduce`).
         """
-        tr = self.transport
-        payload = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        tag = self._COLL_TAG_BASE + round_id
-        if tr.size == 1:
-            return payload.copy()
-        if self.rank == 0:
-            total = payload.astype(np.float64, copy=True)
-            for _ in range(tr.size - 1):
-                total += self.recv(src=ANY_SOURCE, tag=tag)
-            for dst in range(1, tr.size):
-                self.isend(dst, total, tag=tag + 1)
-            return total
-        self.isend(0, payload, tag=tag)
-        return self.recv(src=0, tag=tag + 1)
+        return _allreduce(self, value, round_id)
 
 
 class GroupEndpoint:
@@ -458,31 +443,41 @@ class GroupEndpoint:
     ) -> np.ndarray:
         if src != ANY_SOURCE:
             src = self._global(src, "src")
-        return self.endpoint._take(src, tag, timeout)
+        return self.endpoint.recv(src, tag, timeout=timeout)
 
     def waitall(self, handles: Sequence[SendHandle | RecvHandle]) -> list[Any]:
         return self.endpoint.waitall(handles)
 
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce over the group's ranks only."""
-        payload = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        tag = (
-            RankEndpoint._COLL_TAG_BASE
-            + self._GROUP_COLL_OFFSET
-            + round_id
-        )
-        if self._size == 1:
-            return payload.copy()
-        ep = self.endpoint
-        if self.rank == 0:
-            total = payload.astype(np.float64, copy=True)
-            for _ in range(self._size - 1):
-                total += ep.recv(src=ANY_SOURCE, tag=tag)
-            for dst in range(1, self._size):
-                ep.isend(self.base + dst, total, tag=tag + 1)
-            return total
-        ep.isend(self.base, payload, tag=tag)
-        return ep.recv(src=self.base, tag=tag + 1)
+        return _allreduce(self, value, self._GROUP_COLL_OFFSET + round_id)
+
+
+def _allreduce(ep: Any, value: np.ndarray | float, round_id: int) -> np.ndarray:
+    """Sum-allreduce over ``ep``'s ranks: gather to rank 0, then broadcast.
+
+    The one body behind every endpoint's ``allreduce``.  It runs through
+    ``ep``'s own ``isend``/``recv``, so a wrapper's rank translation,
+    fault injection, checksums and op clocks apply to collective traffic
+    as to halo traffic; a ``size``-rank reduction costs ``2(size-1)``
+    messages.  The root adds the contributions in rank order, whatever
+    order they arrive in, so the sum is bitwise reproducible.  Concurrent
+    collectives must use distinct ``round_id`` values; a *sequence* of
+    allreduces on the same id is safe (FIFO matching).
+    """
+    payload = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    if ep.size == 1:
+        return payload.copy()
+    tag = COLL_TAG_BASE + round_id
+    if ep.rank == 0:
+        total = payload.copy()
+        for src in range(1, ep.size):
+            total += ep.recv(src=src, tag=tag)
+        for dst in range(1, ep.size):
+            ep.isend(dst, total, tag=tag + 1)
+        return total
+    ep.isend(0, payload, tag=tag)
+    return ep.recv(src=0, tag=tag + 1)
 
 
 def run_ranks(

@@ -24,7 +24,6 @@ from repro.core import (
     plan_cache_stats,
     simulate_fd,
     timing_plane_workers,
-    tracer_hook,
 )
 from repro.core.approaches import FLAT_SUBGROUPS
 from repro.core.schedule import (
@@ -33,8 +32,9 @@ from repro.core.schedule import (
     PostSend,
     WaitAll,
 )
-from repro.des.trace import Tracer
 from repro.grid import Decomposition, GridDescriptor, HaloSpec, gather, scatter
+from repro.obs.export import ascii_gantt
+from repro.obs.spans import SpanTracer, engine_hook
 from repro.stencil import laplacian_coefficients
 from repro.transport import InprocTransport, run_ranks
 
@@ -250,7 +250,7 @@ class TestTracerHook:
         halo = HaloSpec(2)
         arrays = {g: gd.random(seed=g) for g in range(n_grids)}
         blocks = {g: scatter(a, decomp, halo) for g, a in arrays.items()}
-        tracers = [Tracer() for _ in range(n_ranks)]
+        tracer = SpanTracer(plane="real")
 
         def rank_fn(ep):
             mine = {g: blocks[g][ep.rank] for g in arrays}
@@ -259,7 +259,7 @@ class TestTracerHook:
                 mine,
                 approach=FLAT_OPTIMIZED,
                 batch_size=1,
-                on_step=tracer_hook(tracers[ep.rank], ep.rank),
+                on_step=engine_hook(tracer, ep.rank),
             )
 
         results = run_ranks(n_ranks, rank_fn)
@@ -270,15 +270,13 @@ class TestTracerHook:
             got = gather([results[r][g] for r in range(n_ranks)])
             np.testing.assert_allclose(got, expected[g], rtol=1e-12)
 
-        for rank, tracer in enumerate(tracers):
+        chart = ascii_gantt(tracer, normalize=True)
+        for rank in range(n_ranks):
             resource = f"rank{rank}.w0"
             assert resource in tracer.resources()
-            labels = {s.label.split()[0] for s in tracer.spans(resource)}
-            assert "ComputeInterior" in labels
-            assert "PostSend" in labels
-            assert "WaitAll" in labels
-            chart = tracer.gantt()
-            assert resource in chart and chart.strip()
+            kinds = {s.step_kind for s in tracer.spans(resource)}
+            assert {"ComputeInterior", "PostSend", "WaitAll"} <= kinds
+            assert resource in chart
 
 
 class TestPlanDependencies:

@@ -1,53 +1,17 @@
-"""Tests for activity tracing (repro.des.trace) and its machine wiring."""
+"""DES activity tracing on the one span schema, and its machine wiring."""
 
 import pytest
 
 from repro.core import FDJob, FLAT_ORIGINAL, FLAT_OPTIMIZED, simulate_fd
-from repro.des import Simulator, Span, Tracer
 from repro.grid import GridDescriptor
 from repro.machine import Machine
-
-
-class TestSpan:
-    def test_duration(self):
-        assert Span(1.0, 3.5, "r").duration == 2.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Span(2.0, 1.0, "r")
-
-    def test_ordering_by_time(self):
-        a, b = Span(2.0, 3.0, "x"), Span(1.0, 5.0, "y")
-        assert sorted([a, b]) == [b, a]
-
-    def test_ordering_ignores_resource_and_label(self):
-        """The documented pitfall: only ``(start, end)`` participate.
-
-        Spans on *different* resources with the same interval compare
-        equal, so ``sorted`` keeps their insertion order (stable sort)
-        and ``insort`` ties go to arrival order.  Exporters needing a
-        deterministic total order must add their own tie-breakers —
-        ``repro.obs`` does.
-        """
-        a = Span(1.0, 2.0, "zulu", label="later")
-        b = Span(1.0, 2.0, "alpha", label="earlier")
-        assert not a < b and not b < a  # a tie, despite different fields
-        assert a == b  # compare=False drops them from __eq__ too!
-        # (which makes list equality vacuous here — check identities)
-        assert sorted([a, b])[0] is a
-        assert sorted([b, a])[0] is b  # insertion order decides
-
-    def test_insort_keeps_tied_spans_in_arrival_order(self):
-        tr = Tracer()
-        tr.record("zulu", 1.0, 2.0, "first-recorded")
-        tr.record("alpha", 1.0, 2.0, "second-recorded")
-        labels = [s.label for s in tr.spans()]
-        assert labels == ["first-recorded", "second-recorded"]
+from repro.obs.export import ascii_gantt
+from repro.obs.spans import SpanTracer
 
 
 class TestTracer:
     def test_record_and_query(self):
-        tr = Tracer()
+        tr = SpanTracer()
         tr.record("core0", 0.0, 1.0, "compute")
         tr.record("core1", 0.5, 2.0)
         assert len(tr) == 2
@@ -55,36 +19,36 @@ class TestTracer:
         assert tr.resources() == ["core0", "core1"]
 
     def test_busy_time_merges_overlaps(self):
-        tr = Tracer()
+        tr = SpanTracer()
         tr.record("r", 0.0, 2.0)
         tr.record("r", 1.0, 3.0)  # overlapping
         tr.record("r", 5.0, 6.0)
         assert tr.busy_time("r") == pytest.approx(4.0)
 
     def test_busy_time_contained_span(self):
-        tr = Tracer()
+        tr = SpanTracer()
         tr.record("r", 0.0, 10.0)
         tr.record("r", 2.0, 3.0)  # fully contained
         assert tr.busy_time("r") == pytest.approx(10.0)
 
     def test_makespan_and_utilization(self):
-        tr = Tracer()
+        tr = SpanTracer()
         tr.record("r", 0.0, 2.0)
         tr.record("other", 0.0, 4.0)
         assert tr.makespan() == 4.0
         assert tr.utilization("r") == pytest.approx(0.5)
 
     def test_empty(self):
-        tr = Tracer()
+        tr = SpanTracer()
         assert tr.makespan() == 0.0
         assert tr.utilization("r") == 0.0
-        assert tr.gantt() == "(empty trace)"
+        assert ascii_gantt(tr) == "(empty trace)"
 
     def test_gantt_renders_rows(self):
-        tr = Tracer()
+        tr = SpanTracer()
         tr.record("alpha", 0.0, 1.0)
         tr.record("beta", 1.0, 2.0)
-        text = tr.gantt(width=20)
+        text = ascii_gantt(tr, width=20)
         lines = text.splitlines()
         assert len(lines) == 3
         assert "alpha" in lines[0] and "#" in lines[0]
@@ -93,21 +57,22 @@ class TestTracer:
 
 class TestMachineTracing:
     def test_compute_records_span(self):
-        tr = Tracer()
+        tr = SpanTracer(plane="sim")
         m = Machine(2, tracer=tr)
         m.sim.run_process(m.compute(0, 1, 2.0))
-        spans = tr.spans("node0.core1")
-        assert len(spans) == 1
-        assert spans[0].duration == pytest.approx(2.0)
+        (span,) = tr.spans("node0.core1")
+        assert span.duration == pytest.approx(2.0)
+        assert (span.step_kind, span.plane) == ("compute", "sim")
 
     def test_transfer_records_link_span(self):
-        tr = Tracer()
+        tr = SpanTracer(plane="sim")
         m = Machine(8, tracer=tr)
         m.sim.run_process(m.transfer(0, 1, 100_000))
         link_spans = [s for r in tr.resources() if r.startswith("link")
                       for s in tr.spans(r)]
         assert len(link_spans) == 1
-        assert link_spans[0].label == "0->1"
+        assert link_spans[0].step_kind == "0->1"
+        assert link_spans[0].category == "other"
 
     def test_no_tracer_no_overhead(self):
         m = Machine(2)
@@ -123,10 +88,12 @@ class TestSimrunTracing:
 
     def test_trace_captures_all_cores(self):
         job = FDJob(GridDescriptor((16, 16, 16)), 2)
-        r = simulate_fd(job, FLAT_OPTIMIZED, 8, trace=True)
-        assert r.trace is not None
-        cores = [x for x in r.trace.resources() if ".core" in x]
-        assert len(cores) == 8  # 2 nodes x 4 cores in VN mode
+        for engine in ("compiled", "reference"):
+            r = simulate_fd(job, FLAT_OPTIMIZED, 8, trace=True, engine=engine)
+            assert isinstance(r.trace, SpanTracer) and r.trace.plane == "sim"
+            assert {s.plane for s in r.trace.spans()} == {"sim"}
+            cores = [x for x in r.trace.resources() if ".core" in x]
+            assert len(cores) == 8  # 2 nodes x 4 cores in VN mode
 
     def test_trace_shows_overlap_for_optimized(self):
         """Double buffering: some link span must overlap a core span."""
@@ -147,7 +114,6 @@ class TestSimrunTracing:
         message is in flight (no latency hiding)."""
         job = FDJob(GridDescriptor((16, 16, 16)), 2)
         r = simulate_fd(job, FLAT_ORIGINAL, 8, trace=True)
-        total = r.trace.makespan()
         # utilization of every core is clearly below 100%
         for res in r.trace.resources():
             if ".core" in res:

@@ -117,6 +117,24 @@ class TestAgainstSequential:
         assert a.energies[0] == pytest.approx(b.energies[0], abs=1e-6)
         assert a.total_energy == pytest.approx(b.total_energy, abs=1e-6)
 
+    def test_bitwise_reproducible_run_to_run(self):
+        """Four domains in one group: every allreduce sums in rank order,
+        so two runs agree bit for bit, not just to round-off."""
+        gd, v = aniso_trap(8, 0.6)
+
+        def run():
+            return DistributedSCF.from_spec(
+                spec(gd, 2, 4, tolerance=0.0, max_iterations=4,
+                     band_iterations=6, seed=2),
+                v, occupations=[2.0, 2.0],
+            ).run()
+
+        a, b = run(), run()
+        assert a.total_energy == b.total_energy
+        np.testing.assert_array_equal(a.energies, b.energies)
+        np.testing.assert_array_equal(a.density, b.density)
+        np.testing.assert_array_equal(a.states, b.states)
+
     def test_alternative_schedule(self):
         """The hybrid-multiple exchange schedule gives identical numerics."""
         gd, v = aniso_trap(8, 0.6)

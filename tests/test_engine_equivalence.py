@@ -32,8 +32,7 @@ def _job(shape=(24, 24, 24), n_grids=8):
 
 
 def _span_rows(tracer):
-    """Spans as raw tuples — Span.__eq__ compares (start, end) only."""
-    return [(s.start, s.end, s.resource, s.label) for s in tracer.spans()]
+    return [(s.start, s.end, s.resource, s.step_kind) for s in tracer.spans()]
 
 
 def _step_rows(tracer):

@@ -17,7 +17,7 @@ from repro.analysis.timeline import (
     sim_step_trace,
     step_trace_for,
 )
-from repro.core import FDJob, PerformanceModel, approach_by_name
+from repro.core import FDJob, PerformanceModel, approach_by_name, simulate_fd
 from repro.grid import GridDescriptor
 from repro.obs.export import (
     ascii_gantt,
@@ -48,10 +48,25 @@ class TestChromeTraceRoundTrip:
         assert reparsed == _spans_sorted(tracer)
 
     def test_sim_and_model_round_trip(self):
-        for plane in ("sim", "model"):
-            tracer = step_trace_for(plane, "hybrid-multiple", **CONFIG)
+        tracers = [
+            step_trace_for(plane, "hybrid-multiple", **CONFIG)
+            for plane in ("sim", "model")
+        ]
+        # the DES activity trace (core and link spans) is one more input
+        activity = simulate_fd(
+            FDJob(GridDescriptor(CONFIG["shape"]), CONFIG["n_grids"]),
+            approach_by_name("hybrid-multiple"),
+            CONFIG["n_cores"],
+            batch_size=CONFIG["batch_size"],
+            trace=True,
+        ).trace
+        for tracer in tracers + [activity]:
             reparsed = parse_chrome_trace(chrome_trace(tracer))
             assert reparsed == _spans_sorted(tracer)
+        rep = utilization_report(activity)
+        assert rep["resources"] == activity.resources()
+        assert rep["makespan"] == activity.makespan()
+        assert rep["step_kinds"]["compute"] > 0.0
 
     def test_event_structure(self):
         tracer = SpanTracer()

@@ -45,7 +45,7 @@ class TestStepSpan:
                      seq=3)
         b = StepSpan(resource="r", step_kind="WaitAll", start=0.0, end=1.0,
                      seq=4)
-        assert a != b  # unlike des.trace.Span, non-time fields compare
+        assert a != b  # non-time fields take part in equality
 
     def test_sort_key_breaks_timestamp_ties(self):
         a = StepSpan(resource="r", step_kind="PostRecv", start=0.0, end=0.0)

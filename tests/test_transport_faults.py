@@ -257,9 +257,6 @@ class TestTagCrossCheck:
             REDIST_TAG_BASE,
             describe_tag,
         )
-        from repro.transport.inproc import RankEndpoint
-
-        assert RankEndpoint._COLL_TAG_BASE == COLL_TAG_BASE
         import inspect
 
         from repro.grid import redistribute as redistribute_fn

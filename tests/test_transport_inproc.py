@@ -1,10 +1,18 @@
 """Tests for the in-process functional transport."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.transport import InprocTransport, TransportError, run_ranks
-from repro.transport.inproc import ANY_SOURCE, ANY_TAG
+from repro.transport import (
+    FaultPlan,
+    FaultyTransport,
+    InprocTransport,
+    TransportError,
+    run_ranks,
+)
+from repro.transport.inproc import ANY_SOURCE, ANY_TAG, GroupEndpoint
 
 
 class TestBasics:
@@ -286,3 +294,99 @@ class TestCopyModes:
     def test_inproc_advertises_zero_copy(self):
         tr = InprocTransport(1)
         assert tr.endpoint(0).zero_copy_sends is True
+
+
+#: per-rank contributions whose float sum depends on the order of addition
+ORDER_SENSITIVE = {
+    3: [1e16, 1.0, -1e16],  # rank order 0.0, reversed arrival 1.0
+    4: [1.0, 1.0, 1e16, -1e16],  # rank order 2.0, reversed arrival 1.0
+}
+
+
+def _rank_order_sum(values):
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
+
+
+def _late_allreduce(ep, values):
+    """Allreduce ``values[ep.rank]``; higher ranks contribute *first*."""
+    if ep.rank:
+        time.sleep(0.03 * (ep.size - ep.rank))
+    return ep.allreduce(np.array([values[ep.rank]]))[0]
+
+
+class TestOrderedAllreduce:
+    """The root adds contributions in rank order whatever order they
+    arrive in, so every endpoint's allreduce is bitwise reproducible."""
+
+    @pytest.mark.parametrize("n", sorted(ORDER_SENSITIVE))
+    def test_plain_endpoint(self, n):
+        values = ORDER_SENSITIVE[n]
+        got = run_ranks(n, _late_allreduce, values)
+        assert got == [_rank_order_sum(values)] * n
+
+    @pytest.mark.parametrize("n", sorted(ORDER_SENSITIVE))
+    def test_group_endpoint(self, n):
+        # two concurrent groups of n ranks on one 2n-rank transport
+        values = ORDER_SENSITIVE[n]
+
+        def fn(ep):
+            group = GroupEndpoint(ep, (ep.rank // n) * n, n)
+            return _late_allreduce(group, values)
+
+        assert run_ranks(2 * n, fn) == [_rank_order_sum(values)] * (2 * n)
+
+    @pytest.mark.parametrize("n", sorted(ORDER_SENSITIVE))
+    def test_faulty_endpoint(self, n):
+        values = ORDER_SENSITIVE[n]
+        tr = FaultyTransport(InprocTransport(n), FaultPlan(seed=0))
+        got = run_ranks(n, _late_allreduce, values, transport=tr)
+        assert got == [_rank_order_sum(values)] * n
+
+    @pytest.mark.parametrize("n", sorted(ORDER_SENSITIVE))
+    def test_group_over_faulty_endpoint(self, n):
+        values = ORDER_SENSITIVE[n]
+        tr = FaultyTransport(InprocTransport(n), FaultPlan(seed=0))
+
+        def fn(ep):
+            return _late_allreduce(GroupEndpoint(ep, 0, n), values)
+
+        got = run_ranks(n, fn, transport=tr)
+        assert got == [_rank_order_sum(values)] * n
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_message_and_op_counts(self, k):
+        """A k-rank allreduce costs 2(k-1) messages; a faulty endpoint
+        counts one allreduce op plus one op per send and receive."""
+        inner = InprocTransport(k)
+        plan = FaultPlan(seed=0)
+        tr = FaultyTransport(inner, plan)
+        run_ranks(k, lambda ep: ep.allreduce(float(ep.rank)), transport=tr)
+        assert sum(s.messages for s in inner.stats) == 2 * (k - 1)
+        assert plan.ops(0) == 1 + 2 * (k - 1)
+        assert all(plan.ops(r) == 3 for r in range(1, k))
+        # the per-send fault clock: the root broadcasts, the rest send once
+        assert plan.next_send(0) == k - 1
+        assert all(plan.next_send(r) == 1 for r in range(1, k))
+
+
+class TestGroupEndpointOverFaults:
+    def test_recv_decodes_and_counts(self):
+        """A direct group ``recv`` goes through the wrapped endpoint's
+        public ``recv``: checksummed frames decode, the op clock ticks."""
+        plan = FaultPlan(seed=0)
+        tr = FaultyTransport(InprocTransport(2), plan)
+        payload = np.arange(6.0).reshape(2, 3)
+
+        def fn(ep):
+            group = GroupEndpoint(ep, 0, 2)
+            if group.rank == 0:
+                group.send(1, payload, tag=4)
+                return None
+            return group.recv(src=0, tag=4)
+
+        got = run_ranks(2, fn, transport=tr)[1]
+        np.testing.assert_array_equal(got, payload)
+        assert plan.ops(1) == 1
