@@ -8,11 +8,11 @@ The library has three layers:
   13-point finite-difference operation with real NumPy data, bit-identical
   to the sequential kernel under all four programming approaches.
 * **performance** — :mod:`repro.des`, :mod:`repro.machine`,
-  :mod:`repro.smpi`, :mod:`repro.netmodel`, :mod:`repro.core.simrun`,
-  :mod:`repro.core.perfmodel`: a simulated Blue Gene/P (discrete-event
-  torus, tree network, node modes, simulated MPI) plus a calibrated
-  closed-form model that regenerates the paper's figures up to 16384
-  cores.
+  :mod:`repro.netmodel`, :mod:`repro.core.simrun`,
+  :mod:`repro.core.perfmodel`: a simulated Blue Gene/P (a discrete-event
+  replay of the compiled schedules over the torus, node modes and MPI
+  thread modes) plus a calibrated closed-form model that regenerates the
+  paper's figures up to 16384 cores.
 * **application** — :mod:`repro.dft`: a mini real-space DFT layer
   (multigrid Poisson, FD Hamiltonian, eigensolvers, orthogonalization,
   SCF) providing the physics workloads; :mod:`repro.analysis`: one

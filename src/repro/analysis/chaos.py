@@ -128,9 +128,9 @@ class _StencilScenario:
 
 
 def _des_replay_scale(seed: int) -> ChaosOutcome:
-    """Paper-scale DES storm: 512 ranks, compiled engine, replayed twice.
+    """Paper-scale DES storm: 512 ranks, replayed twice.
 
-    The compiled replay engine makes fault campaigns at paper scale
+    The table-driven replay makes fault campaigns at paper scale
     tractable inside the suite.  A seeded storm over 512 simulated ranks
     runs twice from pristine :meth:`FaultPlan.replica` copies and must
     agree bit-exactly on makespan, fault count, message count and
@@ -147,7 +147,7 @@ def _des_replay_scale(seed: int) -> ChaosOutcome:
     )
     a, b = (
         simulate_fd(job, FLAT_OPTIMIZED, 512, batch_size=4,
-                    fault_plan=plan.replica(), engine="compiled")
+                    fault_plan=plan.replica())
         for _ in range(2)
     )
     identical = (

@@ -204,42 +204,19 @@ def _cmd_simscale(args: argparse.Namespace) -> str:
     approach = approach_by_name(args.approach)
     job = FDJob(GridDescriptor(tuple(args.shape)), args.grids)
     rows = []
-    exact = True
     for n in args.ranks:
         t0 = time.perf_counter()
-        res = simulate_fd(job, approach, n, batch_size=args.batch_size,
-                          engine="compiled")
+        res = simulate_fd(job, approach, n, batch_size=args.batch_size)
         wall = time.perf_counter() - t0
-        row = [n, res.events, f"{wall:.3f}", f"{res.events / wall:,.0f}"]
-        if n <= args.reference_max:
-            t0 = time.perf_counter()
-            ref = simulate_fd(job, approach, n, batch_size=args.batch_size,
-                              engine="reference")
-            ref_wall = time.perf_counter() - t0
-            exact = exact and (ref.total, ref.events) == (res.total, res.events)
-            row += [f"{ref_wall:.3f}", f"{ref_wall / wall:.2f}x"]
-        else:
-            row += ["-", "-"]
-        rows.append(row)
-    table = format_table(
-        ["ranks", "events", "compiled s", "events/s", "reference s", "speedup"],
+        rows.append([n, res.events, f"{wall:.3f}", f"{res.events / wall:,.0f}"])
+    return format_table(
+        ["ranks", "events", "wall s", "events/s"],
         rows,
         title=(
             f"DES replay scaling — {args.approach}, {args.grids} grids of "
             f"{'x'.join(str(s) for s in args.shape)}, batch {args.batch_size}"
         ),
     )
-    note = (
-        "engines agree exactly (same totals and event counts)"
-        if exact else "ENGINE MISMATCH — compiled and reference disagree"
-    )
-    out = (
-        f"{table}\n{note}; reference engine run up to "
-        f"{args.reference_max} ranks"
-    )
-    if not exact:
-        raise SystemExit(out)
-    return out
 
 
 def _cmd_bandpar(args: argparse.Namespace) -> str:
@@ -626,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--top", type=int, default=10,
                     help="ranked rows to print (default 10)")
     pp.add_argument("--des-check", type=int, default=0, metavar="K",
-                    help="DES-replay the top K choices with the compiled "
-                         "engine (tractable well past a thousand ranks)")
+                    help="DES-replay the top K choices (tractable well "
+                         "past a thousand ranks)")
     psc = sub.add_parser(
         "simscale", help="DES throughput sweep: events/sec vs rank count"
     )
@@ -638,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     psc.add_argument("--ranks", type=int, nargs="+",
                      default=[8, 64, 512, 4096],
                      help="rank counts to sweep (default: 8 64 512 4096)")
-    psc.add_argument("--reference-max", type=int, default=512, metavar="N",
-                     help="also run the generator reference engine up to N "
-                          "ranks and report the compiled speedup "
-                          "(default 512)")
     ps = sub.add_parser(
         "schedule", help="print the compiled schedule IR for an approach"
     )

@@ -3,7 +3,8 @@
 Four programming approaches (section VI), one engine, two planes:
 
 * :mod:`repro.core.approaches` — declarative descriptions of *Flat
-  original*, *Flat optimized*, *Hybrid multiple* and *Hybrid master-only*.
+  original*, *Flat optimized*, *Hybrid multiple* and *Hybrid master-only*,
+  and the MPI thread modes they request.
 * :mod:`repro.core.batching` — grid batches and the ramp-up schedule that
   softens the double-buffering prologue (section V-A).
 * :mod:`repro.core.schedule` — the schedule compiler: turns an approach,
@@ -15,9 +16,10 @@ Four programming approaches (section VI), one engine, two planes:
 * :mod:`repro.core.workspace` — the buffer arena the engine borrows
   scratch, output and halo message buffers from (zero-allocation steady
   state).
-* :mod:`repro.core.simrun` — the same compiled plans replayed through
-  simulated MPI on the DES machine: exact message-level timing at small
-  scale.
+* :mod:`repro.core.simrun` — the same compiled plans (FD and band ring)
+  lowered to micro-op programs and replayed on the DES machine: exact
+  message-level timing up to paper-scale rank counts, pinned by golden
+  data.
 * :mod:`repro.core.perfmodel` — the closed-form performance model used to
   regenerate the paper's figures at up to 16384 cores; walks the compiled
   plan and is cross-validated against :mod:`repro.core.simrun` by tests.
@@ -34,6 +36,7 @@ from repro.core.approaches import (
     HYBRID_MULTIPLE,
     HYBRID_MASTER_ONLY,
     ALL_APPROACHES,
+    ThreadMode,
     approach_by_name,
 )
 from repro.core.bandpar import BandParallelModel, BandParTiming
@@ -98,6 +101,7 @@ __all__ = [
     "HYBRID_MULTIPLE",
     "HYBRID_MASTER_ONLY",
     "ALL_APPROACHES",
+    "ThreadMode",
     "approach_by_name",
     "BandParallelModel",
     "BandParTiming",

@@ -19,11 +19,34 @@ Flat original is the only approach without the section V optimizations
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from repro.machine.partition import NodeMode
-from repro.smpi.datatypes import ThreadMode
 from repro.util.validation import check_positive_int
+
+
+class ThreadMode(enum.Enum):
+    """MPI-2 thread support levels (section III-A of the paper).
+
+    Only the two levels the paper contrasts carry a behavioural difference
+    in the model: ``MULTIPLE`` pays per-call locking, ``SINGLE`` (and the
+    intermediate levels) do not — but FUNNELED/SERIALIZED are represented
+    so user code can declare intent and be validated against it.
+    """
+
+    SINGLE = "single"
+    FUNNELED = "funneled"
+    SERIALIZED = "serialized"
+    MULTIPLE = "multiple"
+
+    @property
+    def pays_lock_overhead(self) -> bool:
+        return self is ThreadMode.MULTIPLE
+
+    @property
+    def allows_concurrent_calls(self) -> bool:
+        return self is ThreadMode.MULTIPLE
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,12 @@ class Approach:
             raise ValueError("thread counts must be >= 1")
         if self.comm_threads > self.compute_threads:
             raise ValueError("cannot have more comm threads than threads")
+        if self.comm_threads > 1 and not self.thread_mode.allows_concurrent_calls:
+            raise ValueError(
+                f"{self.name}: {self.comm_threads} communicating threads need "
+                f"ThreadMode.MULTIPLE, got {self.thread_mode.value!r} mode "
+                "(it forbids concurrent MPI calls from one rank)"
+            )
 
     @property
     def is_hybrid(self) -> bool:

@@ -23,12 +23,11 @@ so within a core count the argmin agrees with the per-figure sweeps the
 repo already pins.
 
 :meth:`Planner.cross_check` replays a choice's plans through the DES
-(:func:`~repro.core.simrun.simulate_fd` + :func:`~repro.core.simrun
+(:func:`~repro.core.simrun.simulate_spec` + :func:`~repro.core.simrun
 .simulate_band_plan`); tests hold it to the repo's existing <= 5%
-model-vs-DES tolerance.  Since the compiled replay engine
-(:mod:`repro.core.simrun_compiled`) the cross-check is no longer limited
-to small core counts — ``des_top_k`` is affordable at paper-scale group
-sizes.
+model-vs-DES tolerance.  The replay shares one lowered program between
+ranks of the same plan shape, so the cross-check is not limited to small
+core counts — ``des_top_k`` is affordable at paper-scale group sizes.
 """
 
 from __future__ import annotations
@@ -247,10 +246,10 @@ class Planner:
         A candidate whose plan compilation fails (e.g. a decomposition
         finer than the grid) turns into a rejection rather than an error.
         ``des_top_k > 0`` additionally replays the top-k choices through
-        the DES and records their ``des_time``.  The replay runs on the
-        compiled engine (:mod:`repro.core.simrun_compiled`), which keeps
-        exact cross-checks tractable well past a thousand ranks — seconds
-        per choice at paper-scale group sizes, not hours.
+        the DES and records their ``des_time``.  The table-driven replay
+        (:mod:`repro.core.simrun`) keeps exact cross-checks tractable well
+        past a thousand ranks — seconds per choice at paper-scale group
+        sizes, not hours.
         """
         candidates, rejected = self.enumerate(
             problem, n_cores, max_groups=max_groups, approaches=approaches
@@ -375,21 +374,14 @@ class Planner:
         """DES seconds of the choice's SCF-relevant step.
 
         Replays the *same* compiled plans the analytic pricing walked:
-        one group's FD invocation through :func:`simulate_fd` and the
+        one group's FD invocation through :func:`simulate_spec` and the
         ring plan through :func:`simulate_band_plan`, combined with the
-        same step formula.  The FD leg uses the compiled table-driven
-        engine, so thousand-rank groups cross-check in seconds.
+        same step formula.  Thousand-rank groups cross-check in seconds.
         """
-        from repro.core.simrun import simulate_band_plan, simulate_fd
+        from repro.core.simrun import simulate_band_plan, simulate_spec
 
         spec = choice.spec
-        fd = simulate_fd(
-            spec.group_job(),
-            spec.approach_obj(),
-            spec.group_cores,
-            batch_size=spec.layout.batch_size,
-            spec=self.machine,
-        )
+        fd = simulate_spec(spec, spec=self.machine)
         band = simulate_band_plan(
             self._band_plan(spec.problem, spec.layout.n_cores,
                             spec.layout.n_band_groups),

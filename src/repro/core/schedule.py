@@ -8,7 +8,7 @@ model (:mod:`repro.core.perfmodel`).  This module factors the *schedule*
 out of all three: :func:`compile_schedule` lowers
 ``Approach x Decomposition x batch config`` to an explicit per-worker
 list of typed steps, and each plane interprets those steps in its own
-currency (real NumPy transfers, simulated-MPI events, cost formulas).
+currency (real NumPy transfers, simulated message events, cost formulas).
 
 Step types
 ----------

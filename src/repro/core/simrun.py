@@ -1,16 +1,57 @@
 """Message-level replay of compiled schedule plans on the DES machine.
 
 Where :mod:`repro.core.perfmodel` is closed-form, this module *executes*
-the schedules: every rank (or hybrid thread) is a DES process issuing
-simulated-MPI calls and core computations, with exact link contention and
-lock serialization.  The schedule itself is not built here — the runner
-replays the same :class:`repro.core.schedule.SchedulePlan` the functional
-engine interprets, mapping each step to simulated calls with timing
-(``PostSend``/``PostRecv`` to ``isend``/``irecv``, ``ComputeInterior`` to
-core occupancy, ``GridBarrier`` to the thread-barrier cost).  It is exact
-but O(ranks x grids x messages) in events, so it is meant for small
-configurations — the test suite uses it to validate the analytic model,
-which then extrapolates to paper scale.
+the schedules: every rank (or hybrid thread) issues simulated MPI calls
+and core computations, with exact link contention and lock
+serialization.  The schedule itself is not built here — the replay
+walks the same :class:`repro.core.schedule.SchedulePlan` the functional
+engine interprets.
+
+One replay core
+---------------
+
+Every replay runs on one table-driven micro-op machine:
+
+* **Micro-op programs** — a worker's step list is lowered once into a
+  flat list of ``(op, operands...)`` rows.  All per-step branching
+  (blocking vs pipelined, lookahead call-CPU charging, thread mode,
+  fault instrumentation, step tracing) happens at lowering time;
+  replay is a tight opcode loop (:class:`_Worker`).
+* **Callback chains instead of processes** — blocking ops schedule bound
+  methods on the simulator's callback fast path
+  (:meth:`~repro.des.core.Simulator.call_at` /
+  :meth:`~repro.des.core.Simulator.call_soon`).  Messages are
+  :class:`_Transfer` chains that hold every link of their
+  dimension-ordered torus route (acquired in canonical order, so
+  concurrent transfers cannot deadlock); links and per-rank MPI locks
+  are capacity-1 FIFO :class:`_CbLock`\\ s; receives match by
+  ``(source, tag)`` in FIFO order.
+
+Three lowerings feed it:
+
+* FD :class:`~repro.core.schedule.SchedulePlan`\\ s
+  (:func:`simulate_fd`).  Ranks are grouped by their *direction
+  signature* (``(dim, step, nbytes)`` of each remote send/recv — exactly
+  the inputs a rank plan is derived from, besides peer ids); one
+  representative plan is lowered per signature, which on a regular
+  domain grid is a handful of programs for thousands of ranks.
+* :class:`~repro.core.schedule.BandSchedulePlan` rings
+  (:func:`simulate_band_plan`).
+* Point-to-point message sets (:func:`_replay_messages`), which Fig. 2's
+  ping-pong runs on.
+
+Exactness contract
+------------------
+
+``tests/data/des_golden.json`` freezes, bit for bit, what the retired
+generator-process engine produced on 18 FD configurations (including
+seeded fault storms and rank kills), four band rings and the 24 Fig. 2
+sizes: totals, utilization, byte and message counters, fired-event
+counts and sha256 digests of the full activity and step traces.  The
+DES fires simultaneous entries in scheduling order, so any change in
+the number or order of queue entries a primitive issues shows up there
+(``tools/gen_des_golden.py`` checks, ``tests/test_engine_equivalence.py``
+runs it in tier-1).
 
 Domain placement
 ----------------
@@ -26,21 +67,19 @@ mapping (round-robin over nodes) is used instead.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.core.approaches import Approach
 from repro.core.perfmodel import FDJob
 from repro.core.schedule import (
-    ApplyLocalWraps,
     BandSchedulePlan,
-    ComputeBoundary,
     ComputeInterior,
     GridBarrier,
     PartialGemm,
     PostRecv,
     PostSend,
-    RankPlan,
     RingSendRecv,
     WaitAll,
     WorkerPlan,
@@ -48,25 +87,42 @@ from repro.core.schedule import (
     message_tag,
     timing_plane_workers,
 )
-from repro.des.core import Event
-from repro.obs.spans import SpanTracer
 from repro.grid.decompose import Decomposition
-from repro.transport.faults import FaultPlan
 from repro.machine.machine import Machine
 from repro.machine.partition import NodeMode
 from repro.machine.spec import BGP_SPEC, MachineSpec
-from repro.smpi.comm import RankContext, SimComm
+from repro.obs.spans import SpanTracer
+from repro.transport.faults import FaultPlan
 from repro.util.validation import check_positive_int
-
-Proc = Generator[Event, object, None]
 
 HALO_WIDTH = 2  # the paper's stencil radius
 
 #: tag offset for wire copies the receiver discards (corrupt originals,
 #: spurious duplicates): they occupy links and counters but match no
-#: posted receive.  Far above every real tag space (collectives end at
-#: ``1 << 28`` + rounds).
+#: posted receive.  Far above every real tag space.
 _GHOST_TAG_OFFSET = 1 << 30
+
+# -- micro-op opcodes ---------------------------------------------------------
+#: occupy the worker's core for ``secs`` (operands: secs)
+OP_COMPUTE = 0
+#: MPI call overhead + spawn one transfer (operands: dir_idx, nbytes, tag)
+OP_SEND = 1
+#: MPI call overhead + post/match one receive (operands: dir_idx, tag, seq)
+OP_RECV = 2
+#: complete every receive of one exchange (operands: seq)
+OP_WAITALL = 3
+#: pure delay, e.g. the per-grid thread barrier (operands: secs)
+OP_TIMEOUT = 4
+#: master-only quarter-block team compute (operands: threads, secs)
+OP_QUARTER = 5
+#: capture the step start time (step tracing only)
+OP_T0 = 6
+#: record one replayed step (operands: step, worker_index)
+OP_STEP = 7
+#: advance the fault plan's kill clock (fault replay only)
+OP_FAULT_CLOCK = 8
+#: a PostSend under the fault plan (operands: dir_idx, nbytes, tag)
+OP_FAULT_SEND = 9
 
 
 @dataclass
@@ -91,9 +147,6 @@ class SimResult:
     step_trace: Optional[SpanTracer] = None
     #: faults the fault plan injected during the replay (0 without one)
     fault_events: int = 0
-    #: which engine produced this result: "reference" (generator processes)
-    #: or "compiled" (table-driven state machines, simrun_compiled)
-    engine: str = ""
     #: schedule-IR steps replayed across all ranks (plan size metric)
     ir_steps: int = 0
     #: queue entries the DES fired during the replay (throughput metric)
@@ -166,8 +219,632 @@ def _domain_to_rank(
     return mapping
 
 
-class _FDSimulation:
-    """Shared state of one simulated invocation."""
+# -- the replay core ----------------------------------------------------------
+class _CbLock:
+    """Capacity-1 FIFO lock on the callback fast path.
+
+    A free acquire schedules the continuation (1 queue entry), a
+    contended one queues silently, and a release hands the slot to the
+    oldest waiter (1 entry) or frees the lock (0 entries).
+    """
+
+    __slots__ = ("sim", "busy", "queue")
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.busy = False
+        self.queue: deque = deque()
+
+    def acquire(self, fn, *args) -> None:
+        if self.busy:
+            self.queue.append((fn, args))
+        else:
+            self.busy = True
+            self.sim.call_soon(fn, *args)
+
+    def release(self) -> None:
+        if self.queue:
+            fn, args = self.queue.popleft()
+            self.sim.call_soon(fn, *args)
+        else:
+            self.busy = False
+
+
+class _Path:
+    """One (src node, dst node) torus path, shared by every message on it."""
+
+    __slots__ = ("same", "src_node", "links", "names", "label", "hops", "durs")
+
+    def __init__(self, same, src_node, links, names, label, hops) -> None:
+        self.same = same
+        self.src_node = src_node
+        self.links = links
+        self.names = names
+        self.label = label
+        self.hops = hops
+        #: nbytes -> message duration (varies per round under ramp-up)
+        self.durs: dict = {}
+
+
+class _Recv:
+    """One posted receive: completion flag + the waitall group waiting on it."""
+
+    __slots__ = ("done", "group")
+
+    def __init__(self) -> None:
+        self.done = False
+        self.group = None
+
+
+class _WaitGroup:
+    """Counts deliveries, resumes the worker on the last one."""
+
+    __slots__ = ("sim", "worker", "remaining")
+
+    def __init__(self, sim, worker, remaining) -> None:
+        self.sim = sim
+        self.worker = worker
+        self.remaining = remaining
+
+    def _on_child(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.sim.call_soon(self.worker._advance)
+
+
+class _Transfer:
+    """One in-flight message as a callback chain."""
+
+    __slots__ = ("eng", "path", "src_rank", "dst_rank", "nbytes", "tag",
+                 "start", "_i")
+
+    def __init__(self, eng, path, src_rank, dst_rank, nbytes, tag) -> None:
+        self.eng = eng
+        self.path = path
+        self.src_rank = src_rank
+        self.dst_rank = dst_rank
+        self.nbytes = nbytes
+        self.tag = tag
+        self.start = 0.0
+        self._i = 0
+
+    def _start(self) -> None:
+        # the transfer's first hop: lazily touch the source node (it
+        # joins the utilization denominator), then claim the route
+        eng = self.eng
+        p = self.path
+        src = p.src_node
+        if src not in eng.nodes:
+            eng.nodes[src] = [0.0] * eng.n_node_cores
+        if p.same:
+            # intra-node memcpy: overhead only, no links, no byte counters
+            sim = eng.sim
+            sim.call_at(sim.now + eng.msg_overhead, self._self_fire)
+        else:
+            self._i = 0
+            p.links[0].acquire(self._got)
+
+    def _got(self) -> None:
+        p = self.path
+        i = self._i + 1
+        self._i = i
+        links = p.links
+        if i < len(links):
+            links[i].acquire(self._got)
+        else:
+            sim = self.eng.sim
+            self.start = sim.now
+            dur = p.durs.get(self.nbytes)
+            if dur is None:
+                dur = self.eng.torus_spec.message_time(self.nbytes, hops=p.hops)
+                p.durs[self.nbytes] = dur
+            sim.call_at(sim.now + dur, self._fired)
+
+    def _fired(self) -> None:
+        self.eng.sim.call_soon(self._done)
+
+    def _self_fire(self) -> None:
+        self.eng.sim.call_soon(self._self_done)
+
+    def _self_done(self) -> None:
+        eng = self.eng
+        eng.messages_sent += 1
+        eng._deliver(self.dst_rank, self.src_rank, self.tag)
+
+    def _done(self) -> None:
+        eng = self.eng
+        p = self.path
+        tb = eng.torus_bytes
+        src = p.src_node
+        tb[src] = tb.get(src, 0) + int(self.nbytes)
+        for lk in p.links:
+            lk.release()
+        buf = eng.trace_buf
+        if buf is not None:
+            start = self.start
+            now = eng.sim.now
+            label = p.label
+            for name in p.names:
+                buf.append((start, now, name, label))
+        eng.messages_sent += 1
+        eng._deliver(self.dst_rank, self.src_rank, self.tag)
+
+
+class _Worker:
+    """One replaying worker: a program counter over a shared micro-op table.
+
+    The worker *is* its own resume callback: blocking opcodes store the
+    advanced ``pc`` and schedule a bound-method chain whose last link
+    calls :meth:`_advance` again.  ``sends`` maps an op's direction index
+    to ``(dst rank, path)``, ``rsrcs`` to the source rank of a receive.
+    """
+
+    __slots__ = ("eng", "sim", "prog", "pc", "rank", "node", "core", "busy",
+                 "sends", "rsrcs", "mpilock", "pending", "on_done", "t0",
+                 "res", "q_left", "cres", "my_posted", "my_unexp")
+
+    def __init__(self, eng, prog, rank, core, on_done, sends, rsrcs, res):
+        self.eng = eng
+        self.sim = eng.sim
+        self.prog = prog
+        self.pc = 0
+        self.rank = rank
+        self.node = eng.rank_node[rank]
+        self.core = core
+        self.busy = None  # this node's per-core busy array, touched lazily
+        self.sends = sends
+        self.rsrcs = rsrcs
+        self.mpilock = eng._mpilock(rank) if eng.pays_lock else None
+        self.pending: dict = {}
+        self.on_done = on_done
+        self.t0 = 0.0
+        self.res = res
+        self.q_left = 0
+        self.cres = (
+            f"node{self.node}.core{core}" if eng.trace_buf is not None else None
+        )
+        # this rank's match queues, pre-bound (shared with the engine dicts)
+        self.my_posted = eng.posted.setdefault(rank, [])
+        self.my_unexp = eng.unexpected.setdefault(rank, [])
+
+    # -- the dispatch loop -------------------------------------------------
+    def _advance(self) -> None:
+        prog = self.prog
+        n = len(prog)
+        pc = self.pc
+        eng = self.eng
+        sim = self.sim
+        while pc < n:
+            op = prog[pc]
+            code = op[0]
+            pc += 1
+            if code == OP_COMPUTE:
+                self.pc = pc
+                if self.busy is None:
+                    self.busy = eng._node(self.node)
+                sim.call_soon(self._c1, op[1])
+                return
+            if code == OP_SEND:
+                self.pc = pc
+                # inlined _overhead: shave two frames off the hottest path
+                if self.mpilock is None:
+                    sim.call_soon(self._send_f, op[1], op[2], op[3])
+                else:
+                    self.mpilock.acquire(
+                        self._lk_got, self._send_go, (op[1], op[2], op[3])
+                    )
+                return
+            if code == OP_RECV:
+                self.pc = pc
+                if self.mpilock is None:
+                    sim.call_soon(self._recv_f, op[1], op[2], op[3])
+                else:
+                    self.mpilock.acquire(
+                        self._lk_got, self._recv_go, (op[1], op[2], op[3])
+                    )
+                return
+            if code == OP_WAITALL:
+                recs = self.pending.pop(op[1], None)
+                if recs:
+                    self.pc = pc
+                    g = _WaitGroup(sim, self, len(recs))
+                    on_child = g._on_child
+                    for rec in recs:
+                        if rec.done:
+                            sim.call_soon(on_child)
+                        else:
+                            rec.group = g
+                    return
+                continue
+            if code == OP_T0:
+                self.t0 = sim.now
+                continue
+            if code == OP_STEP:
+                eng.step_buf.append(
+                    (self.res[op[2]], op[1], op[2], self.t0, sim.now)
+                )
+                continue
+            if code == OP_TIMEOUT:
+                self.pc = pc
+                self._sleep(op[1], self._advance)
+                return
+            if code == OP_QUARTER:
+                self.pc = pc
+                threads = op[1]
+                secs = op[2]
+                self.q_left = threads
+                for t in range(threads):
+                    sim.call_soon(self._q_spawn, t, secs)
+                return
+            if code == OP_FAULT_CLOCK:
+                fp = eng.fault_plan
+                if fp.should_kill(self.rank, fp.next_op(self.rank)):
+                    self.pc = pc
+                    self._sleep(fp.restart_time, self._advance)
+                    return
+                continue
+            # OP_FAULT_SEND
+            self.pc = pc
+            fp = eng.fault_plan
+            if fp.should_kill(self.rank, fp.next_op(self.rank)):
+                self._sleep(fp.restart_time, self._fs_kind, op[1], op[2], op[3])
+            else:
+                self._fs_kind(op[1], op[2], op[3])
+            return
+        self.pc = pc
+        if self.on_done is not None:
+            self.on_done()
+
+    # -- generic chains ----------------------------------------------------
+    def _fire_then(self, cont, *args) -> None:
+        self.sim.call_soon(cont, *args)
+
+    def _sleep(self, delay, cont, *args) -> None:
+        """A timed delay: 2 queue entries, then ``cont(*args)``."""
+        sim = self.sim
+        sim.call_at(sim.now + delay, self._fire_then, cont, *args)
+
+    def _overhead(self, cont, *args) -> None:
+        """The per-call cost of entering the MPI library."""
+        if self.mpilock is None:
+            # SINGLE: a zero-delay sleep (2 entries)
+            self._sleep(0.0, cont, *args)
+        else:
+            # MULTIPLE: serialize on the rank's lock for the call overhead
+            self.mpilock.acquire(self._lk_got, cont, args)
+
+    def _lk_got(self, cont, args) -> None:
+        sim = self.sim
+        sim.call_at(sim.now + self.eng.ovh, self._lk_fire, cont, args)
+
+    def _lk_fire(self, cont, args) -> None:
+        self.sim.call_soon(self._lk_done, cont, args)
+
+    def _lk_done(self, cont, args) -> None:
+        self.mpilock.release()
+        cont(*args)
+
+    # -- compute -----------------------------------------------------------
+    def _c1(self, secs) -> None:
+        sim = self.sim
+        sim.call_at(sim.now + secs, self._c2, secs, sim.now)
+
+    def _c2(self, secs, start) -> None:
+        self.sim.call_soon(self._c3, secs, start)
+
+    def _c3(self, secs, start) -> None:
+        self.busy[self.core] += secs
+        buf = self.eng.trace_buf
+        if buf is not None:
+            buf.append((start, self.sim.now, self.cres, "compute"))
+        self._advance()
+
+    # -- point-to-point ----------------------------------------------------
+    def _send_f(self, d, nbytes, tag) -> None:
+        # the zero-delay overhead's fire entry
+        self.sim.call_soon(self._send_go, d, nbytes, tag)
+
+    def _recv_f(self, d, tag, seq) -> None:
+        self.sim.call_soon(self._recv_go, d, tag, seq)
+
+    def _send_go(self, d, nbytes, tag) -> None:
+        dst_rank, path = self.sends[d]
+        tr = _Transfer(self.eng, path, self.rank, dst_rank, nbytes, tag)
+        self.sim.call_soon(tr._start)
+        self._advance()
+
+    def _spawn_transfer(self, d, nbytes, tag) -> None:
+        dst_rank, path = self.sends[d]
+        tr = _Transfer(self.eng, path, self.rank, dst_rank, nbytes, tag)
+        self.sim.call_soon(tr._start)
+
+    def _recv_go(self, d, tag, seq) -> None:
+        src = self.rsrcs[d]
+        rec = _Recv()
+        queue = self.my_unexp
+        matched = False
+        if queue:
+            for i, ent in enumerate(queue):
+                if ent[0] == src and ent[1] == tag:
+                    del queue[i]
+                    rec.done = True
+                    matched = True
+                    break
+        if not matched:
+            self.my_posted.append((src, tag, rec))
+        pend = self.pending
+        lst = pend.get(seq)
+        if lst is None:
+            pend[seq] = [rec]
+        else:
+            lst.append(rec)
+        self._advance()
+
+    # -- master-only quarter compute ---------------------------------------
+    def _q_spawn(self, t, secs) -> None:
+        if self.busy is None:
+            self.busy = self.eng._node(self.node)
+        self.sim.call_soon(self._q_c1, t, secs)
+
+    def _q_c1(self, t, secs) -> None:
+        sim = self.sim
+        sim.call_at(sim.now + secs, self._q_c2, t, secs, sim.now)
+
+    def _q_c2(self, t, secs, start) -> None:
+        self.sim.call_soon(self._q_c3, t, secs, start)
+
+    def _q_c3(self, t, secs, start) -> None:
+        self.busy[t] += secs
+        buf = self.eng.trace_buf
+        if buf is not None:
+            buf.append(
+                (start, self.sim.now, f"node{self.node}.core{t}", "compute")
+            )
+        self.sim.call_soon(self._q_child)
+
+    def _q_child(self) -> None:
+        self.q_left -= 1
+        if self.q_left == 0:
+            self.sim.call_soon(self._advance)
+
+    # -- fault replay ------------------------------------------------------
+    def _fs_kind(self, d, nbytes, tag) -> None:
+        """A PostSend under the fault plan.
+
+        * *delay* — the message leaves late.
+        * *drop* — the receiver times out after ``retransmit_timeout``
+          and the sender retransmits: one copy travels, late.
+        * *corrupt* — the corrupt copy travels (ghost tag: it reaches the
+          wire and the byte counters but matches no receive — the
+          receiver rejects its checksum), then the good copy follows
+          after the retransmit window.
+        * *duplicate* — a spurious extra copy travels alongside.
+        """
+        fp = self.eng.fault_plan
+        kind = fp.take_fault(self.rank, fp.next_send(self.rank), "isend")
+        if kind == "delay":
+            self._sleep(fp.delay, self._fs_real, d, nbytes, tag)
+        elif kind == "drop":
+            self._sleep(fp.retransmit_timeout, self._fs_real, d, nbytes, tag)
+        elif kind == "corrupt":
+            self._overhead(self._fs_ghost_then_wait, d, nbytes, tag)
+        elif kind == "duplicate":
+            self._overhead(self._fs_ghost_then_real, d, nbytes, tag)
+        else:
+            self._fs_real(d, nbytes, tag)
+
+    def _fs_ghost_then_wait(self, d, nbytes, tag) -> None:
+        self._spawn_transfer(d, nbytes, tag + _GHOST_TAG_OFFSET)
+        self._sleep(
+            self.eng.fault_plan.retransmit_timeout, self._fs_real, d, nbytes, tag
+        )
+
+    def _fs_ghost_then_real(self, d, nbytes, tag) -> None:
+        self._spawn_transfer(d, nbytes, tag + _GHOST_TAG_OFFSET)
+        self._fs_real(d, nbytes, tag)
+
+    def _fs_real(self, d, nbytes, tag) -> None:
+        self._overhead(self._send_go, d, nbytes, tag)
+
+
+class _TeamRunner:
+    """Hybrid node program: thread-team spawn, worker fan-out, join."""
+
+    __slots__ = ("sim", "workers", "left", "spawn_time", "join_time")
+
+    def __init__(self, sim, spawn_time, join_time) -> None:
+        self.sim = sim
+        self.workers: list = []
+        self.left = 0
+        self.spawn_time = spawn_time
+        self.join_time = join_time
+
+    def _start(self) -> None:
+        sim = self.sim
+        sim.call_at(sim.now + self.spawn_time, self._s_fire)
+
+    def _s_fire(self) -> None:
+        self.sim.call_soon(self._go)
+
+    def _go(self) -> None:
+        ws = self.workers
+        if ws:
+            self.left = len(ws)
+            sim = self.sim
+            for w in ws:
+                sim.call_soon(w._advance)
+        else:
+            self._joined()
+
+    def _worker_done(self) -> None:
+        # a worker's end wakes the team's join
+        self.sim.call_soon(self._team_child)
+
+    def _team_child(self) -> None:
+        self.left -= 1
+        if self.left == 0:
+            self.sim.call_soon(self._joined)
+
+    def _joined(self) -> None:
+        sim = self.sim
+        sim.call_at(sim.now + self.join_time, self._j_fire)
+
+    def _j_fire(self) -> None:
+        self.sim.call_soon(self._j_done)
+
+    def _j_done(self) -> None:
+        pass
+
+
+class _Replay:
+    """The shared state of one replay on one :class:`Machine`.
+
+    Node busy arrays, torus links, per-rank MPI locks, match queues and
+    the byte/message counters, all created lazily; every lowering
+    starts its workers on one of these and calls :meth:`run`.
+    """
+
+    def __init__(
+        self,
+        machine: Machine,
+        pays_lock: bool = False,
+        trace: bool = False,
+        step_tracer: Optional[SpanTracer] = None,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        spec = machine.spec
+        part = machine.partition
+        self.machine = machine
+        self.sim = machine.sim
+        self.topology = machine.topology
+        self.torus_spec = spec.torus
+        self.msg_overhead = spec.torus.message_overhead
+        self.pays_lock = pays_lock
+        self.ovh = spec.threads.mpi_multiple_overhead
+        self.n_node_cores = spec.node.n_cores
+        self.fault_plan = fault_plan
+        # rank -> node / first-core tables (partition properties are too
+        # slow to chase once per peer per rank)
+        cpr = part.mode.cores_per_rank
+        self.rank_node = [part.node_of_rank(r) for r in range(part.n_ranks)]
+        self.rank_core = [
+            part.core_slot_of_rank(r) * cpr for r in range(part.n_ranks)
+        ]
+        self.nodes: dict = {}
+        self.links: dict = {}
+        self.mpilocks: dict = {}
+        self.paths: dict = {}
+        self.posted: dict = {}
+        self.unexpected: dict = {}
+        self.torus_bytes: dict = {}
+        self.messages_sent = 0
+        self.total = 0.0
+        self.tracer = SpanTracer(plane="sim") if trace else None
+        self.step_tracer = step_tracer
+        self.trace_buf = [] if trace else None
+        self.step_buf = [] if step_tracer is not None else None
+
+    def run(self) -> float:
+        """Drain the simulator, flush the trace buffers; the makespan."""
+        self.total = total = self.sim.run()
+        if self.trace_buf is not None:
+            record = self.tracer.record
+            for start, end, resource, label in self.trace_buf:
+                record(resource, start, end, label)
+        if self.step_buf is not None:
+            self.step_tracer.extend_steps(self.step_buf)
+        return total
+
+    def utilization(self) -> float:
+        """Mean core-busy fraction over the nodes the replay touched."""
+        total = self.total
+        if total <= 0 or not self.nodes:
+            return 0.0
+        nc = self.n_node_cores
+        return sum(
+            sum(b) / (nc * total) for b in self.nodes.values()
+        ) / len(self.nodes)
+
+    def _node(self, node_id: int) -> list:
+        """This node's per-core busy array (node joins the run on first use)."""
+        b = self.nodes.get(node_id)
+        if b is None:
+            b = self.nodes[node_id] = [0.0] * self.n_node_cores
+        return b
+
+    def _mpilock(self, rank: int) -> _CbLock:
+        lk = self.mpilocks.get(rank)
+        if lk is None:
+            lk = self.mpilocks[rank] = _CbLock(self.sim)
+        return lk
+
+    def _link(self, key) -> _CbLock:
+        lk = self.links.get(key)
+        if lk is None:
+            lk = self.links[key] = _CbLock(self.sim)
+        return lk
+
+    def _path(self, src_node: int, dst_node: int) -> _Path:
+        key = (src_node, dst_node)
+        p = self.paths.get(key)
+        if p is None:
+            if src_node == dst_node:
+                p = _Path(True, src_node, None, None, "", 0)
+            else:
+                route = self.topology.route(src_node, dst_node)
+                links = [self._link(hop) for hop in sorted(route)]
+                names = None
+                if self.trace_buf is not None:
+                    names = [
+                        f"link{n}.{'+' if s > 0 else '-'}{'xyz'[d]}"
+                        for n, d, s in route
+                    ]
+                p = _Path(
+                    False, src_node, links, names,
+                    f"{src_node}->{dst_node}", len(route),
+                )
+            self.paths[key] = p
+        return p
+
+    def _send_table(self, rank: int, dsts) -> list:
+        """A worker's ``sends`` table: ``(dst rank, path)`` per destination."""
+        rank_node = self.rank_node
+        src_node = rank_node[rank]
+        return [(dst, self._path(src_node, rank_node[dst])) for dst in dsts]
+
+    def _deliver(self, dst: int, src: int, tag: int) -> None:
+        """Payload arrived: complete the matching posted receive or queue it."""
+        posted = self.posted.get(dst)
+        if posted:
+            for i, ent in enumerate(posted):
+                if ent[0] == src and ent[1] == tag:
+                    del posted[i]
+                    rec = ent[2]
+                    rec.done = True
+                    g = rec.group
+                    if g is not None:
+                        self.sim.call_soon(g._on_child)
+                    return
+        self.unexpected.setdefault(dst, []).append((src, tag))
+
+
+# -- lowering 1: FD schedule plans --------------------------------------------
+class _SigUnit:
+    """Everything lowered once per plan signature, shared by its ranks."""
+
+    __slots__ = ("n_workers", "n_steps", "workers", "seq_prog")
+
+    def __init__(self) -> None:
+        self.n_workers = 0
+        self.n_steps = 0
+        #: [(worker index, slot, program)] for team/sub-group runners
+        self.workers: Optional[list] = None
+        #: the rank's workers concatenated, for the sequential runner
+        self.seq_prog: Optional[list] = None
+
+
+class _FDSimulation(_Replay):
+    """One simulated FD invocation: set-up, lowering and orchestration."""
 
     def __init__(
         self,
@@ -184,24 +861,22 @@ class _FDSimulation:
     ) -> None:
         check_positive_int(n_cores, "n_cores")
         approach.validate_batch_size(batch_size)
-        self.job = job
         self.approach = approach
         self.n_cores = n_cores
         self.batch_size = batch_size
-        self.ramp_up = ramp_up
         self.spec = spec
-        self.fault_plan = fault_plan
-        self.step_tracer = step_tracer
         mode, n_nodes = _node_mode_for(approach, n_cores)
-        self.tracer = SpanTracer(plane="sim") if trace else None
-        self.machine = Machine(n_nodes, mode, spec, tracer=self.tracer)
-        self.comm = SimComm(self.machine, approach.thread_mode)
+        super().__init__(
+            Machine(n_nodes, mode, spec),
+            pays_lock=approach.thread_mode.pays_lock_overhead,
+            trace=trace,
+            step_tracer=step_tracer,
+            fault_plan=fault_plan,
+        )
         self.decomp = Decomposition(job.grid, approach.domains_for(n_cores))
-        if self.decomp.n_domains != self.comm.size and approach.is_hybrid:
-            # hybrid: one domain per node; ranks == nodes in SMP mode.
-            assert self.decomp.n_domains == n_nodes
         self.rank_of_domain = _domain_to_rank(self.decomp, self.machine, placement)
         self.block_points = self.decomp.max_block_points()
+
         # Small-block halo penalty, identical to the analytic model's.
         def halo_point_time(shape: list[int]) -> float:
             padded = math.prod(b + 2 * HALO_WIDTH for b in shape)
@@ -228,198 +903,198 @@ class _FDSimulation:
             n_workers=timing_plane_workers(approach, n_cores),
         )
 
-    # -- fault modeling --------------------------------------------------------
-    def _fault_clock(self, ctx: RankContext) -> Proc:
-        """Advance the kill clock; a killed rank pays the restart time.
-
-        The DES models the *recovery overhead*, not the crash itself: the
-        supervisor restarts the rank from its last checkpoint, so the
-        rank (and, through stalled messages, its neighbours) loses
-        ``restart_time`` simulated seconds — the cost the MTBF sweep in
-        :mod:`repro.analysis.resilience` integrates over a run.
-        """
-        fp = self.fault_plan
-        idx = fp.next_op(ctx.rank)
-        if fp.should_kill(ctx.rank, idx):
-            yield ctx.sim.timeout(fp.restart_time)
-
-    def _faulty_send(self, ctx: RankContext, dst: int, nbytes: float, tag: int) -> Proc:
-        """A PostSend under the fault plan.
-
-        * *delay* — the message leaves late.
-        * *drop* — the receiver times out after ``retransmit_timeout``
-          and the sender retransmits: one copy travels, late.
-        * *corrupt* — the corrupt copy travels (ghost tag: it reaches the
-          wire and the byte counters but matches no receive — the
-          receiver rejects its checksum), then the good copy follows
-          after the retransmit window.
-        * *duplicate* — a spurious extra copy travels alongside.
-        """
-        fp = self.fault_plan
-        yield from self._fault_clock(ctx)
-        kind = fp.take_fault(ctx.rank, fp.next_send(ctx.rank), "isend")
-        if kind == "delay":
-            yield ctx.sim.timeout(fp.delay)
-        elif kind == "drop":
-            yield ctx.sim.timeout(fp.retransmit_timeout)
-        elif kind == "corrupt":
-            yield from ctx.isend(dst, nbytes, tag + _GHOST_TAG_OFFSET)
-            yield ctx.sim.timeout(fp.retransmit_timeout)
-        elif kind == "duplicate":
-            yield from ctx.isend(dst, nbytes, tag + _GHOST_TAG_OFFSET)
-        yield from ctx.isend(dst, nbytes, tag)
-
-    # -- step replay ----------------------------------------------------------
-    def replay_worker(
-        self, ctx: RankContext, wp: WorkerPlan, domain: int = 0
-    ) -> Proc:
-        """Replay one worker's compiled steps as timed simulated-MPI calls.
-
-        Besides the steps themselves, the worker pays the per-round CPU
-        cost of entering the MPI library (sends + recvs + one waitall per
-        exchange round) — charged when a round's calls are issued, which
-        under double buffering is one round ahead of the ``WaitAll`` being
-        replayed.  Blocking plans pay no separate call CPU (the fixed cost
-        sits inside the network model's per-message overhead).
-
-        With a ``step_tracer``, every replayed step also lands as a
-        :class:`~repro.obs.spans.StepSpan` at simulated time on resource
-        ``rank{domain}.w{worker}`` — the same naming the real engine's
-        :func:`repro.obs.spans.engine_hook` uses, so the two traces diff
-        step-for-step.
-        """
-        plan = self.plan
-        rounds = wp.rounds
-        tracer = self.step_tracer
-        resource = f"rank{domain}.w{wp.index}"
-        t_call = self.spec.threads.mpi_call_cpu_time
-        lookahead = 1 if plan.double_buffered else 0
-        next_round = 0
-        pending: dict[int, list] = {}
-        for st in wp.steps:
-            step_t0 = ctx.sim.now
-            if (
-                not plan.blocking
-                and t_call
-                and isinstance(st, (PostSend, PostRecv, WaitAll))
-            ):
-                limit = st.seq + (lookahead if isinstance(st, WaitAll) else 0)
-                while next_round < len(rounds) and rounds[next_round].seq <= limit:
-                    r = rounds[next_round]
-                    next_round += 1
-                    yield from ctx.compute(
-                        (len(r.sends) + len(r.recvs) + 1) * t_call
-                    )
-            if isinstance(st, PostSend):
-                dst = self.rank_of_domain[st.dst] + st.slot
-                tag = message_tag(st.seq, st.dim, st.step)
-                if self.fault_plan is not None:
-                    yield from self._faulty_send(ctx, dst, st.nbytes, tag)
-                else:
-                    yield from ctx.isend(dst, st.nbytes, tag)
-            elif isinstance(st, PostRecv):
-                if self.fault_plan is not None:
-                    yield from self._fault_clock(ctx)
-                req = yield from ctx.irecv(
-                    self.rank_of_domain[st.src] + st.slot,
-                    message_tag(st.seq, st.dim, st.step),
-                )
-                pending.setdefault(st.seq, []).append(req)
-            elif isinstance(st, WaitAll):
-                if self.fault_plan is not None:
-                    yield from self._fault_clock(ctx)
-                reqs = pending.pop(st.seq, [])
-                if reqs:
-                    yield from ctx.waitall(reqs)
-            elif isinstance(st, ComputeInterior):
-                if plan.sync_per_grid:
-                    yield from self._quarter_compute(ctx)
-                else:
-                    yield from ctx.compute(self.block_points * self.t_point)
-            elif isinstance(st, GridBarrier):
-                yield ctx.sim.timeout(self.spec.threads.barrier_time)
-            elif isinstance(st, (ApplyLocalWraps, ComputeBoundary)):
-                # in-block memcpys/zeroing: free at this fidelity (their
-                # cost is inside the calibrated per-point compute time)
-                pass
-            # JoinBarrier: the node wrapper pays the join cost once
-            if tracer is not None:
-                tracer.record_step(resource, st, wp.index, step_t0, ctx.sim.now)
-
-    def _quarter_compute(self, ctx: RankContext) -> Proc:
-        """Master-only's shared-grid kernel: four cores split one grid."""
-        threads = min(4, self.n_cores)
-        per_thread_points = math.ceil(self.block_points / threads)
-        workers = [
-            ctx.sim.spawn(
-                ctx.on_core(t).compute(per_thread_points * self.t_point_quarter),
-                name=f"mo-compute-core{t}",
-            )
-            for t in range(threads)
-        ]
-        yield ctx.sim.all_of(workers)
-
-    def node_program(self, ctx: RankContext, rp: RankPlan) -> Proc:
-        """One rank's program: its workers, plus thread team spawn/join."""
-        if self.plan.uses_thread_team:
-            yield ctx.sim.timeout(self.spec.threads.spawn_time)
-            team = [
-                ctx.sim.spawn(
-                    self.replay_worker(ctx.on_core(wp.index), wp, rp.domain),
-                    name=f"{self.approach.name}-d{rp.domain}.t{wp.index}",
-                )
-                for wp in rp.workers
-                if wp.steps
-            ]
-            if team:
-                yield ctx.sim.all_of(team)
-            yield ctx.sim.timeout(self.spec.threads.join_time)
-        else:
-            for wp in rp.workers:
-                yield from self.replay_worker(ctx, wp, rp.domain)
-
-    # -- orchestration --------------------------------------------------------
     def run(self) -> SimResult:
+        sim = self.sim
+        plan = self.plan
+        rod = self.rank_of_domain
+        spawn_time = self.spec.threads.spawn_time
+        join_time = self.spec.threads.join_time
+        with_steps = self.step_buf is not None
+        units: dict = {}
         ir_steps = 0
         for domain in range(self.decomp.n_domains):
-            rank = self.rank_of_domain[domain]
-            rp = self.plan.rank_plan(domain)
-            ir_steps += sum(len(wp.steps) for wp in rp.workers)
-            if self.plan.workers_are_ranks:
+            send_dirs, recv_dirs = plan._directions(domain)
+            sig = (
+                tuple((d, s, nb) for d, s, _p, nb in send_dirs),
+                tuple((d, s, nb) for d, s, _p, nb in recv_dirs),
+            )
+            unit = units.get(sig)
+            if unit is None:
+                unit = self._compile_unit(domain)
+                units[sig] = unit
+            ir_steps += unit.n_steps
+            base = rod[domain]
+            res = (
+                [f"rank{domain}.w{i}" for i in range(unit.n_workers)]
+                if with_steps
+                else None
+            )
+            if plan.workers_are_ranks:
                 # flat sub-groups (section VII-A): the node's virtual-mode
-                # ranks each replay their own worker, offset by slot.
-                for wp in rp.workers:
-                    if wp.steps:
-                        self.machine.sim.spawn(
-                            self.replay_worker(
-                                self.comm.context(rank + wp.slot), wp, domain
-                            ),
-                            name=f"{self.approach.name}-d{domain}.{wp.slot}",
-                        )
+                # ranks each replay their own worker, offset by slot
+                for _windex, slot, prog in unit.workers:
+                    rank = base + slot
+                    sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, rank, slot)
+                    w = _Worker(
+                        self, prog, rank,
+                        self.rank_core[rank],
+                        None, sends, rsrcs, res,
+                    )
+                    sim.call_soon(w._advance)
+            elif plan.uses_thread_team:
+                sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, base, 0)
+                runner = _TeamRunner(sim, spawn_time, join_time)
+                runner.workers = [
+                    _Worker(
+                        self, prog, base, windex,
+                        runner._worker_done, sends, rsrcs, res,
+                    )
+                    for windex, _slot, prog in unit.workers
+                ]
+                sim.call_soon(runner._start)
             else:
-                self.machine.sim.spawn(
-                    self.node_program(self.comm.context(rank), rp),
-                    name=f"{self.approach.name}-d{domain}",
+                # sequential rank program: all workers in one chain
+                sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, base, 0)
+                w = _Worker(
+                    self, unit.seq_prog, base,
+                    self.rank_core[base],
+                    None, sends, rsrcs, res,
                 )
-        total = self.machine.sim.run()
-        inter_bytes = sum(self.machine.torus.bytes_sent.values())
+                sim.call_soon(w._advance)
+
+        total = super().run()
         return SimResult(
             approach_name=self.approach.name,
             n_cores=self.n_cores,
             batch_size=self.batch_size,
             total=total,
-            utilization=self.machine.utilization(total),
-            comm_bytes_per_node=inter_bytes / self.machine.n_nodes,
-            messages=self.comm.messages_sent,
+            utilization=self.utilization(),
+            comm_bytes_per_node=sum(self.torus_bytes.values())
+            / self.machine.n_nodes,
+            messages=self.messages_sent,
             trace=self.tracer,
             step_trace=self.step_tracer,
             fault_events=(
                 len(self.fault_plan.events) if self.fault_plan is not None else 0
             ),
-            engine="reference",
             ir_steps=ir_steps,
-            events=self.machine.sim.events_processed,
+            events=sim.events_processed,
         )
+
+    def _dirs_for(self, send_dirs, recv_dirs, rank, slot):
+        """Instantiate one rank's peer tables from its direction lists."""
+        rod = self.rank_of_domain
+        return (
+            self._send_table(
+                rank, [rod[peer] + slot for _d, _s, peer, _nb in send_dirs]
+            ),
+            [rod[peer] + slot for _d, _s, peer, _nb in recv_dirs],
+        )
+
+    def _compile_unit(self, domain: int) -> _SigUnit:
+        """Lower one representative rank plan to shared micro-op programs."""
+        plan = self.plan
+        rp = plan.rank_plan(domain)
+        send_dirs, recv_dirs = plan._directions(domain)
+        send_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(send_dirs)}
+        recv_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(recv_dirs)}
+        unit = _SigUnit()
+        unit.n_workers = len(rp.workers)
+        unit.n_steps = sum(len(wp.steps) for wp in rp.workers)
+        progs = [
+            self._compile_worker(wp, send_index, recv_index)
+            for wp in rp.workers
+        ]
+        if plan.workers_are_ranks or plan.uses_thread_team:
+            # only workers with steps are started
+            unit.workers = [
+                (wp.index, wp.slot, prog)
+                for wp, prog in zip(rp.workers, progs)
+                if wp.steps
+            ]
+        else:
+            seq: list = []
+            for prog in progs:
+                seq.extend(prog)
+            unit.seq_prog = seq
+        return unit
+
+    def _compile_worker(self, wp: WorkerPlan, send_index, recv_index) -> list:
+        """Lower one worker's step list to micro-op rows.
+
+        Besides the steps themselves, the worker pays the per-round CPU
+        cost of entering the MPI library (sends + recvs + one waitall per
+        exchange round) — charged when a round's calls are issued, which
+        under double buffering is one round ahead of the ``WaitAll``
+        being replayed.  Blocking plans pay no separate call CPU (the
+        fixed cost sits inside the network model's per-message overhead).
+        With step tracing, every step lands as a span on resource
+        ``rank{domain}.w{worker}`` — the naming the real engine's
+        :func:`repro.obs.spans.engine_hook` uses, so the traces diff
+        step for step.
+        """
+        plan = self.plan
+        spec = self.spec
+        fp = self.fault_plan
+        with_steps = self.step_tracer is not None
+        prog: list = []
+        t_call = spec.threads.mpi_call_cpu_time
+        lookahead = 1 if plan.double_buffered else 0
+        rounds = wp.rounds
+        next_round = 0
+        for st in wp.steps:
+            if with_steps:
+                prog.append((OP_T0,))
+            if (
+                not plan.blocking
+                and t_call
+                and isinstance(st, (PostSend, PostRecv, WaitAll))
+            ):
+                # charge the per-round CPU cost of issuing the MPI calls
+                limit = st.seq + (lookahead if isinstance(st, WaitAll) else 0)
+                while next_round < len(rounds) and rounds[next_round].seq <= limit:
+                    r = rounds[next_round]
+                    next_round += 1
+                    prog.append(
+                        (OP_COMPUTE, (len(r.sends) + len(r.recvs) + 1) * t_call)
+                    )
+            if isinstance(st, PostSend):
+                tag = message_tag(st.seq, st.dim, st.step)
+                d = send_index[(st.dim, st.step)]
+                if fp is not None:
+                    prog.append((OP_FAULT_SEND, d, st.nbytes, tag))
+                else:
+                    prog.append((OP_SEND, d, st.nbytes, tag))
+            elif isinstance(st, PostRecv):
+                if fp is not None:
+                    prog.append((OP_FAULT_CLOCK,))
+                tag = message_tag(st.seq, st.dim, st.step)
+                prog.append((OP_RECV, recv_index[(st.dim, st.step)], tag, st.seq))
+            elif isinstance(st, WaitAll):
+                if fp is not None:
+                    prog.append((OP_FAULT_CLOCK,))
+                prog.append((OP_WAITALL, st.seq))
+            elif isinstance(st, ComputeInterior):
+                if plan.sync_per_grid:
+                    # master-only's shared-grid kernel: four cores split
+                    # one grid
+                    threads = min(4, self.n_cores)
+                    secs = (
+                        math.ceil(self.block_points / threads)
+                        * self.t_point_quarter
+                    )
+                    prog.append((OP_QUARTER, threads, secs))
+                else:
+                    prog.append((OP_COMPUTE, self.block_points * self.t_point))
+            elif isinstance(st, GridBarrier):
+                prog.append((OP_TIMEOUT, spec.threads.barrier_time))
+            # ApplyLocalWraps / ComputeBoundary: in-block memcpys and
+            # zeroing, free at this fidelity (their cost is inside the
+            # calibrated per-point compute time); JoinBarrier: the team
+            # runner pays the join cost once
+            if with_steps:
+                prog.append((OP_STEP, st, wp.index))
+        return prog
 
 
 def simulate_fd(
@@ -433,41 +1108,28 @@ def simulate_fd(
     trace: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     step_tracer: Optional[SpanTracer] = None,
-    engine: str = "compiled",
 ) -> SimResult:
     """Simulate one FD invocation at message level on the DES machine.
 
-    Message-level exact.  The default ``engine="compiled"``
-    (:mod:`repro.core.simrun_compiled`) deduplicates per-rank plans and
-    replays micro-op tables on the DES callback fast path, which keeps
-    exact replay feasible at paper-scale rank counts;
-    ``engine="reference"`` runs the original generator-process
-    interpreter, kept as the canonical semantics the compiled engine is
-    diffed against bit-for-bit (``tests/test_engine_equivalence.py``).
+    Message-level exact; ranks sharing a plan shape share one lowered
+    program, which keeps exact replay feasible at paper-scale rank
+    counts.
 
     ``fault_plan`` replays the same :class:`~repro.transport.faults.FaultPlan`
     the functional plane injects, as *timing* perturbations: delays,
     retransmit windows, spurious wire copies, and restart penalties for
-    killed ranks.  The plan's counters advance during the replay — pass
-    ``plan.replica()`` to keep the original pristine.
+    killed ranks (the supervisor restarts a rank from its last
+    checkpoint, so it — and, through stalled messages, its neighbours —
+    loses ``restart_time`` simulated seconds).  The plan's counters
+    advance during the replay — pass ``plan.replica()`` to keep the
+    original pristine.
 
     ``step_tracer`` (a :class:`~repro.obs.spans.SpanTracer`, typically
     ``SpanTracer(plane="sim")``) records every replayed schedule-IR step
     as a unified span at simulated time; the result's ``step_trace``
     carries it for export/diffing against the other planes.
     """
-    if engine == "compiled":
-        # deferred import: simrun_compiled imports from this module
-        from repro.core.simrun_compiled import _CompiledFDSimulation
-
-        cls = _CompiledFDSimulation
-    elif engine == "reference":
-        cls = _FDSimulation
-    else:
-        raise ValueError(
-            f"engine must be 'compiled' or 'reference', got {engine!r}"
-        )
-    return cls(
+    return _FDSimulation(
         job, approach, n_cores, batch_size, ramp_up, spec, placement, trace,
         fault_plan, step_tracer,
     ).run()
@@ -480,7 +1142,6 @@ def simulate_spec(
     trace: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     step_tracer: Optional[SpanTracer] = None,
-    engine: str = "compiled",
 ) -> SimResult:
     """Replay one FD invocation of a :class:`~repro.core.jobspec.JobSpec`.
 
@@ -509,11 +1170,10 @@ def simulate_spec(
         trace=trace,
         fault_plan=fault_plan,
         step_tracer=step_tracer,
-        engine=engine,
     )
 
 
-# -- band-parallel replay -----------------------------------------------------
+# -- lowering 2: band-ring plans ----------------------------------------------
 @dataclass
 class BandSimResult:
     """Outcome of one simulated band-orthogonalization (ring) pass."""
@@ -535,7 +1195,7 @@ class BandStepSimResult:
 
 
 def simulate_band_plan(
-    plan: "BandSchedulePlan",
+    plan: BandSchedulePlan,
     spec: MachineSpec = BGP_SPEC,
     step_tracer: Optional[SpanTracer] = None,
 ) -> BandSimResult:
@@ -544,50 +1204,49 @@ def simulate_band_plan(
     The ring only talks *between* groups — every rank exchanges with the
     same-domain peer of the neighbouring group and all domains of a group
     progress in lockstep — so one representative rank per group (domain
-    0) reproduces the critical path: ``nb`` SMP nodes, each a DES process
-    walking its group's step list.  :class:`PartialGemm` steps occupy the
-    core at the calibrated GEMM rate; :class:`RingSendRecv` posts the
-    non-blocking pair that the following GEMM overlaps; ``WaitAll``
-    completes the stage.  This is the same step sequence the functional
-    executor interprets and the analytic model walks.
+    0) reproduces the critical path: ``nb`` SMP nodes, each running its
+    group's step list.  :class:`RingSendRecv` lowers to the non-blocking
+    send + receive pair that the following GEMM overlaps;
+    :class:`PartialGemm` occupies the core at the calibrated GEMM rate;
+    ``WaitAll`` completes the stage.  This is the same step sequence the
+    functional executor interprets and the analytic model walks.  Step
+    spans land on resource ``bg{group}.rank0.w0``.
     """
     from repro.core.wholeapp import WholeAppModel
 
     nb = plan.n_groups
-    machine = Machine(nb, NodeMode.SMP, spec)
-    comm = SimComm(machine)
+    layout = plan.layout
+    eng = _Replay(Machine(nb, NodeMode.SMP, spec), step_tracer=step_tracer)
     rate = spec.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
-
-    def group_program(group: int) -> Proc:
-        ctx = comm.context(group)
-        # at most one ring stage is in flight at a time: the plan posts
-        # RingSendRecv, overlaps one PartialGemm, then WaitAll completes
-        pending: list = []
+    with_steps = step_tracer is not None
+    for group in range(nb):
+        prog: list = []
         for st in plan.group_steps(group):
-            t0 = machine.sim.now
+            if with_steps:
+                prog.append((OP_T0,))
             if isinstance(st, RingSendRecv):
-                yield from ctx.isend(st.dst_group, st.nbytes, tag=st.tag)
-                req = yield from ctx.irecv(src=st.src_group, tag=st.tag)
-                pending.append(req)
+                prog.append((OP_SEND, 0, st.nbytes, st.tag))
+                prog.append((OP_RECV, 0, st.tag, st.seq))
             elif isinstance(st, PartialGemm):
-                yield from ctx.compute(st.flops / rate)
+                prog.append((OP_COMPUTE, st.flops / rate))
             elif isinstance(st, WaitAll):
-                reqs, pending = pending, []
-                yield from ctx.waitall(reqs)
+                prog.append((OP_WAITALL, st.seq))
             else:  # pragma: no cover - the compiler emits no other kinds
                 continue
-            if step_tracer is not None:
-                step_tracer.record_step(
-                    f"bg{group}.rank0.w0", st, 0, t0, machine.sim.now
-                )
-
-    for g in range(nb):
-        machine.sim.spawn(group_program(g), name=f"band-group-{g}")
-    total = machine.sim.run()
+            if with_steps:
+                prog.append((OP_STEP, st, 0))
+        w = _Worker(
+            eng, prog, group, eng.rank_core[group], None,
+            eng._send_table(group, [layout.ring_send_group(group)]),
+            [layout.ring_recv_group(group)],
+            [f"bg{group}.rank0.w0"],
+        )
+        eng.sim.call_soon(w._advance)
+    total = eng.run()
     return BandSimResult(
         n_groups=nb,
         total=total,
-        messages=comm.messages_sent,
+        messages=eng.messages_sent,
         step_trace=step_tracer,
     )
 
@@ -632,3 +1291,35 @@ def simulate_band_step(
         subspace=band.total,
         total=fd.total * WholeAppModel.FD_APPLICATIONS_PER_SCF + band.total,
     )
+
+
+# -- lowering 3: point-to-point message sets ----------------------------------
+def _replay_messages(machine: Machine, messages, trace: bool = False) -> _Replay:
+    """Replay point-to-point messages ``(src, dst, tag, nbytes)`` between ranks.
+
+    Each rank posts its sends in list order, then its receives (matched
+    by ``(src, tag)``, FIFO among equals), then waits for all of them;
+    calls pay the ``SINGLE``-mode overhead.  Returns the drained replay:
+    ``total``, ``messages_sent``, ``torus_bytes`` and the match queues
+    (``posted``/``unexpected``, empty when every message met its
+    receive) are there to inspect.
+    """
+    eng = _Replay(machine, trace=trace)
+    progs: dict = {}
+    for src, dst, tag, nbytes in messages:
+        prog, dsts, _srcs = progs.setdefault(src, ([], [], []))
+        prog.append((OP_SEND, len(dsts), nbytes, tag))
+        dsts.append(dst)
+    for src, dst, tag, _nbytes in messages:
+        prog, _dsts, srcs = progs.setdefault(dst, ([], [], []))
+        prog.append((OP_RECV, len(srcs), tag, 0))
+        srcs.append(src)
+    for rank, (prog, dsts, srcs) in progs.items():
+        prog.append((OP_WAITALL, 0))
+        w = _Worker(
+            eng, prog, rank, eng.rank_core[rank], None,
+            eng._send_table(rank, dsts), srcs, None,
+        )
+        eng.sim.call_soon(w._advance)
+    eng.run()
+    return eng

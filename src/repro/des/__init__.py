@@ -1,26 +1,24 @@
 """A small deterministic discrete-event simulation (DES) kernel.
 
-This is the substrate under the simulated Blue Gene/P: the torus links,
-DMA engines, MPI ranks and worker threads of the performance plane are all
-DES processes.  The kernel is intentionally minimal — a two-level event
-queue (a FIFO for the current time, a binary heap for the future) plus
-generator-based processes (the SimPy execution model) — because
-determinism and debuggability matter more here than feature breadth.
+This is the clock under the simulated Blue Gene/P: the DES replay
+(:mod:`repro.core.simrun`) drives every rank, worker thread and torus
+transfer of the performance plane as callback chains on its fast path.
+The kernel is intentionally minimal — a two-level event queue (a FIFO
+for the current time, a binary heap for the future) plus generator-based
+processes (the SimPy execution model) — because determinism and
+debuggability matter more here than feature breadth.
 
 Key concepts
 ------------
 
 ``Simulator``
     owns the clock and the event queue; ``run()`` drains it.
+    ``call_at``/``call_soon`` schedule bare callbacks (the replay's path).
 ``Event``
     a one-shot occurrence that processes can wait on; carries a value.
 ``Process``
     a Python generator driven by the simulator.  Yield an :class:`Event`
     (or helper like ``sim.timeout(dt)``) to suspend until it fires.
-``Resource``
-    a counted FIFO resource (used for link/DMA contention).
-``Store``
-    an unbounded FIFO of items with blocking ``get`` (used for mailboxes).
 
 Example
 -------
@@ -47,7 +45,6 @@ from repro.des.core import (
     AllOf,
     AnyOf,
 )
-from repro.des.resources import Resource, Store
 
 __all__ = [
     "Simulator",
@@ -57,6 +54,4 @@ __all__ = [
     "SimulationError",
     "AllOf",
     "AnyOf",
-    "Resource",
-    "Store",
 ]

@@ -19,7 +19,7 @@ Two layers share that queue:
 * the **callback fast path** — :meth:`Simulator.call_at` /
   :meth:`Simulator.call_soon` schedule a bare ``fn(*args)`` with no event
   object at all.  The compiled replay engine
-  (:mod:`repro.core.simrun_compiled`) runs entirely on this layer.
+  (:mod:`repro.core.simrun`) runs entirely on this layer.
 * the **event layer** — :class:`Event`, :class:`Timeout`, :class:`Process`
   build condition variables and coroutine processes on top of the same
   primitives.  A :class:`Process` wraps a generator; each ``yield`` must

@@ -4,15 +4,17 @@ Everything the paper's evaluation depends on is a number in
 :class:`~repro.machine.spec.MachineSpec` (Table I of the paper) or a rule in
 this package:
 
-* :mod:`repro.machine.spec` — node and network constants (Table I).
+* :mod:`repro.machine.spec` — node and network constants (Table I),
+  including the torus latency-bandwidth model and the collective tree
+  timing model.
 * :mod:`repro.machine.partition` — partition shapes and the mesh-vs-torus
   rule (torus topology only for partitions of >= 512 nodes), plus the three
   node modes (SMP / DUAL / VN a.k.a. "virtual mode").
-* :mod:`repro.machine.torus` — the 3D torus point-to-point network as DES
-  resources with dimension-ordered routing.
-* :mod:`repro.machine.tree` — the collective tree network timing model.
-* :mod:`repro.machine.node` — a compute node: 4 cores + a DMA engine.
-* :mod:`repro.machine.machine` — ties nodes + networks into one `Machine`.
+* :mod:`repro.machine.torus` — the 3D torus geometry with dimension-ordered
+  routing.
+* :mod:`repro.machine.machine` — ties spec, partition, topology and one
+  DES clock into the `Machine` the replay (:mod:`repro.core.simrun`) runs
+  on.
 """
 
 from repro.machine.spec import (
@@ -29,9 +31,7 @@ from repro.machine.partition import (
     Partition,
     partition_shape,
 )
-from repro.machine.torus import TorusTopology, TorusNetwork
-from repro.machine.tree import TreeNetwork
-from repro.machine.node import Node
+from repro.machine.torus import TorusTopology
 from repro.machine.machine import Machine
 
 __all__ = [
@@ -46,8 +46,5 @@ __all__ = [
     "Partition",
     "partition_shape",
     "TorusTopology",
-    "TorusNetwork",
-    "TreeNetwork",
-    "Node",
     "Machine",
 ]

@@ -3,9 +3,9 @@
 :class:`TorusTopology` is pure geometry: coordinates, neighbours,
 dimension-ordered routes, hop distances, with or without wrap-around links.
 
-:class:`TorusNetwork` puts the geometry on the DES: every *directed* link
-(node, direction) is a capacity-1 :class:`~repro.des.Resource`, and a
-transfer holds every link of its route for the whole message duration
+The DES replay (:mod:`repro.core.simrun`) puts the geometry on the
+clock: every *directed* link (node, direction) is a capacity-1 lock, and
+a transfer holds every link of its route for the whole message duration
 (a wormhole/cut-through idealization — exact for the single-hop
 nearest-neighbour traffic the stencil exchange generates, and a reasonable
 contention model for the rare multi-hop case).  Links are acquired in a
@@ -16,17 +16,9 @@ deadlock-free (a total order on resources admits no wait cycles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable
+from typing import Iterable
 
-from typing import TYPE_CHECKING, Optional
-
-from repro.des import Resource, Simulator
-from repro.des.core import Event
-from repro.machine.spec import TorusSpec
 from repro.util.validation import check_shape3
-
-if TYPE_CHECKING:
-    from repro.obs.spans import SpanTracer
 
 #: The six axial directions: (dimension, step).
 DIRECTIONS: tuple[tuple[int, int], ...] = (
@@ -127,63 +119,3 @@ class TorusTopology:
             return sum(s // 2 for s in self.shape)
         return sum(s - 1 for s in self.shape)
 
-
-class TorusNetwork:
-    """DES-backed torus: transfer processes with link contention."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: TorusTopology,
-        spec: TorusSpec,
-        tracer: Optional[SpanTracer] = None,
-    ) -> None:
-        self.sim = sim
-        self.topology = topology
-        self.spec = spec
-        self.tracer = tracer
-        #: directed link resources, created lazily: (node, dim, step) -> Resource
-        self._links: dict[tuple[int, int, int], Resource] = {}
-        #: total bytes injected per node (for comm-volume accounting)
-        self.bytes_sent: dict[int, int] = {}
-
-    def link(self, node: int, dim: int, step: int) -> Resource:
-        """The capacity-1 resource of one directed link."""
-        key = (node, dim, step)
-        res = self._links.get(key)
-        if res is None:
-            res = Resource(self.sim, capacity=1, name=f"link{key}")
-            self._links[key] = res
-        return res
-
-    def transfer(self, src: int, dst: int, nbytes: float) -> Generator[Event, object, None]:
-        """Process: move ``nbytes`` from ``src`` to ``dst``.
-
-        Holds every link of the dimension-ordered route for the message
-        duration.  Links are *acquired* in canonical (sorted) order so that
-        concurrent transfers cannot deadlock; they are all released when the
-        message completes.
-        """
-        if src == dst:
-            # Self-send: a memcpy at memory bandwidth, no links involved.
-            yield self.sim.timeout(self.spec.message_overhead)
-            return
-        route = self.topology.route(src, dst)
-        duration = self.spec.message_time(nbytes, hops=len(route))
-        links = [self.link(*hop) for hop in sorted(route)]
-        for link in links:
-            yield link.acquire()
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(duration)
-            self.bytes_sent[src] = self.bytes_sent.get(src, 0) + int(nbytes)
-        finally:
-            for link in links:
-                link.release()
-        if self.tracer is not None:
-            for node, dim, step in route:
-                sign = "+" if step > 0 else "-"
-                self.tracer.record(
-                    f"link{node}.{sign}{'xyz'[dim]}", start, self.sim.now,
-                    f"{src}->{dst}",
-                )

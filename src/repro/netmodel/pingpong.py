@@ -1,9 +1,9 @@
 """Ping-pong bandwidth vs message size (Figure 2).
 
 "In this experiment, one MPI message is send between two neighboring BGP
-nodes" — we send a message of each size from node 0 to its +x neighbour on
-the DES machine, time it, and report achieved bandwidth.  The x-axis spans
-10^0 .. 10^7 bytes like the paper's figure.
+nodes" — we replay a message of each size from node 0 to its +x neighbour
+on the DES machine, time it, and report achieved bandwidth.  The x-axis
+spans 10^0 .. 10^7 bytes like the paper's figure.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.perfmodel import FDJob  # noqa: F401  (re-export convenience)
+from repro.core.simrun import _replay_messages
 from repro.machine.machine import Machine
 from repro.machine.spec import BGP_SPEC, MachineSpec
-from repro.smpi.comm import SimComm
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,7 @@ def measured_bandwidth_curve(
     out = []
     for s in sizes:
         machine = Machine(8, spec=spec)  # 2x2x2 mesh; nodes 0 and 4 are +x neighbours
-        comm = SimComm(machine)
-        src_rank, dst_rank = 0, 4
         assert machine.topology.hop_distance(0, 4) == 1
-
-        def sender(ctx, nbytes=s, dst=dst_rank):
-            yield from ctx.send(dst, nbytes)
-
-        def receiver(ctx, src=src_rank):
-            yield from ctx.recv(src=src)
-
-        machine.sim.spawn(sender(comm.context(src_rank)))
-        machine.sim.spawn(receiver(comm.context(dst_rank)))
-        t = machine.sim.run()
+        t = _replay_messages(machine, [(0, 4, 0, s)]).total
         out.append(BandwidthPoint(message_bytes=s, bandwidth=s / t, time=t))
     return out

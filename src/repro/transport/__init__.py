@@ -1,6 +1,6 @@
 """Functional message transports for the *numerics* plane.
 
-The performance plane runs on simulated time (:mod:`repro.smpi`); this
+The performance plane runs on simulated time (:mod:`repro.core.simrun`); this
 package is its functional counterpart: real NumPy buffers moving between
 real rank contexts, so the four programming approaches can be executed
 end-to-end and checked for bit-identical results against the sequential

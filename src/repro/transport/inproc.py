@@ -34,7 +34,7 @@ from repro.transport.errors import (
 )
 from repro.util.validation import check_positive_int
 
-#: wildcard markers, mirroring repro.smpi.datatypes
+#: MPI_ANY_SOURCE / MPI_ANY_TAG wildcard markers
 ANY_SOURCE = -1
 ANY_TAG = -1
 
@@ -360,9 +360,7 @@ class RankEndpoint:
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce over all ranks; returns the reduced array.
 
-        The functional twin of
-        :meth:`repro.smpi.comm.RankContext.allreduce` (see
-        :func:`_allreduce`).
+        Sums in rank order (see :func:`_allreduce`).
         """
         return _allreduce(self, value, round_id)
 

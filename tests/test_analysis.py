@@ -35,11 +35,8 @@ class TestFig2:
         assert sizes[-1] >= 1e6
 
     def test_measured_matches_analytic(self):
-        sizes = [1, 100, 10_000, 1_000_000]
-        measured = measured_bandwidth_curve(sizes)
-        analytic = analytic_bandwidth_curve(sizes)
-        for m, a in zip(measured, analytic):
-            assert m.bandwidth == pytest.approx(a.bandwidth, rel=0.01)
+        # one uncontended hop: the replay's time is the model's, bit for bit
+        assert measured_bandwidth_curve() == analytic_bandwidth_curve()
 
     def test_half_bandwidth_near_1e3(self):
         """Fig 2's anchor: ~half the asymptote at 10^3 bytes."""

@@ -71,6 +71,19 @@ class TestSimrunBasics:
         r_opt = simulate_fd(job(), FLAT_OPTIMIZED, 32, batch_size=4)
         assert r_opt.total < r_orig.total
 
+    def test_single_mode_rejects_several_comm_threads(self):
+        """SINGLE forbids concurrent MPI calls from one rank, so an
+        approach whose four threads all communicate cannot request it —
+        it used to replay silently to a meaningless total."""
+        import dataclasses
+
+        from repro.core.approaches import ThreadMode
+
+        with pytest.raises(ValueError, match="ThreadMode.MULTIPLE"):
+            dataclasses.replace(HYBRID_MULTIPLE, thread_mode=ThreadMode.SINGLE)
+        # one communicating thread (master-only) is what SINGLE allows
+        assert HYBRID_MASTER_ONLY.thread_mode is ThreadMode.SINGLE
+
     def test_deterministic(self):
         a = simulate_fd(job(), HYBRID_MULTIPLE, 32, batch_size=2)
         b = simulate_fd(job(), HYBRID_MULTIPLE, 32, batch_size=2)

@@ -1,8 +1,9 @@
-"""DES activity tracing on the one span schema, and its machine wiring."""
+"""DES activity tracing on the one span schema, and its replay wiring."""
 
 import pytest
 
 from repro.core import FDJob, FLAT_ORIGINAL, FLAT_OPTIMIZED, simulate_fd
+from repro.core.simrun import _replay_messages
 from repro.grid import GridDescriptor
 from repro.machine import Machine
 from repro.obs.export import ascii_gantt
@@ -57,17 +58,15 @@ class TestTracer:
 
 class TestMachineTracing:
     def test_compute_records_span(self):
-        tr = SpanTracer(plane="sim")
-        m = Machine(2, tracer=tr)
-        m.sim.run_process(m.compute(0, 1, 2.0))
-        (span,) = tr.spans("node0.core1")
-        assert span.duration == pytest.approx(2.0)
+        r = simulate_fd(FDJob(GridDescriptor((16, 16, 16)), 1), FLAT_ORIGINAL,
+                        1, trace=True)
+        (span,) = r.trace.spans("node0.core0")
+        assert span.duration == pytest.approx(r.total)
         assert (span.step_kind, span.plane) == ("compute", "sim")
 
     def test_transfer_records_link_span(self):
-        tr = SpanTracer(plane="sim")
-        m = Machine(8, tracer=tr)
-        m.sim.run_process(m.transfer(0, 1, 100_000))
+        eng = _replay_messages(Machine(8), [(0, 1, 0, 100_000)], trace=True)
+        tr = eng.tracer
         link_spans = [s for r in tr.resources() if r.startswith("link")
                       for s in tr.spans(r)]
         assert len(link_spans) == 1
@@ -75,9 +74,8 @@ class TestMachineTracing:
         assert link_spans[0].category == "other"
 
     def test_no_tracer_no_overhead(self):
-        m = Machine(2)
-        m.sim.run_process(m.compute(0, 0, 1.0))
-        assert m.tracer is None
+        eng = _replay_messages(Machine(2), [(0, 1, 0, 1000)])
+        assert eng.tracer is None and eng.trace_buf is None
 
 
 class TestSimrunTracing:
@@ -88,12 +86,11 @@ class TestSimrunTracing:
 
     def test_trace_captures_all_cores(self):
         job = FDJob(GridDescriptor((16, 16, 16)), 2)
-        for engine in ("compiled", "reference"):
-            r = simulate_fd(job, FLAT_OPTIMIZED, 8, trace=True, engine=engine)
-            assert isinstance(r.trace, SpanTracer) and r.trace.plane == "sim"
-            assert {s.plane for s in r.trace.spans()} == {"sim"}
-            cores = [x for x in r.trace.resources() if ".core" in x]
-            assert len(cores) == 8  # 2 nodes x 4 cores in VN mode
+        r = simulate_fd(job, FLAT_OPTIMIZED, 8, trace=True)
+        assert isinstance(r.trace, SpanTracer) and r.trace.plane == "sim"
+        assert {s.plane for s in r.trace.spans()} == {"sim"}
+        cores = [x for x in r.trace.resources() if ".core" in x]
+        assert len(cores) == 8  # 2 nodes x 4 cores in VN mode
 
     def test_trace_shows_overlap_for_optimized(self):
         """Double buffering: some link span must overlap a core span."""

@@ -1,96 +1,7 @@
-"""Tests for repro.machine.node, tree and machine assembly."""
+"""Tests for repro.machine.machine assembly and the replay's node state."""
 
-import pytest
-
-from repro.des import Simulator
-from repro.machine import Machine, Node, NodeMode, TreeNetwork
-from repro.machine.spec import BGP_SPEC, TreeSpec
-
-
-class TestNode:
-    def test_has_four_cores(self):
-        node = Node(Simulator(), 0, BGP_SPEC.node)
-        assert len(node.cores) == 4
-
-    def test_compute_occupies_core(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        sim.run_process(node.compute(0, 1.5))
-        assert sim.now == 1.5
-        assert node.core_busy[0] == pytest.approx(1.5)
-
-    def test_same_core_serializes(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        sim.spawn(node.compute(0, 1.0))
-        sim.spawn(node.compute(0, 1.0))
-        sim.run()
-        assert sim.now == pytest.approx(2.0)
-
-    def test_different_cores_parallel(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        for c in range(4):
-            sim.spawn(node.compute(c, 1.0))
-        sim.run()
-        assert sim.now == pytest.approx(1.0)
-
-    def test_core_bounds(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        with pytest.raises(ValueError):
-            sim.run_process(node.compute(4, 1.0))
-
-    def test_negative_compute_rejected(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        with pytest.raises(ValueError):
-            sim.run_process(node.compute(0, -1.0))
-
-    def test_utilization(self):
-        sim = Simulator()
-        node = Node(sim, 0, BGP_SPEC.node)
-        sim.spawn(node.compute(0, 2.0))
-        sim.spawn(node.compute(1, 2.0))
-        sim.run()
-        # 2 of 4 cores busy the whole time -> 50%
-        assert node.utilization(2.0) == pytest.approx(0.5)
-        assert node.utilization(0.0) == 0.0
-
-    def test_dma_accounting(self):
-        node = Node(Simulator(), 0, BGP_SPEC.node)
-        node.dma.begin()
-        assert node.dma.in_flight == 1
-        node.dma.end()
-        assert node.dma.in_flight == 0
-        assert node.dma.completed == 1
-        with pytest.raises(RuntimeError):
-            node.dma.end()
-
-
-class TestTreeNetwork:
-    def test_barrier_constant_time(self):
-        sim = Simulator()
-        tree = TreeNetwork(sim, TreeSpec(), 1024)
-        sim.run_process(tree.barrier())
-        assert sim.now == pytest.approx(TreeNetwork.BARRIER_TIME)
-
-    def test_single_node_barrier_free(self):
-        sim = Simulator()
-        tree = TreeNetwork(sim, TreeSpec(), 1)
-        sim.run_process(tree.barrier())
-        assert sim.now == 0.0
-
-    def test_collective_matches_spec(self):
-        sim = Simulator()
-        spec = TreeSpec()
-        tree = TreeNetwork(sim, spec, 512)
-        sim.run_process(tree.collective(10_000))
-        assert sim.now == pytest.approx(spec.collective_time(10_000, 512))
-
-    def test_invalid_node_count(self):
-        with pytest.raises(ValueError):
-            TreeNetwork(Simulator(), TreeSpec(), 0)
+from repro.core.simrun import _replay_messages
+from repro.machine import Machine, NodeMode
 
 
 class TestMachine:
@@ -106,40 +17,10 @@ class TestMachine:
         assert not m.topology.torus
 
     def test_nodes_created_lazily(self):
-        m = Machine(4096)
-        assert len(m._nodes) == 0
-        m.node(7)
-        assert len(m._nodes) == 1
-
-    def test_node_bounds(self):
-        m = Machine(4)
-        with pytest.raises(ValueError):
-            m.node(4)
-
-    def test_transfer_tracks_dma(self):
-        m = Machine(8)
-        m.sim.run_process(m.transfer(0, 1, 1000))
-        assert m.node(0).dma.completed == 1
-        assert m.node(0).dma.in_flight == 0
-
-    def test_compute_and_utilization(self):
-        m = Machine(2)
-        m.sim.spawn(m.compute(0, 0, 4.0))
-        m.sim.spawn(m.compute(0, 1, 4.0))
-        m.sim.spawn(m.compute(0, 2, 4.0))
-        m.sim.spawn(m.compute(0, 3, 4.0))
-        m.sim.run()
-        assert m.utilization() == pytest.approx(1.0)
+        # a sender's node joins the replay when its transfer starts; the
+        # other 4095 nodes cost nothing
+        eng = _replay_messages(Machine(4096), [(7, 8, 0, 1000)])
+        assert list(eng.nodes) == [7]
 
     def test_utilization_without_activity(self):
-        assert Machine(2).utilization() == 0.0
-
-    def test_overlap_comm_and_compute(self):
-        """DMA property: a transfer and a computation overlap fully."""
-        m = Machine(8)
-        nbytes = 4_000_000
-        comm_time = BGP_SPEC.torus.message_time(nbytes, 1)
-        m.sim.spawn(m.transfer(0, 1, nbytes))
-        m.sim.spawn(m.compute(0, 0, comm_time))
-        m.sim.run()
-        assert m.sim.now == pytest.approx(comm_time)
+        assert _replay_messages(Machine(2), []).utilization() == 0.0

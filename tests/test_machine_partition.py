@@ -143,12 +143,11 @@ class TestMappingOrders:
         assert m.partition.node_of_rank(1) == 1
 
     def test_context_core_respects_mapping(self):
+        from repro.core.simrun import _replay_messages
         from repro.machine import Machine
-        from repro.smpi import SimComm
 
         m = Machine(2, NodeMode.VN, mapping="XYZT")
-        comm = SimComm(m)
+        eng = _replay_messages(m, [])
         # rank 2 under XYZT: node 0, core slot 1
-        ctx = comm.context(2)
-        assert ctx.node == 0
-        assert ctx.core == 1
+        assert eng.rank_node[2] == 0
+        assert eng.rank_core[2] == 1

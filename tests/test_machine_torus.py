@@ -1,17 +1,24 @@
-"""Tests for repro.machine.torus — geometry and DES transfers."""
+"""Tests for repro.machine.torus — geometry, and transfers on the replay."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des import Simulator
+from repro.core.simrun import _replay_messages
+from repro.machine import Machine
 from repro.machine.spec import BGP_SPEC
-from repro.machine.torus import DIRECTIONS, TorusNetwork, TorusTopology
+from repro.machine.torus import DIRECTIONS, TorusTopology
+
+#: wrap-around links at every partition size
+TORUS = BGP_SPEC.with_(torus_min_nodes=1)
 
 
-def make_net(shape=(4, 4, 4), torus=True):
-    sim = Simulator()
-    topo = TorusTopology(shape, torus=torus)
-    return sim, TorusNetwork(sim, topo, BGP_SPEC.torus)
+def make_machine():
+    """64 SMP nodes on a 4x4x4 torus: rank r runs on node r."""
+    return Machine(64, spec=TORUS)
+
+
+def replay(messages, trace=False):
+    return _replay_messages(make_machine(), messages, trace=trace)
 
 
 class TestTopologyGeometry:
@@ -113,89 +120,65 @@ class TestTopologyGeometry:
 
 
 class TestTorusNetworkTransfers:
+    """Transfers on the replay core: link timing, contention, accounting."""
+
     def test_single_hop_time_matches_model(self):
-        sim, net = make_net()
         nbytes = 100_000
-        t = sim.run_process(net.transfer(0, 1, nbytes))
-        assert sim.now == pytest.approx(BGP_SPEC.torus.message_time(nbytes, hops=1))
+        eng = replay([(0, 1, 0, nbytes)])
+        assert eng.total == pytest.approx(BGP_SPEC.torus.message_time(nbytes, hops=1))
 
     def test_multi_hop_time(self):
-        sim, net = make_net()
-        topo = net.topology
+        topo = make_machine().topology
         src, dst = topo.node_at((0, 0, 0)), topo.node_at((2, 2, 0))
-        sim.run_process(net.transfer(src, dst, 1000))
-        assert sim.now == pytest.approx(BGP_SPEC.torus.message_time(1000, hops=4))
+        eng = replay([(src, dst, 0, 1000)])
+        assert eng.total == pytest.approx(BGP_SPEC.torus.message_time(1000, hops=4))
 
     def test_self_transfer_cheap(self):
-        sim, net = make_net()
-        sim.run_process(net.transfer(3, 3, 10_000_000))
-        assert sim.now == pytest.approx(BGP_SPEC.torus.message_overhead)
+        eng = replay([(3, 3, 0, 10_000_000)])
+        assert eng.total == pytest.approx(BGP_SPEC.torus.message_overhead)
 
     def test_contention_serializes_shared_link(self):
         """Two messages over the same directed link take twice as long."""
-        sim, net = make_net()
         nbytes = 1_000_000
-        done = []
-
-        def send(i):
-            yield from net.transfer(0, 1, nbytes)
-            done.append((sim.now, i))
-
-        sim.spawn(send(0))
-        sim.spawn(send(1))
-        sim.run()
+        eng = replay([(0, 1, 0, nbytes), (0, 1, 1, nbytes)], trace=True)
+        (link,) = [r for r in eng.tracer.resources() if r.startswith("link")]
+        ends = [s.end for s in eng.tracer.spans(link)]
         one = BGP_SPEC.torus.message_time(nbytes, 1)
-        assert done[0][0] == pytest.approx(one)
-        assert done[1][0] == pytest.approx(2 * one)
+        assert ends == [pytest.approx(one), pytest.approx(2 * one)]
 
     def test_opposite_directions_do_not_contend(self):
         """Links are bidirectional: 0->1 and 1->0 proceed concurrently."""
-        sim, net = make_net()
         nbytes = 1_000_000
-
-        def send(src, dst):
-            yield from net.transfer(src, dst, nbytes)
-
-        sim.spawn(send(0, 1))
-        sim.spawn(send(1, 0))
-        sim.run()
-        assert sim.now == pytest.approx(BGP_SPEC.torus.message_time(nbytes, 1))
+        eng = replay([(0, 1, 0, nbytes), (1, 0, 0, nbytes)])
+        assert eng.total == pytest.approx(BGP_SPEC.torus.message_time(nbytes, 1))
 
     def test_six_directions_concurrent(self):
         """The key Section V fact: all six links usable simultaneously."""
-        sim, net = make_net((4, 4, 4))
-        topo = net.topology
+        topo = make_machine().topology
         center = topo.node_at((1, 1, 1))
         nbytes = 500_000
-
-        for dim, step in DIRECTIONS:
-            dst = topo.neighbor(center, dim, step)
-            sim.spawn(net.transfer(center, dst, nbytes))
-        sim.run()
+        msgs = [
+            (center, topo.neighbor(center, dim, step), 0, nbytes)
+            for dim, step in DIRECTIONS
+        ]
         # All six transfers overlap: total time is one message time.
-        assert sim.now == pytest.approx(BGP_SPEC.torus.message_time(nbytes, 1))
+        assert replay(msgs).total == pytest.approx(
+            BGP_SPEC.torus.message_time(nbytes, 1)
+        )
 
     def test_bytes_accounting(self):
-        sim, net = make_net()
-        sim.run_process(net.transfer(0, 1, 12345))
-        assert net.bytes_sent[0] == 12345
-        assert 1 not in net.bytes_sent
+        eng = replay([(0, 1, 0, 12345)])
+        assert eng.torus_bytes[0] == 12345
+        assert 1 not in eng.torus_bytes
 
     def test_concurrent_bidirectional_exchange_no_deadlock(self):
         """A ring of simultaneous exchanges completes (deadlock-freedom)."""
-        sim, net = make_net((4, 1, 1))
-        n = 4
-        finished = []
-
-        def exchange(i):
-            right = net.topology.neighbor(i, 0, +1)
-            yield from net.transfer(i, right, 100_000)
-            finished.append(i)
-
-        for i in range(n):
-            sim.spawn(exchange(i))
-        sim.run()
-        assert sorted(finished) == list(range(n))
+        topo = make_machine().topology
+        ring = [topo.node_at((x, 0, 0)) for x in range(4)]
+        msgs = [(ring[i], ring[(i + 1) % 4], 0, 100_000) for i in range(4)]
+        eng = replay(msgs)
+        assert eng.messages_sent == 4
+        assert not any(eng.posted.values())
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -211,14 +194,7 @@ class TestTorusNetworkTransfers:
     )
     def test_property_random_transfer_storm_completes(self, transfers):
         """Arbitrary concurrent transfers never deadlock and all complete."""
-        sim, net = make_net((2, 2, 2))
-        done = []
-
-        def mover(src, dst, nb):
-            yield from net.transfer(src, dst, nb)
-            done.append((src, dst))
-
-        for src, dst, nb in transfers:
-            sim.spawn(mover(src, dst, nb))
-        sim.run()
-        assert len(done) == len(transfers)
+        msgs = [(src, dst, 0, nb) for src, dst, nb in transfers]
+        eng = _replay_messages(Machine(8, spec=TORUS), msgs)
+        assert eng.messages_sent == len(transfers)
+        assert not any(eng.posted.values())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.simrun import _replay_messages
 from repro.des import Simulator
 from repro.machine import Machine, NodeMode
 from repro.machine.spec import BGP_SPEC, TorusSpec
@@ -53,9 +54,10 @@ class TestMachineEdges:
 
     def test_two_machines_do_not_share_state(self):
         a, b = Machine(4), Machine(4)
-        a.sim.run_process(a.transfer(0, 1, 1000))
-        assert a.torus.bytes_sent.get(0) == 1000
-        assert b.torus.bytes_sent.get(0) is None
+        ra = _replay_messages(a, [(0, 1, 0, 1000)])
+        assert ra.torus_bytes.get(0) == 1000
+        assert a.sim.now > 0 and b.sim.now == 0.0
+        assert _replay_messages(b, []).torus_bytes.get(0) is None
 
     def test_spec_with_composes(self):
         spec = BGP_SPEC.with_(stencil_point_time=1e-9).with_(

@@ -25,7 +25,7 @@ class TestTopLevelApi:
     @pytest.mark.parametrize(
         "package",
         [
-            "repro.des", "repro.machine", "repro.netmodel", "repro.smpi",
+            "repro.des", "repro.machine", "repro.netmodel",
             "repro.grid", "repro.stencil", "repro.transport", "repro.core",
             "repro.dft", "repro.analysis", "repro.util",
         ],

@@ -1,12 +1,12 @@
-"""Property-based tests of the simulated MPI layer + placement ablation."""
+"""Property-based tests of simulated point-to-point delivery + placement ablation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FDJob, FLAT_OPTIMIZED, HYBRID_MULTIPLE, simulate_fd
+from repro.core import FDJob, FLAT_OPTIMIZED, simulate_fd
+from repro.core.simrun import _replay_messages
 from repro.grid import GridDescriptor
 from repro.machine import Machine, NodeMode
-from repro.smpi import SimComm, ThreadMode
 
 
 @settings(max_examples=20, deadline=None)
@@ -23,56 +23,17 @@ from repro.smpi import SimComm, ThreadMode
     )
 )
 def test_property_every_message_is_delivered(messages):
-    """Arbitrary send/recv patterns complete and deliver exactly once."""
+    """Arbitrary message sets on the replay core deliver each message once."""
     machine = Machine(8, NodeMode.SMP)
-    # MULTIPLE: the generated patterns may issue concurrent calls from one
-    # rank (e.g. a self-send), which SINGLE mode correctly rejects.
-    comm = SimComm(machine, ThreadMode.MULTIPLE)
-    received = []
-
-    # group by (src, dst, tag) so each recv is unambiguous
-    for i, (src, dst, tag, nbytes) in enumerate(messages):
-        def sender(ctx=comm.context(src), dst=dst, nbytes=nbytes, tag=tag, i=i):
-            yield from ctx.send(dst, nbytes, tag=tag * 1000 + i)
-
-        def receiver(ctx=comm.context(dst), src=src, tag=tag, i=i, nbytes=nbytes):
-            status = yield from ctx.recv(src=src, tag=tag * 1000 + i)
-            received.append((status.source, status.nbytes))
-
-        machine.sim.spawn(sender())
-        machine.sim.spawn(receiver())
-    machine.sim.run()
-    assert len(received) == len(messages)
-    assert comm.messages_sent == len(messages)
-    assert comm.bytes_sent == sum(m[3] for m in messages)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=2, max_value=16), st.integers(min_value=1, max_value=4))
-def test_property_barrier_rounds_synchronize(n_ranks, rounds):
-    """After barrier k, every rank has completed its pre-barrier work."""
-    # pick a node count the partition accepts
-    machine = Machine(n_ranks, NodeMode.SMP)
-    comm = SimComm(machine)
-    log = []
-
-    def proc(rank):
-        ctx = comm.context(rank)
-        for r in range(rounds):
-            yield machine.sim.timeout(0.001 * (rank + 1))
-            log.append(("work", r, rank))
-            yield from ctx.barrier()
-            log.append(("past", r, rank))
-
-    for rank in range(n_ranks):
-        machine.sim.spawn(proc(rank))
-    machine.sim.run()
-    # in every round, all "work" entries precede all "past" entries
-    for r in range(rounds):
-        events = [(kind, rank) for kind, rr, rank in log if rr == r]
-        first_past = next(i for i, (k, _) in enumerate(events) if k == "past")
-        assert all(k == "past" for k, _ in events[first_past:])
-        assert sum(1 for k, _ in events if k == "work") == n_ranks
+    eng = _replay_messages(machine, messages)
+    # every receive met its message and no message was left over: each
+    # one was delivered exactly once
+    assert not any(eng.posted.values())
+    assert not any(eng.unexpected.values())
+    assert eng.messages_sent == len(messages)
+    node = machine.partition.node_of_rank
+    inter_node = sum(nb for src, dst, _tag, nb in messages if node(src) != node(dst))
+    assert sum(eng.torus_bytes.values()) == inter_node
 
 
 class TestPlacementAblation:

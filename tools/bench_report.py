@@ -482,51 +482,6 @@ def measure_flightrec(n=6, n_ranks=2, iterations=6, repeats=4, capacity=4):
     }
 
 
-def measure_des_scale(n_ranks=512, n=64, n_grids=48, batch_size=4, repeats=2):
-    """Compiled-vs-reference DES replay throughput at paper scale.
-
-    Replays the same FD configuration through both engines and reports
-    fired events per second.  The engines are hop-parity bit-exact (the
-    equivalence suite pins full traces), so this gate only prices the
-    win: the acceptance bar for the compiled-replay PR is
-    ``compiled_speedup >= 5`` at 512 ranks on the full run.  ``--smoke``
-    shrinks the rank count and only sanity-checks that the compiled
-    engine is not slower.
-    """
-    from repro.core import FDJob, simulate_fd
-
-    job = FDJob(GridDescriptor((n, n, n)), n_grids)
-
-    def best_seconds(engine):
-        best, res = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = simulate_fd(job, FLAT_OPTIMIZED, n_ranks,
-                              batch_size=batch_size, engine=engine)
-            best = min(best, time.perf_counter() - t0)
-        return best, res
-
-    compiled_s, cres = best_seconds("compiled")
-    reference_s, rres = best_seconds("reference")
-    # bit-exactness cross-check before trusting the timing
-    assert (cres.total, cres.events) == (rres.total, rres.events), (
-        "compiled and reference engines disagree"
-    )
-    return {
-        "n_ranks": n_ranks,
-        "block": [n, n, n],
-        "n_grids": n_grids,
-        "batch_size": batch_size,
-        "repeats": repeats,
-        "events": cres.events,
-        "compiled_s": round(compiled_s, 3),
-        "reference_s": round(reference_s, 3),
-        "compiled_events_per_s": round(cres.events / compiled_s),
-        "reference_events_per_s": round(rres.events / reference_s),
-        "compiled_speedup": round(reference_s / compiled_s, 3),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -550,9 +505,6 @@ def main(argv=None) -> int:
         result["planner"] = measure_planner()
         result["recovery"] = measure_recovery(iterations=2, repeats=2)
         result["flightrec"] = measure_flightrec(iterations=2, repeats=2)
-        result["des_scale"] = measure_des_scale(
-            n_ranks=64, n=48, n_grids=8, repeats=1
-        )
     else:
         result = measure()
         result["plan_cache"] = measure_plan_cache()
@@ -561,7 +513,6 @@ def main(argv=None) -> int:
         result["planner"] = measure_planner()
         result["recovery"] = measure_recovery()
         result["flightrec"] = measure_flightrec()
-        result["des_scale"] = measure_des_scale()
     result["mode"] = "smoke" if args.smoke else "full"
     result["host"] = {
         "machine": platform.machine(),
@@ -609,11 +560,6 @@ def main(argv=None) -> int:
           f"{fr['enabled_ms']:.1f} ms recorded "
           f"({fr['overhead_pct']:+.2f}% overhead, ring capacity "
           f"{fr['capacity']})")
-    ds = result["des_scale"]
-    print(f"  des replay ({ds['n_ranks']} ranks, {ds['events']} events): "
-          f"{ds['reference_events_per_s']:,} ev/s reference vs "
-          f"{ds['compiled_events_per_s']:,} ev/s compiled "
-          f"({ds['compiled_speedup']:.2f}x)")
 
     if not args.smoke and result["batched_speedup"] < 1.5:
         print("FAIL: batched speedup below the 1.5x acceptance bar",
@@ -652,14 +598,6 @@ def main(argv=None) -> int:
         print(f"FAIL: steady-state flight recording costs "
               f"{fr['overhead_pct']:.2f}% over the bare run "
               f"(bar: <{flightrec_bar:.0f}%)", file=sys.stderr)
-        return 1
-    # smoke sizes only sanity-check that compiled is not slower; the 5x
-    # acceptance ratio is gated on the full 512-rank run
-    des_bar = 1.0 if args.smoke else 5.0
-    if ds["compiled_speedup"] < des_bar:
-        print(f"FAIL: compiled DES replay speedup "
-              f"{ds['compiled_speedup']:.2f}x at {ds['n_ranks']} ranks "
-              f"below the {des_bar:.1f}x bar", file=sys.stderr)
         return 1
     return 0
 

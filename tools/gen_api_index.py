@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.des",
     "repro.machine",
     "repro.netmodel",
-    "repro.smpi",
     "repro.grid",
     "repro.stencil",
     "repro.transport",

@@ -121,7 +121,7 @@ def step_rows(tracer) -> list:
     ]
 
 
-def run_fd(name: str, engine: str = "compiled"):
+def run_fd(name: str):
     """Replay one named FD configuration."""
     case = dict(FD_CASES[name])
     shape = case.pop("shape", (24, 24, 24))
@@ -135,7 +135,6 @@ def run_fd(name: str, engine: str = "compiled"):
         fault_plan=FaultPlan(**faults) if faults else None,
         trace=traced,
         step_tracer=SpanTracer(plane="sim") if traced else None,
-        engine=engine,
         **case,
     )
 
@@ -183,9 +182,9 @@ def fig2_record() -> list:
     return [[p.message_bytes, p.time] for p in measured_bandwidth_curve()]
 
 
-def generate(engine: str = "compiled") -> dict:
+def generate() -> dict:
     return {
-        "fd": {name: fd_record(run_fd(name, engine)) for name in FD_CASES},
+        "fd": {name: fd_record(run_fd(name)) for name in FD_CASES},
         "band": {str(nb): band_record(nb) for nb in BAND_GROUPS},
         "fig2": fig2_record(),
     }
@@ -200,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.write:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(generate("reference"), indent=1) + "\n")
+        GOLDEN.write_text(json.dumps(generate(), indent=1) + "\n")
         print(f"wrote {GOLDEN}")
         return 0
     want = json.loads(GOLDEN.read_text())
