@@ -219,35 +219,52 @@ def _cmd_simscale(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_bandpar(args: argparse.Namespace) -> str:
-    """Band-group sweep of the modeled FD + ring-orthogonalization step."""
-    from repro.core.bandpar import BandParallelModel
+def _rejection_line(r) -> str:
+    return f"rejected {r.approach} nb={r.n_band_groups}: {r.reason}"
 
-    model = BandParallelModel()
-    job = FDJob(GridDescriptor(tuple(args.shape)), args.grids)
-    timings = model.sweep(job, args.cores, max_groups=args.max_groups)
+
+def _cmd_bandpar(args: argparse.Namespace) -> str:
+    """Band-group sweep: the planner's best hybrid-multiple batch per nb."""
+    from repro.core.jobspec import ProblemSpec
+    from repro.core.planner import Planner
+
+    title = (
+        f"2D grid x band decomposition — {args.grids} bands of "
+        f"{'x'.join(str(s) for s in args.shape)} on {args.cores} cores"
+    )
+    result = Planner().rank(
+        ProblemSpec(shape=tuple(args.shape), n_grids=args.grids),
+        args.cores,
+        max_groups=args.max_groups,
+        approaches=["hybrid-multiple"],
+    )
+    if not result.choices:
+        raise SystemExit("\n".join(
+            [f"{title}: no feasible band-group count"]
+            + [_rejection_line(r) for r in result.rejected]
+        ))
+    best_per_nb: dict = {}
+    for ch in result.choices:  # fastest first
+        best_per_nb.setdefault(ch.spec.layout.n_band_groups, ch)
     rows = [
         [
-            t.n_band_groups,
-            f"{t.fd * 1e3:.3f}",
-            f"{t.subspace_compute * 1e3:.3f}",
-            f"{t.subspace_ring_comm * 1e3:.3f}",
-            f"{t.total * 1e3:.3f}",
+            nb,
+            f"{ch.fd_time * 1e3:.3f}",
+            f"{ch.subspace_compute * 1e3:.3f}",
+            f"{ch.subspace_ring * 1e3:.3f}",
+            f"{ch.predicted_time * 1e3:.3f}",
         ]
-        for t in timings
+        for nb, ch in sorted(best_per_nb.items())
     ]
     table = format_table(
         ["band groups", "FD ms", "GEMM ms", "ring ms", "step ms"],
         rows,
-        title=(
-            f"2D grid x band decomposition — {args.grids} bands of "
-            f"{'x'.join(str(s) for s in args.shape)} on {args.cores} cores"
-        ),
+        title=title,
     )
-    best = min(timings, key=lambda t: t.total)
+    best = result.best()
     return table + (
-        f"\nmodeled best nb = {best.n_band_groups} at {args.cores} cores "
-        f"({best.total * 1e3:.3f} ms per step)"
+        f"\nmodeled best nb = {best.spec.layout.n_band_groups} at "
+        f"{args.cores} cores ({best.predicted_time * 1e3:.3f} ms per step)"
     )
 
 
@@ -294,8 +311,7 @@ def _cmd_plan(args: argparse.Namespace) -> str:
         lines.append(
             f"({len(result.choices) - args.top} more feasible choices not shown)"
         )
-    for r in result.rejected:
-        lines.append(f"rejected {r.approach} nb={r.n_band_groups}: {r.reason}")
+    lines.extend(_rejection_line(r) for r in result.rejected)
     best = result.best()
     lay = best.spec.layout
     lines.append(
@@ -332,19 +348,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 def _cmd_schedule(args: argparse.Namespace) -> str:
     """Print the compiled schedule IR for a named approach."""
     from repro.core.approaches import approach_by_name
-    from repro.core.schedule import compile_schedule, timing_plane_workers
-    from repro.grid.decompose import Decomposition
+    from repro.core.schedule import timing_plan
 
-    approach = approach_by_name(args.approach)
-    grid = GridDescriptor(tuple(args.shape))
-    decomp = Decomposition(grid, approach.domains_for(args.cores))
-    plan = compile_schedule(
-        approach,
-        decomp,
+    plan = timing_plan(
+        approach_by_name(args.approach),
+        GridDescriptor(tuple(args.shape)),
         args.grids,
+        args.cores,
         args.batch_size,
         args.ramp_up,
-        n_workers=timing_plane_workers(approach, args.cores),
     )
     return plan.describe(args.domain)
 

@@ -26,7 +26,8 @@ Four programming approaches (section VI), one engine, two planes:
 * :mod:`repro.core.jobspec` — the typed run configuration
   (:class:`JobSpec`) every consumer validates through exactly once.
 * :mod:`repro.core.planner` — the model-driven :class:`Planner` that
-  enumerates, prices and ranks feasible configurations.
+  enumerates, prices and ranks feasible configurations; the one place
+  an SCF step (FD invocations + band-ring orthogonalization) is priced.
 """
 
 from repro.core.approaches import (
@@ -39,7 +40,6 @@ from repro.core.approaches import (
     ThreadMode,
     approach_by_name,
 )
-from repro.core.bandpar import BandParallelModel, BandParTiming
 from repro.core.batching import batch_schedule
 from repro.core.schedule import (
     BandSchedulePlan,
@@ -54,7 +54,7 @@ from repro.core.schedule import (
     plan_dependencies,
     recv_sources,
     ring_tag,
-    timing_plane_workers,
+    timing_plan,
 )
 from repro.core.engine import DistributedStencil, SequentialStencil
 from repro.core.workspace import Workspace
@@ -82,7 +82,6 @@ from repro.core.recovery_policy import (
 )
 from repro.core.simrun import (
     simulate_band_plan,
-    simulate_band_step,
     simulate_fd,
     simulate_spec,
 )
@@ -103,8 +102,6 @@ __all__ = [
     "ALL_APPROACHES",
     "ThreadMode",
     "approach_by_name",
-    "BandParallelModel",
-    "BandParTiming",
     "BandSchedulePlan",
     "batch_schedule",
     "PartialGemm",
@@ -118,7 +115,7 @@ __all__ = [
     "recv_sources",
     "plan_cache_stats",
     "ring_tag",
-    "timing_plane_workers",
+    "timing_plan",
     "DistributedStencil",
     "SequentialStencil",
     "Workspace",
@@ -141,7 +138,6 @@ __all__ = [
     "PerformanceModel",
     "FDTiming",
     "simulate_band_plan",
-    "simulate_band_step",
     "simulate_fd",
     "simulate_spec",
     "ScfPhaseTimes",

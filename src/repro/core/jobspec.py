@@ -1,10 +1,8 @@
 """Typed run configuration: one validated artifact for all three planes.
 
-After five PRs every layer answered "which configuration?" separately:
-``DistributedSCF`` took 13 constructor knobs, ``simrun``/``perfmodel``/
-``bandpar``/``wholeapp`` each re-derived layouts from loose ints, and the
-CLI repeated the same ``--cores/--grids/--shape`` blocks per subcommand.
-This module is the single point of truth those consumers share:
+The functional SCF, the DES replay, the analytic models, the planner
+and the CLI all answer "which configuration?"; this module is the
+single point of truth they share:
 
 * :class:`ProblemSpec` — *what* is computed: grid shape/spacing/pbc/dtype
   and the number of grids (wave functions).

@@ -19,11 +19,10 @@ import math
 
 from repro.core.approaches import Approach
 from repro.core.perfmodel import FDJob
+from repro.core.schedule import DEFAULT_HALO_WIDTH
 from repro.grid.decompose import Decomposition
 from repro.machine.partition import NodeMode
 from repro.machine.spec import BGP_SPEC, MachineSpec
-
-HALO_WIDTH = 2
 
 
 def memory_limit_per_rank(
@@ -45,7 +44,7 @@ def fd_memory_per_rank(
     decomp = Decomposition(job.grid, approach.domains_for(n_cores))
     block = decomp.block_shape(0)
     bpp = job.grid.bytes_per_point
-    padded_in = math.prod(b + 2 * HALO_WIDTH for b in block) * bpp
+    padded_in = math.prod(b + 2 * DEFAULT_HALO_WIDTH for b in block) * bpp
     plain_out = math.prod(block) * bpp
     return job.n_grids * (padded_in + plain_out)
 

@@ -41,11 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.approaches import Approach
-from repro.core.schedule import (
-    PostSend,
-    compile_schedule,
-    timing_plane_workers,
-)
+from repro.core.schedule import DEFAULT_HALO_WIDTH, PostSend, timing_plan
 from repro.grid.decompose import Decomposition
 from repro.grid.grid import GridDescriptor
 from repro.machine.spec import BGP_SPEC, MachineSpec
@@ -133,16 +129,22 @@ class PerformanceModel:
         exponent (0..1) captures how much of that extra traffic the caches
         absorb.  Large blocks -> ~1; a 9^3 block at 4096 cores -> ~1.7.
         """
-        w = 2
         block = math.prod(block_shape)
-        padded = math.prod(b + 2 * w for b in block_shape)
+        padded = math.prod(b + 2 * DEFAULT_HALO_WIDTH for b in block_shape)
         return (padded / block) ** self.spec.halo_compute_exponent
 
-    def _point_time(self, decomp: Decomposition) -> float:
-        """Effective per-point compute time for this decomposition's blocks."""
-        return self.spec.stencil_point_time * self._halo_factor(
-            decomp.block_shape(0)
-        )
+    def _point_time(self, decomp: Decomposition, threads: int = 1) -> float:
+        """Effective per-point compute time for this decomposition's blocks.
+
+        ``threads > 1`` is hybrid master-only's shared-grid kernel: the
+        cores split each block along its longest axis, so every thread
+        streams a slice plus its halo — a deeper small-block penalty.
+        The one formula both timing planes price compute with.
+        """
+        shape = list(decomp.block_shape(0))
+        axis = shape.index(max(shape))
+        shape[axis] = max(1, math.ceil(shape[axis] / threads))
+        return self.spec.stencil_point_time * self._halo_factor(shape)
 
     def sequential_time(self, job: FDJob) -> float:
         """One core, no communication: the Fig 5 speedup baseline."""
@@ -152,25 +154,8 @@ class PerformanceModel:
             * self._halo_factor(job.grid.shape)
         )
 
-    def _decomposition(self, job: FDJob, approach: Approach, n_cores: int) -> Decomposition:
-        return Decomposition(job.grid, approach.domains_for(n_cores))
-
-    def _mesh_factor(self, n_cores: int, decomp: Decomposition, dim: int) -> float:
-        """Extra per-link load when periodic wraps cross an open mesh.
-
-        Both planes assume a cyclic (folded) domain placement, which
-        embeds periodic rings into a mesh with wrap traffic balanced onto
-        the reverse-direction links — so no extra per-link load.  The hook
-        is kept so alternative (naive) placements can be modelled.
-        """
-        return 1.0
-
     def _round_comm_time(
-        self,
-        sends: Sequence[PostSend],
-        decomp: Decomposition,
-        n_cores: int,
-        streams_per_link: int,
+        self, sends: Sequence[PostSend], streams_per_link: int
     ) -> float:
         """Time for one pipeline round's exchange on the critical link.
 
@@ -178,22 +163,18 @@ class PerformanceModel:
         folded into each step's byte count); ``streams_per_link`` such
         messages share each direction's link, and the slowest direction
         bounds the round (all six links run simultaneously — the
-        section V optimization).
+        section V optimization).  Both planes assume a cyclic (folded)
+        domain placement, which balances periodic wrap traffic onto the
+        reverse-direction links — so no link carries extra load.
         """
         torus = self.spec.torus
         worst = 0.0
         for s in sends:
-            factor = self._mesh_factor(n_cores, decomp, s.dim)
             t = streams_per_link * (
-                torus.message_overhead + factor * s.nbytes / torus.effective_bandwidth
+                torus.message_overhead + s.nbytes / torus.effective_bandwidth
             )
             worst = max(worst, t)
         return worst
-
-    @staticmethod
-    def _halo_width(decomp: Decomposition) -> int:
-        # The paper's stencil radius; grids carry no radius, the FD op does.
-        return 2
 
     # -- per-round plan costs (shared by evaluate and step_trace) --------------
     def _plan_costs(
@@ -213,18 +194,12 @@ class PerformanceModel:
         master-only's per-grid barriers) — kept separate so the model's
         step trace can emit ``GridBarrier`` spans distinct from compute.
         Blocking plans return ``comp``/``comm`` = ``None`` (cost them via
-        :meth:`_blocking_round_costs`).
+        :meth:`_evaluate_original`).
         """
-        decomp = self._decomposition(job, approach, n_cores)
-        plan = compile_schedule(
-            approach,
-            decomp,
-            job.n_grids,
-            batch_size,
-            ramp_up,
-            halo_width=self._halo_width(decomp),
-            n_workers=timing_plane_workers(approach, n_cores),
+        plan = timing_plan(
+            approach, job.grid, job.n_grids, n_cores, batch_size, ramp_up
         )
+        decomp = plan.decomp
         # Representative worker: the first worker of domain 0 (contiguous
         # splitting gives the leading worker the most grids).
         rep = plan.rank_plan(0).workers[0]
@@ -232,7 +207,6 @@ class PerformanceModel:
             return plan, decomp, rep, None, None, None, 0.0, 0.0
 
         t_point = self._point_time(decomp)
-        t_point_base = self.spec.stencil_point_time
         block_points = decomp.max_block_points()
         threads = min(4, n_cores) if plan.uses_thread_team else 1
         ranks_per_node = min(4, n_cores) if not plan.uses_thread_team else 1
@@ -256,10 +230,7 @@ class PerformanceModel:
             # grid (so each thread streams a quarter block plus its halo —
             # a deeper small-block penalty); a thread barrier after every
             # grid (the plan's ``GridBarrier`` steps).
-            quarter = list(decomp.block_shape(0))
-            axis = quarter.index(max(quarter))
-            quarter[axis] = max(1, math.ceil(quarter[axis] / threads))
-            t_quarter = t_point_base * self._halo_factor(quarter)
+            t_quarter = self._point_time(decomp, threads)
             barriers = [
                 len(r.grid_ids) * self.spec.threads.barrier_time for r in rounds
             ]
@@ -269,7 +240,7 @@ class PerformanceModel:
             ]
             # The master thread pays the per-call CPU cost on the comm path.
             comm = [
-                self._round_comm_time(r.sends, decomp, n_cores, 1)
+                self._round_comm_time(r.sends, 1)
                 + round_call_cpu
                 for r in rounds
             ]
@@ -292,7 +263,7 @@ class PerformanceModel:
                 for r in rounds
             ]
             comm = [
-                self._round_comm_time(r.sends, decomp, n_cores, streams)
+                self._round_comm_time(r.sends, streams)
                 for r in rounds
             ]
             sync = spawn_join
@@ -326,10 +297,10 @@ class PerformanceModel:
         if plan.blocking:
             return self._evaluate_original(job, approach, n_cores, decomp, rep)
 
-        w = self._halo_width(decomp)
         threads = min(4, n_cores) if plan.uses_thread_team else 1
         msg_bytes = max(
-            (decomp.send_bytes(0, dim, +1, w) for dim in range(3)), default=0
+            (decomp.send_bytes(0, dim, +1, DEFAULT_HALO_WIDTH) for dim in range(3)),
+            default=0,
         )
         ideal_per_core = job.total_points / n_cores * self.spec.stencil_point_time
 
@@ -379,7 +350,6 @@ class PerformanceModel:
         utilization at 16384 cores — see DESIGN.md section 5).
         """
         torus = self.spec.torus
-        w = self._halo_width(decomp)
         t_point = self._point_time(decomp)
         block_points = decomp.max_block_points()
 
@@ -388,10 +358,9 @@ class PerformanceModel:
         for r in rep.rounds:
             compute += len(r.grid_ids) * block_points * t_point
             for s in r.sends:
-                factor = self._mesh_factor(n_cores, decomp, s.dim)
                 comm += (
                     2 * torus.message_overhead
-                    + factor * s.nbytes / torus.effective_bandwidth
+                    + s.nbytes / torus.effective_bandwidth
                 )
         total = compute + comm
         return FDTiming(
@@ -408,7 +377,9 @@ class PerformanceModel:
             ),
             messages_per_rank=rep.message_count,
             message_bytes=max(
-                (decomp.send_bytes(0, dim, +1, w) for dim in range(3)), default=0
+                (decomp.send_bytes(0, dim, +1, DEFAULT_HALO_WIDTH)
+                 for dim in range(3)),
+                default=0,
             ),
         )
 
@@ -474,9 +445,7 @@ class PerformanceModel:
             for r in rounds:
                 c = sum(
                     2 * torus.message_overhead
-                    + self._mesh_factor(n_cores, decomp, s.dim)
-                    * s.nbytes
-                    / torus.effective_bandwidth
+                    + s.nbytes / torus.effective_bandwidth
                     for s in r.sends
                 )
                 if c > 0.0:
@@ -516,36 +485,12 @@ class PerformanceModel:
         self, decomp: Decomposition, approach: Approach, n_cores: int, n_grids: int
     ) -> float:
         """Inter-node bytes sent per node per invocation (Fig 6)."""
-        w = self._halo_width(decomp)
-        per_domain = decomp.comm_bytes(0, w) * n_grids
+        per_domain = decomp.comm_bytes(0, DEFAULT_HALO_WIDTH) * n_grids
         if not approach.decompose_per_rank:
             # node-level decomposition (hybrid modes, flat sub-groups):
             # the node's traffic is one domain's surface over all grids
             return float(per_domain)
         return float(per_domain * (min(4, n_cores) if n_cores >= 4 else n_cores))
-
-    # -- JobSpec entry point -----------------------------------------------------
-    def evaluate_spec(self, spec):
-        """Evaluate a validated :class:`~repro.core.jobspec.JobSpec`.
-
-        Every layout prices through one entry point: a band-parallel
-        spec (``n_band_groups > 1``) routes to
-        :meth:`repro.core.bandpar.BandParallelModel.evaluate_spec` on
-        the same machine, returning its :class:`~repro.core.bandpar
-        .BandParTiming` (both result types expose ``.total``); a
-        single-group spec returns this model's :class:`FDTiming`.
-        """
-        if spec.layout.n_band_groups != 1:
-            from repro.core.bandpar import BandParallelModel
-
-            return BandParallelModel(self.spec).evaluate_spec(spec)
-        return self.evaluate(
-            spec.fd_job(),
-            spec.approach_obj(),
-            spec.layout.n_cores,
-            spec.layout.batch_size,
-            ramp_up=spec.layout.ramp_up,
-        )
 
     # -- batch-size search -------------------------------------------------------
     def batch_candidates(

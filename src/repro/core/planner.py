@@ -4,23 +4,33 @@ The paper's central question — approach x batch size x band groups at a
 given core count (sections IV-VII) — answered by one component instead of
 per-figure driver code.  The :class:`Planner` enumerates every feasible
 candidate for a :class:`~repro.core.jobspec.ProblemSpec` at a core count,
-prices each one by walking its *compiled* schedule plans through the
-analytic models (:class:`~repro.core.perfmodel.PerformanceModel` for the
-FD invocation, :meth:`~repro.core.bandpar.BandParallelModel
-.subspace_times` for the ring orthogonalization), and returns the ranked
-:class:`PlanChoice` list plus the reason every infeasible candidate was
-rejected — memory, divisibility, whole-node constraints.
+prices each one by walking its *compiled* schedule plans — the FD
+invocation through :class:`~repro.core.perfmodel.PerformanceModel`, the
+ring orthogonalization (:meth:`Planner.band_plan`) at the node's GEMM
+rate and the torus link — and returns the ranked :class:`PlanChoice`
+list plus the reason every infeasible candidate was rejected — memory,
+divisibility, whole-node constraints.
 
-The ranking metric is one *SCF-relevant step*, uniform across all
-candidates so flat, hybrid and band-parallel layouts compare on one axis:
+Band parallelization is the escape from the paper's scaling wall: the
+section IV requirement that *every* process hold the same subset of
+*every* grid forces the domain decomposition across all ranks and
+shrinks blocks to slivers at 16 k cores.  Splitting the ranks into
+``nb`` *band groups* (each holding ``G/nb`` wave functions on a
+``P/nb``-core decomposition) grows blocks by ``nb^(1/3)`` per side and
+cuts FD communication; only the orthogonalization talks across groups,
+as a ring pass of band blocks through the torus.
+
+This is the one place an SCF-relevant step is priced.  The ranking
+metric is uniform across all candidates, so flat, hybrid and
+band-parallel layouts compare on one axis:
 
     ``FD_APPLICATIONS_PER_SCF * fd + max(subspace_compute, subspace_ring)``
 
-which for ``n_band_groups > 1`` is exactly
-:attr:`~repro.core.bandpar.BandParTiming.total`, and for ``nb = 1`` adds
-the same (candidate-independent) degenerate GEMM term to every approach —
-so within a core count the argmin agrees with the per-figure sweeps the
-repo already pins.
+— the ring stages overlap the partial GEMMs, so the slower of the two
+bounds the subspace step.  For ``nb = 1`` the ring plan degenerates to
+two GEMMs and adds the same (candidate-independent) term to every
+approach, so within a core count the argmin agrees with the per-figure
+sweeps the repo already pins.
 
 :meth:`Planner.cross_check` replays a choice's plans through the DES
 (:func:`~repro.core.simrun.simulate_spec` + :func:`~repro.core.simrun
@@ -35,17 +45,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.approaches import ALL_APPROACHES, approach_by_name
-from repro.core.bandpar import BandParallelModel
+from repro.core.approaches import (
+    ALL_APPROACHES,
+    HYBRID_MULTIPLE,
+    Approach,
+    approach_by_name,
+)
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec
 from repro.core.memory import fd_memory_per_rank, memory_limit_per_rank
 from repro.core.perfmodel import FDJob, PerformanceModel
-from repro.core.schedule import BandSchedulePlan, compile_band_schedule
+from repro.core.schedule import (
+    BandSchedulePlan,
+    PartialGemm,
+    RingSendRecv,
+    compile_band_schedule,
+)
 from repro.core.wholeapp import WholeAppModel
 from repro.grid.bandgroups import BandGroups
+from repro.grid.decompose import Decomposition
 from repro.machine.spec import BGP_SPEC, MachineSpec
 
 __all__ = ["Candidate", "Rejection", "PlanChoice", "PlanResult", "Planner"]
+
+
+def _scf_step(fd: float, subspace: float) -> float:
+    """Seconds of one SCF-relevant step: the FD applications plus the
+    exposed subspace step."""
+    return fd * WholeAppModel.FD_APPLICATIONS_PER_SCF + subspace
 
 
 @dataclass(frozen=True)
@@ -116,7 +142,6 @@ class Planner:
     def __init__(self, spec: MachineSpec = BGP_SPEC):
         self.machine = spec
         self.fd_model = PerformanceModel(spec)
-        self.band_model = BandParallelModel(spec)
 
     # -- enumeration -------------------------------------------------------
     def enumerate(
@@ -167,38 +192,79 @@ class Planner:
                         continue
                 group_cores = n_cores // nb
                 group_job = FDJob(job.grid, job.n_grids // nb)
-                need = fd_memory_per_rank(group_job, a, group_cores, self.machine)
-                limit = memory_limit_per_rank(a, group_cores, self.machine)
-                if need > limit:
-                    rejected.append(Rejection(name, nb, (
-                        f"working set {need / 2**20:.0f} MiB/rank exceeds "
-                        f"the {limit / 2**20:.0f} MiB per-rank memory"
-                    )))
+                reason = self._memory_rejection(group_job, a, group_cores)
+                if reason:
+                    rejected.append(Rejection(name, nb, reason))
                     continue
                 for b in self.fd_model.batch_candidates(group_job, a, group_cores):
                     feasible.append(Candidate(name, b, nb))
         return feasible, rejected
 
+    def _memory_rejection(
+        self, group_job: FDJob, approach: Approach, group_cores: int
+    ) -> Optional[str]:
+        """Why one band group's working set cannot run, ``None`` if it fits.
+
+        A layout the decomposition cannot express (a split finer than the
+        grid, a hybrid approach on a partial node) is a rejection too,
+        never an exception.
+        """
+        try:
+            need = fd_memory_per_rank(group_job, approach, group_cores, self.machine)
+            limit = memory_limit_per_rank(approach, group_cores, self.machine)
+        except ValueError as exc:
+            return str(exc)
+        if need > limit:
+            return (
+                f"working set {need / 2**20:.0f} MiB/rank exceeds "
+                f"the {limit / 2**20:.0f} MiB per-rank memory"
+            )
+        return None
+
     # -- pricing -----------------------------------------------------------
-    def _band_plan(
+    def band_plan(
         self, problem: ProblemSpec, n_cores: int, nb: int
     ) -> BandSchedulePlan:
-        """The compiled ring plan a candidate's subspace step walks.
+        """The compiled ring-orthogonalization plan of ``nb`` band groups.
 
-        For layouts the band model validates (whole nodes) this *is*
-        :meth:`BandParallelModel.band_plan` — same cache key, same object.
-        ``nb = 1`` on partial nodes (small flat runs) degenerates to the
-        two-GEMM plan with no ring steps, compiled directly.
+        Every plane runs this plan: the pricing below walks it, the DES
+        replays it (:func:`~repro.core.simrun.simulate_band_plan`) and
+        the functional executor interprets it.  The GEMM inner dimension
+        per core is its share of the grid points, times ``nb`` because
+        the 2D layout gives every core ``nb`` x more points of each wave
+        function it holds.  On whole nodes the ring ships one domain's
+        block of the group's band set under the hybrid-multiple
+        decomposition; ``nb = 1`` on partial nodes (small flat runs)
+        degenerates to the two-GEMM plan with no ring steps.
         """
-        job = problem.fd_job()
-        if n_cores >= 4 and n_cores % (4 * nb) == 0:
-            return self.band_model.band_plan(job, n_cores, nb)
         grid = problem.grid()
         layout = BandGroups(n_ranks=n_cores, n_bands=problem.n_grids, n_groups=nb)
         gemm_points = max(1, round(grid.n_points * nb / n_cores))
+        ring_points = gemm_points
+        if n_cores >= 4 and n_cores % (4 * nb) == 0:
+            ring_points = Decomposition(
+                grid, HYBRID_MULTIPLE.domains_for(n_cores // nb)
+            ).max_block_points()
         return compile_band_schedule(
-            layout, gemm_points, gemm_points, grid.bytes_per_point
+            layout, gemm_points, ring_points, grid.bytes_per_point
         )
+
+    def _subspace_times(self, plan: BandSchedulePlan) -> tuple[float, float]:
+        """``(compute, ring)`` seconds of one group's compiled step list.
+
+        Every :class:`PartialGemm` is priced at the node's GEMM rate,
+        every :class:`RingSendRecv` at the torus link (one hop to the
+        neighbouring group's partition).
+        """
+        rate = self.machine.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
+        compute = 0.0
+        ring = 0.0
+        for st in plan.group_steps(0):
+            if isinstance(st, PartialGemm):
+                compute += st.flops / rate
+            elif isinstance(st, RingSendRecv):
+                ring += self.machine.torus.message_time(st.nbytes, hops=1)
+        return compute, ring
 
     def evaluate(
         self, problem: ProblemSpec, n_cores: int, candidate: Candidate
@@ -218,14 +284,11 @@ class Planner:
         fd = self.fd_model.evaluate(
             spec.group_job(), a, spec.group_cores, candidate.batch_size
         )
-        compute, ring = self.band_model.subspace_times(
-            self._band_plan(problem, n_cores, nb)
-        )
+        compute, ring = self._subspace_times(self.band_plan(problem, n_cores, nb))
         subspace = max(compute, ring)
         return PlanChoice(
             spec=spec,
-            predicted_time=fd.total * WholeAppModel.FD_APPLICATIONS_PER_SCF
-            + subspace,
+            predicted_time=_scf_step(fd.total, subspace),
             fd_time=fd.total,
             subspace_time=subspace,
             subspace_compute=compute,
@@ -321,19 +384,9 @@ class Planner:
                 continue
             group_cores = n_cores // nb
             group_job = FDJob(job.grid, job.n_grids // nb)
-            try:
-                need = fd_memory_per_rank(group_job, a, group_cores, self.machine)
-                limit = memory_limit_per_rank(a, group_cores, self.machine)
-            except ValueError as exc:
-                # e.g. a hybrid approach's whole-node rule on a partial
-                # survivor count — a rejection, never an exception
-                rejected.append(Rejection(a.name, nb, str(exc)))
-                continue
-            if need > limit:
-                rejected.append(Rejection(a.name, nb, (
-                    f"working set {need / 2**20:.0f} MiB/rank exceeds "
-                    f"the {limit / 2**20:.0f} MiB per-rank memory"
-                )))
+            reason = self._memory_rejection(group_job, a, group_cores)
+            if reason:
+                rejected.append(Rejection(a.name, nb, reason))
                 continue
             try:
                 batches = self.fd_model.batch_candidates(group_job, a, group_cores)
@@ -383,8 +436,8 @@ class Planner:
         spec = choice.spec
         fd = simulate_spec(spec, spec=self.machine)
         band = simulate_band_plan(
-            self._band_plan(spec.problem, spec.layout.n_cores,
-                            spec.layout.n_band_groups),
+            self.band_plan(spec.problem, spec.layout.n_cores,
+                           spec.layout.n_band_groups),
             spec=self.machine,
         )
-        return fd.total * WholeAppModel.FD_APPLICATIONS_PER_SCF + band.total
+        return _scf_step(fd.total, band.total)

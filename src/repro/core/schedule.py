@@ -62,6 +62,7 @@ from repro.core.approaches import Approach
 from repro.core.batching import batch_schedule, split_among_workers
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
+from repro.grid.grid import GridDescriptor
 from repro.util.validation import check_positive_int
 
 #: the paper's stencil radius — the default halo width of compiled plans
@@ -625,21 +626,38 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
 
 
-def timing_plane_workers(approach: Approach, n_cores: int) -> Optional[int]:
-    """Worker-count override the timing planes pass to the compiler.
+def timing_plan(
+    approach: Approach,
+    grid: GridDescriptor,
+    n_grids: int,
+    n_cores: int,
+    batch_size: int = 1,
+    ramp_up: bool = False,
+) -> SchedulePlan:
+    """The FD plan the timing planes price and replay on ``n_cores`` cores.
 
-    Hybrid multiple runs one comm+compute thread per core of the node;
-    flat sub-groups runs one virtual-node rank per core.  Both are capped
-    by the cores actually available — unlike the functional plane, which
-    always emulates the full four-thread team (`Approach.compute_threads`)
-    regardless of any simulated core count.  Returns ``None`` (compiler
-    default) for the single-worker approaches.
+    Decomposes ``grid`` the way ``approach`` does on ``n_cores`` and
+    compiles (or fetches from cache) the plan the analytic model, the
+    DES replay, critical-path attribution and ``repro schedule`` all
+    walk.  The worker count is the timing planes' own: hybrid multiple
+    runs one comm+compute thread per core of the node and flat
+    sub-groups one virtual-node rank per core, both capped by the cores
+    actually available — unlike the functional plane, which always
+    emulates the full four-thread team (``Approach.compute_threads``)
+    regardless of any simulated core count.  Flat sub-groups is thus the
+    one approach whose worker *structure* differs between planes.
     """
-    if approach.serialized_exchange or approach.sync_per_grid:
-        return None
+    n_workers = None
     if approach.is_hybrid or not approach.decompose_per_rank:
-        return min(4, n_cores)
-    return None
+        n_workers = min(4, n_cores)
+    return compile_schedule(
+        approach,
+        Decomposition(grid, approach.domains_for(n_cores)),
+        n_grids,
+        batch_size,
+        ramp_up,
+        n_workers=n_workers,
+    )
 
 
 def compile_schedule(

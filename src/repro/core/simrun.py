@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.approaches import Approach
-from repro.core.perfmodel import FDJob
+from repro.core.perfmodel import FDJob, PerformanceModel
 from repro.core.schedule import (
     BandSchedulePlan,
     ComputeInterior,
@@ -83,9 +83,8 @@ from repro.core.schedule import (
     RingSendRecv,
     WaitAll,
     WorkerPlan,
-    compile_schedule,
     message_tag,
-    timing_plane_workers,
+    timing_plan,
 )
 from repro.grid.decompose import Decomposition
 from repro.machine.machine import Machine
@@ -94,8 +93,6 @@ from repro.machine.spec import BGP_SPEC, MachineSpec
 from repro.obs.spans import SpanTracer
 from repro.transport.faults import FaultPlan
 from repro.util.validation import check_positive_int
-
-HALO_WIDTH = 2  # the paper's stencil radius
 
 #: tag offset for wire copies the receiver discards (corrupt originals,
 #: spurious duplicates): they occupy links and counters but match no
@@ -873,35 +870,19 @@ class _FDSimulation(_Replay):
             step_tracer=step_tracer,
             fault_plan=fault_plan,
         )
-        self.decomp = Decomposition(job.grid, approach.domains_for(n_cores))
+        # The schedule is not built here: compile (or fetch from cache)
+        # the same plan the analytic model prices and replay it.
+        self.plan = timing_plan(
+            approach, job.grid, job.n_grids, n_cores, batch_size, ramp_up
+        )
+        self.decomp = self.plan.decomp
         self.rank_of_domain = _domain_to_rank(self.decomp, self.machine, placement)
         self.block_points = self.decomp.max_block_points()
-
-        # Small-block halo penalty, identical to the analytic model's.
-        def halo_point_time(shape: list[int]) -> float:
-            padded = math.prod(b + 2 * HALO_WIDTH for b in shape)
-            factor = (padded / math.prod(shape)) ** spec.halo_compute_exponent
-            return spec.stencil_point_time * factor
-
-        block = list(self.decomp.block_shape(0))
-        self.t_point = halo_point_time(block)
-        # master-only threads each stream a quarter block plus its halo
-        threads = min(4, n_cores)
-        quarter = list(block)
-        axis = quarter.index(max(quarter))
-        quarter[axis] = max(1, math.ceil(quarter[axis] / threads))
-        self.t_point_quarter = halo_point_time(quarter)
-        # The schedule is not built here: compile (or fetch from cache)
-        # the same plan the functional engine interprets and replay it.
-        self.plan = compile_schedule(
-            approach,
-            self.decomp,
-            job.n_grids,
-            batch_size,
-            ramp_up,
-            halo_width=HALO_WIDTH,
-            n_workers=timing_plane_workers(approach, n_cores),
-        )
+        # per-point compute cost: the analytic model's small-block halo
+        # penalty, and master-only's per-thread quarter block
+        model = PerformanceModel(spec)
+        self.t_point = model._point_time(self.decomp)
+        self.t_point_quarter = model._point_time(self.decomp, min(4, n_cores))
 
     def run(self) -> SimResult:
         sim = self.sim
@@ -1184,16 +1165,6 @@ class BandSimResult:
     step_trace: Optional[SpanTracer] = None
 
 
-@dataclass
-class BandStepSimResult:
-    """One full simulated SCF-relevant step under band parallelization."""
-
-    n_groups: int
-    fd: float
-    subspace: float
-    total: float
-
-
 def simulate_band_plan(
     plan: BandSchedulePlan,
     spec: MachineSpec = BGP_SPEC,
@@ -1248,48 +1219,6 @@ def simulate_band_plan(
         total=total,
         messages=eng.messages_sent,
         step_trace=step_tracer,
-    )
-
-
-def simulate_band_step(
-    job: FDJob,
-    n_cores: int,
-    n_band_groups: int,
-    spec: MachineSpec = BGP_SPEC,
-) -> BandStepSimResult:
-    """DES counterpart of :meth:`BandParallelModel.evaluate`.
-
-    Simulates one group's FD work (``G/nb`` grids on ``P/nb`` cores,
-    hybrid multiple, at the batch size the analytic model would pick)
-    plus the ring orthogonalization replay of the *same* compiled band
-    plan the model walks — the cross-plane agreement test pins the two
-    totals to <= 5%.
-    """
-    from repro.core.approaches import HYBRID_MULTIPLE
-    from repro.core.bandpar import BandParallelModel
-    from repro.core.wholeapp import WholeAppModel
-
-    model = BandParallelModel(spec)
-    layout = model.layout(job, n_cores, n_band_groups)
-    nb = layout.n_groups
-    group_cores = n_cores // nb
-    group_job = FDJob(job.grid, job.n_grids // nb)
-    fd_timing = model.fd_model.best_batch_size(
-        group_job, HYBRID_MULTIPLE, group_cores
-    )
-    fd = simulate_fd(
-        group_job,
-        HYBRID_MULTIPLE,
-        group_cores,
-        batch_size=fd_timing.batch_size,
-        spec=spec,
-    )
-    band = simulate_band_plan(model.band_plan(job, n_cores, nb), spec=spec)
-    return BandStepSimResult(
-        n_groups=nb,
-        fd=fd.total,
-        subspace=band.total,
-        total=fd.total * WholeAppModel.FD_APPLICATIONS_PER_SCF + band.total,
     )
 
 

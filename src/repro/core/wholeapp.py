@@ -144,18 +144,6 @@ class WholeAppModel:
             poisson=self._poisson_time(approach, job, n_cores),
         )
 
-    def evaluate_spec(
-        self, spec, overlapped_subspace: bool = False
-    ) -> ScfPhaseTimes:
-        """Phase times of one iteration of a :class:`~repro.core.jobspec
-        .JobSpec` configuration (band groups are not modelled here)."""
-        return self.evaluate(
-            spec.fd_job(),
-            spec.approach_obj(),
-            spec.layout.n_cores,
-            overlapped_subspace,
-        )
-
     def original(self, job: FDJob, n_cores: int) -> ScfPhaseTimes:
         """Everything as GPAW shipped it: flat original, no overlap."""
         return self.evaluate(job, FLAT_ORIGINAL, n_cores, overlapped_subspace=False)

@@ -9,8 +9,8 @@ block exchange with the neighbouring groups *before* running the blocked
 GEMM on the block currently held, so the transfer hides behind the
 matrix multiply.  This module interprets that plan on real NumPy blocks
 over the in-process transport — the same step sequence the DES replay
-(:func:`repro.core.simrun.simulate_band_plan`) and the analytic model
-(:class:`repro.core.bandpar.BandParallelModel`) walk.
+(:func:`repro.core.simrun.simulate_band_plan`) and the planner's
+pricing (:meth:`repro.core.planner.Planner.band_plan`) walk.
 
 Two entry points mirror the plan's two phases:
 

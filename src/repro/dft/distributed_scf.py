@@ -29,8 +29,8 @@ stay inside a group (over a :class:`~repro.transport.inproc
 .GroupEndpoint` window); the subspace steps execute the compiled
 :class:`~repro.core.schedule.BandSchedulePlan` through
 :class:`~repro.dft.band_ortho.BandRingExecutor` — blocked GEMMs on ring-
-circulated band blocks, the same plan the DES replay and the analytic
-:class:`~repro.core.bandpar.BandParallelModel` price.  Cross-group
+circulated band blocks, the same plan the DES replay and the
+:class:`~repro.core.planner.Planner` price.  Cross-group
 reductions are a global all-reduce of zero-padded band-matrix strips,
 a deterministic :func:`~repro.dft.band_ortho.band_axis_sum` for the
 density, and group-0-only contributions for scalar grid sums (every

@@ -188,26 +188,20 @@ def plan_for_spec(spec):
     """The compiled FD :class:`~repro.core.schedule.SchedulePlan` a
     :class:`~repro.core.jobspec.JobSpec`'s traces executed.
 
-    Mirrors the DES runner's compilation (same halo width and timing-
-    plane worker count), so traces produced by ``simulate_spec`` or the
-    real engine resolve their cross-rank edges exactly.
+    The same :func:`~repro.core.schedule.timing_plan` the DES runner
+    replays, so traces produced by ``simulate_spec`` or the real engine
+    resolve their cross-rank edges exactly.
     """
-    from repro.core.schedule import compile_schedule, timing_plane_workers
-    from repro.grid.decompose import Decomposition
+    from repro.core.schedule import timing_plan
 
-    approach = spec.approach_obj()
     group_job = spec.group_job()
-    group_cores = spec.group_cores
-    decomp = Decomposition(
-        group_job.grid, approach.domains_for(group_cores)
-    )
-    return compile_schedule(
-        approach,
-        decomp,
+    return timing_plan(
+        spec.approach_obj(),
+        group_job.grid,
         group_job.n_grids,
+        spec.group_cores,
         spec.layout.batch_size,
         spec.layout.ramp_up,
-        n_workers=timing_plane_workers(approach, group_cores),
     )
 
 

@@ -151,6 +151,38 @@ class TestCommands:
         assert "planner best:" in out
         assert "config " in out  # the JobSpec hash travels with the verdict
 
+    def test_bandpar_default_rows(self, capsys):
+        # the paper-scale sweep: best hybrid-multiple batch per nb
+        out = run(capsys, "bandpar")
+        assert out.splitlines()[3:] == [
+            "          1 | 192.584 | 5037.791 |    0.000 | 6578.465",
+            "          2 | 182.755 | 5037.791 |  207.623 | 6499.829",
+            "          4 | 173.436 | 5037.791 |  622.870 | 6425.283",
+            "          8 | 163.693 | 5037.791 | 1453.364 | 6347.334",
+            "modeled best nb = 8 at 16384 cores (6347.334 ms per step)",
+        ]
+
+    def test_bandpar_small_rows(self, capsys):
+        out = run(capsys, "bandpar", "--cores", "64", "--grids", "32",
+                  "--shape", "48", "48", "48")
+        assert out.splitlines()[3:] == [
+            "          1 | 8.498 |   2.602 |   0.000 |  70.587",
+            "          2 | 7.900 |   2.602 |   9.443 |  72.642",
+            "          4 | 7.574 |   2.602 |  28.328 |  88.921",
+            "          8 | 7.381 |   2.602 |  66.098 | 125.148",
+            "modeled best nb = 1 at 64 cores (70.587 ms per step)",
+        ]
+
+    def test_bandpar_without_feasible_group_count_exits(self):
+        # 6 cores is no whole node: every band-group count is rejected,
+        # and the command reports why instead of crashing
+        with pytest.raises(SystemExit) as exc:
+            main(["bandpar", "--cores", "6"])
+        msg = str(exc.value.code)
+        assert "no feasible band-group count" in msg
+        assert "rejected hybrid-multiple nb=1: hybrid modes need whole " \
+            "nodes, got 6 cores" in msg
+
     def test_plan_single_approach_with_des_check(self, capsys):
         out = run(capsys, "plan", "--cores", "32", "--grids", "16",
                   "--shape", "48", "48", "48",

@@ -2,28 +2,32 @@
 
 The load-bearing claims:
 
-* the planner's argmin over (approach, batch, band groups) agrees with
-  the exhaustive per-figure sweeps the repo already pins —
-  ``PerformanceModel.best_batch_size`` per approach and
-  ``BandParallelModel.sweep`` over group counts — on several
-  machine/problem combinations (the planner walks the *same* compiled
-  plans through the *same* models, so agreement is exact, not
-  approximate);
+* the planner's prices agree, row for row and bit for bit, with a
+  by-hand sweep over every approach/batch/band-group count — the FD
+  invocation through ``PerformanceModel.evaluate`` and the ring plan's
+  steps walked at the GEMM rate and the torus link — on several
+  machine/problem combinations, and its argmin with the exhaustive
+  per-figure sweeps the repo already pins (``best_batch_size``);
 * infeasible candidates come back as typed rejections (whole-node,
   divisibility, memory) rather than silently missing rows;
 * the DES cross-check of the top choices stays inside the repo's
-  existing <= 5% model-vs-DES tolerance at small core counts.
+  existing <= 5% model-vs-DES tolerance at small core counts;
+* every ranked choice is a valid, round-trippable ``JobSpec`` whose
+  price is the one step formula (a property test over random problems).
 """
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.approaches import ALL_APPROACHES, approach_by_name
-from repro.core.bandpar import BandParallelModel
-from repro.core.jobspec import ProblemSpec
+from repro.core.jobspec import JobSpec, ProblemSpec
 from repro.core.perfmodel import PerformanceModel
 from repro.core.planner import Planner
+from repro.core.schedule import PartialGemm, RingSendRecv
+from repro.core.wholeapp import WholeAppModel
 from repro.machine.spec import BGP_SPEC
 
 #: machine variants x problems for the agreement sweep: the shipped
@@ -48,39 +52,46 @@ COMBOS = [
 ]
 
 
-def brute_force_best(machine, problem, n_cores, max_groups=8):
-    """The pre-planner way: sweep every approach/batch/nb by hand."""
+def brute_force(machine, problem, n_cores, max_groups=8):
+    """The pre-planner way: ``{(approach, batch, nb): step seconds}``.
+
+    Sweeps every approach, band-group count and batch by hand, pricing
+    the FD invocation with ``PerformanceModel`` and walking the ring
+    plan's steps directly.
+    """
     fd_model = PerformanceModel(machine)
-    band_model = BandParallelModel(machine)
+    planner = Planner(machine)
+    rate = machine.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
     job = problem.fd_job()
-    best = None
+    steps = {}
     for a in ALL_APPROACHES:
         if a.is_hybrid and n_cores >= 4 and n_cores % 4:
             continue
         nb_values = [1]
         if a.name == "hybrid-multiple":
-            nb = 2
-            while nb <= max_groups:
-                if job.n_grids % nb == 0 and n_cores % (4 * nb) == 0:
-                    nb_values.append(nb)
-                nb *= 2
+            nb_values += [
+                nb for nb in range(2, max_groups + 1)
+                if job.n_grids % nb == 0 and n_cores % (4 * nb) == 0
+            ]
         for nb in nb_values:
+            plan = planner.band_plan(problem, n_cores, nb)
+            gemm = sum(s.flops / rate for s in plan.group_steps(0)
+                       if isinstance(s, PartialGemm))
+            ring = sum(machine.torus.message_time(s.nbytes, hops=1)
+                       for s in plan.group_steps(0)
+                       if isinstance(s, RingSendRecv))
             group_cores = n_cores // nb
             group_job = type(job)(job.grid, job.n_grids // nb)
             for b in fd_model.batch_candidates(group_job, a, group_cores):
-                t = band_model.evaluate(job, n_cores, nb, batch_size=b) \
-                    if nb > 1 else None
-                if nb > 1:
-                    step = t.total
-                else:
-                    fd = fd_model.evaluate(group_job, a, group_cores, b)
-                    plan = Planner(machine)._band_plan(problem, n_cores, 1)
-                    compute, ring = band_model.subspace_times(plan)
-                    step = fd.total * 8 + max(compute, ring)
-                key = (a.name, b, nb)
-                if best is None or step < best[0]:
-                    best = (step, key)
-    return best
+                fd = fd_model.evaluate(group_job, a, group_cores, b)
+                steps[(a.name, b, nb)] = fd.total * 8 + max(gemm, ring)
+    return steps
+
+
+def brute_force_best(machine, problem, n_cores, max_groups=8):
+    steps = brute_force(machine, problem, n_cores, max_groups)
+    key = min(steps, key=steps.get)
+    return steps[key], key
 
 
 class TestSweepAgreement:
@@ -118,30 +129,29 @@ class TestSweepAgreement:
                 sweep_best.total, rel=1e-12
             )
 
-    def test_band_parallel_rows_match_bandpar_sweep(self):
-        """The nb>1 step times are BandParTiming.total of the same config."""
-        problem = ProblemSpec(shape=(48, 48, 48), n_grids=16)
-        result = Planner().rank(problem, 32)
-        model = BandParallelModel()
+    @pytest.mark.parametrize("machine,problem,n_cores", COMBOS)
+    def test_every_row_matches_brute_force(self, machine, problem, n_cores):
+        """Every ranked row — band-parallel ones included — is priced
+        exactly as the by-hand sweep prices the same configuration."""
+        result = Planner(machine).rank(problem, n_cores)
+        steps = brute_force(machine, problem, n_cores)
+        assert len(result.choices) == len(steps)
         for ch in result.choices:
             lay = ch.spec.layout
-            if lay.n_band_groups == 1:
-                continue
-            t = model.evaluate(
-                problem.fd_job(), 32, lay.n_band_groups,
-                batch_size=lay.batch_size,
-            )
-            assert ch.predicted_time == pytest.approx(t.total, rel=1e-12)
+            key = (lay.approach, lay.batch_size, lay.n_band_groups)
+            assert ch.predicted_time == steps[key]
 
     def test_paper_scale_best_is_banded(self):
-        """At 16384 cores the 2D decomposition wins, as bandpar pins."""
+        """At 16384 cores the 2D decomposition wins."""
         problem = ProblemSpec(shape=(192, 192, 192), n_grids=2816)
         choice = Planner().best(problem, 16384)
-        sweep = BandParallelModel().sweep(problem.fd_job(), 16384)
-        best = min(sweep, key=lambda t: t.total)
-        assert choice.spec.layout.approach == "hybrid-multiple"
-        assert choice.spec.layout.n_band_groups == best.n_band_groups
-        assert choice.predicted_time == pytest.approx(best.total, rel=1e-12)
+        step, (name, batch, nb) = brute_force_best(BGP_SPEC, problem, 16384)
+        lay = choice.spec.layout
+        assert (lay.approach, lay.batch_size, lay.n_band_groups) == (
+            name, batch, nb
+        )
+        assert lay.approach == "hybrid-multiple" and lay.n_band_groups > 1
+        assert choice.predicted_time == step
 
 
 class TestRejections:
@@ -213,7 +223,7 @@ class TestRejections:
 
 class TestDesCrossCheck:
     def test_top_choices_within_tolerance(self):
-        """Mirrors test_core_bandpar's model-vs-DES gate: <= 5% @ 32 cores."""
+        """The model-vs-DES gate of test_core_bandpar: <= 5% @ 32 cores."""
         problem = ProblemSpec(shape=(48, 48, 48), n_grids=16)
         result = Planner().rank(problem, 32, des_top_k=3)
         checked = [ch for ch in result.choices if ch.des_time is not None]
@@ -233,7 +243,7 @@ class TestDesCrossCheck:
         spec = choice.spec
         fd = simulate_spec(spec)
         band = simulate_band_plan(
-            planner._band_plan(problem, 32, spec.layout.n_band_groups)
+            planner.band_plan(problem, 32, spec.layout.n_band_groups)
         )
         assert des == pytest.approx(fd.total * 8 + band.total, rel=1e-12)
 
@@ -324,3 +334,41 @@ class TestDegrade:
         assert all(
             ch.spec.layout.n_band_groups <= 2 for ch in result.choices
         )
+
+
+class TestRankProperties:
+    """The planner never returns a spec that ``JobSpec`` validation
+    rejects, and every row is priced by the one step formula."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 24, 48]),
+        n_grids=st.integers(1, 64),
+        n_cores=st.integers(1, 128),
+        max_groups=st.integers(1, 8),
+    )
+    def test_rank_rows_are_valid_and_consistently_priced(
+        self, n, n_grids, n_cores, max_groups
+    ):
+        problem = ProblemSpec(shape=(n, n, n), n_grids=n_grids)
+        planner = Planner()
+        candidates, rejected = planner.enumerate(
+            problem, n_cores, max_groups=max_groups
+        )
+        result = planner.rank(problem, n_cores, max_groups=max_groups)
+        assert len(result.choices) + len(result.rejected) == (
+            len(candidates) + len(rejected)
+        )
+        assert [ch.rank for ch in result.choices] == list(
+            range(1, len(result.choices) + 1)
+        )
+        times = [ch.predicted_time for ch in result.choices]
+        assert times == sorted(times)
+        for ch in result.choices:
+            again = JobSpec.from_dict(ch.spec.to_dict())
+            assert again == ch.spec
+            assert again.config_hash() == ch.spec.config_hash()
+            assert ch.predicted_time == (
+                WholeAppModel.FD_APPLICATIONS_PER_SCF * ch.fd_time
+                + max(ch.subspace_compute, ch.subspace_ring)
+            )

@@ -23,7 +23,7 @@ from repro.core import (
     compile_schedule,
     plan_cache_stats,
     simulate_fd,
-    timing_plane_workers,
+    timing_plan,
 )
 from repro.core.approaches import FLAT_SUBGROUPS
 from repro.core.schedule import (
@@ -50,15 +50,8 @@ def _batch_for(approach, batch_size):
 
 def _compile(approach, n_cores, n_grids, batch_size, shape=(24, 24, 24)):
     gd = GridDescriptor(shape)
-    decomp = Decomposition(gd, approach.domains_for(n_cores))
-    plan = compile_schedule(
-        approach,
-        decomp,
-        n_grids,
-        batch_size,
-        n_workers=timing_plane_workers(approach, n_cores),
-    )
-    return gd, decomp, plan
+    plan = timing_plan(approach, gd, n_grids, n_cores, batch_size)
+    return gd, plan.decomp, plan
 
 
 class TestCrossPlaneConsistency:
@@ -285,11 +278,7 @@ class TestPlanDependencies:
     PostSend (or ring stage) whose message that wait completes."""
 
     def _fd_plan(self, approach, cores, n_grids=4, batch=2, shape=(16, 16, 16)):
-        decomp = Decomposition(GridDescriptor(shape), approach.domains_for(cores))
-        return compile_schedule(
-            approach, decomp, n_grids, batch,
-            n_workers=timing_plane_workers(approach, cores),
-        )
+        return timing_plan(approach, GridDescriptor(shape), n_grids, cores, batch)
 
     @pytest.mark.parametrize("name,cores", [
         ("flat-optimized", 4), ("hybrid-multiple", 8),
@@ -330,12 +319,11 @@ class TestPlanDependencies:
         assert len(only0) < len(plan_dependencies(plan))
 
     def test_band_plan_ring_edges(self):
-        from repro.core.bandpar import BandParallelModel
+        from repro.core import Planner, ProblemSpec
         from repro.core.schedule import RingSendRecv, plan_dependencies
 
         nb = 4
-        job = FDJob(GridDescriptor((16, 16, 16)), 16)
-        plan = BandParallelModel().band_plan(job, 16, nb)
+        plan = Planner().band_plan(ProblemSpec((16, 16, 16), 16), 16, nb)
         deps = plan_dependencies(plan)
         assert deps
         for d in deps:

@@ -109,7 +109,7 @@ class TestCrossPlaneConsistency:
         # flat-subgroups is the one approach whose worker *structure*
         # differs between planes: the functional engine consolidates each
         # rank into one worker, the timing planes model four sub-group
-        # virtual ranks (see timing_plane_workers).  Sequences cannot
+        # virtual ranks (see timing_plan).  Sequences cannot
         # match worker-for-worker, but both planes must interpret the
         # same step-kind vocabulary per rank.
         real = real_step_trace("flat-subgroups", **CONFIG)

@@ -12,9 +12,9 @@ against a second engine kept bit-exact by hand.  Three families:
   activity rows ``(start, end, resource, step_kind)`` and of the step
   rows, both in insertion order.
 * ``band`` — the ring orthogonalization pass
-  (:func:`repro.core.simrun.simulate_band_plan`) of the band-parallel
-  model's 48^3 / 48 bands / 96 cores plan at nb in {1, 2, 3, 6}, with
-  its step rows.
+  (:func:`repro.core.simrun.simulate_band_plan`) of the planner's
+  48^3 / 48 bands / 96 cores ring plan at nb in {1, 2, 3, 6}, with its
+  step rows.
 * ``fig2`` — the Fig. 2 ping-pong time of every default message size
   (:func:`repro.netmodel.measured_bandwidth_curve`).
 
@@ -35,7 +35,7 @@ import json
 import pathlib
 import sys
 
-from repro.core import BandParallelModel, FDJob, approach_by_name, simulate_fd
+from repro.core import FDJob, Planner, ProblemSpec, approach_by_name, simulate_fd
 from repro.core.simrun import simulate_band_plan
 from repro.grid import GridDescriptor
 from repro.netmodel import measured_bandwidth_curve
@@ -160,9 +160,8 @@ def fd_record(result) -> dict:
 
 
 def band_plan(nb: int):
-    """The band-parallel model's ring plan: 48^3, 48 bands, 96 cores."""
-    job = FDJob(GridDescriptor((48, 48, 48)), 48)
-    return BandParallelModel().band_plan(job, 96, nb)
+    """The planner's ring plan: 48^3, 48 bands, 96 cores."""
+    return Planner().band_plan(ProblemSpec((48,) * 3, 48), 96, nb)
 
 
 def band_record(nb: int) -> dict:
