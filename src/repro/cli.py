@@ -28,8 +28,8 @@ The shared ``--approach/--cores/--grids/--batch-size/--shape`` options
 are declared once, from :data:`repro.core.jobspec.CLI_KNOBS`; each
 subcommand only names the knobs it takes and their defaults.
 
-Every command prints the same rows the corresponding benchmark asserts
-on; this is the interactive face of ``pytest benchmarks/``.
+Every figure command prints the same rows the tier-1 tests assert the
+paper's shape criteria on (``tests/test_analysis.py``).
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ ring buffer instead: at every iteration boundary it drains its
 snapshots counter deltas from the metrics registry, appending an
 :class:`IterationRecord` to a ``deque(maxlen=K)``.  Steady-state cost
 is the span recording itself — the same hook a plain tracer uses — plus
-one drain per iteration; the bench gate in ``tools/bench_report.py``
-pins the overhead under 3%.
+one drain per iteration.  Recording adds no operation to the run: a
+recorded SCF sends the bare run's messages and reaches its energy bit
+for bit (``tests/test_obs_flightrec.py``).
 
 On a crash (:class:`~repro.transport.supervisor.CrashReport`) or a
 fatal degradation, :meth:`FlightRecorder.dump` turns the window into a

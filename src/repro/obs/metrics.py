@@ -26,8 +26,9 @@ snapshot taken mid-run is internally consistent per instrument.
 ``inc``/``set``/``observe`` are empty methods, and the registry hands the
 same objects back without allocation.  Code paths take a registry
 parameter defaulting to ``None``-means-null and never branch on
-enabledness themselves; the overhead gate in ``tools/bench_report.py``
-pins the enabled-path cost on the stencil hot loop to <3%.
+enabledness themselves.  The benchmark's traced passes run with a live
+registry and its untraced passes without, so its
+``run.trace_overhead_frac`` bounds the enabled-path cost.
 """
 
 from __future__ import annotations

@@ -7,6 +7,14 @@ from repro.analysis.calibration import (
     anchor_error,
     fit_compute_knobs,
 )
+from repro.core import (
+    FDJob,
+    FLAT_OPTIMIZED,
+    FLAT_ORIGINAL,
+    HYBRID_MULTIPLE,
+    PerformanceModel,
+)
+from repro.grid import GridDescriptor
 from repro.machine.spec import BGP_SPEC
 
 
@@ -46,6 +54,22 @@ class TestGridSearch:
         )
         assert result.error == pytest.approx(min(e for _, _, e in result.grid))
         assert len(result.grid) == 4
+
+    def test_conclusions_hold_across_the_grid(self):
+        """The qualitative verdicts (hybrid wins; original trails
+        optimized) do not hinge on the exact values of the two knobs."""
+        job = FDJob(GridDescriptor((192, 192, 192)), 2816)
+        for t in (90e-9, 110e-9, 130e-9):
+            for e in (0.2, 0.3, 0.4):
+                pm = PerformanceModel(
+                    BGP_SPEC.with_(stencil_point_time=t, halo_compute_exponent=e)
+                )
+                hm = pm.best_batch_size(job, HYBRID_MULTIPLE, 16384).total
+                opt = pm.best_batch_size(job, FLAT_OPTIMIZED, 16384).total
+                orig = pm.evaluate(job, FLAT_ORIGINAL, 16384).total
+                assert orig / hm > 1.3
+                assert opt / hm > 1.0
+                assert orig / hm > opt / hm
 
     def test_default_beats_grid_corners(self):
         """No corner of a wide grid beats the shipped point by much."""

@@ -128,6 +128,20 @@ class TestBatching:
         t = pm.best_batch_size(fig5_job, FLAT_ORIGINAL, 512)
         assert t.batch_size == 1
 
+    def test_batch_size_sweep_has_interior_optimum(self, pm, fig7_job):
+        """At 16k cores, latency-bound small batches and a prologue-bound
+        single giant batch bracket the optimum best_batch_size finds."""
+        times = {
+            b: pm.evaluate(fig7_job, HYBRID_MULTIPLE, 16384, batch_size=b).total
+            for b in (1, 2, 4, 8, 16, 32, 64, 128, 256, 704)
+        }
+        best = min(times, key=times.get)
+        assert times[1] > times[best]
+        assert times[704] >= times[best]
+        assert 2 <= best <= 256
+        picked = pm.best_batch_size(fig7_job, HYBRID_MULTIPLE, 16384)
+        assert picked.total == pytest.approx(times[best], rel=1e-6)
+
     def test_ramp_up_shortens_prologue(self, pm):
         """With comm-bound rounds, halving the first batch helps."""
         job = FDJob(GridDescriptor((144, 144, 144)), 256)

@@ -142,9 +142,13 @@ class TestSweepAgreement:
             assert ch.predicted_time == steps[key]
 
     def test_paper_scale_best_is_banded(self):
-        """At 16384 cores the 2D decomposition wins."""
+        """At 16384 cores the 2D decomposition wins, out of a candidate
+        space whose size is pinned (what `repro plan --cores 16384`
+        enumerates)."""
         problem = ProblemSpec(shape=(192, 192, 192), n_grids=2816)
-        choice = Planner().best(problem, 16384)
+        result = Planner().rank(problem, 16384)
+        assert (len(result.choices), len(result.rejected)) == (59, 4)
+        choice = result.best()
         step, (name, batch, nb) = brute_force_best(BGP_SPEC, problem, 16384)
         lay = choice.spec.layout
         assert (lay.approach, lay.batch_size, lay.n_band_groups) == (

@@ -180,6 +180,25 @@ class TestPlanCache:
         stats = plan_cache_stats()
         assert stats == {"hits": 0, "misses": 0, "size": 0}
 
+    def test_scf_style_loop_compiles_once(self):
+        """Re-running the same apply every iteration costs one compile,
+        then cache hits only."""
+        clear_plan_cache()
+        gd = GridDescriptor((16, 16, 16))
+        decomp = Decomposition(gd, 1)
+        engine = DistributedStencil(
+            decomp, laplacian_coefficients(2, spacing=gd.spacing)
+        )
+        blocks = {
+            g: scatter(gd.random(seed=g), decomp, HaloSpec(2))[0]
+            for g in range(4)
+        }
+        ep = InprocTransport(1).endpoint(0)
+        for _ in range(10):
+            engine.apply(ep, blocks, approach=FLAT_OPTIMIZED, batch_size=4)
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 9)
+
     def test_use_cache_false_bypasses(self):
         gd = GridDescriptor((24, 24, 24))
         a = compile_schedule(

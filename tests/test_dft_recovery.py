@@ -334,6 +334,34 @@ class TestAdaptiveCadence:
         assert res.restarts == 0
         assert ctrl.scf.cadence is None
 
+    def test_fault_free_controller_costs_only_the_cadence_allreduce(self):
+        """Self-healing is free until a failure happens, pinned as op
+        counts: a static-cadence controller sends exactly the direct
+        run's messages, and an armed adaptive cadence adds one scalar
+        allreduce per iteration.  Neither changes the energy."""
+        n_ranks, iterations = 4, 4  # band_scf runs max_iterations=4
+
+        def run(policy):
+            transport = InprocTransport(n_ranks)
+            scf = band_scf(n_ranks, 2, store=MemoryCheckpointStore())
+            if policy is None:
+                res = scf.run(transport=transport)
+            else:
+                res = RecoveryController(
+                    scf, policy=policy,
+                    transport_factory=lambda attempt, n: transport,
+                ).run()
+            stats = transport.stats
+            return (res.total_energy, sum(s.messages for s in stats),
+                    sum(s.bytes for s in stats))
+
+        energy, messages, nbytes = run(None)
+        assert run(DegradationPolicy()) == (energy, messages, nbytes)
+        extra = iterations * 2 * (n_ranks - 1)  # gather + broadcast
+        assert run(DegradationPolicy(expected_mtbf=60.0)) == (
+            energy, messages + extra, nbytes + 8 * extra
+        )
+
     def test_adaptive_run_still_recovers(self, oracle):
         scf = band_scf(n_ranks=4, n_band_groups=2,
                        store=MemoryCheckpointStore())

@@ -79,6 +79,37 @@ class TestSCFWiring:
         # the SCF stamped its config hash onto the recorder's tracer
         assert rec.config_hash == spec.config_hash()
 
+    def test_recording_costs_no_operations(self):
+        """Always-on recording is free on the healthy path, pinned as
+        counts: the recorded run sends the bare run's messages, reaches
+        the bare run's energy bit for bit, and buffers the same number
+        of spans every steady-state iteration (counted on rank 0, which
+        rotates the window; other ranks' spans race the rotation)."""
+        from repro.dft import DistributedSCF
+        from repro.transport import InprocTransport
+
+        gd, v = _harmonic()
+        spec = JobSpec(
+            problem=ProblemSpec.from_grid(gd, 4),
+            layout=LayoutSpec(n_cores=4, n_band_groups=2),
+            runtime=RuntimeSpec(mixing=0.6, tolerance=0.0,
+                                max_iterations=6, band_iterations=4),
+        )
+
+        def run(rec):
+            transport = InprocTransport(4)
+            scf = DistributedSCF.from_spec(spec, v, occupations=[2.0] * 4)
+            res = scf.run(transport=transport, flight_recorder=rec)
+            return res.total_energy, [s.messages for s in transport.stats]
+
+        rec = FlightRecorder(capacity=4)
+        assert run(rec) == run(None)
+        per_iteration = {
+            sum(s.resource.startswith("bg0.rank0.") for s in r.spans)
+            for r in rec.window
+        }
+        assert len(per_iteration) == 1 and per_iteration.pop() > 0
+
 
 class TestDump:
     def test_dump_round_trips_chrome_trace(self):

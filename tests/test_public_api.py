@@ -44,7 +44,7 @@ class TestRepositoryDocs:
     @pytest.mark.parametrize(
         "path",
         ["README.md", "DESIGN.md", "EXPERIMENTS.md", "LICENSE",
-         "CONTRIBUTING.md", "CHANGELOG.md", "docs/MODEL.md", "docs/API.md"],
+         "CONTRIBUTING.md", "CHANGES.md", "docs/MODEL.md", "docs/API.md"],
     )
     def test_doc_exists_and_nonempty(self, path):
         f = ROOT / path
