@@ -41,12 +41,6 @@ from repro.analysis.calibration import (
     anchor_error,
     fit_compute_knobs,
 )
-from repro.analysis.scaling import (
-    crossover_cores,
-    gustafson_crossover,
-    isoefficiency_grids,
-    parallel_efficiency,
-)
 from repro.analysis.timeline import (
     model_step_trace,
     real_step_trace,
@@ -73,10 +67,6 @@ __all__ = [
     "PaperAnchors",
     "anchor_error",
     "fit_compute_knobs",
-    "crossover_cores",
-    "gustafson_crossover",
-    "isoefficiency_grids",
-    "parallel_efficiency",
     "ChaosOutcome",
     "ResilienceRow",
     "checkpoint_bytes",

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.core.approaches import (
     ALL_APPROACHES,
-    Approach,
     FLAT_OPTIMIZED,
     FLAT_ORIGINAL,
     HYBRID_MULTIPLE,
@@ -230,8 +229,3 @@ def ablation_subgroups(
     )
     hybrid = PerformanceModel(spec).best_batch_size(FIG7_JOB, HYBRID_MULTIPLE, n_cores)
     return subgroup, hybrid
-
-
-def approaches_in_figure_order() -> list[Approach]:
-    """The legend order the paper uses."""
-    return list(ALL_APPROACHES)

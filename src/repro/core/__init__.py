@@ -46,12 +46,10 @@ from repro.core.schedule import (
     PartialGemm,
     RingSendRecv,
     SchedulePlan,
-    StepDependency,
     clear_plan_cache,
     compile_band_schedule,
     compile_schedule,
     plan_cache_stats,
-    plan_dependencies,
     recv_sources,
     ring_tag,
     timing_plan,
@@ -88,8 +86,6 @@ from repro.core.simrun import (
 from repro.core.wholeapp import ScfPhaseTimes, WholeAppModel
 from repro.core.memory import (
     fd_memory_per_rank,
-    fits_in_memory,
-    max_grids_per_core,
     memory_limit_per_rank,
 )
 
@@ -110,8 +106,6 @@ __all__ = [
     "clear_plan_cache",
     "compile_band_schedule",
     "compile_schedule",
-    "StepDependency",
-    "plan_dependencies",
     "recv_sources",
     "plan_cache_stats",
     "ring_tag",
@@ -143,7 +137,5 @@ __all__ = [
     "ScfPhaseTimes",
     "WholeAppModel",
     "fd_memory_per_rank",
-    "fits_in_memory",
-    "max_grids_per_core",
     "memory_limit_per_rank",
 ]

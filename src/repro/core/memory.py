@@ -47,31 +47,3 @@ def fd_memory_per_rank(
     padded_in = math.prod(b + 2 * DEFAULT_HALO_WIDTH for b in block) * bpp
     plain_out = math.prod(block) * bpp
     return job.n_grids * (padded_in + plain_out)
-
-
-def fits_in_memory(
-    job: FDJob, approach: Approach, n_cores: int, spec: MachineSpec = BGP_SPEC
-) -> bool:
-    """Does the job's working set fit each rank's memory?"""
-    return fd_memory_per_rank(job, approach, n_cores, spec) <= memory_limit_per_rank(
-        approach, n_cores, spec
-    )
-
-
-def max_grids_per_core(
-    grid, approach: Approach, n_cores: int = 1,
-    spec: MachineSpec = BGP_SPEC, power_of_two: bool = True,
-) -> int:
-    """Largest grid count per rank that fits (optionally a power of two).
-
-    With the paper's 144^3 grids on a single core this returns 32 — the
-    constraint that sizes the Fig 5 job.
-    """
-    limit = memory_limit_per_rank(approach, n_cores, spec)
-    one = fd_memory_per_rank(FDJob(grid, 1), approach, n_cores, spec)
-    raw = int(limit // one)
-    if raw < 1:
-        return 0
-    if not power_of_two:
-        return raw
-    return 1 << (raw.bit_length() - 1)

@@ -63,29 +63,11 @@ from repro.core.batching import batch_schedule, split_among_workers
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
 from repro.grid.grid import GridDescriptor
+from repro.transport.errors import message_tag, ring_tag
 from repro.util.validation import check_positive_int
 
 #: the paper's stencil radius — the default halo width of compiled plans
 DEFAULT_HALO_WIDTH = 2
-
-
-def message_tag(seq: int, dim: int, step: int) -> int:
-    """The wire tag of one halo message: sequence number + direction."""
-    return seq * 8 + dim * 2 + (0 if step > 0 else 1)
-
-
-def decode_message_tag(tag: int) -> tuple[int, int, int]:
-    """Invert :func:`message_tag`: ``tag -> (seq, dim, step)``.
-
-    The transport mirrors this encoding in
-    :func:`repro.transport.errors.decode_halo_tag` (it cannot import this
-    module); the consistency tests pin the two against each other.
-    """
-    if tag < 0:
-        raise ValueError(f"halo tags are non-negative, got {tag}")
-    seq, rest = divmod(tag, 8)
-    dim, parity = divmod(rest, 2)
-    return seq, dim, (+1 if parity == 0 else -1)
 
 
 # -- step types ---------------------------------------------------------------
@@ -164,17 +146,6 @@ class JoinBarrier:
     """One worker of a thread team reaches the invocation's join point."""
 
     worker: int
-
-
-#: band-ring tags live above checkpoint traffic and below collectives
-#: (mirrored by ``repro.transport.errors.RING_TAG_BASE``, which cannot
-#: import this module; a consistency test pins the two together)
-RING_TAG_BASE = 1 << 27
-
-
-def ring_tag(phase: int, stage: int) -> int:
-    """The wire tag of one orthogonalization ring stage."""
-    return RING_TAG_BASE + (phase << 12) + stage
 
 
 @dataclass(frozen=True)
@@ -843,24 +814,6 @@ def compile_band_schedule(
 
 
 # -- step dependency metadata -------------------------------------------------
-@dataclass(frozen=True)
-class StepDependency:
-    """One cross-worker edge of a compiled plan's dependency DAG.
-
-    ``src`` and ``dst`` are ``(owner, worker, step_index)`` triples —
-    ``owner`` is a domain for FD plans and a band group for band plans.
-    The consumer is always a :class:`WaitAll`; the producer is the
-    :class:`PostSend` (or :class:`RingSendRecv`) whose message that wait
-    completes.  Program order *within* a worker is implicit (the step
-    list is the execution order), so only cross-worker edges are
-    enumerated.
-    """
-
-    kind: str  # "message" | "ring"
-    src: tuple[int, int, int]
-    dst: tuple[int, int, int]
-
-
 def recv_sources(plan) -> dict:
     """Producer-owner lookup for every receive direction of a plan.
 
@@ -883,77 +836,3 @@ def recv_sources(plan) -> dict:
         for dim, step, src, _nbytes in plan._directions(domain)[1]:
             out[(domain, dim, step)] = src
     return out
-
-
-def plan_dependencies(plan, owners=None) -> tuple[StepDependency, ...]:
-    """Enumerate the cross-worker dependency edges of a compiled plan.
-
-    Walks each owner's step list, tracking which receives every
-    :class:`WaitAll` completes (the same pop-by-``seq`` semantics the
-    planes execute), and resolves each completed receive to the peer's
-    matching :class:`PostSend` by ``(seq, dim, direction)`` tag — or, for
-    band plans, each ring-stage wait to the predecessor group's
-    :class:`RingSendRecv`.  ``owners`` restricts the consumers walked
-    (producers are indexed on demand); default is every domain/group.
-    """
-    deps: list[StepDependency] = []
-    if isinstance(plan, BandSchedulePlan):
-        nb = plan.layout.n_groups
-        targets = range(nb) if owners is None else owners
-        ring_idx: dict[tuple[int, int, int], int] = {}
-        for g in range(nb):
-            for i, st in enumerate(plan.group_steps(g)):
-                if isinstance(st, RingSendRecv):
-                    ring_idx[(g, st.phase, st.seq)] = i
-        for g in targets:
-            src = plan.layout.ring_recv_group(g)
-            pending: list[tuple[int, int]] = []  # (phase, seq) posted
-            for i, st in enumerate(plan.group_steps(g)):
-                if isinstance(st, RingSendRecv):
-                    pending.append((st.phase, st.seq))
-                elif isinstance(st, WaitAll):
-                    for phase, seq in [p for p in pending if p[1] == st.seq]:
-                        pending.remove((phase, seq))
-                        j = ring_idx.get((src, phase, seq))
-                        if j is not None:
-                            deps.append(StepDependency(
-                                "ring", (src, 0, j), (g, 0, i)
-                            ))
-        return tuple(deps)
-
-    targets = range(plan.decomp.n_domains) if owners is None else owners
-    # producer index, built lazily per referenced source domain:
-    # (src domain, dst domain, seq, dim, direction) -> (worker, step idx)
-    send_idx: dict[tuple, tuple[int, int]] = {}
-    indexed: set[int] = set()
-
-    def index_domain(d: int) -> None:
-        for w in plan.rank_plan(d).workers:
-            for i, st in enumerate(w.steps):
-                if isinstance(st, PostSend):
-                    send_idx[(d, st.dst, st.seq, st.dim, st.step)] = (
-                        w.index, i,
-                    )
-        indexed.add(d)
-
-    for d in targets:
-        for w in plan.rank_plan(d).workers:
-            pending_rcv: dict[int, list[PostRecv]] = {}
-            for i, st in enumerate(w.steps):
-                if isinstance(st, PostRecv):
-                    pending_rcv.setdefault(st.seq, []).append(st)
-                elif isinstance(st, WaitAll):
-                    for pr in pending_rcv.pop(st.seq, ()):
-                        if pr.src not in indexed:
-                            index_domain(pr.src)
-                        hit = send_idx.get(
-                            (pr.src, d, pr.seq, pr.dim, pr.step)
-                        )
-                        if hit is not None:
-                            deps.append(StepDependency(
-                                "message",
-                                (pr.src, hit[0], hit[1]),
-                                (d, w.index, i),
-                            ))
-    return tuple(deps)
-

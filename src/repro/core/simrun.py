@@ -18,7 +18,7 @@ Every replay runs on one table-driven micro-op machine:
   fault instrumentation, step tracing) happens at lowering time;
   replay is a tight opcode loop (:class:`_Worker`).
 * **Callback chains instead of processes** — blocking ops schedule bound
-  methods on the simulator's callback fast path
+  methods on the simulator's callback queue
   (:meth:`~repro.des.core.Simulator.call_at` /
   :meth:`~repro.des.core.Simulator.call_soon`).  Messages are
   :class:`_Transfer` chains that hold every link of their
@@ -218,7 +218,7 @@ def _domain_to_rank(
 
 # -- the replay core ----------------------------------------------------------
 class _CbLock:
-    """Capacity-1 FIFO lock on the callback fast path.
+    """Capacity-1 FIFO lock built from simulator callbacks.
 
     A free acquire schedules the continuation (1 queue entry), a
     contended one queues silently, and a release hands the slot to the

@@ -2,23 +2,22 @@
 
 This is the clock under the simulated Blue Gene/P: the DES replay
 (:mod:`repro.core.simrun`) drives every rank, worker thread and torus
-transfer of the performance plane as callback chains on its fast path.
-The kernel is intentionally minimal — a two-level event queue (a FIFO
-for the current time, a binary heap for the future) plus generator-based
-processes (the SimPy execution model) — because determinism and
-debuggability matter more here than feature breadth.
+transfer of the performance plane as callback chains.  The kernel is
+intentionally minimal — a two-level event queue (a FIFO for the current
+time, a binary heap for the future) of bare callbacks — because
+determinism and debuggability matter more here than feature breadth.
 
 Key concepts
 ------------
 
 ``Simulator``
-    owns the clock and the event queue; ``run()`` drains it.
-    ``call_at``/``call_soon`` schedule bare callbacks (the replay's path).
-``Event``
-    a one-shot occurrence that processes can wait on; carries a value.
-``Process``
-    a Python generator driven by the simulator.  Yield an :class:`Event`
-    (or helper like ``sim.timeout(dt)``) to suspend until it fires.
+    owns the clock and the event queue.  ``call_at(t, fn, *args)`` and
+    ``call_soon(fn, *args)`` schedule a callback; ``run()`` drains the
+    queue, firing entries by time and, at equal times, in scheduling
+    order.
+``SimulationError``
+    raised on an inconsistent schedule, such as a ``call_at`` into the
+    past.
 
 Example
 -------
@@ -26,32 +25,16 @@ Example
 >>> from repro.des import Simulator
 >>> sim = Simulator()
 >>> log = []
->>> def proc(sim, name, delay):
-...     yield sim.timeout(delay)
+>>> def arrive(name):
 ...     log.append((sim.now, name))
->>> _ = sim.spawn(proc(sim, "b", 2.0))
->>> _ = sim.spawn(proc(sim, "a", 1.0))
+>>> sim.call_at(2.0, arrive, "b")
+>>> sim.call_at(1.0, arrive, "a")
 >>> sim.run()
+2.0
 >>> log
 [(1.0, 'a'), (2.0, 'b')]
 """
 
-from repro.des.core import (
-    Simulator,
-    Event,
-    Process,
-    Interrupt,
-    SimulationError,
-    AllOf,
-    AnyOf,
-)
+from repro.des.core import Simulator, SimulationError
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Process",
-    "Interrupt",
-    "SimulationError",
-    "AllOf",
-    "AnyOf",
-]
+__all__ = ["Simulator", "SimulationError"]

@@ -9,11 +9,11 @@ examples and integration tests:
 
 * :mod:`repro.dft.operators` — Laplacian and kinetic-energy operators on a
   grid descriptor.
-* :mod:`repro.dft.poisson` — weighted-Jacobi and multigrid solvers for
-  ``laplace(phi) = -4 pi rho``.
+* :mod:`repro.dft.poisson` — the multigrid solver for
+  ``laplace(phi) = -4 pi rho`` (weighted-Jacobi smoothing per level).
 * :mod:`repro.dft.hamiltonian` — ``H = -1/2 laplace + V(r)``.
 * :mod:`repro.dft.eigensolver` — lowest eigenpairs of the FD Hamiltonian.
-* :mod:`repro.dft.orthogonalize` — Gram-Schmidt and Löwdin
+* :mod:`repro.dft.orthogonalize` — the overlap matrix and Löwdin
   orthogonalization of wave-function sets (the operation that forces
   GPAW's same-subset-everywhere decomposition).
 * :mod:`repro.dft.density` — electron density from occupied states.
@@ -41,7 +41,7 @@ from repro.dft.operators import Laplacian, Kinetic
 from repro.dft.poisson import PoissonSolver, PoissonResult
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.eigensolver import lowest_eigenstates, EigenResult
-from repro.dft.orthogonalize import gram_schmidt, lowdin, overlap_matrix
+from repro.dft.orthogonalize import lowdin, overlap_matrix
 from repro.dft.density import density_from_states
 from repro.dft.scf import SCFLoop, SCFResult
 from repro.dft.rmm_diis import KineticPreconditioner, RmmDiis, RmmDiisResult
@@ -64,7 +64,6 @@ __all__ = [
     "Hamiltonian",
     "lowest_eigenstates",
     "EigenResult",
-    "gram_schmidt",
     "lowdin",
     "overlap_matrix",
     "density_from_states",

@@ -48,10 +48,10 @@ from repro.core.schedule import (
     BandSchedulePlan,
     PartialGemm,
     RingSendRecv,
-    ring_tag,
 )
 from repro.core.workspace import Workspace
 from repro.grid.bandgroups import BandGroups
+from repro.transport.errors import RING_STAGES, ring_tag
 
 __all__ = [
     "BAND_REDUCE_PHASE",
@@ -194,7 +194,7 @@ def band_axis_sum(
     if layout.n_groups == 1:
         return array
     rank = ep.rank
-    tag = ring_tag(BAND_REDUCE_PHASE, round_id % (1 << 12))
+    tag = ring_tag(BAND_REDUCE_PHASE, round_id % RING_STAGES)
     peers = layout.band_peers(rank)
     for peer in peers:
         if peer != rank:

@@ -3,12 +3,9 @@
 This is the operation that pins GPAW's data layout: orthogonalizing the
 band set needs *the same subset of every grid* on every process
 (section IV of the paper), because the overlap matrix couples all bands
-point by point.  We provide the two standard schemes:
-
-* modified Gram-Schmidt — sequential, numerically robust;
-* Löwdin (symmetric) orthogonalization — ``S^{-1/2}`` via an eigen
-  decomposition of the overlap matrix; treats all bands symmetrically,
-  which is what GPAW actually does.
+point by point.  We use Löwdin (symmetric) orthogonalization —
+``S^{-1/2}`` via an eigen decomposition of the overlap matrix — which
+treats all bands symmetrically, as GPAW does.
 
 The grid inner product carries the ``h^3`` volume element so that
 orthonormality means physical normalization.
@@ -60,26 +57,6 @@ def overlap_matrix(
                 s[i0:i1, j0:j1] = tile
                 s[j0:j1, i0:i1] = tile.conj().T
     return s
-
-
-def gram_schmidt(grid: GridDescriptor, states: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt orthonormalization of a band set."""
-    if states.ndim != 4 or states.shape[1:] != grid.shape:
-        raise ValueError(
-            f"states must be (bands, {grid.shape}); got {states.shape}"
-        )
-    h3 = grid.spacing ** 3
-    out = states.astype(states.dtype, copy=True)
-    n = out.shape[0]
-    for i in range(n):
-        for j in range(i):
-            proj = np.vdot(out[j], out[i]) * h3
-            out[i] = out[i] - proj * out[j]
-        norm = np.sqrt(np.vdot(out[i], out[i]).real * h3)
-        if norm < 1e-14:
-            raise ValueError(f"band {i} is linearly dependent on earlier bands")
-        out[i] = out[i] / norm
-    return out
 
 
 def lowdin(grid: GridDescriptor, states: np.ndarray) -> np.ndarray:

@@ -1,13 +1,9 @@
-"""Finite-difference Poisson solvers: weighted Jacobi and multigrid.
+"""Finite-difference Poisson solver: a multigrid V-cycle.
 
 Solves ``laplace(phi) = -4 pi rho`` (Gaussian units, GPAW's convention for
-the Hartree potential).  Two solvers:
-
-* weighted Jacobi — simple, used as the multigrid smoother and as a
-  reference;
-* a V-cycle multigrid — full-weighting restriction, trilinear
-  prolongation, Jacobi smoothing on every level, coarsest level relaxed
-  directly.  Converges in a handful of cycles on smooth problems.
+the Hartree potential) with V-cycles: weighted-Jacobi smoothing on every
+level, full-weighting restriction, trilinear prolongation, coarsest level
+relaxed directly.  Converges in a handful of cycles on smooth problems.
 
 Boundary conditions come from the grid descriptor: zero boundary for
 finite systems, periodic for crystals.  A fully periodic problem is only
@@ -25,6 +21,7 @@ import numpy as np
 from repro.core.workspace import Workspace
 from repro.dft.operators import Laplacian
 from repro.grid.grid import GridDescriptor
+from repro.util.validation import check_positive_int
 
 
 @dataclass
@@ -121,27 +118,26 @@ def _prolong(coarse: np.ndarray, pbc: tuple[bool, bool, bool]) -> np.ndarray:
 
 
 class PoissonSolver:
-    """Iterative solver for ``laplace(phi) = -4 pi rho``."""
+    """Multigrid solver for ``laplace(phi) = -4 pi rho``.
+
+    One iteration is one V-cycle; ``max_iterations`` (>= 1) caps them.
+    """
 
     def __init__(
         self,
         grid: GridDescriptor,
         radius: int = 2,
-        method: str = "multigrid",
         tolerance: float = 1e-8,
         max_iterations: int = 500,
     ):
-        if method not in ("jacobi", "multigrid"):
-            raise ValueError(f"method must be 'jacobi' or 'multigrid', got {method!r}")
         self.grid = grid
         self.radius = radius
-        self.method = method
         self.tolerance = tolerance
-        self.max_iterations = max_iterations
+        self.max_iterations = check_positive_int(max_iterations, "max_iterations")
         self.laplacian = Laplacian(grid, radius)
         #: the buffer arena every smoother sweep and residual borrows from
         self.workspace = Workspace()
-        self._levels = self._build_levels() if method == "multigrid" else []
+        self._levels = self._build_levels()
 
     # -- setup --------------------------------------------------------------
     def _build_levels(self) -> list[Laplacian]:
@@ -185,11 +181,7 @@ class PoissonSolver:
             return PoissonResult(phi, 0.0, 0, True)
 
         for it in range(1, self.max_iterations + 1):
-            if self.method == "jacobi":
-                phi = _jacobi_sweeps(self.laplacian, phi, rhs, sweeps=1,
-                                     workspace=self.workspace)
-            else:
-                phi = self._v_cycle(0, phi, rhs)
+            phi = self._v_cycle(0, phi, rhs)
             if self.fully_periodic:
                 phi = phi - phi.mean()
             lap_buf = self.workspace.borrow(phi.shape, phi.dtype)

@@ -8,7 +8,6 @@ complex (16 B); the paper's benchmarks use real grids of 144^3 and 192^3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -106,16 +105,3 @@ class GridDescriptor:
             raise ValueError(
                 f"{name} has dtype {array.dtype}, descriptor expects {self.dtype}"
             )
-
-
-def wavefunction_count(n_valence_electrons: int, spin_polarized: bool = False) -> int:
-    """Number of wave-function grids for a system (section II).
-
-    "For every valence electron there may be up to two wave-functions":
-    spin-paired systems need one band per electron pair, spin-polarized up
-    to one per electron per spin channel.  We return the upper bound GPAW
-    allocates.
-    """
-    if n_valence_electrons < 0:
-        raise ValueError(f"n_valence_electrons must be >= 0, got {n_valence_electrons}")
-    return 2 * n_valence_electrons if spin_polarized else n_valence_electrons

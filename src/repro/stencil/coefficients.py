@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from repro.util.validation import check_positive_int
 
 #: Exact second-derivative central-difference weights, by radius.
@@ -104,12 +102,3 @@ def paper_constants(spacing: float = 1.0) -> list[float]:
         w1, w1, w2, w2,  # y
         w1, w1, w2, w2,  # z
     ]
-
-
-def coefficients_sum(coeffs: StencilCoefficients) -> float:
-    """Sum of all stencil weights.
-
-    For any consistent Laplacian discretization this is 0 (a constant field
-    has zero Laplacian) — a property tests rely on.
-    """
-    return coeffs.center + 6 * float(np.sum(coeffs.weights))

@@ -7,9 +7,9 @@ supervisors can decide between retry and crash) and a :class:`StepInfo`
 payload (so every failure points at the schedule-IR step that was being
 interpreted when it happened).
 
-Layering: the transport cannot import :mod:`repro.core.schedule` (the
-engine imports the transport), so the wire-tag encoding is mirrored here
-and cross-checked by tests against ``schedule.message_tag``.
+It also owns the wire-tag format: :func:`message_tag` and
+:func:`ring_tag` build the tags every plane sends under (the schedule IR
+imports them from here), and :func:`describe_tag` reads one back.
 """
 
 from __future__ import annotations
@@ -17,30 +17,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: mirrors repro.core.schedule.message_tag: tag = seq * 8 + dim * 2 + dir
-_HALO_TAG_STRIDE = 8
 #: mirrors repro.grid.redistribute.redistribute's default tag_base
 REDIST_TAG_BASE = 1 << 24
 #: mirrors repro.dft.checkpoint's gather tag space
 CHECKPOINT_TAG_BASE = 1 << 26
-#: mirrors repro.core.schedule.RING_TAG_BASE (band orthogonalization ring)
+#: band-ring tags live above checkpoint traffic and below collectives
 RING_TAG_BASE = 1 << 27
+#: ring stages per phase: a phase owns ``RING_STAGES`` consecutive tags
+RING_STAGES = 1 << 12
 #: tag space of every endpoint's allreduce (repro.transport.inproc)
 COLL_TAG_BASE = 1 << 28
 
-_DIR_SIGN = {0: "+", 1: "-"}
+
+def message_tag(seq: int, dim: int, step: int) -> int:
+    """The wire tag of one halo message: sequence number + direction."""
+    return seq * 8 + dim * 2 + (0 if step > 0 else 1)
 
 
 def decode_halo_tag(tag: int) -> tuple[int, int, int]:
-    """Invert the halo wire-tag encoding: ``tag -> (seq, dim, step)``.
-
-    ``step`` is +1/-1, matching :func:`repro.core.schedule.message_tag`.
-    """
+    """Invert :func:`message_tag`: ``tag -> (seq, dim, step)``."""
     if tag < 0:
         raise ValueError(f"halo tags are non-negative, got {tag}")
-    seq, rest = divmod(tag, _HALO_TAG_STRIDE)
+    seq, rest = divmod(tag, 8)
     dim, parity = divmod(rest, 2)
     return seq, dim, (+1 if parity == 0 else -1)
+
+
+def ring_tag(phase: int, stage: int) -> int:
+    """The wire tag of one band-ring stage (``0 <= stage < RING_STAGES``)."""
+    return RING_TAG_BASE + phase * RING_STAGES + stage
 
 
 def describe_tag(tag: int) -> str:
@@ -55,7 +60,7 @@ def describe_tag(tag: int) -> str:
     if tag >= COLL_TAG_BASE:
         return f"collective round {tag - COLL_TAG_BASE}"
     if tag >= RING_TAG_BASE:
-        phase, stage = divmod(tag - RING_TAG_BASE, 1 << 12)
+        phase, stage = divmod(tag - RING_TAG_BASE, RING_STAGES)
         name = {0: "overlap", 1: "rotate", 2: "band-sum"}.get(
             phase, f"phase {phase}"
         )

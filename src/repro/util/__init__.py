@@ -20,7 +20,6 @@ from repro.util.units import (
     GHZ,
     GFLOPS,
     format_bytes,
-    format_time,
     format_rate,
 )
 from repro.util.factorize import (
@@ -49,7 +48,6 @@ __all__ = [
     "GHZ",
     "GFLOPS",
     "format_bytes",
-    "format_time",
     "format_rate",
     "prime_factors",
     "factorizations_3d",

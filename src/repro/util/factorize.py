@@ -11,7 +11,7 @@ depends on the grid shape.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 
 def prime_factors(n: int) -> list[int]:
@@ -66,11 +66,6 @@ def factorizations_3d(n: int) -> tuple[tuple[int, int, int], ...]:
         for b in divisors(m):
             out.append((a, b, m // b))
     return tuple(out)
-
-
-def iter_factorizations_3d(n: int) -> Iterator[tuple[int, int, int]]:
-    """Iterate over all ordered 3-factorizations of ``n``."""
-    return iter(factorizations_3d(n))
 
 
 def best_grid_factorization(

@@ -43,18 +43,6 @@ def format_bytes(n: float) -> str:
     return f"{n:.3g} B"
 
 
-def format_time(t: float) -> str:
-    """Format a duration in seconds with an appropriate sub-second prefix."""
-    t = float(t)
-    if abs(t) >= 1.0:
-        return f"{t:.3g} s"
-    if abs(t) >= MS:
-        return f"{t / MS:.3g} ms"
-    if abs(t) >= US:
-        return f"{t / US:.3g} us"
-    return f"{t / NS:.3g} ns"
-
-
 def format_rate(r: float) -> str:
     """Format a data rate in bytes/second ("425 MB/s")."""
     return f"{format_bytes(r)}/s"

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core import FDJob, FLAT_OPTIMIZED, FLAT_ORIGINAL, HYBRID_MULTIPLE
-from repro.core.memory import (
-    fd_memory_per_rank,
-    fits_in_memory,
-    max_grids_per_core,
-    memory_limit_per_rank,
-)
+from repro.core.memory import fd_memory_per_rank, memory_limit_per_rank
 from repro.grid import GridDescriptor
 from repro.util.units import GB, MB
 
@@ -61,27 +56,33 @@ class TestFootprint:
         ) == 2 * fd_memory_per_rank(FDJob(real, 4), FLAT_ORIGINAL, 1)
 
 
+def _fits(job, approach, n_cores):
+    return fd_memory_per_rank(job, approach, n_cores) <= memory_limit_per_rank(
+        approach, n_cores
+    )
+
+
 class TestPaperConstraint:
     def test_32_grids_is_the_single_core_maximum(self):
         """Section VII: 'because of the memory demand, it is not possible
         to have more than 32 grids running on a single CPU-core'."""
         grid = GridDescriptor((144, 144, 144))
-        assert max_grids_per_core(grid, FLAT_ORIGINAL, 1) == 32
-        assert fits_in_memory(FDJob(grid, 32), FLAT_ORIGINAL, 1)
-        assert not fits_in_memory(FDJob(grid, 64), FLAT_ORIGINAL, 1)
+        assert _fits(FDJob(grid, 32), FLAT_ORIGINAL, 1)
+        assert not _fits(FDJob(grid, 64), FLAT_ORIGINAL, 1)
 
     def test_exact_maximum_without_power_rounding(self):
         grid = GridDescriptor((144, 144, 144))
-        exact = max_grids_per_core(grid, FLAT_ORIGINAL, 1, power_of_two=False)
+        one = fd_memory_per_rank(FDJob(grid, 1), FLAT_ORIGINAL, 1)
+        exact = memory_limit_per_rank(FLAT_ORIGINAL, 1) // one
         assert 32 <= exact < 64
 
     def test_grid_too_big_for_memory(self):
         huge = GridDescriptor((640, 640, 640))  # ~2.1 GB + halo for one grid
-        assert max_grids_per_core(huge, FLAT_ORIGINAL, 1) == 0
+        assert not _fits(FDJob(huge, 1), FLAT_ORIGINAL, 1)
 
     def test_fig7_job_fits_at_1k_cores(self):
         """The 2816-grid 192^3 job must actually fit where the paper ran
         it (1024 VN ranks, 512 MB each)."""
         job = FDJob(GridDescriptor((192, 192, 192)), 2816)
-        assert fits_in_memory(job, FLAT_ORIGINAL, 1024)
-        assert fits_in_memory(job, HYBRID_MULTIPLE, 1024)
+        assert _fits(job, FLAT_ORIGINAL, 1024)
+        assert _fits(job, HYBRID_MULTIPLE, 1024)

@@ -11,6 +11,7 @@ from repro.core import (
     HYBRID_MULTIPLE,
     PerformanceModel,
 )
+from repro.analysis import fig6_rows
 from repro.core.perfmodel import _pipeline_time
 from repro.grid import GridDescriptor
 from repro.machine.spec import BGP_SPEC
@@ -220,20 +221,16 @@ class TestPaperAnchors:
         assert best_two == {"flat-optimized", "hybrid-multiple"}
         assert max(ts, key=ts.get) == "flat-original"
 
-    def test_fig6_hybrid_overtakes_flat_by_512_cores(self, pm):
+    def test_fig6_hybrid_overtakes_flat_by_512_cores(self):
         """Gustafson job: hybrid multiple faster than flat optimized at 512+."""
+        rows = {r.n_cores: r.times for r in fig6_rows()}
         for p in (512, 2048, 16384):
-            job = FDJob(GridDescriptor((192, 192, 192)), p)
-            hm = pm.best_batch_size(job, HYBRID_MULTIPLE, p)
-            opt = pm.best_batch_size(job, FLAT_OPTIMIZED, p)
-            assert hm.total < opt.total
+            assert rows[p][HYBRID_MULTIPLE.name] < rows[p][FLAT_OPTIMIZED.name]
 
-    def test_fig6_original_time_grows_with_scale(self, pm):
+    def test_fig6_original_time_grows_with_scale(self):
         """The Gustafson curve of the original implementation rises."""
-        times = []
-        for p in (1024, 4096, 16384):
-            job = FDJob(GridDescriptor((192, 192, 192)), p)
-            times.append(pm.evaluate(job, FLAT_ORIGINAL, p).total)
+        rows = {r.n_cores: r.times for r in fig6_rows()}
+        times = [rows[p][FLAT_ORIGINAL.name] for p in (1024, 4096, 16384)]
         assert times == sorted(times)
 
     def test_master_only_cannot_compete(self, pm, fig7_job):

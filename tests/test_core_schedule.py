@@ -293,30 +293,10 @@ class TestTracerHook:
 
 class TestPlanDependencies:
     """The dependency metadata the critical-path layer resolves edges
-    with: every cross-worker edge ends at a WaitAll and starts at the
-    PostSend (or ring stage) whose message that wait completes."""
+    with: every receive direction maps to the owner that sends it."""
 
     def _fd_plan(self, approach, cores, n_grids=4, batch=2, shape=(16, 16, 16)):
         return timing_plan(approach, GridDescriptor(shape), n_grids, cores, batch)
-
-    @pytest.mark.parametrize("name,cores", [
-        ("flat-optimized", 4), ("hybrid-multiple", 8),
-    ])
-    def test_one_edge_per_planned_message(self, name, cores):
-        from repro.core import approach_by_name
-        from repro.core.schedule import PostSend, plan_dependencies
-
-        approach = approach_by_name(name)
-
-        plan = self._fd_plan(approach, cores)
-        deps = plan_dependencies(plan)
-        assert len(deps) == plan.total_messages()
-        for d in deps:
-            assert d.kind == "message"
-            src = plan.rank_plan(d.src[0]).workers[d.src[1]].steps[d.src[2]]
-            dst = plan.rank_plan(d.dst[0]).workers[d.dst[1]].steps[d.dst[2]]
-            assert isinstance(src, PostSend)
-            assert isinstance(dst, WaitAll)
 
     def test_recv_sources_covers_every_receive_direction(self):
         from repro.core.schedule import recv_sources
@@ -328,28 +308,18 @@ class TestPlanDependencies:
             for dim, step, src, _nb in plan._directions(domain)[1]:
                 assert sources[(domain, dim, step)] == src
 
-    def test_owners_filter_restricts_consumers(self):
-        from repro.core.schedule import plan_dependencies
-
-        plan = self._fd_plan(FLAT_OPTIMIZED, 4)
-        only0 = plan_dependencies(plan, owners=[0])
-        assert only0
-        assert all(d.dst[0] == 0 for d in only0)
-        assert len(only0) < len(plan_dependencies(plan))
-
     def test_band_plan_ring_edges(self):
         from repro.core import Planner, ProblemSpec
-        from repro.core.schedule import RingSendRecv, plan_dependencies
+        from repro.core.schedule import RingSendRecv, recv_sources
 
         nb = 4
         plan = Planner().band_plan(ProblemSpec((16, 16, 16), 16), 16, nb)
-        deps = plan_dependencies(plan)
-        assert deps
-        for d in deps:
-            assert d.kind == "ring"
-            # each group's wait is fed by its ring predecessor
-            assert d.src[0] == plan.layout.ring_recv_group(d.dst[0])
-            src = plan.group_steps(d.src[0])[d.src[2]]
-            dst = plan.group_steps(d.dst[0])[d.dst[2]]
-            assert isinstance(src, RingSendRecv)
-            assert isinstance(dst, WaitAll)
+        sources = recv_sources(plan)
+        assert sorted(sources) == list(range(nb))
+        for group in range(nb):
+            # each group's ring stages are fed by its ring predecessor
+            assert sources[group] == plan.layout.ring_recv_group(group)
+            stages = [st for st in plan.group_steps(group)
+                      if isinstance(st, RingSendRecv)]
+            assert stages
+            assert {st.src_group for st in stages} == {sources[group]}

@@ -7,7 +7,6 @@ from repro.dft import (
     Hamiltonian,
     SCFLoop,
     density_from_states,
-    gram_schmidt,
     lowdin,
     lowest_eigenstates,
     overlap_matrix,
@@ -125,11 +124,6 @@ class TestOrthogonalization:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n,) + gd.shape)
 
-    def test_gram_schmidt_orthonormalizes(self):
-        gd = GridDescriptor((10, 10, 10), spacing=0.3)
-        states = gram_schmidt(gd, self.make_states(gd))
-        np.testing.assert_allclose(overlap_matrix(gd, states), np.eye(4), atol=1e-10)
-
     def test_lowdin_orthonormalizes(self):
         gd = GridDescriptor((10, 10, 10), spacing=0.3)
         states = lowdin(gd, self.make_states(gd))
@@ -159,15 +153,6 @@ class TestOrthogonalization:
         want = np.vdot(states[0], states[0]) * gd.spacing**3
         assert s[0, 0] == pytest.approx(want, rel=1e-13)
 
-    def test_gram_schmidt_preserves_first_direction(self):
-        gd = GridDescriptor((8, 8, 8), spacing=0.3)
-        states = self.make_states(gd)
-        out = gram_schmidt(gd, states)
-        cos = np.vdot(out[0], states[0]) / (
-            np.linalg.norm(out[0]) * np.linalg.norm(states[0])
-        )
-        assert abs(cos) == pytest.approx(1.0, rel=1e-10)
-
     def test_lowdin_is_symmetric_least_change(self):
         """Löwdin treats bands symmetrically: orthogonalizing a permuted
         set is the permutation of the orthogonalized set."""
@@ -183,14 +168,10 @@ class TestOrthogonalization:
         states = self.make_states(gd, n=3)
         states[2] = 0.5 * states[0] - states[1]
         with pytest.raises(ValueError):
-            gram_schmidt(gd, states)
-        with pytest.raises(ValueError):
             lowdin(gd, states)
 
     def test_shape_validated(self):
         gd = GridDescriptor((8, 8, 8))
-        with pytest.raises(ValueError):
-            gram_schmidt(gd, np.zeros((2, 4, 4, 4)))
         with pytest.raises(ValueError):
             overlap_matrix(gd, np.zeros((8, 8, 8)))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dft import Laplacian, Kinetic, PoissonSolver
+from repro.dft.poisson import _jacobi_sweeps
 from repro.grid import GridDescriptor
 
 
@@ -48,19 +49,24 @@ def gaussian_rho_phi(gd, sigma=0.6):
 
 
 class TestPoissonJacobi:
+    """The weighted-Jacobi smoother every V-cycle level runs."""
+
     def test_zero_rhs_gives_zero(self):
         gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3)
-        res = PoissonSolver(gd, method="jacobi").solve(gd.zeros())
-        assert res.converged
-        np.testing.assert_array_equal(res.potential, 0.0)
+        phi = _jacobi_sweeps(Laplacian(gd), gd.zeros(), gd.zeros(), sweeps=10)
+        np.testing.assert_array_equal(phi, 0.0)
 
     def test_residual_decreases(self):
         gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3)
-        solver = PoissonSolver(gd, method="jacobi", max_iterations=50, tolerance=0)
-        rho = gd.random(seed=2)
-        res = solver.solve(rho)
-        rhs = -4 * np.pi * rho
-        assert res.residual_norm < np.linalg.norm(rhs)
+        lap = Laplacian(gd)
+        rhs = -4 * np.pi * gd.random(seed=2)
+        phi = gd.zeros()
+        residuals = []
+        for _ in range(5):
+            phi = _jacobi_sweeps(lap, phi, rhs, sweeps=10)
+            residuals.append(np.linalg.norm(rhs - lap.apply(phi)))
+        assert residuals[0] < np.linalg.norm(rhs)
+        assert residuals == sorted(residuals, reverse=True)
 
 
 class TestPoissonMultigrid:
@@ -129,8 +135,17 @@ class TestPoissonMultigrid:
         assert res.converged
 
     def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            PoissonSolver(GridDescriptor((8, 8, 8)), method="fft")
+        """Multigrid is the one method: there is no option to pick another."""
+        with pytest.raises(TypeError):
+            PoissonSolver(GridDescriptor((8, 8, 8)), method="jacobi")
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iterations_validated(self, bad):
+        """A non-positive cap used to fail inside ``solve`` with an
+        ``UnboundLocalError``; the constructor rejects it."""
+        gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3)
+        with pytest.raises(ValueError, match="max_iterations"):
+            PoissonSolver(gd, max_iterations=bad)
 
     def test_rho_shape_checked(self):
         solver = PoissonSolver(GridDescriptor((8, 8, 8)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.grid import GridDescriptor
-from repro.grid.grid import wavefunction_count
 
 
 class TestGridDescriptor:
@@ -75,16 +74,3 @@ class TestGridDescriptor:
         gd2 = GridDescriptor((8, 8, 8))
         assert gd1 == gd2
         assert hash(gd1) == hash(gd2)
-
-
-class TestWavefunctionCount:
-    def test_spin_paired(self):
-        assert wavefunction_count(100) == 100
-
-    def test_spin_polarized_doubles(self):
-        # "For every valence electron there may be up to two wave-functions"
-        assert wavefunction_count(100, spin_polarized=True) == 200
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            wavefunction_count(-1)

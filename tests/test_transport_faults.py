@@ -237,19 +237,35 @@ class TestSupervisedRecovery:
 
 
 class TestTagCrossCheck:
-    """The transport mirrors the schedule's tag encoding (layering keeps
-    it from importing core); the mirror must never drift."""
+    """The wire-tag format has one owner, ``repro.transport.errors``: its
+    encoders and decoders must invert each other and keep the reserved
+    tag spaces apart."""
 
     def test_decode_halo_tag_inverts_message_tag(self):
-        from repro.core.schedule import decode_message_tag, message_tag
-        from repro.transport.errors import decode_halo_tag
+        from repro.core import schedule
+        from repro.transport.errors import (
+            REDIST_TAG_BASE,
+            RING_STAGES,
+            decode_halo_tag,
+            describe_tag,
+            message_tag,
+            ring_tag,
+        )
 
+        # the schedule IR sends under the transport's encoders, not copies
+        assert schedule.message_tag is message_tag
+        assert schedule.ring_tag is ring_tag
         for seq in (0, 1, 7, 300):
             for dim in (0, 1, 2):
                 for step in (+1, -1):
                     tag = message_tag(seq, dim, step)
+                    assert tag < REDIST_TAG_BASE
                     assert decode_halo_tag(tag) == (seq, dim, step)
-                    assert decode_message_tag(tag) == (seq, dim, step)
+        for phase, name in enumerate(("overlap", "rotate", "band-sum")):
+            for stage in (0, 1, RING_STAGES - 1):
+                assert describe_tag(ring_tag(phase, stage)) == (
+                    f"band ring {name} stage {stage}"
+                )
 
     def test_tag_bases_match_reserved_spaces(self):
         from repro.transport.errors import (
@@ -266,3 +282,46 @@ class TestTagCrossCheck:
         assert "collective" in describe_tag(COLL_TAG_BASE + 3)
         assert "redistribution" in describe_tag(REDIST_TAG_BASE + 1)
         assert "halo" in describe_tag(13)
+
+
+class TestStatsUnderRetries:
+    """TransportStats keeps counting across supervised retries — the
+    cost of recovery (resent messages, duplicate copies) is visible."""
+
+    def _run(self, plan, n_ranks=2, timeout=0.4, max_retries=2):
+        transports = []
+
+        def factory(attempt):
+            tr = FaultyTransport(
+                InprocTransport(n_ranks, default_timeout=timeout), plan
+            )
+            transports.append(tr)
+            return tr
+
+        def rank_fn(ep):
+            if ep.rank == 0:
+                ep.send(1, np.arange(16, dtype=float), tag=0)
+            else:
+                ep.recv(src=0, tag=0)
+            ep.barrier()
+
+        res = run_ranks_supervised(
+            n_ranks, rank_fn, transport_factory=factory,
+            policy=RetryPolicy(max_retries=max_retries, backoff_base=0.0),
+        )
+        return res, transports
+
+    def test_duplicate_inflates_message_count(self):
+        res, transports = self._run(FaultPlan(seed=0, inject={(0, 0): "duplicate"}))
+        assert res.attempts == 1
+        # one logical send, two wire messages
+        assert transports[0].stats[0].messages == 2
+
+    def test_retry_uses_fresh_transport_and_recounts(self):
+        res, transports = self._run(FaultPlan(seed=0, inject={(0, 0): "drop"}))
+        assert res.attempts == 2 and len(transports) == 2
+        # attempt 0: the send was swallowed before reaching the wire
+        assert transports[0].stats[0].messages == 0
+        # attempt 1: clean resend
+        assert transports[1].stats[0].messages == 1
+        assert transports[1].stats[0].bytes > 0

@@ -28,12 +28,6 @@ class TestUnits:
         assert units.format_bytes(425 * units.MB) == "425 MB"
         assert units.format_bytes(3) == "3 B"
 
-    def test_format_time(self):
-        assert units.format_time(2.5) == "2.5 s"
-        assert units.format_time(0.009) == "9 ms"
-        assert units.format_time(2.7e-6) == "2.7 us"
-        assert units.format_time(5e-9) == "5 ns"
-
     def test_format_rate(self):
         assert units.format_rate(425 * units.MB) == "425 MB/s"
 
