@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.approaches import Approach
-from repro.core.schedule import DEFAULT_HALO_WIDTH, PostSend, timing_plan
+from repro.core.schedule import DEFAULT_HALO_WIDTH, timing_plan
 from repro.grid.decompose import Decomposition
 from repro.grid.grid import GridDescriptor
 from repro.machine.spec import BGP_SPEC, MachineSpec
@@ -155,26 +155,38 @@ class PerformanceModel:
         )
 
     def _round_comm_time(
-        self, sends: Sequence[PostSend], streams_per_link: int
+        self, send_bytes: Sequence[int], streams_per_link: int
     ) -> float:
         """Time for one pipeline round's exchange on the critical link.
 
-        ``sends`` is the round's compiled send list (batch sizes already
-        folded into each step's byte count); ``streams_per_link`` such
-        messages share each direction's link, and the slowest direction
-        bounds the round (all six links run simultaneously — the
-        section V optimization).  Both planes assume a cyclic (folded)
-        domain placement, which balances periodic wrap traffic onto the
-        reverse-direction links — so no link carries extra load.
+        ``send_bytes`` holds the round's message sizes, one per send
+        direction (batch size already folded in); ``streams_per_link``
+        such messages share each direction's link, and the slowest
+        direction bounds the round (all six links run simultaneously —
+        the section V optimization).  Both planes assume a cyclic
+        (folded) domain placement, which balances periodic wrap traffic
+        onto the reverse-direction links — so no link carries extra load.
         """
         torus = self.spec.torus
         worst = 0.0
-        for s in sends:
+        for nbytes in send_bytes:
             t = streams_per_link * (
-                torus.message_overhead + s.nbytes / torus.effective_bandwidth
+                torus.message_overhead + nbytes / torus.effective_bandwidth
             )
             worst = max(worst, t)
         return worst
+
+    def _blocking_send_times(self, plan) -> list[float]:
+        """Per-direction seconds of one grid's serialized exchange.
+
+        ``2L``: a blocking exchange pays both the send- and the
+        receive-side software overhead (see :meth:`_evaluate_original`).
+        """
+        torus = self.spec.torus
+        return [
+            2 * torus.message_overhead + nbytes / torus.effective_bandwidth
+            for _dim, _step, _peer, nbytes in plan.directions(0)[0]
+        ]
 
     # -- per-round plan costs (shared by evaluate and step_trace) --------------
     def _plan_costs(
@@ -185,32 +197,38 @@ class PerformanceModel:
         batch_size: int,
         ramp_up: bool,
     ):
-        """Attach per-round costs to a pipelined plan's representative worker.
+        """Attach per-round costs to a plan's representative worker.
 
-        Returns ``(plan, decomp, rep, comp, comm, barriers, spawn_join,
-        sync)`` where ``comp[k]``/``comm[k]`` are round ``k``'s
-        computation and exchange seconds, and ``barriers[k]`` is the part
-        of ``comp[k]`` that is thread-barrier time (non-zero only for
-        master-only's per-grid barriers) — kept separate so the model's
-        step trace can emit ``GridBarrier`` spans distinct from compute.
-        Blocking plans return ``comp``/``comm`` = ``None`` (cost them via
-        :meth:`_evaluate_original`).
+        Returns ``(plan, decomp, rounds, comp, comm, barriers,
+        spawn_join, sync)``: ``rounds`` are the representative worker's
+        ``(seq, grid_ids)`` exchange rounds and ``comp[k]``/``comm[k]``
+        round ``k``'s computation and exchange seconds; ``barriers[k]``
+        is the part of ``comp[k]`` that is thread-barrier time (non-zero
+        only for master-only's per-grid barriers) — kept separate so the
+        model's step trace can emit ``GridBarrier`` spans distinct from
+        compute.  Blocking plans return ``comp``/``comm`` = ``None``
+        (cost them via :meth:`_evaluate_original`).
+
+        The plan's logical rounds and per-direction bytes are priced
+        directly; no step list is materialized.  A round's exchange
+        depends only on its batch length, so it is priced once per
+        distinct length.
         """
         plan = timing_plan(
             approach, job.grid, job.n_grids, n_cores, batch_size, ramp_up
         )
         decomp = plan.decomp
-        # Representative worker: the first worker of domain 0 (contiguous
-        # splitting gives the leading worker the most grids).
-        rep = plan.rank_plan(0).workers[0]
+        # Representative worker: the first worker (contiguous splitting
+        # gives the leading worker the most grids).
+        rounds = plan.worker_rounds(0)
         if plan.blocking:
-            return plan, decomp, rep, None, None, None, 0.0, 0.0
+            return plan, decomp, rounds, None, None, None, 0.0, 0.0
 
+        send_dirs, recv_dirs = plan.directions(0)
         t_point = self._point_time(decomp)
         block_points = decomp.max_block_points()
         threads = min(4, n_cores) if plan.uses_thread_team else 1
         ranks_per_node = min(4, n_cores) if not plan.uses_thread_team else 1
-        rounds = rep.rounds
         spawn_join = (
             self.spec.threads.spawn_time + self.spec.threads.join_time
             if plan.uses_thread_team
@@ -220,30 +238,36 @@ class PerformanceModel:
         # burns core time; MULTIPLE-mode calls additionally queue on the
         # rank's lock behind the other threads.  This is the cost batching
         # amortizes (one call moves a whole batch).
-        calls_per_round = len(rounds[0].sends) + len(rounds[0].recvs) + 1
+        calls_per_round = len(send_dirs) + len(recv_dirs) + 1
         call_cpu = self.spec.threads.mpi_call_cpu_time
         if approach.thread_mode.pays_lock_overhead:
             call_cpu += threads * self.spec.threads.mpi_multiple_overhead
         round_call_cpu = calls_per_round * call_cpu
+        lengths = [len(grid_ids) for _seq, grid_ids in rounds]
+
+        def exchange(streams: int) -> dict[int, float]:
+            """Exchange seconds of a round, per distinct batch length."""
+            return {
+                n: self._round_comm_time(
+                    [nb * n for _d, _s, _p, nb in send_dirs], streams
+                )
+                for n in set(lengths)
+            }
+
         if plan.sync_per_grid:
             # Hybrid master-only: batches of whole grids; 4 cores split each
             # grid (so each thread streams a quarter block plus its halo —
             # a deeper small-block penalty); a thread barrier after every
             # grid (the plan's ``GridBarrier`` steps).
             t_quarter = self._point_time(decomp, threads)
-            barriers = [
-                len(r.grid_ids) * self.spec.threads.barrier_time for r in rounds
-            ]
+            barriers = [n * self.spec.threads.barrier_time for n in lengths]
             comp = [
-                len(r.grid_ids) * block_points / threads * t_quarter + b
-                for r, b in zip(rounds, barriers)
+                n * block_points / threads * t_quarter + b
+                for n, b in zip(lengths, barriers)
             ]
             # The master thread pays the per-call CPU cost on the comm path.
-            comm = [
-                self._round_comm_time(r.sends, 1)
-                + round_call_cpu
-                for r in rounds
-            ]
+            round_comm = exchange(1)
+            comm = [round_comm[n] + round_call_cpu for n in lengths]
             sync = (
                 plan.grid_barriers_per_rank * self.spec.threads.barrier_time
                 + spawn_join
@@ -258,20 +282,15 @@ class PerformanceModel:
             # per-direction link carries that many streams.
             streams = plan.n_workers if plan.n_workers > 1 else ranks_per_node
             barriers = [0.0] * len(rounds)
-            comp = [
-                len(r.grid_ids) * block_points * t_point + round_call_cpu
-                for r in rounds
-            ]
-            comm = [
-                self._round_comm_time(r.sends, streams)
-                for r in rounds
-            ]
+            comp = [n * block_points * t_point + round_call_cpu for n in lengths]
+            round_comm = exchange(streams)
+            comm = [round_comm[n] for n in lengths]
             sync = spawn_join
             if approach.thread_mode.pays_lock_overhead:
                 sync += len(rounds) * calls_per_round * threads * (
                     self.spec.threads.mpi_multiple_overhead
                 )
-        return plan, decomp, rep, comp, comm, barriers, spawn_join, sync
+        return plan, decomp, rounds, comp, comm, barriers, spawn_join, sync
 
     # -- the four approaches ---------------------------------------------------
     def evaluate(
@@ -288,14 +307,14 @@ class PerformanceModel:
         worker structure — comes from :func:`repro.core.schedule.compile_schedule`,
         the same plan the functional engine interprets and the DES replays;
         this model only attaches costs to the plan's representative
-        (busiest) worker.
+        (busiest) worker's logical rounds.
         """
         check_positive_int(n_cores, "n_cores")
-        plan, decomp, rep, comp, comm, _, spawn_join, sync = self._plan_costs(
+        plan, decomp, rounds, comp, comm, _, spawn_join, sync = self._plan_costs(
             job, approach, n_cores, batch_size, ramp_up
         )
         if plan.blocking:
-            return self._evaluate_original(job, approach, n_cores, decomp, rep)
+            return self._evaluate_original(job, approach, n_cores, plan, rounds)
 
         threads = min(4, n_cores) if plan.uses_thread_team else 1
         msg_bytes = max(
@@ -307,7 +326,11 @@ class PerformanceModel:
         total = _pipeline_time(comm, comp) + spawn_join
         compute_per_core = sum(comp)
         exposed = total - spawn_join - compute_per_core
-        msgs_per_rank = rep.message_count * (threads if plan.uses_thread_team else 1)
+        msgs_per_rank = (
+            plan.n_directions(0)
+            * len(rounds)
+            * (threads if plan.uses_thread_team else 1)
+        )
 
         return FDTiming(
             approach_name=approach.name,
@@ -330,15 +353,16 @@ class PerformanceModel:
         job: FDJob,
         approach: Approach,
         n_cores: int,
-        decomp: Decomposition,
-        rep,
+        plan,
+        rounds,
     ) -> FDTiming:
         """Blocking plans (flat original): serialized exchange, zero overlap.
 
         The compiled plan serializes every direction of every grid's
         exchange (a blocking send/receive pair per direction, with no
         DMA-driven overlap between them), so the cost is the plain sum of
-        each compiled send plus the round's computation.  ``2L``: a
+        each round's sends (one per send direction) plus the round's
+        computation.  ``2L``: a
         blocking exchange pays both the send- and the receive-side
         software overhead (nothing is hidden behind the DMA engine in the
         original code).
@@ -349,19 +373,17 @@ class PerformanceModel:
         message (the behaviour implied by the paper's measured 36%
         utilization at 16384 cores — see DESIGN.md section 5).
         """
-        torus = self.spec.torus
+        decomp = plan.decomp
         t_point = self._point_time(decomp)
         block_points = decomp.max_block_points()
+        send_times = self._blocking_send_times(plan)
 
         compute = 0.0
         comm = 0.0
-        for r in rep.rounds:
-            compute += len(r.grid_ids) * block_points * t_point
-            for s in r.sends:
-                comm += (
-                    2 * torus.message_overhead
-                    + s.nbytes / torus.effective_bandwidth
-                )
+        for _seq, grid_ids in rounds:
+            compute += len(grid_ids) * block_points * t_point
+            for t in send_times:
+                comm += t
         total = compute + comm
         return FDTiming(
             approach_name=approach.name,
@@ -375,7 +397,7 @@ class PerformanceModel:
             comm_bytes_per_node=self._comm_per_node(
                 decomp, approach, n_cores, job.n_grids
             ),
-            messages_per_rank=rep.message_count,
+            messages_per_rank=len(send_times) * len(rounds),
             message_bytes=max(
                 (decomp.send_bytes(0, dim, +1, DEFAULT_HALO_WIDTH)
                  for dim in range(3)),
@@ -413,14 +435,14 @@ class PerformanceModel:
         from repro.obs.spans import SpanTracer, StepSpan
 
         check_positive_int(n_cores, "n_cores")
-        plan, decomp, rep, comp, comm, barriers, spawn_join, _ = self._plan_costs(
+        plan, decomp, rounds, comp, comm, barriers, spawn_join, _ = self._plan_costs(
             job, approach, n_cores, batch_size, ramp_up
         )
         tracer = SpanTracer(plane="model")
         resource = "rank0.w0"
-        rounds = rep.rounds
 
         def add(kind: str, start: float, end: float, r) -> None:
+            seq, grid_ids = r if r is not None else (None, ())
             tracer.add(
                 StepSpan(
                     resource=resource,
@@ -429,8 +451,8 @@ class PerformanceModel:
                     end=end,
                     plane="model",
                     worker=0,
-                    grid_ids=r.grid_ids if r is not None else (),
-                    seq=r.seq if r is not None else None,
+                    grid_ids=grid_ids,
+                    seq=seq,
                 )
             )
 
@@ -438,20 +460,15 @@ class PerformanceModel:
             # Serialized exchange (flat original): per round a blocking
             # wait for the exchange, then the batch's computation —
             # nothing overlaps (see :meth:`_evaluate_original`).
-            torus = self.spec.torus
             t_point = self._point_time(decomp)
             block_points = decomp.max_block_points()
+            c = sum(self._blocking_send_times(plan))
             t = 0.0
             for r in rounds:
-                c = sum(
-                    2 * torus.message_overhead
-                    + s.nbytes / torus.effective_bandwidth
-                    for s in r.sends
-                )
                 if c > 0.0:
                     add("WaitAll", t, t + c, r)
                     t += c
-                k = len(r.grid_ids) * block_points * t_point
+                k = len(r[1]) * block_points * t_point
                 add("ComputeInterior", t, t + k, r)
                 t += k
             return tracer

@@ -285,7 +285,7 @@ class SchedulePlan:
                 tuple(g)
                 for g in split_among_workers(list(range(n_grids)), n_workers)
             ]
-        self._logical_rounds: list[list[tuple[int, tuple[int, ...]]]] = []
+        self._logical_rounds: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
         seq = 0
         for wg in self._worker_grids:
             rounds: list[tuple[int, tuple[int, ...]]] = []
@@ -296,13 +296,25 @@ class SchedulePlan:
                 for batch in batch_schedule(len(wg), batch_size, ramp_up):
                     rounds.append((seq, tuple(wg[i] for i in batch)))
                     seq += 1
-            self._logical_rounds.append(rounds)
+            self._logical_rounds.append(tuple(rounds))
 
         self._rank_plans: dict[int, RankPlan] = {}
-        self._dir_cache: dict[int, tuple[list, list]] = {}
+        self._dir_cache: dict[int, tuple[tuple, tuple]] = {}
+
+    # -- logical layout ---------------------------------------------------
+    def worker_rounds(self, worker: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """One worker's exchange rounds, ``(seq, grid_ids)`` in order.
+
+        Identical on every rank.  A round sends one message per send
+        direction of :meth:`directions`, each carrying the direction's
+        per-grid bytes times ``len(grid_ids)``; the step lists of
+        :meth:`rank_plan` are expanded from exactly these rounds, and
+        the analytic model prices them without materializing any step.
+        """
+        return self._logical_rounds[worker]
 
     # -- geometry ---------------------------------------------------------
-    def _directions(self, domain: int) -> tuple[list, list]:
+    def directions(self, domain: int) -> tuple[tuple, tuple]:
         """(outgoing, incoming) remote directions of one domain.
 
         Each entry is ``(dim, step, peer_domain, nbytes_per_grid)``; the
@@ -323,12 +335,12 @@ class SchedulePlan:
                 src = d.neighbor(domain, dim, -step)
                 if src is not None and src != domain:
                     recvs.append((dim, step, src, d.send_bytes(src, dim, step, w)))
-        self._dir_cache[domain] = (sends, recvs)
-        return sends, recvs
+        self._dir_cache[domain] = (tuple(sends), tuple(recvs))
+        return self._dir_cache[domain]
 
     def n_directions(self, domain: int) -> int:
         """Remote send directions of one domain (<= 6)."""
-        return len(self._directions(domain)[0])
+        return len(self.directions(domain)[0])
 
     # -- summary accounting (no step materialization needed) --------------
     @property
@@ -360,13 +372,12 @@ class SchedulePlan:
         return plan
 
     def _build_rank_plan(self, domain: int) -> RankPlan:
-        send_dirs, recv_dirs = self._directions(domain)
+        send_dirs, recv_dirs = self.directions(domain)
         send_by_dir = {(d, s): (peer, nb) for d, s, peer, nb in send_dirs}
         recv_by_dir = {(d, s): (peer, nb) for d, s, peer, nb in recv_dirs}
         workers = []
-        for index, (grids, logical) in enumerate(
-            zip(self._worker_grids, self._logical_rounds)
-        ):
+        for index, grids in enumerate(self._worker_grids):
+            logical = self.worker_rounds(index)
             slot = index if self.workers_are_ranks else 0
             steps: list[Step] = []
             rounds: list[ExchangeRound] = []
@@ -833,6 +844,6 @@ def recv_sources(plan) -> dict:
             out[group] = plan.layout.ring_recv_group(group)
         return out
     for domain in range(plan.decomp.n_domains):
-        for dim, step, src, _nbytes in plan._directions(domain)[1]:
+        for dim, step, src, _nbytes in plan.directions(domain)[1]:
             out[(domain, dim, step)] = src
     return out

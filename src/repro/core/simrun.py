@@ -894,7 +894,7 @@ class _FDSimulation(_Replay):
         units: dict = {}
         ir_steps = 0
         for domain in range(self.decomp.n_domains):
-            send_dirs, recv_dirs = plan._directions(domain)
+            send_dirs, recv_dirs = plan.directions(domain)
             sig = (
                 tuple((d, s, nb) for d, s, _p, nb in send_dirs),
                 tuple((d, s, nb) for d, s, _p, nb in recv_dirs),
@@ -976,7 +976,7 @@ class _FDSimulation(_Replay):
         """Lower one representative rank plan to shared micro-op programs."""
         plan = self.plan
         rp = plan.rank_plan(domain)
-        send_dirs, recv_dirs = plan._directions(domain)
+        send_dirs, recv_dirs = plan.directions(domain)
         send_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(send_dirs)}
         recv_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(recv_dirs)}
         unit = _SigUnit()

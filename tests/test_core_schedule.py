@@ -305,7 +305,7 @@ class TestPlanDependencies:
         sources = recv_sources(plan)
         # every (domain, dim, direction) with a remote peer has a source
         for domain in range(plan.decomp.n_domains):
-            for dim, step, src, _nb in plan._directions(domain)[1]:
+            for dim, step, src, _nb in plan.directions(domain)[1]:
                 assert sources[(domain, dim, step)] == src
 
     def test_band_plan_ring_edges(self):
