@@ -100,6 +100,23 @@ class FDTiming:
         return 0.0 if self.total <= 0 else min(1.0, self.compute_ideal / self.total)
 
 
+def _representative_domain(decomp: Decomposition) -> int:
+    """The domain the model prices: an interior one where there is one.
+
+    Coordinate 1 on every non-periodic axis with at least three domains
+    (both neighbours remote), 0 elsewhere.  On a periodic grid every
+    domain has the same remote directions, so this is domain 0; on a
+    non-periodic one domain 0 is a corner with half the messages of an
+    interior domain, and the slowest rank bounds the invocation.
+    """
+    return decomp.domain_at(
+        tuple(
+            1 if not periodic and n >= 3 else 0
+            for n, periodic in zip(decomp.domains_shape, decomp.grid.pbc)
+        )
+    )
+
+
 def _pipeline_time(comm: Sequence[float], comp: Sequence[float]) -> float:
     """Wall time of a double-buffered pipeline.
 
@@ -176,7 +193,7 @@ class PerformanceModel:
             worst = max(worst, t)
         return worst
 
-    def _blocking_send_times(self, plan) -> list[float]:
+    def _blocking_send_times(self, plan, domain: int) -> list[float]:
         """Per-direction seconds of one grid's serialized exchange.
 
         ``2L``: a blocking exchange pays both the send- and the
@@ -185,7 +202,7 @@ class PerformanceModel:
         torus = self.spec.torus
         return [
             2 * torus.message_overhead + nbytes / torus.effective_bandwidth
-            for _dim, _step, _peer, nbytes in plan.directions(0)[0]
+            for _dim, _step, _peer, nbytes in plan.directions(domain)[0]
         ]
 
     # -- per-round plan costs (shared by evaluate and step_trace) --------------
@@ -199,8 +216,9 @@ class PerformanceModel:
     ):
         """Attach per-round costs to a plan's representative worker.
 
-        Returns ``(plan, decomp, rounds, comp, comm, barriers,
-        spawn_join, sync)``: ``rounds`` are the representative worker's
+        Returns ``(plan, domain, rounds, comp, comm, barriers,
+        spawn_join, sync)``: ``domain`` is the representative domain
+        (:func:`_representative_domain`), ``rounds`` its first worker's
         ``(seq, grid_ids)`` exchange rounds and ``comp[k]``/``comm[k]``
         round ``k``'s computation and exchange seconds; ``barriers[k]``
         is the part of ``comp[k]`` that is thread-barrier time (non-zero
@@ -220,11 +238,12 @@ class PerformanceModel:
         decomp = plan.decomp
         # Representative worker: the first worker (contiguous splitting
         # gives the leading worker the most grids).
+        domain = _representative_domain(decomp)
         rounds = plan.worker_rounds(0)
         if plan.blocking:
-            return plan, decomp, rounds, None, None, None, 0.0, 0.0
+            return plan, domain, rounds, None, None, None, 0.0, 0.0
 
-        send_dirs, recv_dirs = plan.directions(0)
+        send_dirs, recv_dirs = plan.directions(domain)
         t_point = self._point_time(decomp)
         block_points = decomp.max_block_points()
         threads = min(4, n_cores) if plan.uses_thread_team else 1
@@ -290,7 +309,7 @@ class PerformanceModel:
                 sync += len(rounds) * calls_per_round * threads * (
                     self.spec.threads.mpi_multiple_overhead
                 )
-        return plan, decomp, rounds, comp, comm, barriers, spawn_join, sync
+        return plan, domain, rounds, comp, comm, barriers, spawn_join, sync
 
     # -- the four approaches ---------------------------------------------------
     def evaluate(
@@ -310,24 +329,22 @@ class PerformanceModel:
         (busiest) worker's logical rounds.
         """
         check_positive_int(n_cores, "n_cores")
-        plan, decomp, rounds, comp, comm, _, spawn_join, sync = self._plan_costs(
+        plan, domain, rounds, comp, comm, _, spawn_join, sync = self._plan_costs(
             job, approach, n_cores, batch_size, ramp_up
         )
         if plan.blocking:
-            return self._evaluate_original(job, approach, n_cores, plan, rounds)
+            return self._evaluate_original(
+                job, approach, n_cores, plan, domain, rounds
+            )
 
         threads = min(4, n_cores) if plan.uses_thread_team else 1
-        msg_bytes = max(
-            (decomp.send_bytes(0, dim, +1, DEFAULT_HALO_WIDTH) for dim in range(3)),
-            default=0,
-        )
         ideal_per_core = job.total_points / n_cores * self.spec.stencil_point_time
 
         total = _pipeline_time(comm, comp) + spawn_join
         compute_per_core = sum(comp)
         exposed = total - spawn_join - compute_per_core
         msgs_per_rank = (
-            plan.n_directions(0)
+            plan.n_directions(domain)
             * len(rounds)
             * (threads if plan.uses_thread_team else 1)
         )
@@ -342,10 +359,10 @@ class PerformanceModel:
             comm_exposed=max(0.0, exposed),
             sync=sync,
             comm_bytes_per_node=self._comm_per_node(
-                decomp, approach, n_cores, job.n_grids
+                plan.decomp, domain, approach, n_cores, job.n_grids
             ),
             messages_per_rank=msgs_per_rank,
-            message_bytes=msg_bytes,
+            message_bytes=self._message_bytes(plan.decomp, domain),
         )
 
     def _evaluate_original(
@@ -354,6 +371,7 @@ class PerformanceModel:
         approach: Approach,
         n_cores: int,
         plan,
+        domain: int,
         rounds,
     ) -> FDTiming:
         """Blocking plans (flat original): serialized exchange, zero overlap.
@@ -376,7 +394,7 @@ class PerformanceModel:
         decomp = plan.decomp
         t_point = self._point_time(decomp)
         block_points = decomp.max_block_points()
-        send_times = self._blocking_send_times(plan)
+        send_times = self._blocking_send_times(plan, domain)
 
         compute = 0.0
         comm = 0.0
@@ -395,14 +413,10 @@ class PerformanceModel:
             comm_exposed=comm,
             sync=0.0,
             comm_bytes_per_node=self._comm_per_node(
-                decomp, approach, n_cores, job.n_grids
+                decomp, domain, approach, n_cores, job.n_grids
             ),
             messages_per_rank=len(send_times) * len(rounds),
-            message_bytes=max(
-                (decomp.send_bytes(0, dim, +1, DEFAULT_HALO_WIDTH)
-                 for dim in range(3)),
-                default=0,
-            ),
+            message_bytes=self._message_bytes(decomp, domain),
         )
 
     # -- model-plane span trace --------------------------------------------------
@@ -435,7 +449,7 @@ class PerformanceModel:
         from repro.obs.spans import SpanTracer, StepSpan
 
         check_positive_int(n_cores, "n_cores")
-        plan, decomp, rounds, comp, comm, barriers, spawn_join, _ = self._plan_costs(
+        plan, domain, rounds, comp, comm, barriers, spawn_join, _ = self._plan_costs(
             job, approach, n_cores, batch_size, ramp_up
         )
         tracer = SpanTracer(plane="model")
@@ -460,9 +474,9 @@ class PerformanceModel:
             # Serialized exchange (flat original): per round a blocking
             # wait for the exchange, then the batch's computation —
             # nothing overlaps (see :meth:`_evaluate_original`).
-            t_point = self._point_time(decomp)
-            block_points = decomp.max_block_points()
-            c = sum(self._blocking_send_times(plan))
+            t_point = self._point_time(plan.decomp)
+            block_points = plan.decomp.max_block_points()
+            c = sum(self._blocking_send_times(plan, domain))
             t = 0.0
             for r in rounds:
                 if c > 0.0:
@@ -498,11 +512,27 @@ class PerformanceModel:
             add("JoinBarrier", end, end + spawn_join, None)
         return tracer
 
+    @staticmethod
+    def _message_bytes(decomp: Decomposition, domain: int) -> int:
+        """Bytes of one domain's largest single-grid surface message."""
+        return max(
+            (
+                decomp.send_bytes(domain, dim, +1, DEFAULT_HALO_WIDTH)
+                for dim in range(3)
+            ),
+            default=0,
+        )
+
     def _comm_per_node(
-        self, decomp: Decomposition, approach: Approach, n_cores: int, n_grids: int
+        self,
+        decomp: Decomposition,
+        domain: int,
+        approach: Approach,
+        n_cores: int,
+        n_grids: int,
     ) -> float:
         """Inter-node bytes sent per node per invocation (Fig 6)."""
-        per_domain = decomp.comm_bytes(0, DEFAULT_HALO_WIDTH) * n_grids
+        per_domain = decomp.comm_bytes(domain, DEFAULT_HALO_WIDTH) * n_grids
         if not approach.decompose_per_rank:
             # node-level decomposition (hybrid modes, flat sub-groups):
             # the node's traffic is one domain's surface over all grids

@@ -48,6 +48,17 @@ def _batch_for(approach, batch_size):
     return batch_size if approach.supports_batching else 1
 
 
+def _busiest_worker_sends(plan, n_cores):
+    """``PostSend`` steps of the busiest domain's first worker, times the
+    thread team (the model counts messages per rank, one worker's worth
+    per thread)."""
+    sends = max(
+        sum(isinstance(s, PostSend) for s in plan.rank_plan(d).workers[0].steps)
+        for d in range(plan.decomp.n_domains)
+    )
+    return sends * (min(4, n_cores) if plan.uses_thread_team else 1)
+
+
 def _compile(approach, n_cores, n_grids, batch_size, shape=(24, 24, 24)):
     gd = GridDescriptor(shape)
     plan = timing_plan(approach, gd, n_grids, n_cores, batch_size)
@@ -94,9 +105,30 @@ class TestCrossPlaneConsistency:
         timing = PerformanceModel().evaluate(
             FDJob(gd, n_grids), approach, n_cores, batch
         )
-        rep = plan.rank_plan(0).workers[0]
-        threads = min(4, n_cores) if plan.uses_thread_team else 1
-        assert timing.messages_per_rank == rep.message_count * threads
+        assert timing.messages_per_rank == _busiest_worker_sends(plan, n_cores)
+
+    @pytest.mark.parametrize("approach", EVERY_APPROACH, ids=lambda a: a.name)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    def test_model_prices_the_busiest_domain(self, approach, periodic):
+        """On a non-periodic grid domain 0 is a corner with half an
+        interior domain's remote directions; the model prices the
+        interior one (48 cores: at least three domains on some axis)."""
+        n_cores, n_grids, batch = 48, 6, _batch_for(approach, 2)
+        gd = GridDescriptor((24, 24, 24), pbc=(periodic,) * 3)
+        plan = timing_plan(approach, gd, n_grids, n_cores, batch)
+        assert max(plan.decomp.domains_shape) >= 3
+        timing = PerformanceModel().evaluate(
+            FDJob(gd, n_grids), approach, n_cores, batch
+        )
+        assert timing.messages_per_rank == _busiest_worker_sends(plan, n_cores)
+
+    def test_open_grid_is_priced_at_an_interior_domain(self):
+        gd = GridDescriptor((64, 64, 64), pbc=(False,) * 3)
+        plan = timing_plan(FLAT_OPTIMIZED, gd, 8, 512, 2)
+        timing = PerformanceModel().evaluate(FDJob(gd, 8), FLAT_OPTIMIZED, 512, 2)
+        assert plan.decomp.coords_of(73) == (1, 1, 1)
+        assert plan.message_count(0) == 12
+        assert timing.messages_per_rank == plan.message_count(73) == 24
 
     @pytest.mark.parametrize(
         "approach", ALL_APPROACHES, ids=lambda a: a.name
