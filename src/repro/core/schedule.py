@@ -200,16 +200,6 @@ Step = Union[
 
 
 @dataclass(frozen=True)
-class ExchangeRound:
-    """One batch exchange as seen by its worker (for cost walking)."""
-
-    seq: int
-    grid_ids: tuple[int, ...]
-    sends: tuple[PostSend, ...]
-    recvs: tuple[PostRecv, ...]
-
-
-@dataclass(frozen=True)
 class WorkerPlan:
     """The step list of one worker (thread, sub-group rank, or the rank)."""
 
@@ -217,12 +207,11 @@ class WorkerPlan:
     slot: int
     grid_ids: tuple[int, ...]
     steps: tuple[Step, ...]
-    rounds: tuple[ExchangeRound, ...]
 
     @property
     def message_count(self) -> int:
         """Messages this worker sends per invocation."""
-        return sum(len(r.sends) for r in self.rounds)
+        return sum(1 for s in self.steps if isinstance(s, PostSend))
 
 
 @dataclass(frozen=True)
@@ -380,15 +369,10 @@ class SchedulePlan:
             logical = self.worker_rounds(index)
             slot = index if self.workers_are_ranks else 0
             steps: list[Step] = []
-            rounds: list[ExchangeRound] = []
             if self.blocking:
-                self._emit_blocking(
-                    logical, slot, send_by_dir, recv_by_dir, steps, rounds
-                )
+                self._emit_blocking(logical, slot, send_by_dir, recv_by_dir, steps)
             else:
-                self._emit_pipelined(
-                    logical, slot, send_dirs, recv_dirs, steps, rounds
-                )
+                self._emit_pipelined(logical, slot, send_dirs, recv_dirs, steps)
             if self.uses_thread_team and steps:
                 steps.append(JoinBarrier(worker=index))
             workers.append(
@@ -397,55 +381,44 @@ class SchedulePlan:
                     slot=slot,
                     grid_ids=grids,
                     steps=tuple(steps),
-                    rounds=tuple(rounds),
                 )
             )
         return RankPlan(domain=domain, workers=tuple(workers))
 
-    def _emit_blocking(
-        self, logical, slot, send_by_dir, recv_by_dir, steps, rounds
-    ) -> None:
+    def _emit_blocking(self, logical, slot, send_by_dir, recv_by_dir, steps) -> None:
         """Serialized exchange: per grid, per direction, send-recv-wait."""
         for seq, batch in logical:
             (g,) = batch
-            sends: list[PostSend] = []
-            recvs: list[PostRecv] = []
             for dim in range(3):
                 for step in (+1, -1):
                     snd = send_by_dir.get((dim, step))
                     if snd is not None:
-                        ps = PostSend(seq, dim, step, snd[0], batch, snd[1], slot)
-                        sends.append(ps)
-                        steps.append(ps)
+                        steps.append(
+                            PostSend(seq, dim, step, snd[0], batch, snd[1], slot)
+                        )
                     rcv = recv_by_dir.get((dim, step))
                     if rcv is not None:
-                        pr = PostRecv(seq, dim, step, rcv[0], batch, rcv[1], slot)
-                        recvs.append(pr)
-                        steps.append(pr)
+                        steps.append(
+                            PostRecv(seq, dim, step, rcv[0], batch, rcv[1], slot)
+                        )
                         # blocking semantics: complete this direction
                         # before touching the next one
                         steps.append(WaitAll(seq=seq, grid_ids=batch))
-            rounds.append(ExchangeRound(seq, batch, tuple(sends), tuple(recvs)))
             steps.extend(self._compute_steps(g))
 
-    def _emit_pipelined(
-        self, logical, slot, send_dirs, recv_dirs, steps, rounds
-    ) -> None:
+    def _emit_pipelined(self, logical, slot, send_dirs, recv_dirs, steps) -> None:
         """Simultaneous non-blocking exchange, optionally double-buffered."""
         pending: Optional[tuple[int, tuple[int, ...]]] = None
         for seq, batch in logical:
             n = len(batch)
-            sends = tuple(
+            steps.extend(
                 PostSend(seq, dim, step, peer, batch, nb * n, slot)
                 for dim, step, peer, nb in send_dirs
             )
-            recvs = tuple(
+            steps.extend(
                 PostRecv(seq, dim, step, peer, batch, nb * n, slot)
                 for dim, step, peer, nb in recv_dirs
             )
-            steps.extend(sends)
-            steps.extend(recvs)
-            rounds.append(ExchangeRound(seq, batch, sends, recvs))
             if self.double_buffered:
                 if pending is not None:
                     self._emit_drain(pending, steps)

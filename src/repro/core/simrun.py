@@ -1021,7 +1021,8 @@ class _FDSimulation(_Replay):
         prog: list = []
         t_call = spec.threads.mpi_call_cpu_time
         lookahead = 1 if plan.double_buffered else 0
-        rounds = wp.rounds
+        rounds = plan.worker_rounds(wp.index)
+        round_call_cpu = (len(send_index) + len(recv_index) + 1) * t_call
         next_round = 0
         for st in wp.steps:
             if with_steps:
@@ -1033,12 +1034,9 @@ class _FDSimulation(_Replay):
             ):
                 # charge the per-round CPU cost of issuing the MPI calls
                 limit = st.seq + (lookahead if isinstance(st, WaitAll) else 0)
-                while next_round < len(rounds) and rounds[next_round].seq <= limit:
-                    r = rounds[next_round]
+                while next_round < len(rounds) and rounds[next_round][0] <= limit:
                     next_round += 1
-                    prog.append(
-                        (OP_COMPUTE, (len(r.sends) + len(r.recvs) + 1) * t_call)
-                    )
+                    prog.append((OP_COMPUTE, round_call_cpu))
             if isinstance(st, PostSend):
                 tag = message_tag(st.seq, st.dim, st.step)
                 d = send_index[(st.dim, st.step)]
