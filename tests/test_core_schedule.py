@@ -163,6 +163,52 @@ class TestCrossPlaneConsistency:
         assert sent == plan.total_messages()
 
 
+class TestModelRoundsAreTheExecutedSteps:
+    """The analytic model prices ``worker_rounds`` and ``directions``
+    without building steps; the engine and the DES run the steps
+    ``rank_plan`` expands.  Both must be the same schedule."""
+
+    @pytest.mark.parametrize("approach", EVERY_APPROACH, ids=lambda a: a.name)
+    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    def test_steps_expand_the_priced_rounds(self, approach, config, periodic):
+        n_cores, n_grids, batch = config
+        batch = _batch_for(approach, batch)
+        gd = GridDescriptor((24, 24, 24), pbc=(periodic,) * 3)
+        plan = timing_plan(approach, gd, n_grids, n_cores, batch)
+        n = plan.decomp.n_domains
+        for d in sorted({0, n // 2, n - 1}):
+            send_dirs, recv_dirs = plan.directions(d)
+            send_bytes = {(dim, step): nb for dim, step, _p, nb in send_dirs}
+            recv_bytes = {(dim, step): nb for dim, step, _p, nb in recv_dirs}
+            for w in plan.rank_plan(d).workers:
+                rounds = plan.worker_rounds(w.index)
+                waits: list = []
+                for st in w.steps:
+                    if isinstance(st, WaitAll) and (
+                        not waits or waits[-1] != (st.seq, st.grid_ids)
+                    ):
+                        waits.append((st.seq, st.grid_ids))
+                assert tuple(waits) == rounds
+                grids_of = dict(rounds)
+                sends = [st for st in w.steps if isinstance(st, PostSend)]
+                assert [(st.seq, st.dim, st.step, st.dst) for st in sends] == [
+                    (seq, dim, step, peer)
+                    for seq, _grids in rounds
+                    for dim, step, peer, _nb in send_dirs
+                ]
+                for st in sends:
+                    assert st.grid_ids == grids_of[st.seq]
+                    assert st.nbytes == send_bytes[st.dim, st.step] * len(st.grid_ids)
+                for st in w.steps:
+                    if isinstance(st, PostRecv):
+                        assert st.grid_ids == grids_of[st.seq]
+                        assert st.nbytes == recv_bytes[st.dim, st.step] * len(
+                            st.grid_ids
+                        )
+                assert w.message_count == len(send_dirs) * len(rounds)
+
+
 class TestBatchValidation:
     """One helper on Approach; one error text across all consumers."""
 
