@@ -227,10 +227,8 @@ class PerformanceModel:
         compute.  Blocking plans return ``comp``/``comm`` = ``None``
         (cost them via :meth:`_evaluate_original`).
 
-        The plan's logical rounds and per-direction bytes are priced
-        directly; no step list is materialized.  A round's exchange
-        depends only on its batch length, so it is priced once per
-        distinct length.
+        No step list is materialized: a round's exchange depends only on
+        its batch length, so it is priced once per distinct length.
         """
         plan = timing_plan(
             approach, job.grid, job.n_grids, n_cores, batch_size, ramp_up
@@ -262,17 +260,21 @@ class PerformanceModel:
         if approach.thread_mode.pays_lock_overhead:
             call_cpu += threads * self.spec.threads.mpi_multiple_overhead
         round_call_cpu = calls_per_round * call_cpu
+        # Per round, every worker sharing the node's links exchanges one
+        # batch.  Flat optimized has one worker per rank but four
+        # virtual-node ranks per node; the node-level variants have
+        # ``plan.n_workers`` workers on one domain — either way the
+        # per-direction link carries that many streams.  Master-only's
+        # single master thread is one stream.
+        if plan.sync_per_grid:
+            streams = 1
+        else:
+            streams = plan.n_workers if plan.n_workers > 1 else ranks_per_node
         lengths = [len(grid_ids) for _seq, grid_ids in rounds]
-
-        def exchange(streams: int) -> dict[int, float]:
-            """Exchange seconds of a round, per distinct batch length."""
-            return {
-                n: self._round_comm_time(
-                    [nb * n for _d, _s, _p, nb in send_dirs], streams
-                )
-                for n in set(lengths)
-            }
-
+        round_comm = {
+            n: self._round_comm_time([nb * n for *_, nb in send_dirs], streams)
+            for n in set(lengths)
+        }
         if plan.sync_per_grid:
             # Hybrid master-only: batches of whole grids; 4 cores split each
             # grid (so each thread streams a quarter block plus its halo —
@@ -285,7 +287,6 @@ class PerformanceModel:
                 for n, b in zip(lengths, barriers)
             ]
             # The master thread pays the per-call CPU cost on the comm path.
-            round_comm = exchange(1)
             comm = [round_comm[n] + round_call_cpu for n in lengths]
             sync = (
                 plan.grid_barriers_per_rank * self.spec.threads.barrier_time
@@ -293,16 +294,9 @@ class PerformanceModel:
             )
         else:
             # Pipelined workers (flat optimized, flat sub-groups, hybrid
-            # multiple): each worker double-buffers its own rounds; per
-            # round, every worker sharing the node's links exchanges one
-            # batch.  Flat optimized has one worker per rank but four
-            # virtual-node ranks per node; the node-level variants have
-            # ``plan.n_workers`` workers on one domain — either way the
-            # per-direction link carries that many streams.
-            streams = plan.n_workers if plan.n_workers > 1 else ranks_per_node
+            # multiple): each worker double-buffers its own rounds.
             barriers = [0.0] * len(rounds)
             comp = [n * block_points * t_point + round_call_cpu for n in lengths]
-            round_comm = exchange(streams)
             comm = [round_comm[n] for n in lengths]
             sync = spawn_join
             if approach.thread_mode.pays_lock_overhead:
@@ -380,10 +374,9 @@ class PerformanceModel:
         exchange (a blocking send/receive pair per direction, with no
         DMA-driven overlap between them), so the cost is the plain sum of
         each round's sends (one per send direction) plus the round's
-        computation.  ``2L``: a
-        blocking exchange pays both the send- and the receive-side
-        software overhead (nothing is hidden behind the DMA engine in the
-        original code).
+        computation.  ``2L``: a blocking exchange pays both the send- and
+        the receive-side software overhead (nothing is hidden behind the
+        DMA engine in the original code).
 
         Unlike the optimized schedules, the node's four virtual-mode ranks
         do *not* contend on the shared links here: the blocking pattern
