@@ -38,9 +38,11 @@ Plan structure
 A :class:`SchedulePlan` holds the *logical* schedule — worker grid
 ownership and the global round/seq layout, identical on every rank — and
 instantiates concrete per-rank step lists lazily (:meth:`~SchedulePlan
-.rank_plan`), since only small configurations ever materialize more than
-one rank's steps (the analytic model walks the representative rank 0 of
-16384-core plans).  Grid ids inside steps are *logical indices*
+.rank_plan`), expanded from those same rounds.  Only the planes that
+execute steps build them (the functional engine and the DES replay); the
+analytic model prices :meth:`~SchedulePlan.worker_rounds` and
+:meth:`~SchedulePlan.directions` directly, so a 16384-core plan never
+materializes a step for it.  Grid ids inside steps are *logical indices*
 ``0..n_grids-1``; the functional engine maps them onto its callers' grid
 ids, the timing planes use them as-is.
 
