@@ -3,7 +3,7 @@
 ``tests/data/des_golden.json`` freezes the DES replay and
 ``tests/data/model_golden.json`` the analytic model.
 
-The file freezes every simulated number the replay produces on a fixed
+The DES file freezes every simulated number the replay produces on a fixed
 set of configurations, so the engine is checked against data instead of
 against a second engine kept bit-exact by hand.  Three families:
 
@@ -23,13 +23,14 @@ against a second engine kept bit-exact by hand.  Three families:
 
 The model file freezes, as ``repr`` floats:
 
-* ``fig5``/``fig6``/``fig7`` — every :class:`~repro.core.perfmodel.FDTiming`
-  field of every figure cell (Fig. 5 both panels; Figs. 6 and 7 at the
-  best batch size the figures pick);
+* ``fig5-nobatch``/``fig5-batch8``/``fig6``/``fig7`` — every
+  :class:`~repro.core.perfmodel.FDTiming` field of every figure cell
+  (Figs. 6 and 7 at the best batch size the figures pick);
 * ``plan`` — ``predicted_time``/``fd_time``/``subspace_time`` of every
   ranked choice of the Fig. 7 problem on 16384 cores;
 * ``step_trace`` — the model's span-trace makespan and span count of
-  every approach on 64^3 at 8 and 512 cores, periodic and non-periodic.
+  every approach on 16 grids of 64^3 (batch 2) at 8 and 512 cores,
+  periodic and non-periodic.
 
 Floats are written as JSON numbers, i.e. ``repr`` floats, which read
 back bit for bit.  Run from the repository root::
