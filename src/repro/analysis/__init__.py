@@ -41,13 +41,7 @@ from repro.analysis.calibration import (
     anchor_error,
     fit_compute_knobs,
 )
-from repro.analysis.timeline import (
-    model_step_trace,
-    real_step_trace,
-    sim_step_trace,
-    step_trace_for,
-    timeline_panel,
-)
+from repro.analysis.timeline import step_trace, timeline_panel
 
 __all__ = [
     "Fig5Row",
@@ -77,9 +71,6 @@ __all__ = [
     "run_chaos_suite",
     "suite_passed",
     "survival_matrix",
-    "model_step_trace",
-    "real_step_trace",
-    "sim_step_trace",
-    "step_trace_for",
+    "step_trace",
     "timeline_panel",
 ]

@@ -2,14 +2,17 @@
 
 The three planes emit the same :class:`~repro.obs.spans.StepSpan` schema —
 the functional engine via :func:`~repro.obs.spans.engine_hook`, the DES
-via ``simulate_fd(step_tracer=...)``, the analytic model via
+via ``simulate_spec(step_tracer=...)``, the analytic model via
 :meth:`~repro.core.perfmodel.PerformanceModel.step_trace` — so this module
-only has to *configure* each plane identically and hand the traces to the
-exporters.  ``step_trace_for(plane, ...)`` is the single dispatch the
-``repro trace`` / ``repro timeline`` commands (and the CI artifact) use.
+only has to hand each plane the same :class:`~repro.core.jobspec.JobSpec`
+and pass the traces to the exporters.  :func:`step_trace` is the single
+builder the ``repro trace`` / ``timeline`` / ``critpath`` commands (and
+the CI artifact) use.
 
-The real and simulated planes execute the same compiled plan, so with
-``n_cores >= 4`` (where the timing planes' worker count equals the
+Every plane traces the invocation :func:`~repro.core.simrun.simulate_spec`
+replays: ``spec.group_job()`` on ``spec.group_cores``.  The real and
+simulated planes execute the same compiled plan, so with
+``group_cores >= 4`` (where the timing planes' worker count equals the
 functional plane's full thread team) the per-worker step-kind *sequences*
 are identical across planes — the cross-plane consistency tests assert
 exactly that.  The model plane traces only the representative worker
@@ -20,12 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.approaches import Approach, approach_by_name
-from repro.core.perfmodel import FDJob, PerformanceModel
-from repro.grid.array import scatter
-from repro.grid.decompose import Decomposition
-from repro.grid.grid import GridDescriptor
-from repro.grid.halo import HaloSpec
+from repro.core.jobspec import JobSpec
 from repro.obs.export import (
     ascii_gantt,
     diff_step_kinds,
@@ -35,189 +33,107 @@ from repro.obs.export import (
 )
 from repro.obs.spans import SpanTracer, engine_hook
 
-__all__ = [
-    "PLANES",
-    "real_step_trace",
-    "sim_step_trace",
-    "model_step_trace",
-    "step_trace_for",
-    "timeline_panel",
-]
+__all__ = ["PLANES", "step_trace", "timeline_panel"]
 
 PLANES = ("real", "sim", "model")
 
 
-def _resolve(approach) -> Approach:
-    return approach_by_name(approach) if isinstance(approach, str) else approach
-
-
-def real_step_trace(
-    approach,
-    n_cores: int,
-    n_grids: int,
-    shape: Sequence[int] = (24, 24, 24),
-    batch_size: int = 1,
-    ramp_up: bool = False,
-    seed: int = 0,
-    metrics=None,
-) -> SpanTracer:
+def _real_trace(spec: JobSpec) -> SpanTracer:
     """Run the functional engine for real and trace every schedule step.
 
-    Scatters ``n_grids`` random grids over ``approach.domains_for(n_cores)``
-    rank threads, applies the distributed Laplacian once with
-    :func:`~repro.obs.spans.engine_hook` attached, and returns the shared
-    ``SpanTracer(plane="real")`` (raw ``time.perf_counter`` timestamps —
-    exporters normalize).  ``metrics`` optionally instruments the
-    in-process transport of the run.
+    Scatters the group job's random grids (seeded from
+    ``spec.runtime.seed``) over ``spec.group_cores`` domains' rank
+    threads and applies the distributed Laplacian once with
+    :func:`~repro.obs.spans.engine_hook` attached (raw
+    ``time.perf_counter`` timestamps — exporters normalize).
     """
     from repro.core.engine import DistributedStencil
+    from repro.grid.array import scatter
+    from repro.grid.decompose import Decomposition
+    from repro.grid.halo import HaloSpec
     from repro.stencil.coefficients import laplacian_coefficients
-    from repro.transport.inproc import InprocTransport, run_ranks
+    from repro.transport.inproc import run_ranks
 
-    approach = _resolve(approach)
-    gd = GridDescriptor(tuple(shape))
-    decomp = Decomposition(gd, approach.domains_for(n_cores))
+    approach = spec.approach_obj()
+    job = spec.group_job()
+    gd = job.grid
+    decomp = Decomposition(gd, approach.domains_for(spec.group_cores))
     coeffs = laplacian_coefficients(2, spacing=gd.spacing)
     engine = DistributedStencil(decomp, coeffs)
     halo = HaloSpec(coeffs.radius)
-
-    arrays = {gid: gd.random(seed=seed + gid) for gid in range(n_grids)}
-    blocks = {gid: scatter(a, decomp, halo) for gid, a in arrays.items()}
+    seed = spec.runtime.seed
+    blocks = {
+        gid: scatter(gd.random(seed=seed + gid), decomp, halo)
+        for gid in range(job.n_grids)
+    }
     tracer = SpanTracer(plane="real")
 
     def rank_fn(ep):
-        mine = {gid: blocks[gid][ep.rank] for gid in arrays}
         return engine.apply(
             ep,
-            mine,
+            {gid: b[ep.rank] for gid, b in blocks.items()},
             approach=approach,
-            batch_size=batch_size,
-            ramp_up=ramp_up,
+            batch_size=spec.layout.batch_size,
+            ramp_up=spec.layout.ramp_up,
             on_step=engine_hook(tracer, ep.rank),
         )
 
-    transport = (
-        InprocTransport(decomp.n_domains, metrics=metrics)
-        if metrics is not None
-        else None
-    )
-    run_ranks(decomp.n_domains, rank_fn, transport=transport)
+    run_ranks(decomp.n_domains, rank_fn)
     return tracer
 
 
-def sim_step_trace(
-    approach,
-    n_cores: int,
-    n_grids: int,
-    shape: Sequence[int] = (24, 24, 24),
-    batch_size: int = 1,
-    ramp_up: bool = False,
-) -> SpanTracer:
-    """Replay the same configuration on the DES and trace it at sim time."""
-    from repro.core.simrun import simulate_fd
+def step_trace(spec: JobSpec, plane: str) -> SpanTracer:
+    """Trace ``spec`` on the named plane (one of :data:`PLANES`).
 
-    approach = _resolve(approach)
-    job = FDJob(GridDescriptor(tuple(shape)), n_grids)
-    tracer = SpanTracer(plane="sim")
-    simulate_fd(
-        job, approach, n_cores, batch_size=batch_size, ramp_up=ramp_up,
-        step_tracer=tracer,
-    )
-    return tracer
-
-
-def model_step_trace(
-    approach,
-    n_cores: int,
-    n_grids: int,
-    shape: Sequence[int] = (24, 24, 24),
-    batch_size: int = 1,
-    ramp_up: bool = False,
-) -> SpanTracer:
-    """The analytic model's reconstructed timeline (worker ``rank0.w0``)."""
-    approach = _resolve(approach)
-    job = FDJob(GridDescriptor(tuple(shape)), n_grids)
-    return PerformanceModel().step_trace(
-        job, approach, n_cores, batch_size=batch_size, ramp_up=ramp_up
-    )
-
-
-def step_trace_for(
-    plane: str,
-    approach,
-    n_cores: int,
-    n_grids: int,
-    shape: Sequence[int] = (24, 24, 24),
-    batch_size: int = 1,
-    ramp_up: bool = False,
-) -> SpanTracer:
-    """Dispatch to the named plane's tracer with identical configuration.
-
-    Every returned tracer carries the
-    :meth:`~repro.core.jobspec.JobSpec.config_hash` of the traced
-    configuration, so exported artifacts from different planes of the
-    same run are mechanically linkable.
+    The returned tracer carries ``spec.config_hash()``, so exported
+    artifacts from different planes of the same run are mechanically
+    linkable.
     """
     if plane == "real":
-        tracer = real_step_trace(
-            approach, n_cores, n_grids, shape, batch_size, ramp_up
-        )
+        tracer = _real_trace(spec)
     elif plane == "sim":
-        tracer = sim_step_trace(
-            approach, n_cores, n_grids, shape, batch_size, ramp_up
-        )
+        from repro.core.simrun import simulate_spec
+
+        tracer = SpanTracer(plane="sim")
+        simulate_spec(spec, step_tracer=tracer)
     elif plane == "model":
-        tracer = model_step_trace(
-            approach, n_cores, n_grids, shape, batch_size, ramp_up
+        from repro.core.perfmodel import PerformanceModel
+
+        tracer = PerformanceModel().step_trace(
+            spec.group_job(),
+            spec.approach_obj(),
+            spec.group_cores,
+            spec.layout.batch_size,
+            spec.layout.ramp_up,
         )
     else:
         raise ValueError(f"unknown plane {plane!r}; expected one of {PLANES}")
-    from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec
-
-    tracer.config_hash = JobSpec(
-        problem=ProblemSpec(shape=tuple(shape), n_grids=n_grids),
-        layout=LayoutSpec(
-            approach=_resolve(approach).name,
-            n_cores=n_cores,
-            batch_size=batch_size,
-            ramp_up=ramp_up,
-        ),
-    ).config_hash()
+    tracer.config_hash = spec.config_hash()
     return tracer
 
 
 def timeline_panel(
-    approach,
-    n_cores: int,
-    n_grids: int,
-    shape: Sequence[int] = (24, 24, 24),
-    batch_size: int = 1,
-    ramp_up: bool = False,
+    spec: JobSpec,
     planes: Sequence[str] = ("real", "sim"),
-    width: int = 72,
     diff: Optional[tuple[str, str]] = None,
 ) -> str:
     """Gantt + utilization for each requested plane, one text panel.
 
     ``diff=("real", "sim")`` appends the per-step-kind time comparison
-    between two of the traced planes.
+    between two planes, tracing either one that ``planes`` left out.
     """
-    approach = _resolve(approach)
-    traces = {
-        p: step_trace_for(
-            p, approach, n_cores, n_grids, shape, batch_size, ramp_up
-        )
-        for p in planes
-    }
+    traces = {p: step_trace(spec, p) for p in planes}
     header = (
-        f"timeline — {approach.name}, {n_cores} cores, {n_grids} grids of "
-        f"{'x'.join(str(s) for s in shape)}, batch {batch_size}"
+        f"timeline — {spec.layout.approach}, {spec.layout.n_cores} cores, "
+        f"{spec.problem.n_grids} grids of "
+        f"{'x'.join(str(s) for s in spec.problem.shape)}, "
+        f"batch {spec.layout.batch_size}"
     )
     sections = [header]
     for p, tr in traces.items():
         sections.append(
             f"[{p}]\n"
-            + ascii_gantt(tr, width=width, normalize=True)
+            + ascii_gantt(tr, normalize=True)
             + "\n"
             + format_utilization(utilization_report(tr), title=f"{p} utilization")
         )
@@ -225,9 +141,7 @@ def timeline_panel(
         a, b = diff
         for name in (a, b):
             if name not in traces:
-                traces[name] = step_trace_for(
-                    name, approach, n_cores, n_grids, shape, batch_size, ramp_up
-                )
+                traces[name] = step_trace(spec, name)
         sections.append(
             f"step-kind diff ({a} vs {b})\n"
             + format_diff(diff_step_kinds(traces[a], traces[b]), a, b)

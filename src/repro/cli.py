@@ -57,7 +57,7 @@ from repro.core import (
     WholeAppModel,
     simulate_fd,
 )
-from repro.core.jobspec import add_spec_cli
+from repro.core.jobspec import JobSpec, add_spec_cli, spec_from_args
 from repro.grid import GridDescriptor
 from repro.util.units import MB
 
@@ -394,39 +394,24 @@ def _cmd_mtbf(args: argparse.Namespace) -> str:
     return format_mtbf_table(rows) + note
 
 
-def _cmd_trace(args: argparse.Namespace) -> str:
+def _cmd_trace(args: argparse.Namespace, spec: JobSpec) -> str:
     """Emit a Chrome-trace JSON (or a cross-plane diff) for one config."""
     import json
 
-    from repro.analysis.timeline import step_trace_for
+    from repro.analysis.timeline import step_trace
     from repro.obs.export import chrome_trace, diff_step_kinds, format_diff
 
-    shape = tuple(args.shape)
     if args.diff:
-        try:
-            a, b = args.diff.split(":")
-        except ValueError:
-            raise SystemExit(
-                f"--diff wants PLANE:PLANE (e.g. real:sim), got {args.diff!r}"
-            )
-        traces = {
-            p: step_trace_for(
-                p, args.approach, args.cores, args.grids, shape,
-                args.batch_size, args.ramp_up,
-            )
-            for p in (a, b)
-        }
+        a, b = args.diff
+        traces = {p: step_trace(spec, p) for p in (a, b)}
         head = (
             f"step-kind seconds, {args.approach} @ {args.cores} cores, "
-            f"{args.grids} grids of {'x'.join(map(str, shape))}"
+            f"{args.grids} grids of {'x'.join(map(str, args.shape))}"
         )
         return head + "\n" + format_diff(
             diff_step_kinds(traces[a], traces[b]), a, b
         )
-    tracer = step_trace_for(
-        args.plane, args.approach, args.cores, args.grids, shape,
-        args.batch_size, args.ramp_up,
-    )
+    tracer = step_trace(spec, args.plane)
     payload = json.dumps(chrome_trace(tracer), indent=1)
     if args.out:
         with open(args.out, "w") as fh:
@@ -438,19 +423,12 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return payload
 
 
-def _cmd_timeline(args: argparse.Namespace) -> str:
+def _cmd_timeline(args: argparse.Namespace, spec: JobSpec) -> str:
     """ASCII Gantt + utilization panel across planes."""
     from repro.analysis.timeline import timeline_panel
 
     return timeline_panel(
-        args.approach,
-        args.cores,
-        args.grids,
-        tuple(args.shape),
-        args.batch_size,
-        args.ramp_up,
-        planes=tuple(args.planes),
-        diff=("real", "sim") if args.diff else None,
+        spec, tuple(args.planes), ("real", "sim") if args.diff else None
     )
 
 
@@ -493,21 +471,14 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
     return head + "\n" + format_metrics(registry)
 
 
-def _cmd_critpath(args: argparse.Namespace) -> str:
+def _cmd_critpath(args: argparse.Namespace, spec: JobSpec) -> str:
     """Critical-path blame attribution of one configuration's trace."""
-    from repro.analysis.timeline import step_trace_for
-    from repro.core.jobspec import spec_from_args
+    from repro.analysis.timeline import step_trace
     from repro.obs.critpath import critical_path, plan_for_spec
 
-    spec = spec_from_args(args)
-    tracer = step_trace_for(
-        args.plane, args.approach, args.cores, args.grids,
-        tuple(args.shape), args.batch_size, args.ramp_up,
+    result = critical_path(
+        step_trace(spec, args.plane), plan=plan_for_spec(spec)
     )
-    # the model plane is a single representative worker: no cross-rank
-    # edges exist, so the plan is only needed for the executing planes
-    plan = plan_for_spec(spec) if args.plane in ("real", "sim") else None
-    result = critical_path(tracer, plan=plan)
     head = (
         f"critical-path attribution — {args.approach} @ {args.cores} "
         f"cores, {args.grids} grids of {'x'.join(map(str, args.shape))}, "
@@ -516,15 +487,12 @@ def _cmd_critpath(args: argparse.Namespace) -> str:
     return head + "\n" + result.format()
 
 
-def _cmd_doctor(args: argparse.Namespace) -> str:
+def _cmd_doctor(args: argparse.Namespace, spec: JobSpec) -> str:
     """One-shot diagnosis: run, attribute, conformance verdict."""
-    from repro.core.jobspec import spec_from_args
     from repro.core.simrun import simulate_spec
     from repro.obs.conformance import check_conformance
-    from repro.obs.critpath import plan_for_spec
     from repro.obs.spans import SpanTracer
 
-    spec = spec_from_args(args)
     if args.placement != "auto":
         spec = spec.with_runtime(placement=args.placement)
     fault_plan = None
@@ -536,7 +504,7 @@ def _cmd_doctor(args: argparse.Namespace) -> str:
         )
     tracer = SpanTracer(plane="sim")
     simulate_spec(spec, fault_plan=fault_plan, step_tracer=tracer)
-    report = check_conformance(tracer, spec, plan=plan_for_spec(spec))
+    report = check_conformance(tracer, spec)
     head = (
         f"doctor — {spec.layout.approach} @ {spec.layout.n_cores} cores, "
         f"{spec.problem.n_grids} grids of "
@@ -574,6 +542,19 @@ def _cmd_report(args: argparse.Namespace) -> str:
         + "=" * 72
     )
     return banner + "\n\n" + "\n\n".join(sections)
+
+
+def _plane_pair(text: str) -> tuple[str, str]:
+    """Parse ``--diff PLANE:PLANE`` into two plane names."""
+    from repro.analysis.timeline import PLANES
+
+    planes = tuple(text.split(":"))
+    if len(planes) != 2 or not set(planes) <= set(PLANES):
+        raise argparse.ArgumentTypeError(
+            f"want PLANE:PLANE over {', '.join(PLANES)} (e.g. real:sim), "
+            f"got {text!r}"
+        )
+    return planes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -672,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="real",
                     help="which execution plane to trace (default real)")
     pt.add_argument("--out", help="write the JSON here instead of stdout")
-    pt.add_argument("--diff", metavar="PLANE:PLANE",
+    pt.add_argument("--diff", metavar="PLANE:PLANE", type=_plane_pair,
                     help="print per-step-kind deltas between two planes "
                          "(e.g. real:sim) instead of JSON")
     pl = sub.add_parser(
@@ -738,17 +719,30 @@ _COMMANDS = {
     "schedule": _cmd_schedule,
     "chaos": _cmd_chaos,
     "mtbf": _cmd_mtbf,
+    "metrics": _cmd_metrics,
+}
+
+#: the diagnosis commands each trace one JobSpec: ``main`` builds it once
+#: from the shared options, so a bad configuration is a usage error
+_DIAGNOSES = {
     "trace": _cmd_trace,
     "timeline": _cmd_timeline,
-    "metrics": _cmd_metrics,
     "critpath": _cmd_critpath,
     "doctor": _cmd_doctor,
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    print(_COMMANDS[args.command](args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in _DIAGNOSES:
+        try:
+            spec = spec_from_args(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+        print(_DIAGNOSES[args.command](args, spec))
+    else:
+        print(_COMMANDS[args.command](args))
     return 0
 
 

@@ -151,19 +151,17 @@ class SimResult:
 
 
 def _node_mode_for(approach: Approach, n_cores: int) -> tuple[NodeMode, int]:
-    """(node mode, node count) realizing ``n_cores`` for an approach."""
-    if n_cores >= 4:
-        if n_cores % 4:
-            raise ValueError(f"n_cores must be 1, 2 or a multiple of 4, got {n_cores}")
-        n_nodes = n_cores // 4
-        mode = NodeMode.SMP if approach.is_hybrid else NodeMode.VN
-    elif n_cores == 2:
-        n_nodes, mode = 1, (NodeMode.SMP if approach.is_hybrid else NodeMode.DUAL)
-    elif n_cores == 1:
-        n_nodes, mode = 1, NodeMode.SMP
-    else:
-        raise ValueError(f"n_cores must be >= 1, got {n_cores}")
-    return mode, n_nodes
+    """(node mode, node count) realizing ``n_cores >= 1`` for an approach."""
+    if n_cores == 1:
+        return NodeMode.SMP, 1
+    if n_cores == 2:
+        return (NodeMode.SMP if approach.is_hybrid else NodeMode.DUAL), 1
+    if n_cores % 4:
+        raise ValueError(
+            "the DES needs 1, 2 or a multiple of 4 cores (whole BG/P "
+            f"nodes), got {n_cores}"
+        )
+    return (NodeMode.SMP if approach.is_hybrid else NodeMode.VN), n_cores // 4
 
 
 def _domain_to_rank(
@@ -193,8 +191,9 @@ def _domain_to_rank(
     )
     if placement == "cyclic" and not divisible:
         raise ValueError(
-            f"cyclic placement needs the domain grid {dshape} to divide the "
-            f"node grid {nshape} component-wise"
+            f"cyclic placement needs one domain per rank ({decomp.n_domains} "
+            f"domains, {n_nodes * rpn} ranks) and the domain grid {dshape} "
+            f"to divide the node grid {nshape} component-wise"
         )
     cyclic = divisible if placement == "auto" else placement == "cyclic"
     mapping: list[int] = [0] * decomp.n_domains

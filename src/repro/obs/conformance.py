@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from repro.obs.critpath import CriticalPathResult, critical_path
+from repro.obs.critpath import CriticalPathResult, critical_path, plan_for_spec
 from repro.obs.metrics import resolve_registry
 from repro.obs.spans import SpanTracer, StepSpan
 
@@ -128,40 +128,43 @@ def _per_kind_seconds(spans: Iterable[StepSpan]) -> dict[str, float]:
     return out
 
 
+#: an exposed-comm residual ratio farther than this from 1 is drift ...
+COMM_DRIFT_THRESHOLD = 0.5
+#: ... but only once the gap exceeds this share of the modeled makespan
+COMM_SHARE_FLOOR = 0.05
+#: a rank blocking peers longer than this share of wall time straggles
+STRAGGLER_THRESHOLD = 0.1
+#: per-resource busy-time spread (max/mean - 1) beyond this is imbalance
+IMBALANCE_THRESHOLD = 0.25
+
+
 def check_conformance(
     measured: Union[SpanTracer, Iterable[StepSpan]],
     spec,
-    machine=None,
     metrics=None,
-    plan=None,
-    comm_drift_threshold: float = 0.5,
-    comm_share_floor: float = 0.05,
-    straggler_threshold: float = 0.1,
-    imbalance_threshold: float = 0.25,
 ) -> ConformanceReport:
     """Align a measured trace against the model's prediction for ``spec``.
 
     ``measured`` is a trace of the FD plan ``spec`` compiles to (any
     plane); ``spec`` is the :class:`~repro.core.jobspec.JobSpec` that
-    produced it.  The model timeline is rebuilt from the spec alone, so
-    a stored trace plus its embedded ``config_hash``'s spec is enough to
-    re-run the check offline.
+    produced it.  The model timeline (priced on ``BGP_SPEC``) and the
+    compiled plan the critical-path walk resolves cross-rank edges
+    through are both rebuilt from the spec alone, so a stored trace plus
+    its embedded ``config_hash``'s spec is enough to re-run the check
+    offline.
 
     Thresholds: an exposed-comm residual ratio farther than
-    ``comm_drift_threshold`` from 1 raises :class:`CommDrift`, but only
-    when the absolute discrepancy exceeds ``comm_share_floor`` of the
-    modeled makespan (a fully-hidden tiny leftover is a 0x ratio with
-    no performance impact — not drift); a rank
-    blocking peers for more than ``straggler_threshold`` of the wall
-    time raises :class:`StragglerRank`; per-resource busy-time spread
-    (max/mean - 1) beyond ``imbalance_threshold`` raises
-    :class:`LoadImbalance`.
+    :data:`COMM_DRIFT_THRESHOLD` from 1 raises :class:`CommDrift`, but
+    only when the absolute discrepancy exceeds :data:`COMM_SHARE_FLOOR`
+    of the modeled makespan (a fully-hidden tiny leftover is a 0x ratio
+    with no performance impact — not drift); a rank blocking peers for
+    more than :data:`STRAGGLER_THRESHOLD` of the wall time raises
+    :class:`StragglerRank`; per-resource busy-time spread (max/mean - 1)
+    beyond :data:`IMBALANCE_THRESHOLD` raises :class:`LoadImbalance`.
     """
-    from repro.core.perfmodel import BGP_SPEC, PerformanceModel
+    from repro.core.perfmodel import PerformanceModel
 
     registry = resolve_registry(metrics)
-    if machine is None:
-        machine = BGP_SPEC
 
     if isinstance(measured, SpanTracer):
         tracer = measured
@@ -170,8 +173,7 @@ def check_conformance(
         for s in measured:
             tracer.add(s)
 
-    model = PerformanceModel(machine)
-    model_trace = model.step_trace(
+    model_trace = PerformanceModel().step_trace(
         spec.group_job(),
         spec.approach_obj(),
         spec.group_cores,
@@ -221,8 +223,8 @@ def check_conformance(
     comm_ratio = comm_meas / comm_mod if comm_mod > 0 else 1.0
     comm_gap = abs(comm_meas - comm_mod)
     if (
-        abs(comm_ratio - 1.0) > comm_drift_threshold
-        and comm_gap > comm_share_floor * model_makespan
+        abs(comm_ratio - 1.0) > COMM_DRIFT_THRESHOLD
+        and comm_gap > COMM_SHARE_FLOOR * model_makespan
     ):
         findings.append(
             CommDrift(
@@ -235,12 +237,12 @@ def check_conformance(
             )
         )
 
-    cp = critical_path(tracer, plan=plan)
+    cp = critical_path(tracer, plan=plan_for_spec(spec))
     if cp.imbalance_by_rank and measured_makespan > 0:
         rank, blocked = max(
             cp.imbalance_by_rank.items(), key=lambda kv: kv[1]
         )
-        if blocked > straggler_threshold * measured_makespan:
+        if blocked > STRAGGLER_THRESHOLD * measured_makespan:
             findings.append(
                 StragglerRank(
                     severity=blocked,
@@ -257,7 +259,7 @@ def check_conformance(
         busy = [tracer.busy_time(r) for r in sorted(resources)]
         mean = sum(busy) / len(busy)
         spread = max(busy) / mean - 1.0 if mean > 0 else 0.0
-        if spread > imbalance_threshold:
+        if spread > IMBALANCE_THRESHOLD:
             findings.append(
                 LoadImbalance(
                     severity=spread,

@@ -54,6 +54,7 @@ buckets reproduce the model's own compute/comm/sync split).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -390,11 +391,17 @@ def critical_path(
         cur, t_hi = binding, release
 
     # fold the telescoping-sum float residual (a few ulps) into the
-    # largest bucket so the totals partition the makespan *exactly*
+    # largest bucket so the totals partition the makespan *exactly*.  A
+    # float fold can round away from the target (ties-to-even), so the
+    # buckets move onto the makespan's ulp grid, where every partial sum
+    # of them is exact, and the residual is folded in whole ulps.
     residual = wall - sum(buckets.values())
     if residual != 0.0:
+        ulp = math.ulp(wall)
+        units = {b: round(v / ulp) for b, v in buckets.items()}
         top = max(buckets, key=lambda b: buckets[b])
-        buckets[top] += residual
+        units[top] += round(wall / ulp) - sum(units.values())
+        buckets = {b: n * ulp for b, n in units.items()}
         owner = owner_of_resource(path[-1].resource) if path else None
         if owner is not None and owner in by_rank:
             by_rank[owner] += residual

@@ -146,7 +146,7 @@ class SpanTracer:
         self.plane = plane
         #: :meth:`repro.core.jobspec.JobSpec.config_hash` of the run that
         #: produced this trace; producers fill it in when they know the
-        #: spec (``DistributedSCF.run``, ``step_trace_for``), exporters
+        #: spec (``DistributedSCF.run``, ``step_trace``), exporters
         #: carry it so any artifact traces back to its configuration
         self.config_hash = config_hash
         self._lock = threading.Lock()

@@ -483,7 +483,6 @@ def run_ranks(
     fn: Callable[..., Any],
     *args: Any,
     transport: Optional[InprocTransport] = None,
-    supervisor: "Any" = None,
 ) -> list[Any]:
     """Run ``fn(endpoint, *args)`` on ``size`` rank threads; join and return.
 
@@ -493,19 +492,10 @@ def run_ranks(
     as the *same type* (with ``failed_rank`` and any attached schedule
     step preserved), so callers can dispatch on the taxonomy.
 
-    ``supervisor`` switches to supervised execution: pass a
-    :class:`repro.transport.supervisor.RetryPolicy` (the whole invocation
-    is retried with exponential backoff on transient failures, and
-    permanent ones produce a crash report) — see
-    :func:`repro.transport.supervisor.run_ranks_supervised`, to which
-    this delegates.
+    Unsupervised: the one supervised entry point (retries with backoff
+    on transient failures, crash reports on permanent ones) is
+    :func:`repro.transport.supervisor.run_ranks_supervised`.
     """
-    if supervisor is not None:
-        from repro.transport.supervisor import run_ranks_supervised
-
-        return run_ranks_supervised(
-            size, fn, *args, transport=transport, policy=supervisor
-        ).results
     tr = transport if transport is not None else InprocTransport(size)
     if tr.size != size:
         raise ValueError(f"transport size {tr.size} != requested size {size}")

@@ -57,6 +57,32 @@ class TestParser:
             assert (args.cores, args.grids) == (64, 32)
 
 
+class TestDiagnosisUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--approach", "nope"],
+            ["trace", "--approach", "flat-original", "--batch-size", "2"],
+            ["trace", "--diff", "real:foo"],
+            ["timeline", "--approach", "nope"],
+            ["critpath", "--approach", "flat-original", "--batch-size", "2"],
+            ["doctor", "--approach", "nope"],
+        ],
+    )
+    def test_bad_configuration_exits_2_with_one_error_line(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and errors[0].startswith("repro")
+
+
 class TestCommands:
     def test_table1(self, capsys):
         out = run(capsys, "table1")

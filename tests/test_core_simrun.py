@@ -39,8 +39,11 @@ class TestSimrunBasics:
         assert r.comm_bytes_per_node == 0
 
     def test_invalid_core_count(self):
-        with pytest.raises(ValueError):
-            simulate_fd(job(), FLAT_OPTIMIZED, 6)
+        # 3 cores is >= 1: the message must name the whole-node rule
+        for n_cores in (3, 6):
+            rule = f"1, 2 or a multiple of 4 cores.*got {n_cores}"
+            with pytest.raises(ValueError, match=rule):
+                simulate_fd(job(), FLAT_OPTIMIZED, n_cores)
         with pytest.raises(ValueError):
             simulate_fd(job(), FLAT_OPTIMIZED, 0)
 

@@ -12,7 +12,6 @@ from repro.obs import (
     StragglerRank,
     check_conformance,
 )
-from repro.obs.critpath import plan_for_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
@@ -45,9 +44,7 @@ class TestFaultFreeConformance:
         self, approach, n_cores, n_grids, shape, batch
     ):
         spec = _spec(approach, n_cores, n_grids, shape, batch)
-        report = check_conformance(
-            _sim_trace(spec), spec, plan=plan_for_spec(spec)
-        )
+        report = check_conformance(_sim_trace(spec), spec)
         assert report.ok, [f.detail for f in report.findings]
         assert report.drift < 0.1
         assert report.score > 0.9
@@ -76,7 +73,7 @@ class TestFindings:
                 seed=0, inject={(2, 0): "delay"}, delay=0.05
             ),
         )
-        report = check_conformance(tracer, spec, plan=plan_for_spec(spec))
+        report = check_conformance(tracer, spec)
         stragglers = [
             f for f in report.findings if isinstance(f, StragglerRank)
         ]
@@ -107,9 +104,7 @@ class TestRegistryWiring:
                 seed=0, inject={(1, 0): "delay"}, delay=0.05
             ),
         )
-        report = check_conformance(
-            tracer, spec, metrics=reg, plan=plan_for_spec(spec)
-        )
+        report = check_conformance(tracer, spec, metrics=reg)
         assert reg.value("obs_conformance_score") == report.score
         assert reg.value("obs_conformance_drift") == report.drift
         assert (

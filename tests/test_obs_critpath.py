@@ -8,9 +8,11 @@ JobSpec, and an injected delay fault is attributed to the injected rank.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.timeline import sim_step_trace, step_trace_for
-from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec
+from repro.analysis.timeline import step_trace
+from repro.core.approaches import ALL_APPROACHES
+from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
 from repro.obs.critpath import (
     BLAME_BUCKETS,
     blame_bucket,
@@ -20,15 +22,35 @@ from repro.obs.critpath import (
 )
 from repro.obs.spans import SpanTracer, StepSpan
 
-CONFIG = dict(n_cores=8, n_grids=4, shape=(16, 16, 16), batch_size=2)
-
-
 def _spec(approach="hybrid-multiple", n_cores=8, n_grids=4,
           shape=(16, 16, 16), batch_size=2):
     return JobSpec(
         problem=ProblemSpec(shape=shape, n_grids=n_grids),
         layout=LayoutSpec(approach=approach, n_cores=n_cores,
                           batch_size=batch_size),
+    )
+
+
+@st.composite
+def _random_specs(draw):
+    """A small spec over the paper's approaches, core counts, batches and
+    placements."""
+    approach = draw(st.sampled_from(ALL_APPROACHES))
+    n_grids = draw(st.integers(1, 6))
+    batch = (
+        draw(st.integers(1, n_grids)) if approach.supports_batching else 1
+    )
+    return JobSpec(
+        problem=ProblemSpec(shape=(16, 16, 16), n_grids=n_grids),
+        layout=LayoutSpec(
+            approach=approach.name,
+            n_cores=draw(st.sampled_from([1, 2, 4, 8, 16])),
+            batch_size=batch,
+            ramp_up=draw(st.booleans()),
+        ),
+        runtime=RuntimeSpec(
+            placement=draw(st.sampled_from(["auto", "cyclic", "spread"]))
+        ),
     )
 
 
@@ -58,23 +80,32 @@ class TestExactPartition:
         "name", ["flat-optimized", "hybrid-multiple", "hybrid-master-only"]
     )
     def test_buckets_partition_makespan_exactly(self, plane, name):
-        tracer = step_trace_for(plane, name, **CONFIG)
+        tracer = step_trace(_spec(name), plane)
         result = critical_path(tracer)
         assert sum(result.buckets.values()) == result.wall_time
         assert result.wall_time == tracer.makespan()
         assert set(result.buckets) == set(BLAME_BUCKETS)
 
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_random_specs())
+    # a model trace whose float fold used to round one ulp off the wall
+    @example(spec=_spec("flat-original", n_cores=4, n_grids=3, batch_size=1))
+    def test_property_buckets_partition_makespan(self, spec):
+        plan = plan_for_spec(spec)
+        for plane in ("sim", "model"):
+            tracer = step_trace(spec, plane)
+            result = critical_path(tracer, plan=plan)
+            assert sum(result.buckets.values()) == tracer.makespan()
+
     def test_partition_with_plan(self):
         spec = _spec()
-        tracer = SpanTracer(plane="sim")
-        from repro.core.simrun import simulate_spec
-
-        simulate_spec(spec, step_tracer=tracer)
-        result = critical_path(tracer, plan=plan_for_spec(spec))
+        result = critical_path(
+            step_trace(spec, "sim"), plan=plan_for_spec(spec)
+        )
         assert sum(result.buckets.values()) == result.wall_time
 
     def test_by_rank_partitions_path_time(self):
-        tracer = sim_step_trace("hybrid-multiple", **CONFIG)
+        tracer = step_trace(_spec(), "sim")
         result = critical_path(tracer)
         assert sum(result.by_rank.values()) == pytest.approx(
             result.wall_time, rel=1e-12
@@ -100,25 +131,18 @@ class TestModelAgreement:
     def test_des_critpath_matches_model_total(
         self, name, n_cores, n_grids, shape
     ):
-        from repro.core import FDJob, PerformanceModel, approach_by_name
-        from repro.grid import GridDescriptor
+        from repro.core import PerformanceModel
 
-        tracer = sim_step_trace(
-            name, n_cores=n_cores, n_grids=n_grids, shape=shape,
-            batch_size=2,
-        )
-        result = critical_path(tracer)
+        spec = _spec(name, n_cores, n_grids, shape)
+        result = critical_path(step_trace(spec, "sim"))
         timing = PerformanceModel().evaluate(
-            FDJob(GridDescriptor(shape), n_grids),
-            approach_by_name(name),
-            n_cores,
-            batch_size=2,
+            spec.group_job(), spec.approach_obj(), n_cores, batch_size=2
         )
         assert result.wall_time == pytest.approx(timing.total, rel=0.05)
 
     def test_model_trace_critpath_is_its_own_makespan(self):
         """Single-resource model trace: the path is the whole walk."""
-        tracer = step_trace_for("model", "hybrid-multiple", **CONFIG)
+        tracer = step_trace(_spec(), "model")
         result = critical_path(tracer)
         assert result.wall_time == tracer.makespan()
         # single resource -> no cross-rank blocking at all
@@ -168,7 +192,7 @@ class TestStraggler:
 
 class TestResultSurface:
     def test_format_and_summary(self):
-        tracer = sim_step_trace("hybrid-multiple", **CONFIG)
+        tracer = step_trace(_spec(), "sim")
         result = critical_path(tracer)
         text = result.format()
         assert "critical path:" in text
@@ -180,7 +204,7 @@ class TestResultSurface:
         assert all(isinstance(k, str) for k in digest["by_rank"])
 
     def test_fractions_sum_to_one(self):
-        tracer = sim_step_trace("flat-optimized", **CONFIG)
+        tracer = step_trace(_spec("flat-optimized"), "sim")
         result = critical_path(tracer)
         total = sum(result.fraction(b) for b in BLAME_BUCKETS)
         assert total == pytest.approx(1.0, rel=1e-9)

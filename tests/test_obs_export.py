@@ -11,13 +11,10 @@ import json
 
 import pytest
 
-from repro.analysis.timeline import (
-    model_step_trace,
-    real_step_trace,
-    sim_step_trace,
-    step_trace_for,
-)
-from repro.core import FDJob, PerformanceModel, approach_by_name, simulate_fd
+from repro.analysis.timeline import step_trace
+from repro.core import FDJob, PerformanceModel, approach_by_name
+from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec
+from repro.core.simrun import simulate_spec
 from repro.grid import GridDescriptor
 from repro.obs.export import (
     ascii_gantt,
@@ -32,7 +29,12 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer, StepSpan
 
-CONFIG = dict(n_cores=8, n_grids=4, shape=(16, 16, 16), batch_size=2)
+def _spec(approach="hybrid-multiple", batch_size=2):
+    return JobSpec(
+        problem=ProblemSpec(shape=(16, 16, 16), n_grids=4),
+        layout=LayoutSpec(approach=approach, n_cores=8,
+                          batch_size=batch_size),
+    )
 
 
 def _spans_sorted(tracer):
@@ -41,25 +43,21 @@ def _spans_sorted(tracer):
 
 class TestChromeTraceRoundTrip:
     def test_real_engine_run_round_trips_exactly(self):
-        tracer = real_step_trace("hybrid-multiple", **CONFIG)
+        spec = _spec()
+        tracer = step_trace(spec, "real")
         assert len(tracer) > 0
+        assert tracer.config_hash == spec.config_hash()
         payload = json.dumps(chrome_trace(tracer))
         reparsed = parse_chrome_trace(payload)
         assert reparsed == _spans_sorted(tracer)
 
     def test_sim_and_model_round_trip(self):
-        tracers = [
-            step_trace_for(plane, "hybrid-multiple", **CONFIG)
-            for plane in ("sim", "model")
-        ]
+        spec = _spec()
+        tracers = [step_trace(spec, plane) for plane in ("sim", "model")]
+        for tracer in tracers:
+            assert tracer.config_hash == spec.config_hash()
         # the DES activity trace (core and link spans) is one more input
-        activity = simulate_fd(
-            FDJob(GridDescriptor(CONFIG["shape"]), CONFIG["n_grids"]),
-            approach_by_name("hybrid-multiple"),
-            CONFIG["n_cores"],
-            batch_size=CONFIG["batch_size"],
-            trace=True,
-        ).trace
+        activity = simulate_spec(spec, trace=True).trace
         for tracer in tracers + [activity]:
             reparsed = parse_chrome_trace(chrome_trace(tracer))
             assert reparsed == _spans_sorted(tracer)
@@ -96,13 +94,12 @@ class TestCrossPlaneConsistency:
         "name", ["flat-original", "flat-optimized", "hybrid-multiple"]
     )
     def test_real_and_sim_step_sequences_match(self, name):
-        real = real_step_trace(name, **dict(CONFIG, batch_size=1))
-        sim = sim_step_trace(name, **dict(CONFIG, batch_size=1))
+        spec = _spec(name, batch_size=1)
+        real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
         assert real.step_sequence() == sim.step_sequence()
 
     def test_batched_sequences_match(self):
-        real = real_step_trace("hybrid-multiple", **CONFIG)
-        sim = sim_step_trace("hybrid-multiple", **CONFIG)
+        real, sim = step_trace(_spec(), "real"), step_trace(_spec(), "sim")
         assert real.step_sequence() == sim.step_sequence()
 
     def test_subgroups_share_the_kind_alphabet(self):
@@ -112,22 +109,19 @@ class TestCrossPlaneConsistency:
         # virtual ranks (see timing_plan).  Sequences cannot
         # match worker-for-worker, but both planes must interpret the
         # same step-kind vocabulary per rank.
-        real = real_step_trace("flat-subgroups", **CONFIG)
-        sim = sim_step_trace("flat-subgroups", **CONFIG)
+        spec = _spec("flat-subgroups")
+        real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
         assert set(real.step_kinds()) == set(sim.step_kinds())
 
     def test_master_only_sequences_match(self):
-        real = real_step_trace("hybrid-master-only", n_cores=8, n_grids=4,
-                               shape=(16, 16, 16))
-        sim = sim_step_trace("hybrid-master-only", n_cores=8, n_grids=4,
-                             shape=(16, 16, 16))
+        spec = _spec("hybrid-master-only", batch_size=1)
+        real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
         assert real.step_sequence() == sim.step_sequence()
 
     def test_model_sequence_is_subset_of_kind_alphabet(self):
         # the model reconstructs one representative worker, so it cannot
         # match span-for-span — but it must speak the same IR vocabulary
-        model = model_step_trace("hybrid-multiple", **CONFIG)
-        sim = sim_step_trace("hybrid-multiple", **CONFIG)
+        model, sim = step_trace(_spec(), "model"), step_trace(_spec(), "sim")
         model_kinds = set(model.step_kinds())
         sim_kinds = set(sim.step_kinds())
         assert model_kinds <= sim_kinds | {"JoinBarrier", "GridBarrier"}
@@ -211,8 +205,7 @@ class TestDiff:
         assert "real" in text and "WaitAll" in text
 
     def test_real_vs_sim_diff_covers_all_kinds(self):
-        real = real_step_trace("hybrid-multiple", **CONFIG)
-        sim = sim_step_trace("hybrid-multiple", **CONFIG)
+        real, sim = step_trace(_spec(), "real"), step_trace(_spec(), "sim")
         diff = diff_step_kinds(real, sim)
         assert set(diff) == set(real.step_kinds()) | set(sim.step_kinds())
 
