@@ -52,14 +52,23 @@ from repro.analysis import (
 from repro.analysis.experiments import FIG7_JOB
 from repro.core import (
     ALL_APPROACHES,
+    FLAT_OPTIMIZED,
     FDJob,
     PerformanceModel,
     WholeAppModel,
     simulate_fd,
 )
-from repro.core.jobspec import JobSpec, add_spec_cli, spec_from_args
+from repro.core.jobspec import (
+    JobSpec,
+    add_spec_cli,
+    cli_count,
+    cli_type,
+    spec_from_args,
+)
+from repro.core.simrun import _node_mode_for
 from repro.grid import GridDescriptor
 from repro.util.units import MB
+from repro.util.validation import check_nonnegative, check_positive_int
 
 _NAMES = ["flat-original", "flat-optimized", "hybrid-multiple", "hybrid-master-only"]
 _SHORT = {"flat-original": "orig", "flat-optimized": "opt",
@@ -544,6 +553,18 @@ def _cmd_report(args: argparse.Namespace) -> str:
     return banner + "\n\n" + "\n\n".join(sections)
 
 
+@cli_type
+def _des_cores(text: str) -> int:
+    """A core count the DES can replay: 1, 2 or whole BG/P nodes."""
+    n = check_positive_int(int(text), "cores")
+    _node_mode_for(FLAT_OPTIMIZED, n)  # the replay's own rule
+    return n
+
+
+#: a fault-plan seed: an integer >= 0
+_seed = cli_type(lambda text: int(check_nonnegative(int(text), "seed")))
+
+
 def _plane_pair(text: str) -> tuple[str, str]:
     """Parse ``--diff PLANE:PLANE`` into two plane names."""
     from repro.analysis.timeline import PLANES
@@ -566,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="Table I: BG/P node description")
     sub.add_parser("fig2", help="Fig 2: bandwidth vs message size")
     p5 = sub.add_parser("fig5", help="Fig 5: speedup, 32 grids of 144^3")
-    p5.add_argument("--batch-size", type=int, default=8,
+    p5.add_argument("--batch-size", type=int, choices=(1, 8), default=8,
                     help="8 = right panel (default); 1 = left panel")
     p5.add_argument("--plot", action="store_true", help="ASCII chart instead of a table")
     sub.add_parser("fig6", help="Fig 6: Gustafson graph")
@@ -577,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("wholeapp", help="Section VIII-A whole-app outlook")
     add_spec_cli(pw, {"grids": 2816})
     pv = sub.add_parser("validate", help="model-vs-DES cross-check")
-    add_spec_cli(pv, {"cores": 32})
+    pv.add_argument("--cores", type=_des_cores, default=32,
+                    help="CPU cores (default 32)")
     sub.add_parser("report", help="all experiments in one run")
     sub.add_parser("calibrate", help="re-fit the compute knobs to the anchors")
     pb = sub.add_parser(
@@ -605,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         "approach": "flat-optimized", "grids": 16, "batch_size": 4,
         "shape": (64, 64, 64), "ramp_up": False,
     })
-    psc.add_argument("--ranks", type=int, nargs="+",
+    psc.add_argument("--ranks", type=_des_cores, nargs="+",
                      default=[8, 64, 512, 4096],
                      help="rank counts to sweep (default: 8 64 512 4096)")
     ps = sub.add_parser(
@@ -621,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser(
         "chaos", help="seeded fault-injection suite + survival matrix"
     )
-    pc.add_argument("--seed", type=int, default=0,
+    pc.add_argument("--seed", type=_seed, default=0,
                     help="fault-plan seed; identical seeds replay identically")
     pc.add_argument("--ranks", type=int, default=2)
     pc.add_argument("--no-scf", action="store_true",
@@ -691,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     pme = sub.add_parser(
         "metrics", help="run a small instrumented SCF and dump its metrics"
     )
-    pme.add_argument("--ranks", type=int, default=2)
+    pme.add_argument("--ranks", type=cli_count, default=2)
     pme.add_argument("--bands", type=int, default=2)
     pme.add_argument("--size", type=int, default=10,
                      help="grid edge length (size^3 points)")

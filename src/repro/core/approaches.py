@@ -108,10 +108,6 @@ class Approach:
             raise ValueError(f"hybrid modes need whole nodes, got {n_cores} cores")
         return n_cores // 4
 
-    def n_nodes_for(self, n_cores: int) -> int:
-        """Nodes used by ``n_cores`` cores (4 cores per node)."""
-        return max(1, n_cores // 4) if n_cores >= 4 else 1
-
     def validate_batch_size(self, batch_size: int) -> int:
         """Check a batch size against this approach's capabilities.
 

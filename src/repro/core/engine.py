@@ -64,7 +64,7 @@ from repro.grid.halo import (
     unpack_slabs,
     zero_boundary_ghosts,
 )
-from repro.stencil.coefficients import StencilCoefficients, laplacian_coefficients
+from repro.stencil.coefficients import StencilCoefficients
 from repro.stencil.kernel import apply_stencil_global, apply_stencil_padded
 from repro.transport.inproc import RankEndpoint
 
@@ -96,14 +96,9 @@ class DistributedStencil:
         self,
         decomp: Decomposition,
         coeffs: StencilCoefficients,
-        compute_fn: "Callable[[np.ndarray, np.ndarray], None] | None" = None,
         workspace: Optional[Workspace] = None,
     ):
-        """``compute_fn(padded, out_interior)`` may replace the default
-        Laplacian kernel by any operator of the same halo radius (e.g. a
-        gradient component) — the exchange schedules are operator-agnostic.
-
-        ``workspace`` is the buffer arena every scratch and halo message
+        """``workspace`` is the buffer arena every scratch and halo message
         buffer is borrowed from; it is shared by all rank threads (a
         received zero-copy message buffer is recycled by the *receiving*
         rank).  One is created if not supplied.  After one warm-up
@@ -114,40 +109,8 @@ class DistributedStencil:
         self.coeffs = coeffs
         self.halo = HaloSpec(coeffs.radius)
         self.workspace = workspace if workspace is not None else Workspace()
-        if compute_fn is None:
-            def compute_fn(padded: np.ndarray, out: np.ndarray) -> None:
-                with self.workspace.borrowing(out.shape, out.dtype) as scratch:
-                    apply_stencil_padded(
-                        padded, self.coeffs, out=out, scratch=scratch
-                    )
-
-        self._compute_fn = compute_fn
         self._outgoing: dict[int, list[HaloMessage]] = {}
         self._incoming: dict[int, list[HaloMessage]] = {}
-
-    @classmethod
-    def gradient(
-        cls, decomp: Decomposition, axis: int, radius: int = 2
-    ) -> "DistributedStencil":
-        """An engine computing d/dx_axis instead of the Laplacian.
-
-        Same halo traffic, same schedules — only the arithmetic differs,
-        which is exactly why the paper's optimizations generalize to
-        "other finite difference codes" (abstract).
-        """
-        from repro.stencil.gradient import apply_gradient_padded
-
-        coeffs = laplacian_coefficients(radius, spacing=decomp.grid.spacing)
-        workspace = Workspace()
-
-        def compute_fn(padded: np.ndarray, out: np.ndarray) -> None:
-            with workspace.borrowing(out.shape, out.dtype) as scratch:
-                apply_gradient_padded(
-                    padded, axis, radius=radius, spacing=decomp.grid.spacing,
-                    out=out, scratch=scratch,
-                )
-
-        return cls(decomp, coeffs, compute_fn=compute_fn, workspace=workspace)
 
     # -- geometry caches ---------------------------------------------------
     def outgoing(self, rank: int) -> list[HaloMessage]:
@@ -353,7 +316,11 @@ class DistributedStencil:
             )
         elif isinstance(st, _ComputeInterior):
             gid = grid_ids[st.grid_id]
-            self._compute_fn(grids[gid].data, out[gid].interior)
+            interior = out[gid].interior
+            with ws.borrowing(interior.shape, interior.dtype) as scratch:
+                apply_stencil_padded(
+                    grids[gid].data, self.coeffs, out=interior, scratch=scratch
+                )
         # GridBarrier / JoinBarrier: timing-plane markers; the
         # functional rank runs its workers sequentially, so there is
         # nothing to synchronize here.

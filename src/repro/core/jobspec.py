@@ -24,6 +24,7 @@ working).  The CLI builds its shared option block from :data:`CLI_KNOBS`
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
@@ -215,12 +216,6 @@ class JobSpec:
         return self.layout.n_cores // self.layout.n_band_groups
 
     # -- copy helpers ------------------------------------------------------
-    def with_problem(self, **kwargs) -> "JobSpec":
-        return replace(self, problem=replace(self.problem, **kwargs))
-
-    def with_layout(self, **kwargs) -> "JobSpec":
-        return replace(self, layout=replace(self.layout, **kwargs))
-
     def with_runtime(self, **kwargs) -> "JobSpec":
         return replace(self, runtime=replace(self.runtime, **kwargs))
 
@@ -322,6 +317,26 @@ def check_restart_compatible(current: JobSpec, saved: JobSpec) -> None:
 
 
 # -- the CLI's shared spec-building option block -------------------------------
+def cli_type(check):
+    """An argparse ``type=`` that parses with ``check(text)``.
+
+    A ``ValueError`` from ``check`` becomes a usage error (exit status 2,
+    one ``error:`` line) instead of a traceback from the command.
+    """
+
+    def parse(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+#: argparse ``type=`` of a count option: an integer >= 1
+cli_count = cli_type(lambda text: check_positive_int(int(text), "count"))
+
+
 #: One row per JobSpec-backed CLI knob: name -> (option flags, argparse
 #: kwargs builder taking the subcommand's default).  ``--bands`` stays as
 #: an alias of ``--grids`` so pre-JobSpec invocations keep working.  The
@@ -331,6 +346,7 @@ CLI_KNOBS = {
     "approach": (
         ("--approach",),
         lambda default: {
+            "type": cli_type(lambda name: approach_by_name(name).name),
             "default": default,
             "help": (
                 "approach name"
@@ -340,22 +356,22 @@ CLI_KNOBS = {
     ),
     "cores": (
         ("--cores",),
-        lambda default: {"type": int, "default": default,
+        lambda default: {"type": cli_count, "default": default,
                          "help": f"CPU cores (default {default})"},
     ),
     "grids": (
         ("--grids", "--bands"),
-        lambda default: {"type": int, "default": default, "dest": "grids",
+        lambda default: {"type": cli_count, "default": default, "dest": "grids",
                          "help": f"grids/bands (default {default})"},
     ),
     "batch_size": (
         ("--batch-size",),
-        lambda default: {"type": int, "default": default,
+        lambda default: {"type": cli_count, "default": default,
                          "help": f"grids per message batch (default {default})"},
     ),
     "shape": (
         ("--shape",),
-        lambda default: {"type": int, "nargs": 3, "default": list(default),
+        lambda default: {"type": cli_count, "nargs": 3, "default": list(default),
                          "metavar": ("NX", "NY", "NZ")},
     ),
     "ramp_up": (
@@ -364,7 +380,7 @@ CLI_KNOBS = {
     ),
     "band_groups": (
         ("--band-groups",),
-        lambda default: {"type": int, "default": default,
+        lambda default: {"type": cli_count, "default": default,
                          "help": f"band groups nb (default {default})"},
     ),
 }

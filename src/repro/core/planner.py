@@ -109,13 +109,6 @@ class PlanChoice:
     #: DES replay of the same plans (filled by ``des_top_k``/``cross_check``)
     des_time: Optional[float] = None
 
-    @property
-    def model_vs_des(self) -> Optional[float]:
-        """``predicted/des`` ratio, ``None`` until cross-checked."""
-        if self.des_time is None or self.des_time <= 0:
-            return None
-        return self.predicted_time / self.des_time
-
 
 @dataclass
 class PlanResult:

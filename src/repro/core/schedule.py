@@ -227,12 +227,6 @@ class RankPlan:
     def message_count(self) -> int:
         return sum(w.message_count for w in self.workers)
 
-    @property
-    def barrier_count(self) -> int:
-        return sum(
-            1 for w in self.workers for s in w.steps if isinstance(s, GridBarrier)
-        )
-
 
 class SchedulePlan:
     """One compiled schedule: logical layout + lazy per-rank step lists."""
@@ -346,12 +340,6 @@ class SchedulePlan:
     def message_count(self, domain: int) -> int:
         """Messages one domain sends per invocation (all its workers)."""
         return self.n_directions(domain) * self.rounds_per_rank
-
-    def total_messages(self) -> int:
-        """Messages sent across all domains per invocation."""
-        return sum(
-            self.message_count(d) for d in range(self.decomp.n_domains)
-        )
 
     # -- per-rank instantiation -------------------------------------------
     def rank_plan(self, domain: int) -> RankPlan:
@@ -626,7 +614,6 @@ def compile_schedule(
     *,
     halo_width: int = DEFAULT_HALO_WIDTH,
     n_workers: Optional[int] = None,
-    use_cache: bool = True,
 ) -> SchedulePlan:
     """Compile (or fetch from cache) the plan for one configuration.
 
@@ -645,14 +632,11 @@ def compile_schedule(
     else:
         resolved = approach.compute_threads
     key = (approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved)
-    if use_cache:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            return plan
-    plan = SchedulePlan(
-        approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved
-    )
-    if use_cache:
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = SchedulePlan(
+            approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved
+        )
         _PLAN_CACHE.put(key, plan)
     return plan
 
@@ -733,10 +717,6 @@ class BandSchedulePlan:
             group, ROTATE_PHASE
         )
 
-    def rank_steps(self, rank: int) -> tuple[Step, ...]:
-        """The step list of one global rank (same for all its domains)."""
-        return self.group_steps(self.layout.group_of(rank))
-
     def _emit_phase(self, group: int, phase: int) -> tuple[Step, ...]:
         lay = self.layout
         nb = lay.n_groups
@@ -784,17 +764,12 @@ def compile_band_schedule(
     gemm_points: int,
     ring_points: int,
     bytes_per_point: int = 8,
-    *,
-    use_cache: bool = True,
 ) -> BandSchedulePlan:
     """Compile (or fetch from cache) the ring-orthogonalization plan."""
     key = ("band", layout, gemm_points, ring_points, bytes_per_point)
-    if use_cache:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            return plan
-    plan = BandSchedulePlan(layout, gemm_points, ring_points, bytes_per_point)
-    if use_cache:
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = BandSchedulePlan(layout, gemm_points, ring_points, bytes_per_point)
         _PLAN_CACHE.put(key, plan)
     return plan
 

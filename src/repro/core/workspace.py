@@ -3,9 +3,9 @@
 The paper's hot path applies one stencil to thousands of grids per SCF
 iteration.  At NumPy level the avoidable cost is allocator traffic: fresh
 padded blocks, output blocks, kernel scratch and halo message buffers on
-every call.  :class:`Workspace` is a small pool that the engine, the
-gradient path and the halo pack/unpack borrow those buffers from — after
-one warm-up pass the pool holds every buffer the schedule needs and
+every call.  :class:`Workspace` is a small pool that the engine and the
+halo pack/unpack borrow those buffers from — after one warm-up pass the
+pool holds every buffer the schedule needs and
 steady-state iterations allocate nothing (asserted by the allocation
 counter in the tests).
 
@@ -93,11 +93,6 @@ class Workspace:
                 return False
             self._free.setdefault(key, []).append(buf)
             return True
-
-    def owns(self, buf: np.ndarray) -> bool:
-        """True if ``buf`` is currently borrowed from this arena."""
-        with self._lock:
-            return id(buf) in self._issued
 
     @contextmanager
     def borrowing(

@@ -91,6 +91,37 @@ class BandRingExecutor:
         self.workspace = workspace if workspace is not None else Workspace()
         self.on_step = on_step
 
+    def _ring_walk(
+        self, ep, phase: int, block: np.ndarray, gemm: Callable
+    ) -> None:
+        """Circulate ``block`` round this rank's band ring for ``phase``.
+
+        Interprets the compiled phase's steps: ``RingSendRecv`` passes
+        the held block on and posts the receive of the next one,
+        ``WaitAll`` takes that block in hand, and ``PartialGemm`` calls
+        ``gemm(src_bands, held)`` with the band slice the held block
+        carries.
+        """
+        lay = self.layout
+        domain = lay.domain_of(ep.rank)
+        m = lay.bands_per_group
+        held = block
+        pending = None
+        for st in self.plan.phase_steps(lay.group_of(ep.rank), phase):
+            t0 = time.perf_counter() if self.on_step else 0.0
+            if isinstance(st, RingSendRecv):
+                ep.isend(lay.rank_of(st.dst_group, domain), held, tag=st.tag)
+                pending = ep.irecv(
+                    src=lay.rank_of(st.src_group, domain), tag=st.tag
+                )
+            elif isinstance(st, PartialGemm):
+                gemm(lay.bands_of(st.src_group), held)
+            else:  # WaitAll: the next block has to be in hand
+                held = pending.wait().reshape(m, -1)
+                pending = None
+            if self.on_step:
+                self.on_step(st, 0, t0, time.perf_counter())
+
     # -- overlap phase ------------------------------------------------------
     def band_matrix(
         self, ep, left: np.ndarray, right: np.ndarray, h3: float
@@ -105,32 +136,18 @@ class BandRingExecutor:
         over every rank.
         """
         lay = self.layout
-        group = lay.group_of(ep.rank)
-        domain = lay.domain_of(ep.rank)
         m = lay.bands_per_group
-        my = lay.bands_of(group)
+        my = lay.bands_of(lay.group_of(ep.rank))
         out = np.zeros((lay.n_bands, lay.n_bands), dtype=left.dtype)
-        held = right
-        pending = None
         tile = self.workspace.borrow((m, m), left.dtype)
+
+        def gemm(src: slice, held: np.ndarray) -> None:
+            np.matmul(left, held.T, out=tile)
+            np.multiply(tile, h3, out=tile)
+            out[my.start : my.stop, src.start : src.stop] = tile
+
         try:
-            for st in self.plan.phase_steps(group, OVERLAP_PHASE):
-                t0 = time.perf_counter() if self.on_step else 0.0
-                if isinstance(st, RingSendRecv):
-                    ep.isend(lay.rank_of(st.dst_group, domain), held, tag=st.tag)
-                    pending = ep.irecv(
-                        src=lay.rank_of(st.src_group, domain), tag=st.tag
-                    )
-                elif isinstance(st, PartialGemm):
-                    src = lay.bands_of(st.src_group)
-                    np.matmul(left, held.T, out=tile)
-                    tile *= h3
-                    out[my.start : my.stop, src.start : src.stop] = tile
-                else:  # WaitAll: the next block has to be in hand
-                    held = pending.wait().reshape(m, -1)
-                    pending = None
-                if self.on_step:
-                    self.on_step(st, 0, t0, time.perf_counter())
+            self._ring_walk(ep, OVERLAP_PHASE, right, gemm)
         finally:
             self.workspace.release(tile)
         return out
@@ -147,33 +164,17 @@ class BandRingExecutor:
         result is complete without any reduction — rotation mixes bands,
         not domains.
         """
-        lay = self.layout
-        group = lay.group_of(ep.rank)
-        domain = lay.domain_of(ep.rank)
-        m = lay.bands_per_group
-        my = lay.bands_of(group)
+        my = self.layout.bands_of(self.layout.group_of(ep.rank))
         acc = np.zeros_like(local)
-        held = local
-        pending = None
         tmp = self.workspace.borrow(local.shape, local.dtype)
+
+        def gemm(src: slice, held: np.ndarray) -> None:
+            u = rotation[my.start : my.stop, src.start : src.stop]
+            np.matmul(u, held, out=tmp)
+            np.add(acc, tmp, out=acc)
+
         try:
-            for st in self.plan.phase_steps(group, ROTATE_PHASE):
-                t0 = time.perf_counter() if self.on_step else 0.0
-                if isinstance(st, RingSendRecv):
-                    ep.isend(lay.rank_of(st.dst_group, domain), held, tag=st.tag)
-                    pending = ep.irecv(
-                        src=lay.rank_of(st.src_group, domain), tag=st.tag
-                    )
-                elif isinstance(st, PartialGemm):
-                    src = lay.bands_of(st.src_group)
-                    u = rotation[my.start : my.stop, src.start : src.stop]
-                    np.matmul(u, held, out=tmp)
-                    acc += tmp
-                else:  # WaitAll
-                    held = pending.wait().reshape(m, -1)
-                    pending = None
-                if self.on_step:
-                    self.on_step(st, 0, t0, time.perf_counter())
+            self._ring_walk(ep, ROTATE_PHASE, local, gemm)
         finally:
             self.workspace.release(tmp)
         return acc

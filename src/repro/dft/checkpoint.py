@@ -79,12 +79,6 @@ class SCFCheckpoint:
     #: error instead of silent state corruption.
     jobspec: dict | None = None
 
-    def field_blocks(self, name: str) -> dict[int, np.ndarray]:
-        """Per-rank blocks of one field, e.g. ``field_blocks('v_h')``."""
-        if name not in CHECKPOINT_FIELDS:
-            raise KeyError(f"unknown checkpoint field {name!r}")
-        return {rank: fields[name] for rank, fields in self.blocks.items()}
-
     def nbytes(self) -> int:
         """Total payload size of the snapshot."""
         return sum(
@@ -112,9 +106,8 @@ def redistribute_blocks(
     *recovery*, when the old ranks may no longer exist.  Arrays may carry
     leading axes (e.g. a band axis); only the trailing three dimensions
     are grid dimensions.  This is the shrink path: a 4-rank checkpoint
-    becomes valid 2-rank initial state by executing the same
-    :func:`~repro.grid.redistribute.transfer_plan` the live
-    redistribution uses, as slab copies.
+    becomes valid 2-rank initial state by executing
+    :func:`~repro.grid.redistribute.transfer_plan` as slab copies.
     """
     if set(blocks) != set(range(old.n_domains)):
         raise ValueError(

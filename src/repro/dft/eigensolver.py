@@ -24,10 +24,6 @@ class EigenResult:
     energies: np.ndarray  # (k,)
     states: np.ndarray  # (k, nx, ny, nz), orthonormal w.r.t. grid dot
 
-    @property
-    def n_states(self) -> int:
-        return len(self.energies)
-
 
 def lowest_eigenstates(
     hamiltonian: Hamiltonian,

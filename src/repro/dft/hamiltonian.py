@@ -42,14 +42,6 @@ class Hamiltonian:
         """``H`` applied to a stack of wave functions (bands, nx, ny, nz)."""
         return np.stack([self.apply(p) for p in psis])
 
-    def expectation(self, psi: np.ndarray) -> float:
-        """``<psi|H|psi> / <psi|psi>`` (the Rayleigh quotient)."""
-        num = np.vdot(psi, self.apply(psi)).real
-        den = np.vdot(psi, psi).real
-        if den == 0:
-            raise ValueError("cannot take the expectation of a zero state")
-        return num / den
-
     def as_linear_operator(self) -> LinearOperator:
         """SciPy view of H for iterative eigensolvers."""
         n = self.grid.n_points

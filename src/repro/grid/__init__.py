@@ -22,7 +22,6 @@ from repro.grid.redistribute import (
     BandMove,
     Transfer,
     band_regroup_plan,
-    redistribute,
     transfer_plan,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "BandMove",
     "Transfer",
     "band_regroup_plan",
-    "redistribute",
     "transfer_plan",
 ]

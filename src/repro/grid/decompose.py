@@ -170,18 +170,6 @@ class Decomposition:
             for step in (+1, -1)
         )
 
-    def max_comm_bytes(self, halo_width: int) -> int:
-        """The largest per-domain exchange volume (the critical path).
-
-        Blocks differ by at most one point per axis, so checking domain 0
-        (which always holds the *largest* block under the balanced
-        partition) is sufficient — but we verify against the corner domains
-        to stay honest with non-periodic walls, where interior domains send
-        on more faces than corner domains.
-        """
-        candidates = {0, self.n_domains - 1, self.n_domains // 2}
-        return max(self.comm_bytes(d, halo_width) for d in candidates)
-
     def total_points(self) -> int:
         """Sanity: block points sum to the global grid."""
         return sum(

@@ -9,7 +9,8 @@ and assembles its new block.
 The implementation is geometry-first: :func:`transfer_plan` computes the
 exact set of (source rank, destination rank, global-slab) triples — a
 pure function that tests can verify tiles the grid — and
-:func:`redistribute` executes a plan over the in-process transport.
+:func:`repro.dft.checkpoint.redistribute_blocks` executes a plan as slab
+copies when a checkpoint is restarted on a new layout.
 
 The band axis gets the same treatment: :func:`band_regroup_plan` maps
 every global band from its slot under one :class:`~repro.grid.bandgroups
@@ -24,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.grid.array import LocalGrid
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
-from repro.grid.halo import HaloSpec
-from repro.transport.inproc import RankEndpoint
 
 Slices3 = tuple[slice, slice, slice]
 
@@ -123,59 +121,3 @@ def band_regroup_plan(old: BandGroups, new: BandGroups) -> list[BandMove]:
         for b in range(old.n_bands)
     ]
 
-
-def _to_local(global_slices: Slices3, block_slices: Slices3, width: int) -> Slices3:
-    """Global slab -> slab in a block's padded local array."""
-    return tuple(  # type: ignore[return-value]
-        slice(g.start - b.start + width, g.stop - b.start + width)
-        for g, b in zip(global_slices, block_slices)
-    )
-
-
-def redistribute(
-    ep: RankEndpoint,
-    old_block: LocalGrid,
-    new_decomp: Decomposition,
-    halo: HaloSpec | None = None,
-    tag_base: int = 1 << 24,
-) -> LocalGrid:
-    """Execute a redistribution for this rank.
-
-    Every rank calls with its block under the *old* decomposition and
-    receives its block under ``new_decomp``.  Requires both layouts to
-    have one domain per transport rank.  Ghost shells of the result are
-    zero (run a halo exchange before stencilling).
-    """
-    old_decomp = old_block.decomp
-    if old_decomp.n_domains != ep.size or new_decomp.n_domains != ep.size:
-        raise ValueError(
-            f"both layouts must have {ep.size} domains; got "
-            f"{old_decomp.n_domains} and {new_decomp.n_domains}"
-        )
-    halo = old_block.halo if halo is None else halo
-    plan = transfer_plan(old_decomp, new_decomp)
-    me = ep.rank
-    w_old = old_block.halo.width
-    out = LocalGrid(new_decomp, me, halo)
-    w_new = halo.width
-
-    # send my outgoing slabs (deterministic plan order makes tags unique)
-    for i, t in enumerate(plan):
-        if t.src != me or t.dst == me:
-            continue
-        local = _to_local(t.global_slices, old_decomp.block_slices(me), w_old)
-        ep.isend(t.dst, old_block.data[local], tag=tag_base + i)
-    # local copies
-    for t in plan:
-        if t.src == me and t.dst == me:
-            src_local = _to_local(t.global_slices, old_decomp.block_slices(me), w_old)
-            dst_local = _to_local(t.global_slices, new_decomp.block_slices(me), w_new)
-            out.data[dst_local] = old_block.data[src_local]
-    # receive incoming slabs
-    for i, t in enumerate(plan):
-        if t.dst != me or t.src == me:
-            continue
-        payload = ep.recv(src=t.src, tag=tag_base + i)
-        dst_local = _to_local(t.global_slices, new_decomp.block_slices(me), w_new)
-        out.data[dst_local] = payload.reshape(out.data[dst_local].shape)
-    return out

@@ -2,7 +2,7 @@
 
 :class:`Machine` is what the DES replay (:mod:`repro.core.simrun`) runs
 on: the hardware constants, the partition geometry (node-grid shape,
-mesh vs torus, rank-to-node mapping) and the :class:`Simulator` whose
+mesh vs torus, rank-to-node layout) and the :class:`Simulator` whose
 clock the replay advances.  Cores, links and locks are replay state,
 created lazily by the replay, so a 4096-node machine costs nothing until
 ranks actually touch nodes.
@@ -24,14 +24,11 @@ class Machine:
         n_nodes: int,
         mode: NodeMode = NodeMode.SMP,
         spec: MachineSpec = BGP_SPEC,
-        sim: Simulator | None = None,
-        mapping: str = "TXYZ",
     ) -> None:
         self.spec = spec
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.partition = Partition(
-            n_nodes, mode=mode, torus_min_nodes=spec.torus_min_nodes,
-            mapping=mapping,
+            n_nodes, mode=mode, torus_min_nodes=spec.torus_min_nodes
         )
         self.topology = TorusTopology(
             self.partition.shape, torus=self.partition.is_torus

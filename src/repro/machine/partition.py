@@ -43,11 +43,6 @@ class NodeMode(enum.Enum):
     def cores_per_rank(self) -> int:
         return 4 // self.ranks_per_node
 
-    @property
-    def memory_per_rank_fraction(self) -> float:
-        """Fraction of node memory visible to each rank (VN: 512 MB of 2 GB)."""
-        return 1.0 / self.ranks_per_node
-
 
 #: Known partition shapes, keyed by node count.  Shapes below 512 nodes are
 #: meshes (halved midplane dimensions); 512+ are tori built from midplanes.
@@ -85,28 +80,18 @@ def partition_shape(n_nodes: int) -> tuple[int, int, int]:
 class Partition:
     """A job's allocation: node-grid shape, topology kind, node mode.
 
-    ``mapping`` mirrors BG/P's ``BG_MAPPING`` environment variable: the
-    order in which rank numbers sweep the node grid and the cores.
-
-    * ``"TXYZ"`` (default) — the core index varies fastest: ranks
-      0..3 share node 0, 4..7 node 1, ...  (the layout MPICH2 uses when
-      virtual-node jobs are submitted normally).
-    * ``"XYZT"`` — the core index varies slowest: ranks 0..N-1 occupy
-      core 0 of every node, N..2N-1 core 1, ...  (spreads consecutive
-      ranks over distinct nodes).
+    Ranks fill nodes core first, BG/P's default ``TXYZ`` mapping: ranks
+    0..3 share node 0, 4..7 node 1, ...  Which domain runs on which rank
+    is the DES replay's placement decision
+    (:func:`repro.core.simrun._domain_to_rank`), not the partition's.
     """
 
     n_nodes: int
     mode: NodeMode = NodeMode.SMP
     torus_min_nodes: int = 512
-    mapping: str = "TXYZ"
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_nodes, "n_nodes")
-        if self.mapping not in ("TXYZ", "XYZT"):
-            raise ValueError(
-                f"mapping must be 'TXYZ' or 'XYZT', got {self.mapping!r}"
-            )
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -123,38 +108,14 @@ class Partition:
         """Total MPI ranks in this partition under the node mode."""
         return self.n_nodes * self.mode.ranks_per_node
 
-    @property
-    def rank_grid_shape(self) -> tuple[int, int, int]:
-        """The 3D shape of the *rank* grid used by ``MPI_Cart_create``.
-
-        In VN mode the four ranks of a node extend the Z dimension — the
-        mapping the BG/P system software uses for its default "XYZT" order,
-        so virtual-mode neighbours along Z alternate intra/inter node.
-        """
-        sx, sy, sz = self.shape
-        return (sx, sy, sz * self.mode.ranks_per_node)
-
     def node_of_rank(self, rank: int) -> int:
-        """Which node hosts ``rank`` under the partition's mapping."""
+        """Which node hosts ``rank``."""
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} outside 0..{self.n_ranks - 1}")
-        if self.mapping == "TXYZ":
-            return rank // self.mode.ranks_per_node
-        return rank % self.n_nodes  # XYZT: core index in the high bits
+        return rank // self.mode.ranks_per_node
 
     def core_slot_of_rank(self, rank: int) -> int:
         """Which hardware-thread slot of its node ``rank`` occupies."""
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} outside 0..{self.n_ranks - 1}")
-        if self.mapping == "TXYZ":
-            return rank % self.mode.ranks_per_node
-        return rank // self.n_nodes
-
-    def ranks_of_node(self, node: int) -> list[int]:
-        """All ranks hosted by ``node``."""
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} outside 0..{self.n_nodes - 1}")
-        rpn = self.mode.ranks_per_node
-        if self.mapping == "TXYZ":
-            return list(range(node * rpn, (node + 1) * rpn))
-        return [node + slot * self.n_nodes for slot in range(rpn)]
+        return rank % self.mode.ranks_per_node

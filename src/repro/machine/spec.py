@@ -91,11 +91,6 @@ class TorusSpec:
             return 0.0
         return nbytes / self.message_time(nbytes, hops)
 
-    @property
-    def half_bandwidth_size(self) -> float:
-        """Message size achieving half the asymptotic bandwidth (~10^3 B)."""
-        return self.message_overhead * self.effective_bandwidth
-
 
 @dataclass(frozen=True)
 class TreeSpec:

@@ -112,10 +112,3 @@ class TorusTopology:
                 here = nxt
         assert here == dst
         return hops
-
-    def max_hops(self) -> int:
-        """Network diameter in links."""
-        if self.torus:
-            return sum(s // 2 for s in self.shape)
-        return sum(s - 1 for s in self.shape)
-

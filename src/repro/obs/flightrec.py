@@ -122,10 +122,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._window)
 
-    @property
-    def window(self) -> list[IterationRecord]:
-        return list(self._window)
-
     def spans(self) -> list[StepSpan]:
         """All buffered spans plus any not yet rotated, in record order."""
         out: list[StepSpan] = []

@@ -205,11 +205,6 @@ class Histogram(_Instrument):
         with self._lock:
             return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> list[int]:
-        """Per-bucket counts (last entry is the overflow bucket)."""
-        with self._lock:
-            return list(self._counts)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

@@ -187,8 +187,8 @@ class SpanTracer:
         """Bulk-append ``(resource, step, worker, start, end)`` rows.
 
         One lock acquisition for a whole engine-side buffer; the iterable's
-        order becomes the insertion order (the per-resource invariant
-        :meth:`step_sequence` relies on).  Rows are validated like
+        order becomes the insertion order (the per-resource step order
+        cross-plane comparisons rely on).  Rows are validated like
         :meth:`record_step`.
         """
         rows = list(records)
@@ -298,17 +298,6 @@ class SpanTracer:
         out: dict[str, float] = {}
         for s in self.spans():
             out[s.step_kind] = out.get(s.step_kind, 0.0) + s.duration
-        return out
-
-    def step_sequence(self) -> dict[str, list[str]]:
-        """Per-resource ordered step-kind lists — the cross-plane invariant.
-
-        Two traces of the same compiled plan (any planes) must agree on
-        this exactly; only the timestamps differ.
-        """
-        out: dict[str, list[str]] = {}
-        for s in self.spans():
-            out.setdefault(s.resource, []).append(s.step_kind)
         return out
 
 

@@ -16,7 +16,6 @@ and the electrostatic potential.
 from repro.stencil.coefficients import (
     StencilCoefficients,
     laplacian_coefficients,
-    paper_constants,
 )
 from repro.stencil.kernel import (
     apply_stencil_batch,
@@ -24,21 +23,12 @@ from repro.stencil.kernel import (
     apply_stencil_global,
     flops_per_point,
 )
-from repro.stencil.gradient import (
-    apply_gradient_global,
-    apply_gradient_padded,
-    gradient_weights,
-)
 
 __all__ = [
     "StencilCoefficients",
     "laplacian_coefficients",
-    "paper_constants",
     "apply_stencil_batch",
     "apply_stencil_padded",
     "apply_stencil_global",
     "flops_per_point",
-    "apply_gradient_global",
-    "apply_gradient_padded",
-    "gradient_weights",
 ]

@@ -6,7 +6,7 @@ second derivative are exact rationals; we store them exactly and scale by
 ``1/h^2`` on construction.
 
 The paper writes the radius-2 (13-point) case explicitly as constants
-C1..C13; :func:`paper_constants` reproduces that layout.
+C1..C13: one centre weight and two distance weights per axis.
 """
 
 from __future__ import annotations
@@ -86,19 +86,3 @@ def laplacian_coefficients(radius: int = 2, spacing: float = 1.0) -> StencilCoef
         center=3 * float(center_1d) / h2,
         weights=tuple(float(w) / h2 for w in weights),
     )
-
-
-def paper_constants(spacing: float = 1.0) -> list[float]:
-    """The 13 constants C1..C13 exactly as the paper lists them.
-
-    Order (section II-A): C1 centre; C2/C3 x-+1; C4/C5 x-+2; C6/C7 y-+1;
-    C8/C9 y-+2; C10/C11 z-+1; C12/C13 z-+2.
-    """
-    st = laplacian_coefficients(radius=2, spacing=spacing)
-    w1, w2 = st.weights
-    return [
-        st.center,
-        w1, w1, w2, w2,  # x: -1, +1, -2, +2
-        w1, w1, w2, w2,  # y
-        w1, w1, w2, w2,  # z
-    ]

@@ -8,8 +8,8 @@ stencil.
 
 :class:`~repro.transport.inproc.InprocTransport` runs every rank in one OS
 thread (NumPy releases the GIL, so kernels genuinely overlap), with an
-mpi4py-flavoured non-blocking API: ``isend``/``irecv``/``waitall``/
-``barrier`` and (source, tag) matching.  Message payloads are copied at
+mpi4py-flavoured non-blocking API: ``isend``/``irecv`` handles completed
+by ``wait()``, ``barrier`` and (source, tag) matching.  Message payloads are copied at
 send time — eager buffered semantics — which keeps arbitrary schedules
 deadlock-free and the engine's correctness independent of timing.
 

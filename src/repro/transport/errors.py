@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: mirrors repro.grid.redistribute.redistribute's default tag_base
+#: reserved for grid redistribution transfers; every halo tag stays below it
 REDIST_TAG_BASE = 1 << 24
 #: mirrors repro.dft.checkpoint's gather tag space
 CHECKPOINT_TAG_BASE = 1 << 26

@@ -31,7 +31,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -375,9 +375,6 @@ class FaultyEndpoint:
         return decode_payload(payload) if self.checksum else payload
 
     # -- synchronization ---------------------------------------------------
-    def waitall(self, handles: Sequence[Any]) -> list[Any]:
-        return [h.wait() for h in handles]
-
     def barrier(self, timeout: Optional[float] = None) -> None:
         self._op("barrier")
         self.inner.barrier(timeout=timeout)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -343,10 +343,6 @@ class RankEndpoint:
             return box.pop(idx).payload
 
     # -- synchronization --------------------------------------------------------
-    def waitall(self, handles: Sequence[SendHandle | RecvHandle]) -> list[Any]:
-        """Complete every handle; returns recv payloads (None for sends)."""
-        return [h.wait() for h in handles]
-
     def barrier(self, timeout: Optional[float] = None) -> None:
         """Block until all ranks arrive.
 
@@ -374,7 +370,7 @@ class GroupEndpoint:
     is the group's first global rank.  This wrapper translates ranks by
     a fixed ``base`` offset and otherwise delegates — the engine drives
     it exactly like a :class:`RankEndpoint` (same ``isend``/``irecv``/
-    ``waitall``/``allreduce`` surface, same zero-copy contract).
+    ``recv``/``allreduce`` surface, same zero-copy contract).
 
     Group collectives offset their ``round_id`` into a reserved band so
     a group rooted at global rank 0 can never capture another group's
@@ -442,9 +438,6 @@ class GroupEndpoint:
         if src != ANY_SOURCE:
             src = self._global(src, "src")
         return self.endpoint.recv(src, tag, timeout=timeout)
-
-    def waitall(self, handles: Sequence[SendHandle | RecvHandle]) -> list[Any]:
-        return self.endpoint.waitall(handles)
 
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce over the group's ranks only."""

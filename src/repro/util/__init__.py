@@ -23,7 +23,6 @@ from repro.util.units import (
     format_rate,
 )
 from repro.util.factorize import (
-    prime_factors,
     factorizations_3d,
     divisors,
     best_grid_factorization,
@@ -49,7 +48,6 @@ __all__ = [
     "GFLOPS",
     "format_bytes",
     "format_rate",
-    "prime_factors",
     "factorizations_3d",
     "divisors",
     "best_grid_factorization",

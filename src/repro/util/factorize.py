@@ -14,26 +14,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 
-def prime_factors(n: int) -> list[int]:
-    """Return the prime factorization of ``n >= 1`` in ascending order.
-
-    >>> prime_factors(360)
-    [2, 2, 2, 3, 3, 5]
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out: list[int] = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """Return all positive divisors of ``n`` in ascending order."""
     if n < 1:

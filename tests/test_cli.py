@@ -23,6 +23,13 @@ class TestParser:
         args = build_parser().parse_args(["fig5"])
         assert args.batch_size == 8
 
+    @pytest.mark.parametrize("batch_size", ["0", "-3", "2", "4", "16"])
+    def test_fig5_batch_size_names_a_panel(self, batch_size):
+        # only the paper's two panels exist: 1 (unbatched) and 8
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig5", "--batch-size", batch_size])
+        assert exc.value.code == 2
+
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.seed == 0 and args.ranks == 2 and not args.no_scf
@@ -67,6 +74,15 @@ class TestDiagnosisUsageErrors:
             ["timeline", "--approach", "nope"],
             ["critpath", "--approach", "flat-original", "--batch-size", "2"],
             ["doctor", "--approach", "nope"],
+            ["plan", "--cores", "0"],
+            ["plan", "--approach", "nope"],
+            ["mtbf", "--cores", "0"],
+            ["metrics", "--ranks", "0"],
+            ["wholeapp", "--grids", "0"],
+            ["simscale", "--ranks", "3"],
+            ["validate", "--cores", "3"],
+            ["chaos", "--seed", "-1"],
+            ["fig5", "--batch-size", "4"],
         ],
     )
     def test_bad_configuration_exits_2_with_one_error_line(

@@ -157,7 +157,7 @@ class TestCompiledPlan:
         assert plan.group_steps(1) == (
             plan.phase_steps(1, OVERLAP_PHASE) + plan.phase_steps(1, ROTATE_PHASE)
         )
-        assert plan.rank_steps(16383) == plan.group_steps(3)
+        assert plan.layout.group_of(16383) == 3
 
     def test_exchange_posted_before_the_gemm_it_hides_under(self, planner):
         plan = planner.band_plan(PAPER, 16384, 4)

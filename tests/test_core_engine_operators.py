@@ -1,4 +1,4 @@
-"""Tests for operator-generic engines (distributed gradient, complex grids)."""
+"""Tests for the distributed engine on complex-valued grids."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core import ALL_APPROACHES, DistributedStencil, SequentialStencil
 from repro.grid import Decomposition, GridDescriptor, HaloSpec, gather, scatter
 from repro.stencil import laplacian_coefficients
-from repro.stencil.gradient import apply_gradient_global
 from repro.transport import run_ranks
 
 
@@ -25,56 +24,6 @@ def distribute_and_apply(engine, gd, arrays, n_ranks, approach=None, batch_size=
     return {
         gid: gather([results[r][gid] for r in range(n_ranks)]) for gid in arrays
     }
-
-
-class TestDistributedGradient:
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_matches_global_gradient_periodic(self, axis):
-        gd = GridDescriptor((12, 10, 8), spacing=0.4)
-        decomp = Decomposition(gd, 4)
-        engine = DistributedStencil.gradient(decomp, axis)
-        arrays = {0: gd.random(seed=axis)}
-        got = distribute_and_apply(engine, gd, arrays, 4)
-        want = apply_gradient_global(arrays[0], axis, radius=2, spacing=gd.spacing)
-        np.testing.assert_allclose(got[0], want, rtol=1e-12)
-
-    def test_matches_global_gradient_zero_boundary(self):
-        gd = GridDescriptor((10, 10, 10), pbc=(False,) * 3, spacing=0.3)
-        decomp = Decomposition(gd, 8)
-        engine = DistributedStencil.gradient(decomp, 1)
-        arrays = {0: gd.random(seed=9)}
-        got = distribute_and_apply(engine, gd, arrays, 8)
-        want = apply_gradient_global(
-            arrays[0], 1, radius=2, spacing=gd.spacing, periodic=False
-        )
-        np.testing.assert_allclose(got[0], want, rtol=1e-12)
-
-    @pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.name)
-    def test_every_schedule_works_for_gradients(self, approach):
-        gd = GridDescriptor((8, 8, 8), spacing=0.5)
-        decomp = Decomposition(gd, 4)
-        engine = DistributedStencil.gradient(decomp, 2)
-        arrays = {0: gd.random(seed=1), 1: gd.random(seed=2)}
-        got = distribute_and_apply(engine, gd, arrays, 4, approach=approach)
-        for gid in arrays:
-            want = apply_gradient_global(
-                arrays[gid], 2, radius=2, spacing=gd.spacing
-            )
-            np.testing.assert_allclose(got[gid], want, rtol=1e-12)
-
-    def test_custom_compute_fn(self):
-        """Any same-radius operator plugs in (here: the identity)."""
-        gd = GridDescriptor((8, 8, 8))
-        decomp = Decomposition(gd, 2)
-        coeffs = laplacian_coefficients(2, gd.spacing)
-
-        def identity(padded, out):
-            out[...] = padded[2:-2, 2:-2, 2:-2]
-
-        engine = DistributedStencil(decomp, coeffs, compute_fn=identity)
-        arrays = {0: gd.random(seed=3)}
-        got = distribute_and_apply(engine, gd, arrays, 2)
-        np.testing.assert_array_equal(got[0], arrays[0])
 
 
 class TestComplexGrids:

@@ -8,6 +8,7 @@ the subcommands build their shared option block from.
 """
 
 import argparse
+from dataclasses import replace
 
 import pytest
 
@@ -175,8 +176,10 @@ class TestJobSpec:
     def test_config_hash_stable_and_sensitive(self):
         s = self.spec()
         assert s.config_hash() == self.spec().config_hash()
-        assert s.config_hash() != s.with_layout(batch_size=4).config_hash()
-        assert s.config_hash() != s.with_problem(n_grids=16).config_hash()
+        layout = replace(s.layout, batch_size=4)
+        assert s.config_hash() != replace(s, layout=layout).config_hash()
+        problem = replace(s.problem, n_grids=16)
+        assert s.config_hash() != replace(s, problem=problem).config_hash()
         assert len(s.config_hash()) == 12
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -202,9 +205,9 @@ class TestJobSpec:
 
     def test_with_helpers_revalidate(self):
         s = self.spec()
-        assert s.with_layout(n_cores=64).layout.n_cores == 64
+        assert s.with_runtime(seed=7).runtime.seed == 7
         with pytest.raises(ValueError):
-            s.with_layout(approach="flat-original", batch_size=2)
+            s.with_runtime(tolerance=-1.0)
 
 
 class TestRestartCompatibility:

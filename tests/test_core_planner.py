@@ -233,7 +233,7 @@ class TestDesCrossCheck:
         checked = [ch for ch in result.choices if ch.des_time is not None]
         assert len(checked) == 3
         for ch in checked:
-            assert ch.model_vs_des == pytest.approx(1.0, abs=0.05)
+            assert ch.predicted_time / ch.des_time == pytest.approx(1.0, abs=0.05)
         # uncross-checked rows stay None
         assert all(ch.des_time is None for ch in result.choices[3:])
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.grid import Decomposition, GridDescriptor, HaloSpec, gather, scatter
-from repro.grid.redistribute import Transfer, redistribute, transfer_plan
-from repro.transport import run_ranks
+from repro.dft.checkpoint import redistribute_blocks
+from repro.grid import Decomposition, GridDescriptor
+from repro.grid.redistribute import Transfer, transfer_plan
 
 
 class TestTransferPlan:
@@ -66,19 +66,20 @@ class TestTransferPlan:
 
 
 class TestRedistribute:
+    """The transfer plan executed by the checkpoint path's
+    ``redistribute_blocks``: any layout pair reassembles the field."""
+
     def roundtrip(self, shape, old_shape, new_shape, n_ranks, seed=0):
         gd = GridDescriptor(shape)
         old = Decomposition(gd, n_ranks, old_shape)
         new = Decomposition(gd, n_ranks, new_shape)
         a = gd.random(seed=seed)
-        halo = HaloSpec(2)
-        old_blocks = scatter(a, old, halo)
-
-        def rank_fn(ep):
-            return redistribute(ep, old_blocks[ep.rank], new)
-
-        new_blocks = run_ranks(n_ranks, rank_fn)
-        return a, gather(new_blocks)
+        old_blocks = {r: a[old.block_slices(r)] for r in range(n_ranks)}
+        new_blocks = redistribute_blocks(old_blocks, old, new)
+        b = np.empty_like(a)
+        for r, block in new_blocks.items():
+            b[new.block_slices(r)] = block
+        return a, b
 
     def test_x_slabs_to_z_slabs(self):
         a, b = self.roundtrip((12, 12, 12), (4, 1, 1), (1, 1, 4), 4)
@@ -95,32 +96,6 @@ class TestRedistribute:
     def test_uneven_blocks(self):
         a, b = self.roundtrip((13, 11, 9), (3, 1, 1), (1, 3, 1), 3)
         np.testing.assert_array_equal(a, b)
-
-    def test_different_halo_width_for_new_layout(self):
-        gd = GridDescriptor((12, 12, 12))
-        old = Decomposition(gd, 4, (4, 1, 1))
-        new = Decomposition(gd, 4, (1, 4, 1))
-        a = gd.random(seed=3)
-        old_blocks = scatter(a, old, HaloSpec(2))
-
-        def rank_fn(ep):
-            return redistribute(ep, old_blocks[ep.rank], new, halo=HaloSpec(1))
-
-        new_blocks = run_ranks(4, rank_fn)
-        assert new_blocks[0].halo.width == 1
-        np.testing.assert_array_equal(gather(new_blocks), a)
-
-    def test_rank_count_mismatch_rejected(self):
-        gd = GridDescriptor((8, 8, 8))
-        old = Decomposition(gd, 2)
-        new = Decomposition(gd, 4)
-        blocks = scatter(gd.zeros(), old, HaloSpec(2))
-
-        def rank_fn(ep):
-            redistribute(ep, blocks[ep.rank], new)
-
-        with pytest.raises(Exception, match="domains"):
-            run_ranks(2, rank_fn)
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -19,10 +19,6 @@ class TestNodeMode:
         assert NodeMode.DUAL.cores_per_rank == 2
         assert NodeMode.VN.cores_per_rank == 1
 
-    def test_vn_memory_per_rank_quarter(self):
-        # "four individual nodes with each 512MB of main memory"
-        assert NodeMode.VN.memory_per_rank_fraction == pytest.approx(0.25)
-
 
 class TestPartitionShape:
     def test_midplane_is_8x8x8(self):
@@ -62,15 +58,6 @@ class TestPartition:
         assert Partition(64, NodeMode.DUAL).n_ranks == 128
         assert Partition(64, NodeMode.VN).n_ranks == 256
 
-    def test_vn_rank_grid_extends_z(self):
-        p = Partition(64, NodeMode.VN)
-        assert p.shape == (4, 4, 4)
-        assert p.rank_grid_shape == (4, 4, 16)
-
-    def test_smp_rank_grid_equals_node_grid(self):
-        p = Partition(512, NodeMode.SMP)
-        assert p.rank_grid_shape == p.shape
-
     def test_node_of_rank_vn(self):
         p = Partition(4, NodeMode.VN)
         assert [p.node_of_rank(r) for r in range(16)] == [
@@ -80,15 +67,16 @@ class TestPartition:
     def test_ranks_of_node_roundtrip(self):
         p = Partition(8, NodeMode.VN)
         for node in range(8):
-            for rank in p.ranks_of_node(node):
-                assert p.node_of_rank(rank) == node
+            ranks = range(4 * node, 4 * node + 4)
+            assert [p.node_of_rank(r) for r in ranks] == [node] * 4
+            assert [p.core_slot_of_rank(r) for r in ranks] == [0, 1, 2, 3]
 
     def test_rank_bounds_checked(self):
         p = Partition(4, NodeMode.VN)
         with pytest.raises(ValueError):
             p.node_of_rank(16)
         with pytest.raises(ValueError):
-            p.ranks_of_node(4)
+            p.core_slot_of_rank(-1)
 
     @given(
         st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),
@@ -103,51 +91,23 @@ class TestPartition:
 
 
 class TestMappingOrders:
-    def test_default_is_txyz(self):
-        assert Partition(4, NodeMode.VN).mapping == "TXYZ"
-
-    def test_invalid_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            Partition(4, NodeMode.VN, mapping="ZYXT")
+    """Ranks fill nodes core first (BG/P's TXYZ), the one order the DES
+    replay places domains by."""
 
     def test_txyz_groups_consecutive_ranks(self):
-        p = Partition(4, NodeMode.VN, mapping="TXYZ")
+        p = Partition(4, NodeMode.VN)
         assert [p.node_of_rank(r) for r in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
         assert [p.core_slot_of_rank(r) for r in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_xyzt_spreads_consecutive_ranks(self):
-        p = Partition(4, NodeMode.VN, mapping="XYZT")
-        assert [p.node_of_rank(r) for r in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-        assert [p.core_slot_of_rank(r) for r in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
-
-    def test_ranks_of_node_consistent_both_orders(self):
-        for mapping in ("TXYZ", "XYZT"):
-            p = Partition(8, NodeMode.VN, mapping=mapping)
-            for node in range(8):
-                for rank in p.ranks_of_node(node):
-                    assert p.node_of_rank(rank) == node
-            all_ranks = sorted(
-                r for node in range(8) for r in p.ranks_of_node(node)
-            )
-            assert all_ranks == list(range(p.n_ranks))
-
-    def test_smp_mode_mapping_is_identity_either_way(self):
-        for mapping in ("TXYZ", "XYZT"):
-            p = Partition(8, NodeMode.SMP, mapping=mapping)
-            assert [p.node_of_rank(r) for r in range(8)] == list(range(8))
-
-    def test_machine_accepts_mapping(self):
-        from repro.machine import Machine
-
-        m = Machine(2, NodeMode.VN, mapping="XYZT")
-        assert m.partition.node_of_rank(1) == 1
+    def test_smp_mode_mapping_is_identity(self):
+        p = Partition(8, NodeMode.SMP)
+        assert [p.node_of_rank(r) for r in range(8)] == list(range(8))
 
     def test_context_core_respects_mapping(self):
         from repro.core.simrun import _replay_messages
         from repro.machine import Machine
 
-        m = Machine(2, NodeMode.VN, mapping="XYZT")
-        eng = _replay_messages(m, [])
-        # rank 2 under XYZT: node 0, core slot 1
-        assert eng.rank_node[2] == 0
-        assert eng.rank_core[2] == 1
+        eng = _replay_messages(Machine(2, NodeMode.VN), [])
+        # rank 6: node 1, core slot 2
+        assert eng.rank_node[6] == 1
+        assert eng.rank_core[6] == 2

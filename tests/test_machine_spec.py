@@ -70,7 +70,7 @@ class TestMessageModel:
     def test_half_bandwidth_near_1e3_bytes(self):
         """Fig 2: half the asymptotic bandwidth at ~10^3 bytes."""
         t = BGP_SPEC.torus
-        s_half = t.half_bandwidth_size
+        s_half = t.message_overhead * t.effective_bandwidth
         assert 500 <= s_half <= 2000
         assert t.bandwidth(s_half) == pytest.approx(t.effective_bandwidth / 2)
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.simrun import _replay_messages
-from repro.des import Simulator
 from repro.machine import Machine, NodeMode
 from repro.machine.spec import BGP_SPEC, TorusSpec
 from repro.netmodel import (
@@ -42,15 +41,7 @@ class TestMachineEdges:
     def test_dual_mode_machine(self):
         m = Machine(2, NodeMode.DUAL)
         assert m.n_ranks == 4
-        assert m.partition.ranks_of_node(0) == [0, 1]
-
-    def test_machine_reuses_external_simulator(self):
-        sim = Simulator()
-        m = Machine(2, sim=sim)
-        assert m.sim is sim
-        sim2 = Simulator()
-        m2 = Machine(2, sim=sim2)
-        assert m2.sim is sim2 and m2.sim is not m.sim
+        assert [m.partition.node_of_rank(r) for r in range(4)] == [0, 0, 1, 1]
 
     def test_two_machines_do_not_share_state(self):
         a, b = Machine(4), Machine(4)

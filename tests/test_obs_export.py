@@ -28,6 +28,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer, StepSpan
+from tests.helpers import step_sequence
 
 def _spec(approach="hybrid-multiple", batch_size=2):
     return JobSpec(
@@ -96,11 +97,11 @@ class TestCrossPlaneConsistency:
     def test_real_and_sim_step_sequences_match(self, name):
         spec = _spec(name, batch_size=1)
         real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
-        assert real.step_sequence() == sim.step_sequence()
+        assert step_sequence(real) == step_sequence(sim)
 
     def test_batched_sequences_match(self):
         real, sim = step_trace(_spec(), "real"), step_trace(_spec(), "sim")
-        assert real.step_sequence() == sim.step_sequence()
+        assert step_sequence(real) == step_sequence(sim)
 
     def test_subgroups_share_the_kind_alphabet(self):
         # flat-subgroups is the one approach whose worker *structure*
@@ -116,7 +117,7 @@ class TestCrossPlaneConsistency:
     def test_master_only_sequences_match(self):
         spec = _spec("hybrid-master-only", batch_size=1)
         real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
-        assert real.step_sequence() == sim.step_sequence()
+        assert step_sequence(real) == step_sequence(sim)
 
     def test_model_sequence_is_subset_of_kind_alphabet(self):
         # the model reconstructs one representative worker, so it cannot

@@ -18,6 +18,11 @@ def _harmonic(n=6):
     return gd, v
 
 
+def _records(rec):
+    """The buffered iteration records, oldest first."""
+    return list(rec._window)
+
+
 def _span(i, kind="ComputeInterior", resource="rank0.w0"):
     return StepSpan(resource=resource, step_kind=kind,
                     start=float(i), end=float(i) + 0.5)
@@ -34,7 +39,7 @@ class TestRingBuffer:
             rec.tracer.add(_span(it))
             rec.mark_iteration(it)
         assert len(rec) == 3
-        assert [r.iteration for r in rec.window] == [4, 5, 6]
+        assert rec.dump("probe")["iterations"] == [4, 5, 6]
         # only the windowed spans remain
         assert len(rec.spans()) == 3
 
@@ -74,8 +79,8 @@ class TestSCFWiring:
         scf = DistributedSCF.from_spec(spec, v, occupations=[2.0])
         scf.run(flight_recorder=rec)
         # 4 iterations through a capacity-3 ring -> last three retained
-        assert [r.iteration for r in rec.window] == [2, 3, 4]
-        assert all(r.spans for r in rec.window)
+        assert rec.dump("probe")["iterations"] == [2, 3, 4]
+        assert all(r.spans for r in _records(rec))
         # the SCF stamped its config hash onto the recorder's tracer
         assert rec.config_hash == spec.config_hash()
 
@@ -106,7 +111,7 @@ class TestSCFWiring:
         assert run(rec) == run(None)
         per_iteration = {
             sum(s.resource.startswith("bg0.rank0.") for s in r.spans)
-            for r in rec.window
+            for r in _records(rec)
         }
         assert len(per_iteration) == 1 and per_iteration.pop() > 0
 

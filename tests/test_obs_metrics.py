@@ -66,7 +66,7 @@ class TestHistogram:
         h = Histogram("lat", bounds=[1.0, 10.0, 100.0])
         for v in (0.5, 5.0, 50.0, 500.0):
             h.observe(v)
-        assert h.bucket_counts() == [1, 1, 1, 1]  # last is overflow
+        assert h.snapshot()["buckets"] == [1, 1, 1, 1]  # last is overflow
         assert h.count == 4
         assert h.sum == pytest.approx(555.5)
         assert h.mean == pytest.approx(555.5 / 4)
@@ -75,7 +75,7 @@ class TestHistogram:
         h = Histogram("lat", bounds=[1.0, 10.0])
         h.observe(1.0)   # == bounds[0] -> bucket 0 (Prometheus `le`)
         h.observe(10.0)  # == bounds[1] -> bucket 1
-        assert h.bucket_counts() == [1, 1, 0]
+        assert h.snapshot()["buckets"] == [1, 1, 0]
 
     def test_snapshot_reports_extremes(self):
         h = Histogram("lat", bounds=[1.0])

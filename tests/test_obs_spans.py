@@ -14,6 +14,7 @@ from repro.obs.spans import (
     engine_hook,
     step_category,
 )
+from tests.helpers import step_sequence
 
 
 class TestStepCategory:
@@ -95,7 +96,7 @@ class TestSpanTracer:
                               nbytes=8),
                      WaitAll(seq=0, grid_ids=(0,))):
             tr.record_step("rank0.w0", kind, 0, 1.0, 1.0)
-        assert tr.step_sequence()["rank0.w0"] == ["PostSend", "WaitAll"]
+        assert step_sequence(tr)["rank0.w0"] == ["PostSend", "WaitAll"]
 
     def test_makespan_and_busy_time(self):
         tr = SpanTracer()
@@ -127,7 +128,7 @@ class TestSpanTracer:
         for t in threads:
             t.join()
         assert len(tr) == 2000
-        assert all(len(v) == 500 for v in tr.step_sequence().values())
+        assert all(len(v) == 500 for v in step_sequence(tr).values())
 
     def test_len_counts_before_materialization(self):
         tr = SpanTracer()

@@ -1,10 +1,11 @@
 """Release-hygiene tests: public API surface, reachability, docs, version."""
 
 import ast
-import collections
 import functools
+import importlib
 import pathlib
 import re
+import textwrap
 
 import pytest
 
@@ -35,8 +36,6 @@ class TestTopLevelApi:
         ],
     )
     def test_every_package_has_docstring_and_all(self, package):
-        import importlib
-
         mod = importlib.import_module(package)
         assert mod.__doc__ and len(mod.__doc__) > 80
         assert getattr(mod, "__all__", None), f"{package} must define __all__"
@@ -80,77 +79,195 @@ class TestRepositoryDocs:
         )
 
 
+class TestBenchSeams:
+    """The benchmark reaches the program only through ``bench/adapters.py``;
+    a seam that stops resolving would turn its metric into ``null``
+    without failing anything there, so it fails here."""
+
+    @staticmethod
+    def _adapters():
+        return ast.parse((ROOT / "bench" / "adapters.py").read_text())
+
+    def test_every_seam_resolves(self):
+        seams = [
+            [arg.value for arg in node.args]
+            for node in ast.walk(self._adapters())
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_seam"
+        ]
+        assert seams
+        for module, name in seams:
+            target = getattr(importlib.import_module(module), name, None)
+            assert target is not None, f"seam {module}.{name}"
+
+    def test_every_imported_name_exists(self):
+        imports = [
+            node
+            for node in ast.walk(self._adapters())
+            if isinstance(node, ast.ImportFrom)
+            and node.module.partition(".")[0] == "repro"
+        ]
+        assert imports
+        for node in imports:
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
 #: what the reachability scan reads: the library and everything that ships
 #: with it, but not the tests
 _SCANNED_DIRS = ("src", "examples", "bench", "tools")
 #: reference oracles that only tests compare against.  Exact: an entry that
 #: becomes reached, or disappears, fails the scan, so the list only shrinks
-_ORACLE_NAMES = {
-    "apply_stencil_naive", "apply_gradient_global", "analytic_bandwidth_curve",
-}
+_ORACLE_NAMES = {"apply_stencil_naive", "analytic_bandwidth_curve"}
 _ORACLE_MODULES = {"src/repro/stencil/reference.py"}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _is_docstring(stmt, owner) -> bool:
+    return (
+        owner.body[0] is stmt
+        and isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    )
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    )
+
+
+def _names(*nodes) -> set:
+    """Every name the code under ``nodes`` loads.
+
+    Variables, attributes and identifier-shaped string constants (the
+    benchmark's ``getattr`` seams name their targets as strings); not
+    docstrings, comments, stores or import statements.
+    """
+    docstrings = {
+        id(owner.body[0].value)
+        for node in nodes
+        for owner in ast.walk(node)
+        if isinstance(owner, (ast.Module,) + _DEFS)
+        and owner.body
+        and _is_docstring(owner.body[0], owner)
+    }
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.attr)
+            elif (
+                isinstance(sub, ast.Constant)
+                and isinstance(sub.value, str)
+                and id(sub) not in docstrings
+                and _IDENTIFIER.match(sub.value)
+            ):
+                out.add(sub.value)
+    return out
+
+
+def _ci_python() -> list:
+    """The Python the CI workflow runs inline: heredocs and ``python -c``."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    blocks = re.findall(r"<<'EOF'\n(.*?)\n\s*EOF\n", text, re.S)
+    blocks += [
+        re.sub(r"\\\n\s*", "", code)
+        for code in re.findall(r'python -c "(.*?)"', text, re.S)
+    ]
+    return [ast.parse(textwrap.dedent(code)) for code in blocks]
 
 
 @functools.lru_cache(maxsize=None)
 def _reachability():
-    """``(unnamed defs, unused modules)`` over the scanned files.
+    """``(unreached definitions, unused modules)``: a fixpoint from what ships.
 
-    A public top-level function or class is *unnamed* when its name occurs
-    nowhere but its own ``def``; a module under ``src/repro`` is *unused*
-    when none of its public top-level names occurs in another scanned
-    file.  Package ``__init__`` files are not scanned (a re-export is not
-    a use), and ``__main__`` is an entry point, not an importable module.
+    The subjects are every top-level function and class and every method
+    under ``src/repro``, private ones included.  The roots are what runs
+    without being called by name: every module-level statement except
+    ``__all__``, decorators, default values, base classes and class-body
+    statements, every dunder method, every file under ``bench/``,
+    ``tools/`` and ``examples/``, and the Python inlined in the CI
+    workflow.  A subject is reached when its name is in the closure of
+    names loaded from the roots; its own body then adds to the closure.
+    Names are matched by spelling, so two methods of one name are reached
+    together.  A module is unused when none of its definitions is reached.
     """
-    files = [
-        path
-        for top in _SCANNED_DIRS
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path.name != "__init__.py"
-    ]
-    words = {
-        path: collections.Counter(re.findall(r"[A-Za-z_]\w*", path.read_text()))
-        for path in files
-    }
-    total = sum(words.values(), collections.Counter())
-    unnamed, unused = set(), set()
-    for path in files:
-        rel = path.relative_to(ROOT).as_posix()
-        if not rel.startswith("src/repro/") or path.name == "__main__.py":
-            continue
-        defs, assigned = set(), set()
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.add(node.name)
-            elif isinstance(node, ast.Assign):
-                assigned.update(t.id for t in node.targets if isinstance(t, ast.Name))
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                assigned.add(node.target.id)
-        defs = {n for n in defs if not n.startswith("_")}
-        public = defs | {n for n in assigned if not n.startswith("_")}
-        unnamed.update(n for n in defs if total[n] <= 1)
-        if not any(total[n] > words[path][n] for n in public):
-            unused.add(rel)
-    return unnamed, unused
+    subjects: dict[tuple[str, str], set] = {}
+    roots: list = _ci_python()
+    for top in _SCANNED_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            tree = ast.parse(path.read_text())
+            if not rel.startswith("src/repro/"):
+                roots.append(tree)
+                continue
+            for stmt in tree.body:
+                if _is_docstring(stmt, tree) or _is_all(stmt):
+                    continue
+                if not isinstance(stmt, _DEFS):
+                    roots.append(stmt)
+                    continue
+                roots += stmt.decorator_list
+                if not isinstance(stmt, ast.ClassDef):
+                    subjects[rel, stmt.name] = _names(stmt)
+                    roots.append(stmt.args)
+                    continue
+                subjects[rel, stmt.name] = set()
+                roots += stmt.bases + stmt.keywords
+                for item in stmt.body:
+                    if _is_docstring(item, stmt):
+                        continue
+                    if isinstance(item, _FUNCS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        subjects[rel, f"{stmt.name}.{item.name}"] = _names(item)
+                        roots += item.decorator_list + [item.args]
+                    else:
+                        roots.append(item)
+    reached_names = _names(*roots)
+    reached: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for key, loads in subjects.items():
+            if key not in reached and key[1].rpartition(".")[2] in reached_names:
+                reached.add(key)
+                reached_names |= loads
+                grew = True
+    unreached = {key for key in subjects if key not in reached}
+    modules = {rel for rel, _ in subjects}
+    used = {rel for rel, _ in reached}
+    return unreached, modules - used
 
 
 class TestReachability:
     """Nothing outside the tests reaches dead code, so it cannot hide:
-    every public definition is named somewhere, every module is used."""
+    every definition under ``src/repro`` is reached from what ships."""
 
-    def test_every_public_def_is_named_outside_its_def(self):
-        unnamed, _ = _reachability()
-        assert unnamed - _ORACLE_NAMES == set(), (
-            "public definitions nothing names: delete them"
+    def test_every_def_is_reached_from_an_entry_point(self):
+        unreached, _ = _reachability()
+        names = {name for _, name in unreached}
+        assert names - _ORACLE_NAMES == set(), (
+            "definitions nothing outside the tests reaches: delete them"
         )
-        assert _ORACLE_NAMES - unnamed == set(), (
+        assert _ORACLE_NAMES - names == set(), (
             "allowlisted oracles that are now reached or gone: "
             "drop them from _ORACLE_NAMES"
         )
 
-    def test_every_module_is_used_outside_itself(self):
+    def test_every_module_is_used(self):
         _, unused = _reachability()
         assert unused - _ORACLE_MODULES == set(), (
-            "modules nothing outside them uses: delete them"
+            "modules none of whose definitions is reached: delete them"
         )
         assert _ORACLE_MODULES - unused == set(), (
             "allowlisted modules that are now used or gone: "

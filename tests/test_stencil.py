@@ -11,7 +11,6 @@ from repro.stencil import (
     apply_stencil_padded,
     flops_per_point,
     laplacian_coefficients,
-    paper_constants,
 )
 from repro.stencil.reference import apply_stencil_naive
 
@@ -48,18 +47,6 @@ class TestCoefficients:
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             laplacian_coefficients(2, spacing=-1.0)
-
-    def test_paper_constants_layout(self):
-        c = paper_constants()
-        assert len(c) == 13
-        st2 = laplacian_coefficients(2)
-        assert c[0] == st2.center
-        # distance-1 pairs: C2/C3 (x), C6/C7 (y), C10/C11 (z)
-        for i in (1, 2, 5, 6, 9, 10):
-            assert c[i] == st2.weights[0]
-        # distance-2 pairs: C4/C5, C8/C9, C12/C13
-        for i in (3, 4, 7, 8, 11, 12):
-            assert c[i] == st2.weights[1]
 
     def test_scale(self):
         st2 = laplacian_coefficients(2)

@@ -90,10 +90,10 @@ class TestBasics:
         def fn(ep):
             if ep.rank == 0:
                 handles = [ep.isend(1, np.full(3, float(t)), tag=t) for t in range(4)]
-                ep.waitall(handles)
+                assert [h.wait() for h in handles] == [None] * 4
                 return None
             handles = [ep.irecv(src=0, tag=t) for t in range(4)]
-            payloads = ep.waitall(handles)
+            payloads = [h.wait() for h in handles]
             return [p[0] for p in payloads]
 
         assert run_ranks(2, fn)[1] == [0.0, 1.0, 2.0, 3.0]

@@ -11,36 +11,7 @@ from repro.util.factorize import (
     chunk_offsets,
     divisors,
     factorizations_3d,
-    prime_factors,
 )
-
-
-class TestPrimeFactors:
-    def test_one_has_no_factors(self):
-        assert prime_factors(1) == []
-
-    def test_prime(self):
-        assert prime_factors(13) == [13]
-
-    def test_composite(self):
-        assert prime_factors(360) == [2, 2, 2, 3, 3, 5]
-
-    def test_large_prime_tail(self):
-        assert prime_factors(2 * 9973) == [2, 9973]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            prime_factors(0)
-
-    @given(st.integers(min_value=1, max_value=100_000))
-    def test_product_reconstructs(self, n):
-        product = math.prod(prime_factors(n))
-        assert product == n
-
-    @given(st.integers(min_value=2, max_value=100_000))
-    def test_factors_are_prime(self, n):
-        for p in prime_factors(n):
-            assert all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 class TestDivisors:
