@@ -187,7 +187,9 @@ def _cmd_wholeapp(args: argparse.Namespace) -> str:
 def _cmd_validate(args: argparse.Namespace) -> str:
     pm = PerformanceModel()
     job = FDJob(GridDescriptor((48, 48, 48)), 16)
-    lines = ["model-vs-DES cross-validation (32 cores, 16 grids of 48^3):"]
+    lines = [
+        f"model-vs-DES cross-validation ({args.cores} cores, 16 grids of 48^3):"
+    ]
     worst = 0.0
     for a in ALL_APPROACHES:
         b = 4 if a.supports_batching else 1
@@ -660,11 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_spec_cli(pm, {"cores": 16384, "grids": 512, "shape": (128, 128, 128)})
 
-    def _trace_config(p: argparse.ArgumentParser) -> None:
+    def _trace_config(p: argparse.ArgumentParser, **types) -> None:
         add_spec_cli(p, {
             "approach": "hybrid-multiple", "cores": 8, "grids": 4,
             "batch_size": 2, "shape": (16, 16, 16), "ramp_up": False,
-        })
+        }, types)
 
     pt = sub.add_parser(
         "trace",
@@ -681,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser(
         "timeline", help="ASCII Gantt + utilization panel across planes"
     )
-    _trace_config(pl)
+    _trace_config(pl, cores=_des_cores)  # the default planes include sim
     pl.add_argument("--planes", nargs="+", default=["real", "sim"],
                     choices=["real", "sim", "model"],
                     help="planes to render (default: real sim)")
@@ -699,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor",
         help="run + attribute + model-conformance verdict in one table",
     )
-    _trace_config(pd)
+    _trace_config(pd, cores=_des_cores)  # doctor always replays
     pd.add_argument("--placement", choices=["auto", "cyclic", "spread"],
                     default="auto",
                     help="DES domain-to-rank strategy (default: the spec's)")

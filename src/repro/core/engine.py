@@ -316,10 +316,10 @@ class DistributedStencil:
             )
         elif isinstance(st, _ComputeInterior):
             gid = grid_ids[st.grid_id]
-            interior = out[gid].interior
-            with ws.borrowing(interior.shape, interior.dtype) as scratch:
+            padded = grids[gid].data
+            with ws.borrowing((2, *padded.shape), padded.dtype) as scratch:
                 apply_stencil_padded(
-                    grids[gid].data, self.coeffs, out=interior, scratch=scratch
+                    padded, self.coeffs, out=out[gid].interior, scratch=scratch
                 )
         # GridBarrier / JoinBarrier: timing-plane markers; the
         # functional rank runs its workers sequentially, so there is

@@ -131,6 +131,7 @@ class LayoutSpec:
     def __post_init__(self) -> None:
         a = approach_by_name(self.approach)  # raises on unknown names
         check_positive_int(self.n_cores, "n_cores")
+        a.domains_for(self.n_cores)  # hybrid modes need whole nodes
         a.validate_batch_size(self.batch_size)
         check_positive_int(self.n_band_groups, "n_band_groups")
         object.__setattr__(self, "ramp_up", bool(self.ramp_up))
@@ -386,19 +387,23 @@ CLI_KNOBS = {
 }
 
 
-def add_spec_cli(parser, defaults: dict) -> None:
+def add_spec_cli(parser, defaults: dict, types: dict | None = None) -> None:
     """Add the shared JobSpec-derived options to an argparse parser.
 
     ``defaults`` maps knob names (keys of :data:`CLI_KNOBS`) to the
     subcommand's default value; only the named knobs are added, in
-    :data:`CLI_KNOBS` order so ``--help`` output is uniform.
+    :data:`CLI_KNOBS` order so ``--help`` output is uniform.  ``types``
+    gives a knob a stricter argparse ``type=`` than its default one.
     """
     unknown = set(defaults) - set(CLI_KNOBS)
     if unknown:
         raise ValueError(f"unknown spec CLI knobs {sorted(unknown)}")
     for name, (flags, kwargs) in CLI_KNOBS.items():
         if name in defaults:
-            parser.add_argument(*flags, **kwargs(defaults[name]))
+            options = kwargs(defaults[name])
+            if types and name in types:
+                options["type"] = types[name]
+            parser.add_argument(*flags, **options)
 
 
 def spec_from_args(args, **overrides) -> JobSpec:

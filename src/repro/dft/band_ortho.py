@@ -189,8 +189,9 @@ def band_axis_sum(
     group (:meth:`BandGroups.band_peers`).  Each peer contributes its
     partial and all of them accumulate the ``nb`` pieces in group-index
     order, so every peer produces a bitwise-identical total — the
-    property the redundant per-group Poisson solves rely on to stay in
-    lockstep.  With one group this is the identity.
+    property that keeps the groups in lockstep when the density is
+    summed, and when group 0's Poisson solution is handed to the other
+    groups (which contribute zeros).  With one group this is the identity.
     """
     if layout.n_groups == 1:
         return array

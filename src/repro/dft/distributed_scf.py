@@ -24,17 +24,18 @@ round-off, so tests can pin it against the sequential SCF.
 decomposition that breaks section IV's constraint: the ``P`` ranks split
 into ``nb`` groups, each owning ``G/nb`` wave functions on a
 ``P/nb``-domain decomposition (:class:`repro.grid.bandgroups.BandGroups`
-maps ranks to ``(group, domain)``).  Halo traffic and the Poisson solve
-stay inside a group (over a :class:`~repro.transport.inproc
-.GroupEndpoint` window); the subspace steps execute the compiled
+maps ranks to ``(group, domain)``).  Halo traffic stays inside a group
+(over a :class:`~repro.transport.inproc.GroupEndpoint` window); group 0
+alone solves Poisson and the band-axis sum hands its ``v_h`` to the
+other groups; the subspace steps execute the compiled
 :class:`~repro.core.schedule.BandSchedulePlan` through
 :class:`~repro.dft.band_ortho.BandRingExecutor` — blocked GEMMs on ring-
 circulated band blocks, the same plan the DES replay and the
 :class:`~repro.core.planner.Planner` price.  Cross-group
 reductions are a global all-reduce of zero-padded band-matrix strips,
 a deterministic :func:`~repro.dft.band_ortho.band_axis_sum` for the
-density, and group-0-only contributions for scalar grid sums (every
-group holds the identical density, so one group speaks for all).
+density and ``v_h``, and group-0-only contributions for scalar grid sums
+(every group holds the identical density, so one group speaks for all).
 ``n_band_groups=1`` is bit-for-bit the 1D code path.
 """
 
@@ -423,15 +424,17 @@ class DistributedSCF:
                     break
             rho_old = rho.copy()
 
-            # every group solves the identical Poisson problem on its own
-            # domain decomposition: nb redundant CG solves whose halo
-            # exchanges and allreduces never leave the group; identical
-            # rho in, identical v_h out up to the round-off of each
-            # group's own reductions, which set CG's step lengths
-            # (the rank solver reads only its own domain's entry)
-            v_h_new = self.poisson._rank_solve(
-                gep, {domain: self._density_block(rho, domain)}
-            )[0].interior
+            # one Poisson solve per iteration: group 0 runs CG inside its
+            # group (the rank solver reads only its own domain's entry);
+            # the other groups add zeros to the band-axis sum, so every
+            # group holds group 0's v_h bit for bit (x + 0.0 == x)
+            if group == 0:
+                v_h_new = self.poisson._rank_solve(
+                    gep, {domain: self._density_block(rho, domain)}
+                )[0].interior
+            else:
+                v_h_new = np.zeros(self.decomp.block_shape(domain))
+            v_h_new = band_axis_sum(ep, lay, v_h_new, round_id=1)
             v_h = (1 - rt.mixing) * v_h + rt.mixing * v_h_new
             if rt.xc == "lda":
                 v_xc = (1 - rt.mixing) * v_xc + rt.mixing * lda_potential(rho)

@@ -83,6 +83,9 @@ class TestDiagnosisUsageErrors:
             ["validate", "--cores", "3"],
             ["chaos", "--seed", "-1"],
             ["fig5", "--batch-size", "4"],
+            ["timeline", "--cores", "3"],
+            ["critpath", "--plane", "model", "--cores", "6", "--grids", "2"],
+            ["doctor", "--cores", "3"],
         ],
     )
     def test_bad_configuration_exits_2_with_one_error_line(
@@ -146,6 +149,12 @@ class TestCommands:
         out = run(capsys, "validate")
         assert "cross-validation" in out
         assert "ratio" in out
+
+    def test_validate_header_names_the_requested_cores(self, capsys):
+        out = run(capsys, "validate", "--cores", "8")
+        assert out.splitlines()[0].startswith(
+            "model-vs-DES cross-validation (8 cores,"
+        )
 
     def test_report_contains_all_sections(self, capsys):
         out = run(capsys, "report")

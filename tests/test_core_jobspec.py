@@ -67,6 +67,14 @@ class TestLayoutSpec:
         with pytest.raises(ValueError):
             LayoutSpec(n_band_groups=0)
 
+    def test_hybrid_modes_need_whole_nodes(self):
+        """Every plane shares the rule, so the spec rejects it up front."""
+        with pytest.raises(ValueError, match="whole nodes"):
+            LayoutSpec(approach="hybrid-multiple", n_cores=6)
+        for n_cores in (1, 2, 3, 8):
+            LayoutSpec(approach="hybrid-multiple", n_cores=n_cores)
+        LayoutSpec(approach="flat-optimized", n_cores=6)
+
 
 class TestRuntimeSpec:
     @pytest.mark.parametrize("kwargs", [

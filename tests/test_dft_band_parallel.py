@@ -92,6 +92,44 @@ class TestOracleAgreement:
         assert res.density.sum() * gd.spacing**3 == pytest.approx(8.0, rel=1e-6)
 
 
+class TestPoissonSolvedOnce:
+    def test_group_zero_solves_and_hands_its_bits_to_every_group(
+        self, oracle, monkeypatch
+    ):
+        """One CG per SCF iteration: only group 0's ranks apply the
+        Poisson engine, the band-axis sum hands every group the same
+        ``v_h`` bits, and the energy still equals the one-group run."""
+        import repro.dft.distributed_scf as dscf
+
+        scf = band_scf(n_ranks=4, n_band_groups=2)
+        applies = {rank: 0 for rank in range(4)}
+        engine_apply = scf.poisson.engine.apply
+
+        def counting_apply(gep, *args, **kwargs):
+            applies[gep.endpoint.rank] += 1
+            return engine_apply(gep, *args, **kwargs)
+
+        v_h = {rank: [] for rank in range(4)}
+
+        def recording_sum(ep, layout, array, round_id=0):
+            total = band_axis_sum(ep, layout, array, round_id)
+            if round_id == 1:
+                v_h[ep.rank].append(total.tobytes())
+            return total
+
+        monkeypatch.setattr(scf.poisson.engine, "apply", counting_apply)
+        monkeypatch.setattr(dscf, "band_axis_sum", recording_sum)
+        res = scf.run()
+
+        lay = scf.layout
+        for domain in range(lay.ranks_per_group):
+            g0, g1 = lay.rank_of(0, domain), lay.rank_of(1, domain)
+            assert applies[g0] > 0 and applies[g1] == 0
+            assert len(v_h[g0]) == res.iterations
+            assert v_h[g0] == v_h[g1]
+        assert res.total_energy == pytest.approx(oracle.total_energy, abs=1e-10)
+
+
 class TestCheckpointRestart:
     def test_checkpoint_records_band_groups(self):
         store = MemoryCheckpointStore()
@@ -168,8 +206,8 @@ class TestTelemetry:
 class TestBandAxisSum:
     def test_sum_is_bitwise_identical_across_peers(self):
         """Every same-domain peer sums contributions in group order, so
-        redundant per-group work (the Poisson solve on rho) stays in
-        bitwise lockstep across groups."""
+        the groups stay in bitwise lockstep on the density and on group
+        0's Hartree potential."""
         lay = BandGroups(n_ranks=4, n_bands=4, n_groups=2)
         rng = np.random.default_rng(11)
         contribs = rng.standard_normal((4, 5, 5, 5))

@@ -264,7 +264,7 @@ class TestFusedAndBatchedKernels:
         plain = apply_stencil_padded(padded, st_r)
         block_shape = tuple(s - 2 * radius for s in padded.shape)
         out = np.empty(block_shape, dtype=dtype)
-        scratch = np.empty(block_shape, dtype=dtype)
+        scratch = np.empty((2,) + padded.shape, dtype=dtype)
         fused = apply_stencil_padded(padded, st_r, out=out, scratch=scratch)
         assert fused is out
         np.testing.assert_array_equal(fused, plain)
@@ -290,7 +290,7 @@ class TestFusedAndBatchedKernels:
         st2 = laplacian_coefficients(2)
         stack = rng.standard_normal((5, 9, 9, 9))
         out = np.empty((5, 5, 5, 5))
-        scratch = np.empty((5, 5, 5))
+        scratch = np.empty((2, 9, 9, 9))
         got = apply_stencil_batch(stack, st2, out_stack=out, scratch=scratch)
         assert got is out
         for g in range(5):
@@ -359,25 +359,67 @@ class TestFusedAndBatchedKernels:
             apply_stencil_batch(np.zeros((9, 9, 9)), st2)
 
     def test_scratch_shape_and_dtype_validated(self):
+        """The scratch is one ``(2, *padded.shape)`` buffer of the input
+        dtype; the old block shape and a padded-shaped single buffer are
+        rejected, as are a wrong dtype and a non-contiguous buffer."""
         st2 = laplacian_coefficients(2)
         padded = np.zeros((9, 9, 9))
-        with pytest.raises(ValueError):
-            apply_stencil_padded(padded, st2, scratch=np.zeros((4, 4, 4)))
-        with pytest.raises(ValueError):
+        apply_stencil_padded(padded, st2, scratch=np.zeros((2, 9, 9, 9)))
+        for shape in ((5, 5, 5), (9, 9, 9), (2, 9, 9, 8), (3, 9, 9, 9)):
+            with pytest.raises(ValueError, match="shape"):
+                apply_stencil_padded(padded, st2, scratch=np.zeros(shape))
+        with pytest.raises(ValueError, match="dtype"):
             apply_stencil_padded(
-                padded, st2, scratch=np.zeros((5, 5, 5), dtype=np.float32)
+                padded, st2, scratch=np.zeros((2, 9, 9, 9), dtype=np.float32)
             )
+        strided = np.zeros((2, 9, 9, 18))[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            apply_stencil_padded(padded, st2, scratch=strided)
+        stack = np.zeros((3, 9, 9, 9))
+        with pytest.raises(ValueError, match="shape"):
+            apply_stencil_batch(stack, st2, scratch=np.zeros((5, 5, 5)))
+        apply_stencil_batch(stack, st2, scratch=np.zeros((2, 9, 9, 9)))
 
     def test_scratch_aliasing_rejected(self):
+        """The scratch may alias neither the input nor ``out``."""
         st2 = laplacian_coefficients(2)
-        padded = np.zeros((9, 9, 9))
-        out = np.empty((5, 5, 5))
-        with pytest.raises(ValueError):
-            apply_stencil_padded(padded, st2, out=out, scratch=out)
-        with pytest.raises(ValueError):
+        buf = np.zeros((2, 9, 9, 9))
+        padded, scratch = buf[1], buf
+        with pytest.raises(ValueError, match="alias"):
+            apply_stencil_padded(padded, st2, scratch=scratch)
+        store = np.zeros((2, 9, 9, 9))
+        out = store[0, :5, :5, :5]
+        with pytest.raises(ValueError, match="alias"):
             apply_stencil_padded(
-                padded, st2, out=out, scratch=padded[2:-2, 2:-2, 2:-2]
+                np.zeros((9, 9, 9)), st2, out=out, scratch=store
             )
+        stack = np.zeros((4, 9, 9, 9))
+        with pytest.raises(ValueError, match="alias"):
+            apply_stencil_batch(stack[:3], st2, scratch=stack[2:])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        radius=st.integers(1, 4),
+        extra=st.tuples(*[st.integers(1, 14)] * 3),
+        dtype=st.sampled_from([np.float32, np.float64, np.complex128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_padded_equals_oracle_both_boundaries(
+        self, radius, extra, dtype, seed
+    ):
+        """Flat-span kernel == oracle bit for bit, on any admissible shape,
+        radius and dtype, with zero walls and with periodic wraps."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(2 * radius + e for e in extra)
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            a = a + 1j * rng.standard_normal(shape)
+        st_r = laplacian_coefficients(radius, spacing=float(rng.uniform(0.3, 1.5)))
+        for mode, pbc in (("constant", False), ("wrap", True)):
+            got = apply_stencil_padded(np.pad(a, radius, mode=mode), st_r)
+            want = apply_stencil_global(a, st_r, pbc=(pbc,) * 3)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_complex_batch(self):
         rng = np.random.default_rng(12)
