@@ -2,8 +2,8 @@
 
 The paper's evaluation is four line plots; this renders their series as
 ASCII charts so the CLI and examples can show *curves*, not just tables.
-Deliberately minimal: linear or logarithmic axes, multiple series with
-distinct markers, and a legend.
+Deliberately minimal: a linear or logarithmic x axis, a linear y axis,
+multiple series with distinct markers, and a legend.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ import math
 from typing import Mapping, Sequence
 
 _MARKERS = "ox+*@%&$"
+#: canvas size in characters
+_WIDTH = 64
+_HEIGHT = 18
 
 
 def _scale(value: float, lo: float, hi: float, log: bool) -> float:
@@ -27,10 +30,7 @@ def _scale(value: float, lo: float, hi: float, log: bool) -> float:
 
 def line_plot(
     series: Mapping[str, Sequence[tuple[float, float]]],
-    width: int = 64,
-    height: int = 18,
     x_log: bool = False,
-    y_log: bool = False,
     title: str = "",
 ) -> str:
     """Render ``{name: [(x, y), ...]}`` as an ASCII chart.
@@ -46,11 +46,12 @@ def line_plot(
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
 
+    width, height = _WIDTH, _HEIGHT
     canvas = [[" "] * width for _ in range(height)]
     for (name, pts), marker in zip(series.items(), _MARKERS):
         for x, y in pts:
             col = round(_scale(x, x_lo, x_hi, x_log) * (width - 1))
-            row = height - 1 - round(_scale(y, y_lo, y_hi, y_log) * (height - 1))
+            row = height - 1 - round(_scale(y, y_lo, y_hi, False) * (height - 1))
             canvas[row][col] = marker
 
     def fmt(v: float) -> str:

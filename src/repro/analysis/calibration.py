@@ -5,8 +5,7 @@ The performance model has two free compute parameters
 costs; DESIGN.md §5 records the values we ship.  This module makes the
 fit reproducible: an error functional over the paper's published anchors
 and a grid search that recovers (or improves on) the shipped defaults —
-so a re-calibration against different anchors is one function call, not
-archaeology.
+so the calibration is one function call, not archaeology.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class PaperAnchors:
 _JOB = FDJob(GridDescriptor((192, 192, 192)), 2816)
 
 
-def anchor_error(spec: MachineSpec, anchors: PaperAnchors = PaperAnchors()) -> float:
+def anchor_error(spec: MachineSpec) -> float:
     """Sum of squared relative errors of the model against the anchors."""
     pm = PerformanceModel(spec)
     orig_16k = pm.evaluate(_JOB, FLAT_ORIGINAL, 16384)
@@ -50,6 +49,7 @@ def anchor_error(spec: MachineSpec, anchors: PaperAnchors = PaperAnchors()) -> f
         "fig7_original_self": orig_1k.total / orig_16k.total,
         "hybrid_over_optimized": opt_16k.total / hm_16k.total,
     }
+    anchors = PaperAnchors()
     error = 0.0
     for name, predicted in predictions.items():
         target = getattr(anchors, name)
@@ -66,20 +66,20 @@ class FitResult:
     grid: tuple[tuple[float, float, float], ...]  # (t_point, exponent, error)
 
 
-def fit_compute_knobs(
-    t_points: tuple[float, ...] = (90e-9, 100e-9, 110e-9, 120e-9, 130e-9),
-    exponents: tuple[float, ...] = (0.2, 0.25, 0.3, 0.35, 0.4),
-    base: MachineSpec = BGP_SPEC,
-    anchors: PaperAnchors = PaperAnchors(),
-) -> FitResult:
+#: the grid :func:`fit_compute_knobs` searches
+T_POINTS = (90e-9, 100e-9, 110e-9, 120e-9, 130e-9)
+EXPONENTS = (0.2, 0.25, 0.3, 0.35, 0.4)
+
+
+def fit_compute_knobs() -> FitResult:
     """Grid-search the two compute knobs against the anchors."""
-    best_spec = base
+    best_spec = BGP_SPEC
     best_err = float("inf")
     grid = []
-    for t in t_points:
-        for e in exponents:
-            spec = base.with_(stencil_point_time=t, halo_compute_exponent=e)
-            err = anchor_error(spec, anchors)
+    for t in T_POINTS:
+        for e in EXPONENTS:
+            spec = BGP_SPEC.with_(stencil_point_time=t, halo_compute_exponent=e)
+            err = anchor_error(spec)
             grid.append((t, e, err))
             if err < best_err:
                 best_err, best_spec = err, spec

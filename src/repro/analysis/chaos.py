@@ -57,16 +57,20 @@ class ChaosOutcome:
     # unfired row appends what was planned and how far the rank got)
 
 
+#: seconds a chaos-suite receive waits before it times out
+_TIMEOUT = 1.0
+
+
 class _StencilScenario:
     """A small distributed stencil application with a known oracle."""
 
-    def __init__(self, n_ranks: int, shape=(8, 8, 8), n_grids: int = 4):
+    def __init__(self, n_ranks: int):
         self.n_ranks = n_ranks
-        gd = GridDescriptor(shape)
+        gd = GridDescriptor((8, 8, 8))
         self.decomp = Decomposition(gd, n_ranks)
         coeffs = laplacian_coefficients(2, gd.spacing)
         self.engine = DistributedStencil(self.decomp, coeffs)
-        fields = {gid: gd.random(seed=gid) for gid in range(n_grids)}
+        fields = {gid: gd.random(seed=gid) for gid in range(4)}
         self.blocks = {
             gid: scatter(fields[gid], self.decomp, HaloSpec(2)) for gid in fields
         }
@@ -88,11 +92,11 @@ class _StencilScenario:
         )
 
     def run(
-        self, name: str, plan: FaultPlan, max_retries: int, timeout: float
+        self, name: str, plan: FaultPlan, max_retries: int
     ) -> ChaosOutcome:
         def factory(attempt: int):
             return FaultyTransport(
-                InprocTransport(self.n_ranks, default_timeout=timeout), plan
+                InprocTransport(self.n_ranks, default_timeout=_TIMEOUT), plan
             )
 
         try:
@@ -164,15 +168,15 @@ def _des_replay_scale(seed: int) -> ChaosOutcome:
     )
 
 
-def kill_op_mid_iteration(make_scf, rank: int, iteration: int = 3) -> int:
-    """The transport op of ``rank`` that lands mid-``iteration``.
+def kill_op_mid_iteration(make_scf, rank: int) -> int:
+    """The transport op of ``rank`` that lands mid-iteration 3.
 
     Counted, not guessed: ``make_scf(store)`` runs once fault-free with
     static cadence under a plan that only counts, the store notes where
     the rank's kill clock stands at each of its checkpoint deposits, and
-    the op midway between deposits ``iteration - 1`` and ``iteration``
-    is returned — a kill there finds checkpoints ``1 .. iteration - 1``
-    committed, however many ops the solvers of the day need.
+    the op midway between deposits 2 and 3 is returned — a kill there
+    finds checkpoints 1 and 2 committed, however many ops the solvers of
+    the day need.
     """
     from repro.dft import MemoryCheckpointStore
 
@@ -187,11 +191,11 @@ def kill_op_mid_iteration(make_scf, rank: int, iteration: int = 3) -> int:
 
     scf = make_scf(MarkingStore())
     scf.run(transport=FaultyTransport(InprocTransport(scf.layout.n_ranks), plan))
-    return (clock_at[iteration - 1] + clock_at[iteration]) // 2
+    return (clock_at[2] + clock_at[3]) // 2
 
 
 def _scf_kill(
-    name: str, seed: int, timeout: float, *, n_bands: int, n_cores: int,
+    name: str, seed: int, *, n_bands: int, n_cores: int,
     nb: int, kill_rank: int, policy,
     flightrec_dir: str | None = None,
 ) -> ChaosOutcome:
@@ -243,7 +247,7 @@ def _scf_kill(
     plan = FaultPlan(seed=seed, kill_at={kill_rank: kill_op})
 
     def factory(attempt: int, n_ranks: int):
-        inner = InprocTransport(n_ranks, default_timeout=timeout)
+        inner = InprocTransport(n_ranks, default_timeout=_TIMEOUT)
         return FaultyTransport(inner, plan) if attempt == 0 else inner
 
     recorder = None
@@ -305,7 +309,6 @@ def _write_flight_dumps(ctrl, scenario: str, flightrec_dir: str | None) -> None:
 def run_chaos_suite(
     seed: int = 0,
     n_ranks: int = 2,
-    timeout: float = 1.0,
     scf: bool = True,
     controller: bool = False,
     flightrec_dir: str | None = None,
@@ -316,7 +319,7 @@ def run_chaos_suite(
     # one targeted fault per kind, pinned to an early send of rank 0
     for kind in ("delay", "duplicate", "drop", "corrupt"):
         plan = FaultPlan(seed=seed, inject={(0, 1): kind}, delay=0.001)
-        outcomes.append(sc.run(f"one-{kind}", plan, max_retries=2, timeout=timeout))
+        outcomes.append(sc.run(f"one-{kind}", plan, max_retries=2))
     # a probabilistic storm of transient faults.  The network stays lossy
     # across retries (fresh sends draw fresh decisions), so an attempt
     # only succeeds when its ~16-send window draws no drop/corrupt —
@@ -325,10 +328,10 @@ def run_chaos_suite(
         seed=seed, p_drop=0.04, p_corrupt=0.04, p_duplicate=0.06,
         p_delay=0.06, delay=0.0005,
     )
-    outcomes.append(sc.run("storm", storm, max_retries=12, timeout=timeout))
+    outcomes.append(sc.run("storm", storm, max_retries=12))
     # a killed rank: permanent — must crash with attribution, not hang
     kill = FaultPlan(seed=seed, kill_at={min(1, n_ranks - 1): 5})
-    outcomes.append(sc.run("rank-kill", kill, max_retries=2, timeout=timeout))
+    outcomes.append(sc.run("rank-kill", kill, max_retries=2))
     # paper-scale determinism: the compiled DES replays a 512-rank storm
     # twice from pristine plan replicas; any firing-order drift shows up
     # as a makespan or event-count mismatch
@@ -338,7 +341,7 @@ def run_chaos_suite(
         # rank 1 dies mid-iteration 3, after checkpoints 1 and 2
         # committed; the survivor finishes alone (2r -> 1r)
         outcomes.append(_scf_kill(
-            "scf-kill-resume", seed, timeout, n_bands=1, n_cores=2, nb=1,
+            "scf-kill-resume", seed, n_bands=1, n_cores=2, nb=1,
             kill_rank=1, policy=static,
         ))
     if controller:
@@ -349,7 +352,7 @@ def run_chaos_suite(
             (2, static, ""), (4, static, ""), (2, adaptive, "-adaptive"),
         ):
             outcomes.append(_scf_kill(
-                f"ctrl-kill-nb{nb}{suffix}", seed, timeout, n_bands=4,
+                f"ctrl-kill-nb{nb}{suffix}", seed, n_bands=4,
                 n_cores=4, nb=nb, kill_rank=2, policy=policy,
                 flightrec_dir=flightrec_dir,
             ))

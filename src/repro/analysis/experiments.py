@@ -35,7 +35,7 @@ from repro.core.approaches import (
 )
 from repro.core.perfmodel import FDJob, FDTiming, PerformanceModel
 from repro.grid.grid import GridDescriptor
-from repro.machine.spec import BGP_SPEC, MachineSpec, table1_rows
+from repro.machine.spec import BGP_SPEC, table1_rows
 from repro.netmodel.pingpong import BandwidthPoint, measured_bandwidth_curve
 
 #: Fig 5 workload (section VII: "a relatively small job containing only 32
@@ -50,14 +50,14 @@ FIG7_JOB = FDJob(FIG67_GRID, 2816)
 FIG7_CORES = (1024, 2048, 4096, 8192, 16384)
 
 
-def table1(spec: MachineSpec = BGP_SPEC) -> list[tuple[str, str]]:
+def table1() -> list[tuple[str, str]]:
     """Table I: hardware description of a Blue Gene/P node."""
-    return table1_rows(spec)
+    return table1_rows()
 
 
-def fig2_rows(spec: MachineSpec = BGP_SPEC) -> list[BandwidthPoint]:
+def fig2_rows() -> list[BandwidthPoint]:
     """Fig 2: ping-pong bandwidth vs message size on the DES machine."""
-    return measured_bandwidth_curve(spec=spec)
+    return measured_bandwidth_curve()
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def _once_per_process(sweep):
     def wrapper(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        bound.arguments["cores"] = tuple(bound.arguments["cores"])
+        if "cores" in bound.arguments:
+            bound.arguments["cores"] = tuple(bound.arguments["cores"])
         return copy.deepcopy(cached(*bound.arguments.values()))
 
     return wrapper
@@ -84,10 +85,10 @@ def _once_per_process(sweep):
 
 @_once_per_process
 def fig5_rows(
-    batching: bool, spec: MachineSpec = BGP_SPEC, cores: tuple[int, ...] = FIG5_CORES
+    batching: bool, cores: tuple[int, ...] = FIG5_CORES
 ) -> list[Fig5Row]:
     """Fig 5 (left: batching disabled; right: batch-size 8)."""
-    pm = PerformanceModel(spec)
+    pm = PerformanceModel()
     seq = pm.sequential_time(FIG5_JOB)
     rows = []
     for p in cores:
@@ -113,18 +114,14 @@ class Fig6Row:
 
 
 @_once_per_process
-def fig6_rows(
-    spec: MachineSpec = BGP_SPEC,
-    cores: tuple[int, ...] = FIG6_CORES,
-    n_iterations: int = 1,
-) -> list[Fig6Row]:
+def fig6_rows(cores: tuple[int, ...] = FIG6_CORES) -> list[Fig6Row]:
     """Fig 6: Gustafson graph, grids = cores, 192^3, best batch-size.
 
-    ``n_iterations`` scales every time by a constant (the paper's absolute
-    scale corresponds to repeated applications of the FD operation; the
-    shape is iteration-count invariant).
+    Times are one application of the FD operation (the paper's absolute
+    scale corresponds to repeated applications; the shape is
+    iteration-count invariant).
     """
-    pm = PerformanceModel(spec)
+    pm = PerformanceModel()
     rows = []
     for p in cores:
         job = FDJob(FIG67_GRID, p)
@@ -135,15 +132,15 @@ def fig6_rows(
                 if a.supports_batching
                 else pm.evaluate(job, a, p)
             )
-            times[a.name] = t.total * n_iterations
+            times[a.name] = t.total
         flat = pm.best_batch_size(job, FLAT_OPTIMIZED, p)
         hyb = pm.best_batch_size(job, HYBRID_MULTIPLE, p)
         rows.append(
             Fig6Row(
                 n_cores=p,
                 times=times,
-                flat_comm_mb=flat.comm_bytes_per_node / 1e6 * n_iterations,
-                hybrid_comm_mb=hyb.comm_bytes_per_node / 1e6 * n_iterations,
+                flat_comm_mb=flat.comm_bytes_per_node / 1e6,
+                hybrid_comm_mb=hyb.comm_bytes_per_node / 1e6,
             )
         )
     return rows
@@ -157,14 +154,12 @@ class Fig7Row:
 
 
 @_once_per_process
-def fig7_rows(
-    spec: MachineSpec = BGP_SPEC, cores: tuple[int, ...] = FIG7_CORES
-) -> list[Fig7Row]:
+def fig7_rows() -> list[Fig7Row]:
     """Fig 7: 2816-grid job, speedups vs Flat original at 1k cores."""
-    pm = PerformanceModel(spec)
-    base = pm.evaluate(FIG7_JOB, FLAT_ORIGINAL, cores[0]).total
+    pm = PerformanceModel()
+    base = pm.evaluate(FIG7_JOB, FLAT_ORIGINAL, FIG7_CORES[0]).total
     rows = []
-    for p in cores:
+    for p in FIG7_CORES:
         speedups = {}
         for a in ALL_APPROACHES:
             t = (
@@ -187,9 +182,9 @@ class HeadlineNumbers:
     hybrid_vs_flat_optimized: float  # paper: ~1.10
 
 
-def headline_numbers(spec: MachineSpec = BGP_SPEC) -> HeadlineNumbers:
+def headline_numbers() -> HeadlineNumbers:
     """Reproduce the conclusion's numbers at 16384 cores."""
-    pm = PerformanceModel(spec)
+    pm = PerformanceModel()
     orig = pm.evaluate(FIG7_JOB, FLAT_ORIGINAL, 16384)
     hm = pm.best_batch_size(FIG7_JOB, HYBRID_MULTIPLE, 16384)
     opt = pm.best_batch_size(FIG7_JOB, FLAT_OPTIMIZED, 16384)
@@ -201,9 +196,7 @@ def headline_numbers(spec: MachineSpec = BGP_SPEC) -> HeadlineNumbers:
     )
 
 
-def ablation_subgroups(
-    spec: MachineSpec = BGP_SPEC, n_cores: int = 16384
-) -> tuple[FDTiming, FDTiming]:
+def ablation_subgroups() -> tuple[FDTiming, FDTiming]:
     """Section VII-A: Flat optimized with static sub-groups vs Hybrid multiple.
 
     The modified flat approach gives each of the node's four processes its
@@ -213,19 +206,19 @@ def ablation_subgroups(
     spawn/join).  The paper found "its performance is identical with the
     Hybrid multiple"; the model should agree to within a few percent.
 
-    Returns ``(subgroup_flat, hybrid_multiple)`` timings.
+    Returns ``(subgroup_flat, hybrid_multiple)`` timings at 16384 cores.
     """
-    no_thread_cost = spec.with_(
-        threads=spec.threads.__class__(
+    no_thread_cost = BGP_SPEC.with_(
+        threads=BGP_SPEC.threads.__class__(
             mpi_multiple_overhead=0.0,
-            barrier_time=spec.threads.barrier_time,
+            barrier_time=BGP_SPEC.threads.barrier_time,
             join_time=0.0,
             spawn_time=0.0,
-            mpi_call_cpu_time=spec.threads.mpi_call_cpu_time,
+            mpi_call_cpu_time=BGP_SPEC.threads.mpi_call_cpu_time,
         )
     )
     subgroup = PerformanceModel(no_thread_cost).best_batch_size(
-        FIG7_JOB, HYBRID_MULTIPLE, n_cores
+        FIG7_JOB, HYBRID_MULTIPLE, 16384
     )
-    hybrid = PerformanceModel(spec).best_batch_size(FIG7_JOB, HYBRID_MULTIPLE, n_cores)
+    hybrid = PerformanceModel().best_batch_size(FIG7_JOB, HYBRID_MULTIPLE, 16384)
     return subgroup, hybrid

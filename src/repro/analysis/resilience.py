@@ -34,15 +34,16 @@ import math
 from dataclasses import dataclass
 
 from repro.core.perfmodel import FDJob
-from repro.machine.spec import BGP_SPEC, MachineSpec
 
 #: aggregate I/O bandwidth assumed for checkpoint dumps (bytes/s).  A
-#: BG/P rack-scale GPFS installation sustained a few GB/s; the sweep
-#: exposes this as a knob.
-DEFAULT_IO_BANDWIDTH = 4e9
+#: BG/P rack-scale GPFS installation sustained a few GB/s
+IO_BANDWIDTH = 4e9
 
 #: supervisor restart penalty (job relaunch + checkpoint read), seconds
-DEFAULT_RESTART_TIME = 180.0
+RESTART_TIME = 180.0
+
+#: the node MTBFs the cadence sweep visits, in years
+NODE_MTBF_YEARS = (50.0, 10.0, 2.0, 0.5)
 
 
 def optimal_checkpoint_interval(checkpoint_time: float, mtbf: float) -> float:
@@ -53,27 +54,23 @@ def optimal_checkpoint_interval(checkpoint_time: float, mtbf: float) -> float:
 
 
 def resilience_overhead(
-    interval: float,
-    checkpoint_time: float,
-    mtbf: float,
-    restart_time: float = DEFAULT_RESTART_TIME,
+    interval: float, checkpoint_time: float, mtbf: float
 ) -> float:
     """Fraction of wall time lost to checkpoints, rework and restarts."""
     if interval <= 0 or mtbf <= 0:
         raise ValueError("interval and mtbf must be positive")
-    return checkpoint_time / interval + interval / (2.0 * mtbf) + restart_time / mtbf
+    return checkpoint_time / interval + interval / (2.0 * mtbf) + RESTART_TIME / mtbf
 
 
-def checkpoint_bytes(job: FDJob, n_bands: int | None = None) -> float:
+def checkpoint_bytes(job: FDJob) -> float:
     """Size of one committed SCF checkpoint for ``job`` (bytes).
 
     Mirrors :data:`repro.dft.checkpoint.CHECKPOINT_FIELDS`: every band's
-    interior (``job.n_grids`` wave functions unless ``n_bands`` is
-    given) plus the density history and two potentials.
+    interior (``job.n_grids`` wave functions) plus the density history
+    and two potentials.
     """
-    bands = job.n_grids if n_bands is None else n_bands
     field = job.grid.bytes_per_point * math.prod(job.grid.shape)
-    return float((bands + 3) * field)
+    return float((job.n_grids + 3) * field)
 
 
 @dataclass(frozen=True)
@@ -90,39 +87,29 @@ class ResilienceRow:
     failures_per_day: float
 
 
-def mtbf_sweep(
-    job: FDJob,
-    node_mtbf_years: tuple[float, ...] = (50.0, 10.0, 2.0, 0.5),
-    n_cores: int = 16384,
-    iteration_time: float | None = None,
-    io_bandwidth: float = DEFAULT_IO_BANDWIDTH,
-    restart_time: float = DEFAULT_RESTART_TIME,
-    spec: MachineSpec = BGP_SPEC,
-) -> list[ResilienceRow]:
+def mtbf_sweep(job: FDJob, n_cores: int = 16384) -> list[ResilienceRow]:
     """Daly cadence sweep for ``job`` at ``n_cores`` (paper scale).
 
-    ``iteration_time`` is the wall time of one SCF iteration (so the
-    sweep can report the cadence in iterations); when omitted it is
-    estimated as ~40 FD applications of the analytic model's best
-    hybrid configuration — the paper's workload mix.
+    The wall time of one SCF iteration (so the sweep can report the
+    cadence in iterations) is estimated as ~40 FD applications of the
+    analytic model's best hybrid configuration — the paper's workload
+    mix.
     """
+    from repro.core.approaches import HYBRID_MULTIPLE
+    from repro.core.perfmodel import PerformanceModel
+
     if n_cores < 4 or n_cores % 4:
         raise ValueError(f"n_cores must be a multiple of 4, got {n_cores}")
     n_nodes = n_cores // 4
-    delta = checkpoint_bytes(job) / io_bandwidth
-    if iteration_time is None:
-        from repro.core.approaches import HYBRID_MULTIPLE
-        from repro.core.perfmodel import PerformanceModel
-
-        model = PerformanceModel(spec)
-        fd = model.best_batch_size(job, HYBRID_MULTIPLE, n_cores)
-        iteration_time = 40.0 * fd.total
+    delta = checkpoint_bytes(job) / IO_BANDWIDTH
+    fd = PerformanceModel().best_batch_size(job, HYBRID_MULTIPLE, n_cores)
+    iteration_time = 40.0 * fd.total
     rows = []
-    for years in node_mtbf_years:
+    for years in NODE_MTBF_YEARS:
         node_mtbf = years * 365.25 * 24 * 3600
         system_mtbf = node_mtbf / n_nodes
         tau = optimal_checkpoint_interval(delta, system_mtbf)
-        over = resilience_overhead(tau, delta, system_mtbf, restart_time)
+        over = resilience_overhead(tau, delta, system_mtbf)
         rows.append(
             ResilienceRow(
                 node_mtbf_years=years,

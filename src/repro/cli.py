@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis import (
     ablation_subgroups,
@@ -662,11 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_spec_cli(pm, {"cores": 16384, "grids": 512, "shape": (128, 128, 128)})
 
-    def _trace_config(p: argparse.ArgumentParser, **types) -> None:
+    def _trace_config(p: argparse.ArgumentParser) -> None:
         add_spec_cli(p, {
             "approach": "hybrid-multiple", "cores": 8, "grids": 4,
             "batch_size": 2, "shape": (16, 16, 16), "ramp_up": False,
-        }, types)
+        })
 
     pt = sub.add_parser(
         "trace",
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser(
         "timeline", help="ASCII Gantt + utilization panel across planes"
     )
-    _trace_config(pl, cores=_des_cores)  # the default planes include sim
+    _trace_config(pl)
     pl.add_argument("--planes", nargs="+", default=["real", "sim"],
                     choices=["real", "sim", "model"],
                     help="planes to render (default: real sim)")
@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor",
         help="run + attribute + model-conformance verdict in one table",
     )
-    _trace_config(pd, cores=_des_cores)  # doctor always replays
+    _trace_config(pd)
     pd.add_argument("--placement", choices=["auto", "cyclic", "spread"],
                     default="auto",
                     help="DES domain-to-rank strategy (default: the spec's)")
@@ -716,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="run a small instrumented SCF and dump its metrics"
     )
     pme.add_argument("--ranks", type=cli_count, default=2)
-    pme.add_argument("--bands", type=int, default=2)
-    pme.add_argument("--size", type=int, default=10,
+    pme.add_argument("--bands", type=cli_count, default=2)
+    pme.add_argument("--size", type=cli_count, default=10,
                      help="grid edge length (size^3 points)")
-    pme.add_argument("--iterations", type=int, default=6)
+    pme.add_argument("--iterations", type=cli_count, default=6)
     pme.add_argument("--json", action="store_true",
                      help="machine-readable snapshot (the CI artifact shape)")
     return parser
@@ -747,7 +747,9 @@ _COMMANDS = {
 }
 
 #: the diagnosis commands each trace one JobSpec: ``main`` builds it once
-#: from the shared options, so a bad configuration is a usage error
+#: from the shared options, so a bad configuration is a usage error.  A
+#: run that replays on the DES (``doctor`` always does) is also held to
+#: the replay's core-count rule there
 _DIAGNOSES = {
     "trace": _cmd_trace,
     "timeline": _cmd_timeline,
@@ -756,12 +758,15 @@ _DIAGNOSES = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in _DIAGNOSES:
+        planes = getattr(args, "planes", None) or [getattr(args, "plane", "sim")]
         try:
             spec = spec_from_args(args)
+            if "sim" in planes:
+                _node_mode_for(spec.approach_obj(), spec.group_cores)
         except ValueError as exc:
             parser.error(str(exc))
         print(_DIAGNOSES[args.command](args, spec))

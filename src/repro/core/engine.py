@@ -96,19 +96,18 @@ class DistributedStencil:
         self,
         decomp: Decomposition,
         coeffs: StencilCoefficients,
-        workspace: Optional[Workspace] = None,
     ):
-        """``workspace`` is the buffer arena every scratch and halo message
-        buffer is borrowed from; it is shared by all rank threads (a
-        received zero-copy message buffer is recycled by the *receiving*
-        rank).  One is created if not supplied.  After one warm-up
-        ``apply``, steady-state calls that reuse their output blocks
-        (``out=``) perform zero array allocations.
+        """:attr:`workspace` is the buffer arena every scratch and halo
+        message buffer is borrowed from; it is shared by all rank threads
+        (a received zero-copy message buffer is recycled by the
+        *receiving* rank).  After one warm-up ``apply``, steady-state
+        calls that reuse their output blocks (``out=``) perform zero
+        array allocations.
         """
         self.decomp = decomp
         self.coeffs = coeffs
         self.halo = HaloSpec(coeffs.radius)
-        self.workspace = workspace if workspace is not None else Workspace()
+        self.workspace = Workspace()
         self._outgoing: dict[int, list[HaloMessage]] = {}
         self._incoming: dict[int, list[HaloMessage]] = {}
 

@@ -339,10 +339,9 @@ cli_count = cli_type(lambda text: check_positive_int(int(text), "count"))
 
 
 #: One row per JobSpec-backed CLI knob: name -> (option flags, argparse
-#: kwargs builder taking the subcommand's default).  ``--bands`` stays as
-#: an alias of ``--grids`` so pre-JobSpec invocations keep working.  The
-#: CLI adds a knob to a subcommand by naming it (with its default) in
-#: ``add_spec_cli`` — one place to add a knob for every subcommand.
+#: kwargs builder taking the subcommand's default).  The CLI adds a knob
+#: to a subcommand by naming it (with its default) in ``add_spec_cli`` —
+#: one place to add a knob for every subcommand.
 CLI_KNOBS = {
     "approach": (
         ("--approach",),
@@ -361,8 +360,8 @@ CLI_KNOBS = {
                          "help": f"CPU cores (default {default})"},
     ),
     "grids": (
-        ("--grids", "--bands"),
-        lambda default: {"type": cli_count, "default": default, "dest": "grids",
+        ("--grids",),
+        lambda default: {"type": cli_count, "default": default,
                          "help": f"grids/bands (default {default})"},
     ),
     "batch_size": (
@@ -387,23 +386,19 @@ CLI_KNOBS = {
 }
 
 
-def add_spec_cli(parser, defaults: dict, types: dict | None = None) -> None:
+def add_spec_cli(parser, defaults: dict) -> None:
     """Add the shared JobSpec-derived options to an argparse parser.
 
     ``defaults`` maps knob names (keys of :data:`CLI_KNOBS`) to the
     subcommand's default value; only the named knobs are added, in
-    :data:`CLI_KNOBS` order so ``--help`` output is uniform.  ``types``
-    gives a knob a stricter argparse ``type=`` than its default one.
+    :data:`CLI_KNOBS` order so ``--help`` output is uniform.
     """
     unknown = set(defaults) - set(CLI_KNOBS)
     if unknown:
         raise ValueError(f"unknown spec CLI knobs {sorted(unknown)}")
     for name, (flags, kwargs) in CLI_KNOBS.items():
         if name in defaults:
-            options = kwargs(defaults[name])
-            if types and name in types:
-                options["type"] = types[name]
-            parser.add_argument(*flags, **options)
+            parser.add_argument(*flags, **kwargs(defaults[name]))
 
 
 def spec_from_args(args, **overrides) -> JobSpec:

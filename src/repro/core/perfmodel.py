@@ -551,25 +551,17 @@ class PerformanceModel:
         return candidates
 
     def best_batch_size(
-        self,
-        job: FDJob,
-        approach: Approach,
-        n_cores: int,
-        candidates: Optional[Sequence[int]] = None,
-        ramp_up: bool = False,
+        self, job: FDJob, approach: Approach, n_cores: int
     ) -> FDTiming:
-        """The fastest timing over candidate batch sizes.
+        """The fastest timing over :meth:`batch_candidates`.
 
-        The paper finds "the best batch-size" per configuration (Figs 6, 7);
-        default candidates come from :meth:`batch_candidates`.
+        The paper finds "the best batch-size" per configuration (Figs 6, 7).
         """
         if not approach.supports_batching:
             return self.evaluate(job, approach, n_cores, 1)
-        if candidates is None:
-            candidates = self.batch_candidates(job, approach, n_cores)
         best: Optional[FDTiming] = None
-        for b in candidates:
-            t = self.evaluate(job, approach, n_cores, b, ramp_up=ramp_up)
+        for b in self.batch_candidates(job, approach, n_cores):
+            t = self.evaluate(job, approach, n_cores, b)
             if best is None or t.total < best.total:
                 best = t
         assert best is not None

@@ -63,7 +63,7 @@ from repro.core.schedule import (
 from repro.core.wholeapp import WholeAppModel
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
-from repro.machine.spec import BGP_SPEC, MachineSpec
+from repro.machine.spec import BGP_SPEC
 
 __all__ = ["Candidate", "Rejection", "PlanChoice", "PlanResult", "Planner"]
 
@@ -132,9 +132,9 @@ class PlanResult:
 class Planner:
     """Enumerate, price and rank configurations on a calibrated machine."""
 
-    def __init__(self, spec: MachineSpec = BGP_SPEC):
-        self.machine = spec
-        self.fd_model = PerformanceModel(spec)
+    def __init__(self):
+        self.machine = BGP_SPEC
+        self.fd_model = PerformanceModel(BGP_SPEC)
 
     # -- enumeration -------------------------------------------------------
     def enumerate(
@@ -326,12 +326,7 @@ class Planner:
         )
 
     # -- degradation (recovery replanning) ---------------------------------
-    def degrade(
-        self,
-        spec: JobSpec,
-        n_cores: int,
-        max_groups: Optional[int] = None,
-    ) -> PlanResult:
+    def degrade(self, spec: JobSpec, n_cores: int) -> PlanResult:
         """Feasible re-plans of a running ``spec`` on ``n_cores`` survivors.
 
         The recovery controller's question after a fatal failure: with
@@ -340,8 +335,8 @@ class Planner:
         plane* rules — the approach is kept, whole-node constraints do
         not apply (rank threads, not BG/P nodes), and any ``nb'`` that
         divides both the grids and the surviving cores is a candidate
-        (``nb' <= nb`` by default: the checkpoint regroup path shrinks
-        the group count).  Every choice carries the spec's runtime
+        (``nb' <= nb``: the checkpoint regroup path shrinks the group
+        count).  Every choice carries the spec's runtime
         section verbatim, so the winner rebuilds the run directly;
         infeasible layouts come back as typed :class:`Rejection`\\ s.
         """
@@ -358,11 +353,10 @@ class Planner:
             )
         problem = spec.problem
         a = approach_by_name(spec.layout.approach)
-        nb_cap = spec.layout.n_band_groups if max_groups is None else max_groups
         job = problem.fd_job()
         choices: list[PlanChoice] = []
         rejected: list[Rejection] = []
-        for nb in range(min(nb_cap, n_cores), 0, -1):
+        for nb in range(min(spec.layout.n_band_groups, n_cores), 0, -1):
             if problem.n_grids % nb:
                 rejected.append(Rejection(a.name, nb, (
                     f"n_grids ({problem.n_grids}) must be divisible by "
@@ -403,17 +397,9 @@ class Planner:
             problem=problem, n_cores=n_cores, choices=choices, rejected=rejected
         )
 
-    def best(
-        self,
-        problem: ProblemSpec,
-        n_cores: int,
-        max_groups: int = 8,
-        approaches: Optional[Sequence[str]] = None,
-    ) -> PlanChoice:
+    def best(self, problem: ProblemSpec, n_cores: int) -> PlanChoice:
         """The fastest feasible configuration (the ``repro plan`` verdict)."""
-        return self.rank(
-            problem, n_cores, max_groups=max_groups, approaches=approaches
-        ).best()
+        return self.rank(problem, n_cores).best()
 
     # -- DES cross-check ---------------------------------------------------
     def cross_check(self, choice: PlanChoice) -> float:

@@ -5,9 +5,8 @@ failure handling cannot stay a caller-configured retry loop.  This
 module holds the *policy* side of the closed loop
 :class:`repro.dft.recovery.RecoveryController` drives:
 
-* :class:`DegradationPolicy` — how far a run may degrade (restart
-  budget, rank floor, ranks lost per fatal failure) and how checkpoint
-  cadence adapts (Daly inputs and clamps).
+* :class:`DegradationPolicy` — how far a run may degrade (the restart
+  budget) and how checkpoint cadence adapts (the MTBF prior).
 * :class:`AdaptiveCadence` — the live checkpoint-interval decision:
   :func:`~repro.analysis.resilience.optimal_checkpoint_interval` seconds
   converted to whole iterations from the measured per-iteration wall
@@ -26,8 +25,6 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.util.validation import check_positive_int
-
 __all__ = [
     "AdaptiveCadence",
     "DegradationError",
@@ -41,48 +38,24 @@ class DegradationPolicy:
     """How a recovery-controlled run degrades and checkpoints.
 
     ``max_restarts`` bounds the total restart attempts (transient and
-    fatal combined); ``min_ranks`` is the smallest layout the ladder may
-    shrink to; ``ranks_lost_per_failure`` models the blast radius of one
-    fatal failure (one rank for a core loss, four for a whole BG/P
-    node).  ``expected_mtbf``/``checkpoint_seconds`` seed the cadence
-    before any failures or deposits have been observed; measurements
-    override them as they arrive.
+    fatal combined).  ``expected_mtbf`` seeds the cadence before any
+    failure has been observed; measurements override it as they arrive.
     """
 
     max_restarts: int = 3
-    min_ranks: int = 1
-    ranks_lost_per_failure: int = 1
-    retry_transient_in_place: bool = True
     adaptive_cadence: bool = True
     #: prior MTBF seconds used until a failure rate has been observed
     #: (``None``: keep the static ``checkpoint_every`` until then)
     expected_mtbf: Optional[float] = None
-    #: prior per-snapshot cost seconds used until deposits are measured
-    checkpoint_seconds: float = 0.05
-    min_checkpoint_every: int = 1
-    max_checkpoint_every: int = 1000
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
-        check_positive_int(self.min_ranks, "min_ranks")
-        check_positive_int(self.ranks_lost_per_failure, "ranks_lost_per_failure")
         if self.expected_mtbf is not None and not self.expected_mtbf > 0:
             raise ValueError(
                 f"expected_mtbf must be > 0, got {self.expected_mtbf}"
-            )
-        if not self.checkpoint_seconds > 0:
-            raise ValueError(
-                f"checkpoint_seconds must be > 0, got {self.checkpoint_seconds}"
-            )
-        check_positive_int(self.min_checkpoint_every, "min_checkpoint_every")
-        check_positive_int(self.max_checkpoint_every, "max_checkpoint_every")
-        if self.min_checkpoint_every > self.max_checkpoint_every:
-            raise ValueError(
-                f"min_checkpoint_every ({self.min_checkpoint_every}) exceeds "
-                f"max_checkpoint_every ({self.max_checkpoint_every})"
             )
 
 
@@ -153,40 +126,30 @@ class AdaptiveCadence:
     ``optimal_checkpoint_interval(checkpoint_seconds, mtbf)`` gives the
     optimal seconds between snapshots; dividing by the measured
     per-iteration wall time converts it to whole SCF iterations, clamped
-    to ``[min_every, max_every]``.  :meth:`due` is called by every rank
+    to ``[1, 1000]``.  :meth:`due` is called by every rank
     thread with the identical (allreduced) iteration time — the decision
     is computed once per iteration under a lock and memoized, so the
     SPMD deposit stays collective even if float inputs were to differ.
     """
 
-    def __init__(
-        self,
-        checkpoint_seconds: float,
-        mtbf: float,
-        min_every: int = 1,
-        max_every: int = 1000,
-    ) -> None:
+    #: the interval clamp, in iterations
+    min_every = 1
+    max_every = 1000
+
+    def __init__(self, checkpoint_seconds: float, mtbf: float) -> None:
         if not checkpoint_seconds > 0:
             raise ValueError(
                 f"checkpoint_seconds must be > 0, got {checkpoint_seconds}"
             )
         if not mtbf > 0:
             raise ValueError(f"mtbf must be > 0, got {mtbf}")
-        check_positive_int(min_every, "min_every")
-        check_positive_int(max_every, "max_every")
-        if min_every > max_every:
-            raise ValueError(
-                f"min_every ({min_every}) exceeds max_every ({max_every})"
-            )
         self.checkpoint_seconds = float(checkpoint_seconds)
         self.mtbf = float(mtbf)
-        self.min_every = min_every
-        self.max_every = max_every
         self._lock = threading.Lock()
         self._decisions: dict[int, bool] = {}
         self._last_checkpoint = 0
         #: last interval (iterations) actually applied — telemetry hook
-        self.last_interval: int = min_every
+        self.last_interval: int = self.min_every
 
     def optimal_seconds(self) -> float:
         """Daly's optimal seconds between snapshots for current inputs."""

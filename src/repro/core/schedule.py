@@ -519,9 +519,10 @@ class PlanCache:
     harmless but would skew the statistics the benchmarks report).
     """
 
-    def __init__(self, maxsize: int = 256):
-        check_positive_int(maxsize, "maxsize")
-        self.maxsize = maxsize
+    #: plans kept before the least recently used one is evicted
+    maxsize = 256
+
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self._plans: "OrderedDict[tuple, SchedulePlan]" = OrderedDict()

@@ -1116,8 +1116,6 @@ def simulate_fd(
 def simulate_spec(
     jobspec,
     spec: MachineSpec = BGP_SPEC,
-    placement: Optional[str] = None,
-    trace: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     step_tracer: Optional[SpanTracer] = None,
 ) -> SimResult:
@@ -1129,14 +1127,10 @@ def simulate_spec(
     separately via :func:`simulate_band_plan`, which is how
     :meth:`~repro.core.planner.Planner.cross_check` combines the two.
 
-    ``placement`` defaults to the spec's own serialized
-    ``runtime.placement``; pass a strategy name to override it for one
-    replay without rewriting the spec.
+    The placement is the spec's own serialized ``runtime.placement``.
     """
     if step_tracer is not None and getattr(step_tracer, "config_hash", None) is None:
         step_tracer.config_hash = jobspec.config_hash()
-    if placement is None:
-        placement = jobspec.runtime.placement
     return simulate_fd(
         jobspec.group_job(),
         jobspec.approach_obj(),
@@ -1144,8 +1138,7 @@ def simulate_spec(
         batch_size=jobspec.layout.batch_size,
         ramp_up=jobspec.layout.ramp_up,
         spec=spec,
-        placement=placement,
-        trace=trace,
+        placement=jobspec.runtime.placement,
         fault_plan=fault_plan,
         step_tracer=step_tracer,
     )
@@ -1220,7 +1213,7 @@ def simulate_band_plan(
 
 
 # -- lowering 3: point-to-point message sets ----------------------------------
-def _replay_messages(machine: Machine, messages, trace: bool = False) -> _Replay:
+def _replay_messages(machine: Machine, messages) -> _Replay:
     """Replay point-to-point messages ``(src, dst, tag, nbytes)`` between ranks.
 
     Each rank posts its sends in list order, then its receives (matched
@@ -1230,7 +1223,7 @@ def _replay_messages(machine: Machine, messages, trace: bool = False) -> _Replay
     (``posted``/``unexpected``, empty when every message met its
     receive) are there to inspect.
     """
-    eng = _Replay(machine, trace=trace)
+    eng = _Replay(machine)
     progs: dict = {}
     for src, dst, tag, nbytes in messages:
         prog, dsts, _srcs = progs.setdefault(src, ([], [], []))

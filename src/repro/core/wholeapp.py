@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.core.approaches import Approach, FLAT_ORIGINAL, HYBRID_MULTIPLE
 from repro.core.perfmodel import FDJob, PerformanceModel
-from repro.machine.spec import BGP_SPEC, MachineSpec
+from repro.machine.spec import BGP_SPEC
 from repro.util.validation import check_positive_int
 
 
@@ -79,9 +79,9 @@ class WholeAppModel:
     #: fine level dominate; coarser levels add a geometric tail ~8/7)
     SWEEPS_PER_CYCLE = 5
 
-    def __init__(self, spec: MachineSpec = BGP_SPEC):
-        self.spec = spec
-        self.fd_model = PerformanceModel(spec)
+    def __init__(self):
+        self.spec = BGP_SPEC
+        self.fd_model = PerformanceModel(BGP_SPEC)
 
     # -- phases ---------------------------------------------------------------
     def _fd_time(self, job: FDJob, approach: Approach, n_cores: int) -> float:

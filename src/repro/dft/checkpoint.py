@@ -73,10 +73,10 @@ class SCFCheckpoint:
     #: each rank's ``states`` stack holds only its group's bands
     n_band_groups: int = 1
     #: serialized :class:`~repro.core.jobspec.JobSpec` of the writing run
-    #: (``JobSpec.to_dict()``); ``None`` for pre-version-2 snapshots.
-    #: Resume validates it with :func:`~repro.core.jobspec
-    #: .check_restart_compatible` so a mismatched restart is a typed
-    #: error instead of silent state corruption.
+    #: (``JobSpec.to_dict()``).  Resume validates it with
+    #: :func:`~repro.core.jobspec.check_restart_compatible` so a
+    #: mismatched restart is a typed error instead of silent state
+    #: corruption; a snapshot without one (version 1) is rejected.
     jobspec: dict | None = None
 
     def nbytes(self) -> int:

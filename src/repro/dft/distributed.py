@@ -69,16 +69,15 @@ class DistributedPoissonSolver:
         self,
         grid: GridDescriptor,
         n_ranks: int,
-        radius: int = 2,
         tolerance: float = 1e-6,
         max_sweeps: int = 5000,
         approach: Approach = FLAT_OPTIMIZED,
     ):
         self.grid = grid
         self.decomp = Decomposition(grid, n_ranks)
-        self.coeffs = laplacian_coefficients(radius, spacing=grid.spacing)
+        self.coeffs = laplacian_coefficients(2, spacing=grid.spacing)
         self.engine = DistributedStencil(self.decomp, self.coeffs)
-        self.halo = HaloSpec(radius)
+        self.halo = HaloSpec(2)
         self.tolerance = tolerance
         self.max_sweeps = max_sweeps
         self.approach = approach

@@ -48,7 +48,11 @@ import numpy as np
 from scipy.linalg import eigh as geigh
 
 from repro.core.engine import DistributedStencil
-from repro.core.jobspec import JobSpec, check_restart_compatible
+from repro.core.jobspec import (
+    JobSpec,
+    SpecMismatchError,
+    check_restart_compatible,
+)
 from repro.core.schedule import compile_band_schedule
 from repro.core.workspace import Workspace
 from repro.dft.band_ortho import BandRingExecutor, band_axis_sum
@@ -300,7 +304,7 @@ class DistributedSCF:
     # -- the rank program --------------------------------------------------------
     def _rank_run(
         self, ep: RankEndpoint, v_ext_blocks, initial_blocks,
-        restore=None, step_tracer=None, flight_recorder=None,
+        restore, step_tracer, flight_recorder,
     ):
         rank = ep.rank
         rt = self.spec.runtime
@@ -602,11 +606,12 @@ class DistributedSCF:
         regroup plan — before any rank thread starts.
         """
         lay = self.layout
-        if ckpt.jobspec is not None:
-            # version-2 snapshots carry the writing run's full JobSpec:
-            # one typed comparison replaces the field-by-field checks
-            # below (kept for version-1 markers without a spec)
-            check_restart_compatible(self.spec, JobSpec.from_dict(ckpt.jobspec))
+        if ckpt.jobspec is None:
+            raise SpecMismatchError(
+                ["jobspec: the checkpoint carries none (a version-1 snapshot)"]
+            )
+        check_restart_compatible(self.spec, JobSpec.from_dict(ckpt.jobspec))
+        # the arrays come from outside the program: hold them to the spec
         if tuple(ckpt.shape) != tuple(self.grid.shape):
             raise ValueError(
                 f"checkpoint grid {tuple(ckpt.shape)} does not match "

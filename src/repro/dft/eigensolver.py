@@ -29,15 +29,13 @@ def lowest_eigenstates(
     hamiltonian: Hamiltonian,
     k: int,
     tol: float = 1e-8,
-    maxiter: int | None = None,
-    seed: int = 0,
 ) -> EigenResult:
-    """The ``k`` lowest eigenpairs of ``hamiltonian``."""
+    """The ``k`` lowest eigenpairs of ``hamiltonian`` (seeded start vector)."""
     n = hamiltonian.grid.n_points
     if not 1 <= k < n - 1:
         raise ValueError(f"k must be in 1..{n - 2}, got {k}")
     op = hamiltonian.as_linear_operator()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     # Request guard states beyond k: ARPACK can otherwise return an
     # incomplete degenerate shell (e.g. two of the three first excited
@@ -45,7 +43,7 @@ def lowest_eigenstates(
     k_eff = min(k + 4, n - 2)
     ncv = min(n - 1, max(4 * k_eff, 40))
     energies, vectors = eigsh(
-        op, k=k_eff, which="SA", tol=tol, maxiter=maxiter, v0=v0, ncv=ncv
+        op, k=k_eff, which="SA", tol=tol, v0=v0, ncv=ncv
     )
     order = np.argsort(energies)[:k]
     energies = energies[order]

@@ -21,10 +21,9 @@ class Hamiltonian:
         self,
         grid: GridDescriptor,
         potential: np.ndarray | None = None,
-        radius: int = 2,
     ):
         self.grid = grid
-        self.kinetic = Kinetic(grid, radius)
+        self.kinetic = Kinetic(grid)
         if potential is None:
             potential = grid.zeros()
         grid.check_array(potential, "potential")

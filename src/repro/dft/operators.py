@@ -68,11 +68,14 @@ class Laplacian:
 
 
 class Kinetic:
-    """The kinetic-energy operator ``-1/2 laplace`` (atomic units)."""
+    """The kinetic-energy operator ``-1/2 laplace`` (atomic units).
 
-    def __init__(self, grid: GridDescriptor, radius: int = 2):
+    It uses the paper's radius-2 stencil.
+    """
+
+    def __init__(self, grid: GridDescriptor):
         self.grid = grid
-        self.coeffs = laplacian_coefficients(radius, spacing=grid.spacing).scale(-0.5)
+        self.coeffs = laplacian_coefficients(2, spacing=grid.spacing).scale(-0.5)
 
     def apply(self, array: np.ndarray) -> np.ndarray:
         self.grid.check_array(array)

@@ -18,13 +18,15 @@ import numpy as np
 from repro.grid.grid import GridDescriptor
 
 
-def overlap_matrix(
-    grid: GridDescriptor, states: np.ndarray, block_size: int = 32
-) -> np.ndarray:
+#: bands per side of one GEMM tile of :func:`overlap_matrix`
+_BLOCK = 32
+
+
+def overlap_matrix(grid: GridDescriptor, states: np.ndarray) -> np.ndarray:
     """``S_ij = <psi_i | psi_j>`` over the grid (with volume element).
 
     ``S`` is Hermitian, so only the lower triangle is computed — as
-    blocked GEMM tiles of ``block_size`` bands a side — and reflected.
+    blocked GEMM tiles of ``_BLOCK`` bands a side — and reflected.
     That halves the flops of the full ``flat @ flat.T`` Gram product and
     makes the result *bitwise* Hermitian: the diagonal tiles are
     explicitly symmetrized (a GEMM's output is only symmetric to
@@ -34,17 +36,15 @@ def overlap_matrix(
         raise ValueError(
             f"states must be (bands, {grid.shape}); got {states.shape}"
         )
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
     flat = states.reshape(states.shape[0], -1)
     h3 = grid.spacing ** 3
     n = flat.shape[0]
     s = np.empty((n, n), dtype=flat.dtype)
-    for i0 in range(0, n, block_size):
-        i1 = min(i0 + block_size, n)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
         left = flat[i0:i1].conj()
-        for j0 in range(0, i0 + 1, block_size):
-            j1 = min(j0 + block_size, n)
+        for j0 in range(0, i0 + 1, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
             tile = left @ flat[j0:j1].T
             tile *= h3
             if j0 == i0:

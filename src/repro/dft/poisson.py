@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.workspace import Workspace
 from repro.dft.operators import Laplacian
 from repro.grid.grid import GridDescriptor
-from repro.util.validation import check_positive_int
 
 
 @dataclass
@@ -39,17 +38,17 @@ def _jacobi_sweeps(
     phi: np.ndarray,
     rhs: np.ndarray,
     sweeps: int,
-    omega: float = 2 / 3,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """``sweeps`` weighted-Jacobi iterations on laplace(phi) = rhs.
+    """``sweeps`` weighted-Jacobi iterations (weight 2/3) on
+    laplace(phi) = rhs.
 
     Updates ``phi`` in place (every caller owns its array) and runs the
     residual through one :class:`Workspace`-borrowed buffer instead of
     allocating a fresh array per sweep; numerically bit-identical to the
     allocating formulation it replaces.
     """
-    coef = omega * (1.0 / lap.diagonal)
+    coef = 2 / 3 * (1.0 / lap.diagonal)
     ws = workspace if workspace is not None else Workspace()
     lap_buf = ws.borrow(phi.shape, phi.dtype)
     try:
@@ -120,21 +119,16 @@ def _prolong(coarse: np.ndarray, pbc: tuple[bool, bool, bool]) -> np.ndarray:
 class PoissonSolver:
     """Multigrid solver for ``laplace(phi) = -4 pi rho``.
 
-    One iteration is one V-cycle; ``max_iterations`` (>= 1) caps them.
+    One iteration is one V-cycle; :attr:`max_iterations` caps them.  The
+    fine level is the paper's radius-2 stencil.
     """
 
-    def __init__(
-        self,
-        grid: GridDescriptor,
-        radius: int = 2,
-        tolerance: float = 1e-8,
-        max_iterations: int = 500,
-    ):
+    max_iterations = 500
+
+    def __init__(self, grid: GridDescriptor, tolerance: float = 1e-8):
         self.grid = grid
-        self.radius = radius
         self.tolerance = tolerance
-        self.max_iterations = check_positive_int(max_iterations, "max_iterations")
-        self.laplacian = Laplacian(grid, radius)
+        self.laplacian = Laplacian(grid)
         #: the buffer arena every smoother sweep and residual borrows from
         self.workspace = Workspace()
         self._levels = self._build_levels()

@@ -11,7 +11,7 @@ handling into a policy-driven **degradation ladder**:
    .supervisor.crash_report_from` (failed rank, transient vs fatal,
    schedule-step info, injected fault events).
 2. **Decide** — a transient failure retries in place; a fatal one
-   shrinks the resource set by the policy's blast radius and asks
+   shrinks the resource set by one rank and asks
    :meth:`~repro.core.planner.Planner.degrade` for the best feasible
    layout on the survivors, walking candidate core counts downward.
    Typed :class:`~repro.core.planner.Rejection`\\ s explain every layout
@@ -29,9 +29,8 @@ handling into a policy-driven **degradation ladder**:
    live instead of trusting a constructor constant.
 
 Everything is deterministic under a seeded
-:class:`~repro.transport.faults.FaultPlan` and observable: attempts are
-``recovery.attempt{k}`` spans on the tracer, and the ``recovery_*``
-counters/gauges/histograms land in the metrics registry.
+:class:`~repro.transport.faults.FaultPlan` and observable: the ``recovery_*``
+counters/gauges/histograms land in the SCF's metrics registry.
 """
 
 from __future__ import annotations
@@ -52,6 +51,9 @@ from repro.transport.supervisor import CrashReport, crash_report_from
 
 __all__ = ["RecoveryController"]
 
+#: per-snapshot cost seconds assumed until deposits have been measured
+_PRIOR_CHECKPOINT_SECONDS = 0.05
+
 
 class RecoveryController:
     """Drive a :class:`DistributedSCF` to completion through failures.
@@ -71,10 +73,7 @@ class RecoveryController:
         self,
         scf: DistributedSCF,
         policy: Optional[DegradationPolicy] = None,
-        planner: Optional[Planner] = None,
         transport_factory: Optional[Callable[[int, int], object]] = None,
-        metrics=None,
-        tracer=None,
         flight_recorder=None,
     ) -> None:
         if scf.checkpoint_store is None:
@@ -82,17 +81,13 @@ class RecoveryController:
                 "RecoveryController needs an SCF with a checkpoint_store "
                 "(recovery resumes from committed snapshots)"
             )
-        from repro.obs.metrics import resolve_registry
-
         self.scf = scf
         self.policy = policy if policy is not None else DegradationPolicy()
-        self.planner = planner if planner is not None else Planner()
+        self.planner = Planner()
         self.transport_factory = transport_factory
-        self.metrics = resolve_registry(
-            metrics if metrics is not None
-            else (scf.metrics if scf.metrics.enabled else None)
-        )
-        self.tracer = tracer
+        #: the SCF's registry: the ``recovery_*`` instruments land next
+        #: to the loop's own
+        self.metrics = scf.metrics
         #: :class:`~repro.obs.flightrec.FlightRecorder` fed to every
         #: attempt's :meth:`DistributedSCF.run`; dumped on each crash and
         #: before a fatal degradation (see :attr:`flight_dumps`)
@@ -124,7 +119,7 @@ class RecoveryController:
         )
         if store_hist.count > 0 and store_hist.mean > 0:
             return float(store_hist.mean)
-        return self.policy.checkpoint_seconds
+        return _PRIOR_CHECKPOINT_SECONDS
 
     def _mtbf_estimate(self, wall_elapsed: float, fatal_failures: int):
         """Observed MTBF; the policy prior until a failure has been seen."""
@@ -145,8 +140,6 @@ class RecoveryController:
         cadence = AdaptiveCadence(
             checkpoint_seconds=self._measured_checkpoint_seconds(),
             mtbf=mtbf,
-            min_every=self.policy.min_checkpoint_every,
-            max_every=self.policy.max_checkpoint_every,
         )
         self.scf.cadence = cadence
         iter_hist = self.metrics.histogram("scf_iteration_seconds")
@@ -159,9 +152,9 @@ class RecoveryController:
     def _degrade(self, report: CrashReport, attempt: int) -> None:
         """Replace :attr:`scf` with the best feasible smaller layout."""
         old_spec = self.scf.spec
-        survivors = old_spec.layout.n_cores - self.policy.ranks_lost_per_failure
+        survivors = old_spec.layout.n_cores - 1  # one fatal failure, one rank
         rejections: list = []
-        for cores in range(survivors, self.policy.min_ranks - 1, -1):
+        for cores in range(survivors, 0, -1):
             result = self.planner.degrade(old_spec, cores)
             if result.choices:
                 best = result.best()
@@ -267,29 +260,16 @@ class RecoveryController:
                     "recovery_failures_total", error=report.error_type
                 ).inc()
                 self._m_downtime.observe(t1 - t0)
-                if self.tracer is not None:
-                    self.tracer.record(
-                        f"recovery.attempt{attempt}", t0 - t_run0, t1 - t_run0,
-                        f"crashed: {report.error_type} rank "
-                        f"{report.failed_rank}",
-                    )
                 if attempt > policy.max_restarts:
                     raise
                 self.scf.checkpoint_store.discard_pending()
-                if report.transient and policy.retry_transient_in_place:
+                if report.transient:
                     self._m_transient.inc()
                     self._record_step(attempt, report, self.scf.spec.layout)
                     continue
                 fatal_failures += 1
                 self._degrade(report, attempt)
                 continue
-            t1 = time.perf_counter()
-            if self.tracer is not None:
-                self.tracer.record(
-                    f"recovery.attempt{attempt + 1}",
-                    t0 - t_run0, t1 - t_run0,
-                    f"completed on {self.scf.layout.n_ranks} ranks",
-                )
             result.restarts = attempt
             self._m_ranks.set(float(self.scf.layout.n_ranks))
             self._m_groups.set(float(self.scf.layout.n_groups))

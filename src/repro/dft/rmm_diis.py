@@ -39,17 +39,13 @@ class KineticPreconditioner:
     make plain gradient steps diverge on fine grids.
     """
 
-    def __init__(self, grid: GridDescriptor, shift: float = 1.0, sweeps: int = 3,
-                 omega: float = 2 / 3):
-        if shift <= 0:
-            raise ValueError(f"shift must be > 0, got {shift}")
-        if sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    shift = 1.0
+    sweeps = 3
+    omega = 2 / 3
+
+    def __init__(self, grid: GridDescriptor):
         self.kinetic = Kinetic(grid)
-        self.shift = shift
-        self.sweeps = sweeps
-        self.omega = omega
-        self._inv_diag = 1.0 / (self.kinetic.coeffs.center + shift)
+        self._inv_diag = 1.0 / (self.kinetic.coeffs.center + self.shift)
 
     def apply(self, residual: np.ndarray) -> np.ndarray:
         """A smooth approximation to ``(T + shift)^-1 residual``."""
@@ -80,8 +76,6 @@ class RmmDiis:
         n_bands: int,
         tolerance: float = 1e-5,
         max_iterations: int = 200,
-        preconditioner: KineticPreconditioner | None = None,
-        seed: int = 0,
         initial_states: np.ndarray | None = None,
     ):
         """``initial_states`` warm-starts the iteration — the SCF loop
@@ -95,12 +89,7 @@ class RmmDiis:
         self.n_bands = n_bands
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.precond = (
-            preconditioner
-            if preconditioner is not None
-            else KineticPreconditioner(self.grid)
-        )
-        self.seed = seed
+        self.precond = KineticPreconditioner(self.grid)
         if initial_states is not None:
             expected = (n_bands,) + self.grid.shape
             if initial_states.shape != expected:
@@ -114,7 +103,7 @@ class RmmDiis:
     def _initial_states(self) -> np.ndarray:
         if self.initial_states is not None:
             return lowdin(self.grid, self.initial_states.copy())
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(0)
         states = rng.standard_normal((self.n_bands,) + self.grid.shape)
         # Pre-smooth the random start: random noise is almost entirely
         # high-frequency, which converges slowest.

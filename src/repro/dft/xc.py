@@ -65,17 +65,12 @@ def wigner_correlation_potential(rho: np.ndarray) -> np.ndarray:
     return np.where(rho > 0, v, 0.0)
 
 
-def lda_potential(rho: np.ndarray, correlation: bool = True) -> np.ndarray:
-    """The full LDA potential ``v_x (+ v_c)``."""
-    v = lda_exchange_potential(rho)
-    if correlation:
-        v = v + wigner_correlation_potential(rho)
-    return v
+def lda_potential(rho: np.ndarray) -> np.ndarray:
+    """The full LDA potential ``v_x + v_c``."""
+    return lda_exchange_potential(rho) + wigner_correlation_potential(rho)
 
 
-def lda_energy(rho: np.ndarray, spacing: float, correlation: bool = True) -> float:
-    """Integrated LDA energy over the grid."""
-    e = lda_exchange_energy_density(rho)
-    if correlation:
-        e = e + wigner_correlation_energy_density(rho)
+def lda_energy(rho: np.ndarray, spacing: float) -> float:
+    """Integrated LDA (exchange + correlation) energy over the grid."""
+    e = lda_exchange_energy_density(rho) + wigner_correlation_energy_density(rho)
     return float(e.sum() * spacing**3)

@@ -173,10 +173,10 @@ class MachineSpec:
 BGP_SPEC = MachineSpec()
 
 
-def table1_rows(spec: MachineSpec = BGP_SPEC) -> list[tuple[str, str]]:
+def table1_rows() -> list[tuple[str, str]]:
     """Regenerate Table I ("Hardware description of a Blue Gene/P node")."""
-    node = spec.node
-    torus = spec.torus
+    node = BGP_SPEC.node
+    torus = BGP_SPEC.torus
     return [
         ("Node CPU", f"{node.n_cores} PowerPC 450 cores"),
         ("CPU frequency", f"{node.core.frequency_hz / MHZ:.0f} MHz"),

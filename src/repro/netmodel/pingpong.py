@@ -48,13 +48,13 @@ def analytic_bandwidth_curve(
 
 
 def measured_bandwidth_curve(
-    sizes: list[int] | None = None, spec: MachineSpec = BGP_SPEC
+    sizes: list[int] | None = None,
 ) -> list[BandwidthPoint]:
     """Fig 2 measured on the DES machine: one message, two neighbour nodes."""
     sizes = default_message_sizes() if sizes is None else sizes
     out = []
     for s in sizes:
-        machine = Machine(8, spec=spec)  # 2x2x2 mesh; nodes 0 and 4 are +x neighbours
+        machine = Machine(8)  # 2x2x2 mesh; nodes 0 and 4 are +x neighbours
         assert machine.topology.hop_distance(0, 4) == 1
         t = _replay_messages(machine, [(0, 4, 0, s)]).total
         out.append(BandwidthPoint(message_bytes=s, bandwidth=s / t, time=t))

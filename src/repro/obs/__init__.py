@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    log_spaced_buckets,
     resolve_registry,
 )
 from repro.obs.spans import (
@@ -62,7 +61,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "log_spaced_buckets",
     "resolve_registry",
     "StepSpan",
     "SpanTracer",

@@ -15,11 +15,7 @@ and turn anomalies into typed :class:`PerfFinding`\\ s —
   balanced decomposition should allow.
 
 Findings are data, not log lines: ``kind`` is the class name, so
-``repro doctor`` tables, tests and metric labels all key off the type.
-Every check also writes ``obs_*`` gauges/counters into the supplied
-:class:`~repro.obs.metrics.MetricsRegistry` (``NULL_REGISTRY`` when
-omitted — the instrument calls are unconditional), so drift shows up in
-``repro metrics`` alongside the transport and SCF series.
+``repro doctor`` tables and tests key off the type.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.obs.critpath import CriticalPathResult, critical_path, plan_for_spec
-from repro.obs.metrics import resolve_registry
 from repro.obs.spans import SpanTracer, StepSpan
 
 __all__ = [
@@ -141,7 +136,6 @@ IMBALANCE_THRESHOLD = 0.25
 def check_conformance(
     measured: Union[SpanTracer, Iterable[StepSpan]],
     spec,
-    metrics=None,
 ) -> ConformanceReport:
     """Align a measured trace against the model's prediction for ``spec``.
 
@@ -163,8 +157,6 @@ def check_conformance(
     beyond :data:`IMBALANCE_THRESHOLD` raises :class:`LoadImbalance`.
     """
     from repro.core.perfmodel import PerformanceModel
-
-    registry = resolve_registry(metrics)
 
     if isinstance(measured, SpanTracer):
         tracer = measured
@@ -270,12 +262,6 @@ def check_conformance(
                     ),
                 )
             )
-
-    registry.gauge("obs_conformance_score").set(score)
-    registry.gauge("obs_conformance_drift").set(drift)
-    registry.gauge("obs_comm_drift_ratio").set(comm_ratio)
-    for f in findings:
-        registry.counter("obs_findings_total", kind=f.kind).inc()
 
     return ConformanceReport(
         config_hash=tracer.config_hash or spec.config_hash(),

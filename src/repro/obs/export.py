@@ -49,7 +49,6 @@ def ascii_gantt(
     trace,
     width: int = 72,
     resources: Optional[Iterable[str]] = None,
-    fill: str = "#",
     normalize: bool = False,
 ) -> str:
     """Render a trace as an ASCII Gantt chart.
@@ -82,7 +81,7 @@ def ascii_gantt(
             lo = int((s.start - t0) / total * (width - 1))
             hi = max(lo, int((s.end - t0) / total * (width - 1)))
             for i in range(lo, hi + 1):
-                cells[i] = fill
+                cells[i] = "#"
         lines.append(f"{r.rjust(name_w)} |{''.join(cells)}|")
     lines.append(f"{' ' * name_w} 0{'~'.center(width - 2)}{total:.3g}s")
     return "\n".join(lines)

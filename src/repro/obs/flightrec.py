@@ -4,9 +4,8 @@ Post-mortem analysis of a dead run needs the telemetry *leading up to*
 the death, but tracing a whole long SCF run to keep the last few
 iterations is wasteful.  The :class:`FlightRecorder` keeps a bounded
 ring buffer instead: at every iteration boundary it drains its
-:class:`~repro.obs.spans.SpanTracer` (one lock + list swap) and
-snapshots counter deltas from the metrics registry, appending an
-:class:`IterationRecord` to a ``deque(maxlen=K)``.  Steady-state cost
+:class:`~repro.obs.spans.SpanTracer` (one lock + list swap), appending
+an :class:`IterationRecord` to a ``deque(maxlen=K)``.  Steady-state cost
 is the span recording itself — the same hook a plain tracer uses — plus
 one drain per iteration.  Recording adds no operation to the run: a
 recorded SCF sends the bare run's messages and reaches its energy bit
@@ -16,11 +15,10 @@ On a crash (:class:`~repro.transport.supervisor.CrashReport`) or a
 fatal degradation, :meth:`FlightRecorder.dump` turns the window into a
 self-contained JSON artifact: the Chrome trace of the buffered spans
 (round-trips :func:`~repro.obs.export.parse_chrome_trace`), the
-critical-path blame summary, per-iteration metric deltas and the
-formatted crash report.  ``DistributedSCF.run(flight_recorder=...)``
-feeds the recorder; :class:`~repro.dft.recovery.RecoveryController`
-dumps it automatically on every crash and before declaring a
-degradation fatal.
+critical-path blame summary and the formatted crash report.
+``DistributedSCF.run(flight_recorder=...)`` feeds the recorder;
+:class:`~repro.dft.recovery.RecoveryController` dumps it automatically
+on every crash and before declaring a degradation fatal.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Optional
 
 from repro.obs.export import chrome_trace
 from repro.obs.critpath import critical_path
-from repro.obs.metrics import resolve_registry
 from repro.obs.spans import SpanTracer, StepSpan
 
 __all__ = ["FlightRecorder", "IterationRecord"]
@@ -43,8 +40,6 @@ class IterationRecord:
 
     iteration: int
     spans: list[StepSpan] = field(default_factory=list)
-    #: counter name (with labels) -> increase during this iteration
-    metric_deltas: dict[str, float] = field(default_factory=dict)
 
 
 class FlightRecorder:
@@ -54,24 +49,14 @@ class FlightRecorder:
     :class:`SpanTracer` (:attr:`tracer`) which producers record into —
     pass it as the ``step_tracer`` of a run, or let
     ``DistributedSCF.run`` wire it when given a ``flight_recorder``.
-    ``metrics`` is the registry whose *counters* are delta-snapshotted
-    each iteration (``NULL_REGISTRY`` when omitted — deltas stay empty).
     """
 
-    def __init__(
-        self,
-        capacity: int = 8,
-        plane: str = "real",
-        metrics=None,
-        config_hash: Optional[str] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 8, plane: str = "real") -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.metrics = resolve_registry(metrics)
-        self.tracer = SpanTracer(plane=plane, config_hash=config_hash)
+        self.tracer = SpanTracer(plane=plane)
         self._window: deque[IterationRecord] = deque(maxlen=capacity)
-        self._last_counters: dict[str, float] = {}
 
     # -- recording ---------------------------------------------------------
     @property
@@ -82,39 +67,14 @@ class FlightRecorder:
     def config_hash(self, value: Optional[str]) -> None:
         self.tracer.config_hash = value
 
-    def _counter_values(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        if not self.metrics.enabled:
-            return out
-        for entry in self.metrics.snapshot().get("counters", ()):
-            labels = entry.get("labels") or {}
-            key = entry["name"]
-            if labels:
-                key += "{" + ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                ) + "}"
-            out[key] = entry["value"]
-        return out
-
     def mark_iteration(self, iteration: int) -> IterationRecord:
         """Rotate the window at an iteration boundary.
 
-        Drains every span recorded since the previous mark and snapshots
-        counter increases; the oldest record falls off when the window
-        is full.  Call once per iteration from the coordinating rank.
+        Drains every span recorded since the previous mark; the oldest
+        record falls off when the window is full.  Call once per
+        iteration from the coordinating rank.
         """
-        counters = self._counter_values()
-        deltas = {
-            key: value - self._last_counters.get(key, 0.0)
-            for key, value in counters.items()
-            if value != self._last_counters.get(key, 0.0)
-        }
-        self._last_counters = counters
-        record = IterationRecord(
-            iteration=iteration,
-            spans=self.tracer.drain(),
-            metric_deltas=deltas,
-        )
+        record = IterationRecord(iteration=iteration, spans=self.tracer.drain())
         self._window.append(record)
         return record
 
@@ -131,7 +91,7 @@ class FlightRecorder:
         return out
 
     # -- dumping -----------------------------------------------------------
-    def dump(self, reason: str, crash_report=None, plan=None) -> dict:
+    def dump(self, reason: str, crash_report=None) -> dict:
         """The post-mortem artifact: JSON-ready, self-contained.
 
         ``trace`` round-trips :func:`~repro.obs.export
@@ -146,15 +106,12 @@ class FlightRecorder:
         )
         for s in spans:
             tracer.add(s)
-        cp = critical_path(spans, plan=plan) if spans else None
+        cp = critical_path(spans) if spans else None
         out = {
             "reason": reason,
             "config_hash": self.tracer.config_hash,
             "capacity": self.capacity,
             "iterations": [r.iteration for r in self._window],
-            "metric_deltas": {
-                str(r.iteration): r.metric_deltas for r in self._window
-            },
             "trace": chrome_trace(tracer),
             "critical_path": cp.summary() if cp is not None else None,
         }

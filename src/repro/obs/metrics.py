@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 __all__ = [
     "Counter",
@@ -45,7 +45,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "log_spaced_buckets",
+    "HISTOGRAM_BOUNDS",
     "resolve_registry",
 ]
 
@@ -57,38 +57,23 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def log_spaced_buckets(
-    lo: float = 1e-6, hi: float = 1e3, per_decade: int = 3
-) -> tuple[float, ...]:
-    """Fixed log-spaced histogram bucket upper bounds.
-
-    ``per_decade`` bounds per factor of ten from ``lo`` to ``hi``
-    inclusive; every histogram sharing the same parameters has mergeable
-    buckets (the reason the buckets are fixed rather than adaptive).
-    """
-    if not (lo > 0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if per_decade < 1:
-        raise ValueError(f"per_decade must be >= 1, got {per_decade}")
-    n = int(round(math.log10(hi / lo) * per_decade))
-    bounds = [lo * 10 ** (i / per_decade) for i in range(n + 1)]
-    return tuple(bounds)
+#: Fixed log-spaced histogram bucket upper bounds: three per factor of ten
+#: from 1e-6 to 1e3 inclusive.  Every histogram has mergeable buckets (the
+#: reason the buckets are fixed rather than adaptive).
+HISTOGRAM_BOUNDS = tuple(1e-6 * 10 ** (i / 3) for i in range(28))
 
 
 class _Instrument:
-    """Base: name + labels + a lock shared with the owning registry."""
+    """Base: name + labels + the instrument's own lock."""
 
     __slots__ = ("name", "labels", "_lock")
 
     kind = "instrument"
 
-    def __init__(
-        self, name: str, labels: Optional[dict] = None,
-        lock: Optional[threading.Lock] = None,
-    ):
+    def __init__(self, name: str, labels: Optional[dict] = None):
         self.name = name
         self.labels = dict(labels or {})
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def describe(self) -> str:
         if not self.labels:
@@ -104,8 +89,8 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str = "", labels=None, lock=None):
-        super().__init__(name, labels, lock)
+    def __init__(self, name: str = "", labels=None):
+        super().__init__(name, labels)
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -130,8 +115,8 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str = "", labels=None, lock=None):
-        super().__init__(name, labels, lock)
+    def __init__(self, name: str = "", labels=None):
+        super().__init__(name, labels)
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -154,8 +139,9 @@ class Gauge(_Instrument):
 class Histogram(_Instrument):
     """Counts over fixed log-spaced buckets (thread-safe).
 
-    ``bounds[i]`` is the inclusive upper edge of bucket ``i``; one
-    overflow bucket catches everything above the last bound.  ``count``,
+    ``bounds[i]`` (:data:`HISTOGRAM_BOUNDS`) is the inclusive upper edge
+    of bucket ``i``; one overflow bucket catches everything above the last
+    bound.  ``count``,
     ``sum``, ``min`` and ``max`` ride along so snapshots can report means
     and extremes without keeping samples.
     """
@@ -164,16 +150,10 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(
-        self, name: str = "", labels=None, lock=None,
-        bounds: Optional[Sequence[float]] = None,
-    ):
-        super().__init__(name, labels, lock)
-        b = tuple(bounds) if bounds is not None else log_spaced_buckets()
-        if list(b) != sorted(b) or len(set(b)) != len(b):
-            raise ValueError("histogram bounds must be strictly increasing")
-        self.bounds = b
-        self._counts = [0] * (len(b) + 1)  # +1: overflow bucket
+    def __init__(self, name: str = "", labels=None):
+        super().__init__(name, labels)
+        self.bounds = HISTOGRAM_BOUNDS
+        self._counts = [0] * (len(HISTOGRAM_BOUNDS) + 1)  # +1: overflow bucket
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -236,14 +216,14 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, _Instrument] = {}
 
-    def _get(self, cls, name: str, labels: dict, **kwargs) -> _Instrument:
+    def _get(self, cls, name: str, labels: dict) -> _Instrument:
         if not name:
             raise ValueError("instrument name must be non-empty")
         key = (cls.kind, name, _label_key(labels))
         with self._lock:
             inst = self._instruments.get(key)
             if inst is None:
-                inst = cls(name, labels, **kwargs)
+                inst = cls(name, labels)
                 self._instruments[key] = inst
             elif not isinstance(inst, cls):  # pragma: no cover - defensive
                 raise TypeError(
@@ -257,11 +237,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: LabelValue) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None,
-        **labels: LabelValue,
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, bounds=bounds)
+    def histogram(self, name: str, **labels: LabelValue) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     def instruments(self) -> list[_Instrument]:
         with self._lock:
@@ -340,7 +317,7 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str, **labels: LabelValue) -> Gauge:
         return self._gauge
 
-    def histogram(self, name=None, bounds=None, **labels) -> Histogram:
+    def histogram(self, name=None, **labels) -> Histogram:
         return self._histogram
 
     def instruments(self) -> list[_Instrument]:

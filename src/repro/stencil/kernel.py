@@ -185,7 +185,6 @@ def apply_stencil_batch(
     padded_stack: np.ndarray,
     coeffs: StencilCoefficients,
     out_stack: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply the stencil to a stacked batch of halo-padded grids.
 
@@ -193,16 +192,13 @@ def apply_stencil_batch(
     the paper targets (thousands of wave-function grids per rank, already
     grouped by :func:`repro.core.batching.batch_schedule`).  The span
     bookkeeping is resolved once for the whole batch and every grid is
-    processed through one shared ``scratch``, so steady-state batched
-    execution allocates nothing and the per-grid results are
-    bit-identical to :func:`apply_stencil_padded`.
+    processed through one shared ``(2, nx, ny, nz)`` scratch, and the
+    per-grid results are bit-identical to :func:`apply_stencil_padded`.
 
     Parameters
     ----------
     out_stack:
         Optional ``(ngrids, *block_shape)`` output stack.
-    scratch:
-        Optional single ``(2, nx, ny, nz)`` buffer shared across the batch.
     """
     if padded_stack.ndim != 4:
         raise ValueError(
@@ -220,8 +216,7 @@ def apply_stencil_batch(
     else:
         _check_buffer("out_stack", out_stack, stack_shape, padded_stack.dtype,
                       padded_stack)
-    scratch = _scratch(scratch, padded_shape, padded_stack.dtype,
-                       padded_stack, out_stack)
+    scratch = np.empty((2, *padded_shape), dtype=padded_stack.dtype)
     spans = _term_slices(padded_shape, w)
     for g in range(n_grids):
         _fused_apply(padded_stack[g], coeffs, out_stack[g], scratch, spans)

@@ -119,9 +119,9 @@ class TransportError(RuntimeError):
 
     transient = False
 
-    def __init__(self, message: str, step_info: Optional[StepInfo] = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.step_info = step_info
+        self.step_info: Optional[StepInfo] = None
 
     def attach_step(self, info: StepInfo) -> "TransportError":
         """Attribute this failure to a schedule step (idempotent)."""

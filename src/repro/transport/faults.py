@@ -103,7 +103,6 @@ class FaultEvent:
     op_index: int
     kind: str
     op: str  # which endpoint call ("isend", "recv", ...)
-    detail: str = ""
 
 
 class FaultPlan:
@@ -302,19 +301,18 @@ class _DecodingRecvHandle:
 class FaultyEndpoint:
     """A ``RankEndpoint``-compatible wrapper injecting planned faults.
 
-    Payloads are framed with a checksum (unless ``checksum=False``), so
-    the *corrupt* fault — and any real bit-flip on an unreliable
-    transport — surfaces as ``CorruptPayloadError`` at the receiver.
+    Payloads are framed with a checksum, so the *corrupt* fault — and any
+    real bit-flip on an unreliable transport — surfaces as
+    ``CorruptPayloadError`` at the receiver.
     Framing copies, so zero-copy send semantics are disabled; the engine
     falls back to reclaiming its own buffers.
     """
 
     zero_copy_sends = False
 
-    def __init__(self, inner: Any, plan: FaultPlan, checksum: bool = True):
+    def __init__(self, inner: Any, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
-        self.checksum = checksum
         self.rank = inner.rank
 
     @property
@@ -338,20 +336,16 @@ class FaultyEndpoint:
     ) -> Any:
         self._op("isend")
         send_idx = self.plan.next_send(self.rank)
-        frame = encode_payload(payload) if self.checksum else np.array(
-            payload, order="C", copy=True
-        )
+        frame = encode_payload(payload)
         kind = self.plan.take_fault(self.rank, send_idx, "isend")
         if kind == "drop":
             return _DroppedSendHandle(frame.nbytes)
         if kind == "delay":
             time.sleep(self.plan.delay)
         if kind == "corrupt":
-            if self.checksum:
-                # flip a stored-checksum byte: body and header now disagree
-                frame = frame.copy()
-                frame[len(_MAGIC)] ^= 0xFF
-            # without checksums corruption would be silent; don't inject it
+            # flip a stored-checksum byte: body and header now disagree
+            frame = frame.copy()
+            frame[len(_MAGIC)] ^= 0xFF
         handle = self.inner.isend(dst, frame, tag=tag)
         if kind == "duplicate":
             self.inner.isend(dst, frame, tag=tag)
@@ -364,7 +358,7 @@ class FaultyEndpoint:
     def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         self._op("irecv")
         inner = self.inner.irecv(src=src, tag=tag)
-        return _DecodingRecvHandle(inner) if self.checksum else inner
+        return _DecodingRecvHandle(inner)
 
     def recv(
         self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -372,7 +366,7 @@ class FaultyEndpoint:
     ) -> np.ndarray:
         self._op("recv")
         payload = self.inner.recv(src=src, tag=tag, timeout=timeout)
-        return decode_payload(payload) if self.checksum else payload
+        return decode_payload(payload)
 
     # -- synchronization ---------------------------------------------------
     def barrier(self, timeout: Optional[float] = None) -> None:
@@ -400,10 +394,9 @@ class FaultyTransport:
     one.
     """
 
-    def __init__(self, inner: Any, plan: FaultPlan, checksum: bool = True):
+    def __init__(self, inner: Any, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
-        self.checksum = checksum
 
     @property
     def size(self) -> int:
@@ -418,7 +411,7 @@ class FaultyTransport:
         return self.inner.default_timeout
 
     def endpoint(self, rank: int) -> FaultyEndpoint:
-        return FaultyEndpoint(self.inner.endpoint(rank), self.plan, self.checksum)
+        return FaultyEndpoint(self.inner.endpoint(rank), self.plan)
 
     def abort(self, dead_rank: Optional[int] = None) -> None:
         self.inner.abort(dead_rank)

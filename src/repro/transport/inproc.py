@@ -87,12 +87,10 @@ class RecvHandle:
 class TransportStats:
     """Per-rank message accounting — a thin view over metrics counters.
 
-    Historically a plain ``@dataclass`` of two ints, now backed by
-    :class:`repro.obs.metrics.Counter` so every transport reports through
-    the one registry.  Two modes:
+    Backed by :class:`repro.obs.metrics.Counter` so every transport
+    reports through the one registry.  Two modes:
 
-    * standalone (``TransportStats()``) — owns private counters; behaves
-      exactly like the old dataclass, including ``st.messages == 0``.
+    * standalone (``registry=None``) — owns private counters;
     * registry-backed (``TransportStats(registry=reg, rank=r)``) — views
       the shared ``transport_messages_total`` / ``transport_bytes_total``
       counters labeled with the rank, so a registry snapshot and this
@@ -104,13 +102,7 @@ class TransportStats:
 
     __slots__ = ("_messages", "_bytes")
 
-    def __init__(
-        self,
-        messages: int = 0,
-        bytes: int = 0,
-        registry=None,
-        rank: Optional[int] = None,
-    ):
+    def __init__(self, registry=None, rank: Optional[int] = None):
         from repro.obs.metrics import Counter
 
         if registry is not None:
@@ -120,10 +112,6 @@ class TransportStats:
         else:
             self._messages = Counter("transport_messages_total")
             self._bytes = Counter("transport_bytes_total")
-        if messages:
-            self._messages.inc(messages)
-        if bytes:
-            self._bytes.inc(bytes)
 
     def record_message(self, nbytes: int) -> None:
         """Account one sent message of ``nbytes`` payload bytes."""
@@ -137,11 +125,6 @@ class TransportStats:
     @property
     def bytes(self) -> int:
         return int(self._bytes.value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TransportStats):
-            return (self.messages, self.bytes) == (other.messages, other.bytes)
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"TransportStats(messages={self.messages}, bytes={self.bytes})"

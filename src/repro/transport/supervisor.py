@@ -23,14 +23,13 @@ from repro.transport.inproc import InprocTransport, run_ranks
 class RetryPolicy:
     """How the supervisor retries transient failures.
 
-    ``backoff_base * backoff_factor**attempt`` seconds are slept between
-    attempts; ``max_retries`` bounds the retries (total attempts =
+    ``backoff_base * 2**attempt`` seconds are slept between attempts;
+    ``max_retries`` bounds the retries (total attempts =
     ``max_retries + 1``).
     """
 
     max_retries: int = 2
     backoff_base: float = 0.01
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -39,7 +38,7 @@ class RetryPolicy:
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
 
     def backoff(self, attempt: int) -> float:
-        return self.backoff_base * self.backoff_factor ** attempt
+        return self.backoff_base * 2.0 ** attempt
 
 
 @dataclass(frozen=True)
@@ -105,46 +104,27 @@ def crash_report_from(
     )
 
 
-#: backward-compatible private alias
-_report_from = crash_report_from
-
-
 def run_ranks_supervised(
     size: int,
     fn: Callable[..., Any],
     *args: Any,
-    transport: Optional[Any] = None,
     transport_factory: Optional[Callable[[int], Any]] = None,
     policy: Optional[RetryPolicy] = None,
-    tracer: Optional[Any] = None,
-    on_crash: Optional[Callable[[CrashReport], None]] = None,
-    metrics=None,
 ) -> SupervisedResult:
     """Run ``fn`` on ``size`` ranks under a retry supervisor.
 
     ``transport_factory(attempt)`` builds the transport for each attempt
-    (a retry must not see the previous attempt's stale mailboxes); when
-    only ``transport`` is given it is used for attempt 0 and fresh
-    :class:`InprocTransport`\\ s of the same size for retries.  Transient
+    (a retry must not see the previous attempt's stale mailboxes); without
+    one every attempt gets a fresh :class:`InprocTransport`.  Transient
     failures are retried per ``policy``; each failure's
-    :class:`CrashReport` is collected (and appended to ``tracer`` as a
-    zero-length span, so a Gantt chart shows where the run crashed), and
-    the final failure is re-raised with ``.crash_report`` attached.
-
-    ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) counts
-    crashes per error type and retries, and observes each backoff sleep
-    into the ``supervisor_backoff_seconds`` histogram.
+    :class:`CrashReport` is collected, and the final failure is re-raised
+    with ``.crash_report`` attached.
     """
-    from repro.obs.metrics import resolve_registry
-
     policy = policy if policy is not None else RetryPolicy()
-    registry = resolve_registry(metrics)
 
     def make_transport(attempt: int) -> Any:
         if transport_factory is not None:
             return transport_factory(attempt)
-        if attempt == 0 and transport is not None:
-            return transport
         return InprocTransport(size)
 
     reports: list[CrashReport] = []
@@ -159,25 +139,10 @@ def run_ranks_supervised(
             )
         except TransportError as exc:
             fault_events = plan.events if plan is not None else ()
-            report = _report_from(exc, attempt + 1, fault_events)
+            report = crash_report_from(exc, attempt + 1, fault_events)
             reports.append(report)
-            registry.counter(
-                "supervisor_crashes_total", error=report.error_type
-            ).inc()
-            if tracer is not None:
-                tracer.record(
-                    f"supervisor.rank{report.failed_rank}",
-                    float(attempt),
-                    float(attempt),
-                    f"crash: {report.error_type}",
-                )
-            if on_crash is not None:
-                on_crash(report)
             if is_transient(exc) and attempt < policy.max_retries:
-                backoff = policy.backoff(attempt)
-                registry.counter("supervisor_retries_total").inc()
-                registry.histogram("supervisor_backoff_seconds").observe(backoff)
-                time.sleep(backoff)
+                time.sleep(policy.backoff(attempt))
                 attempt += 1
                 continue
             exc.crash_report = report

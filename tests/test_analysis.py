@@ -192,13 +192,6 @@ class TestFig6:
             assert series == sorted(series)
             assert 100 < series[-1] < 1000
 
-    def test_iterations_scale_linearly(self):
-        one = fig6_rows(cores=(1024,), n_iterations=1)[0]
-        ten = fig6_rows(cores=(1024,), n_iterations=10)[0]
-        assert ten.times["flat-original"] == pytest.approx(
-            10 * one.times["flat-original"]
-        )
-
 
 class TestFig7:
     def test_reference_point_is_one(self):

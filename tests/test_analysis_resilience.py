@@ -48,7 +48,7 @@ class TestDalyModel:
         # (bands + 3 aux fields) x one float64 grid field
         field = 8 * 144**3
         assert checkpoint_bytes(JOB) == (32 + 3) * field
-        assert checkpoint_bytes(JOB, n_bands=512) == (512 + 3) * field
+        assert checkpoint_bytes(FDJob(JOB.grid, 512)) == (512 + 3) * field
 
     def test_checkpoint_bytes_matches_functional_snapshot(self):
         """The analytic size and an actual SCFCheckpoint must agree."""
@@ -76,7 +76,7 @@ class TestDalyModel:
 
 class TestMtbfSweep:
     def test_sweep_shape_and_monotonicity(self):
-        rows = mtbf_sweep(JOB, n_cores=16384, iteration_time=30.0)
+        rows = mtbf_sweep(JOB, n_cores=16384)
         assert [r.node_mtbf_years for r in rows] == [50.0, 10.0, 2.0, 0.5]
         # worse nodes -> shorter intervals, more overhead, more failures
         for a, b in zip(rows, rows[1:]):
@@ -86,21 +86,27 @@ class TestMtbfSweep:
             assert b.failures_per_day > a.failures_per_day
         for r in rows:
             assert 0.0 < r.efficiency < 1.0
-            assert r.iterations_per_checkpoint == pytest.approx(r.interval / 30.0)
+        # one estimated iteration time converts every interval
+        t_iter = rows[0].interval / rows[0].iterations_per_checkpoint
+        for r in rows:
+            assert r.iterations_per_checkpoint == pytest.approx(
+                r.interval / t_iter
+            )
 
     def test_system_mtbf_scales_with_node_count(self):
-        row_16k = mtbf_sweep(JOB, (10.0,), n_cores=16384, iteration_time=1.0)[0]
-        row_4k = mtbf_sweep(JOB, (10.0,), n_cores=4096, iteration_time=1.0)[0]
-        assert row_16k.system_mtbf_hours == pytest.approx(
-            row_4k.system_mtbf_hours / 4.0
-        )
+        rows_16k = mtbf_sweep(JOB, n_cores=16384)
+        rows_4k = mtbf_sweep(JOB, n_cores=4096)
+        for row_16k, row_4k in zip(rows_16k, rows_4k):
+            assert row_16k.system_mtbf_hours == pytest.approx(
+                row_4k.system_mtbf_hours / 4.0
+            )
 
     def test_rejects_non_node_multiples(self):
         with pytest.raises(ValueError, match="multiple of 4"):
             mtbf_sweep(JOB, n_cores=10)
 
     def test_table_renders(self):
-        rows = mtbf_sweep(JOB, (10.0,), iteration_time=30.0)
+        rows = mtbf_sweep(JOB)
         text = format_mtbf_table(rows)
         assert "node MTBF" in text and "efficiency" in text
 
@@ -183,7 +189,7 @@ class TestChaosSuite:
         from repro.core import DegradationPolicy
 
         outcome = _scf_kill(
-            name, 0, 1.0, nb=nb,
+            name, 0, nb=nb,
             policy=DegradationPolicy(max_restarts=2, adaptive_cadence=False),
             **config,
         )
@@ -200,7 +206,7 @@ class TestChaosSuite:
 
         monkeypatch.setattr(chaos, "kill_op_mid_iteration", lambda *a: 10 ** 9)
         outcome = chaos._scf_kill(
-            "scf-kill-resume", 0, 1.0, n_bands=1, n_cores=2, nb=1,
+            "scf-kill-resume", 0, n_bands=1, n_cores=2, nb=1,
             kill_rank=1, policy=DegradationPolicy(max_restarts=2),
         )
         assert outcome.outcome == "unfired" and outcome.injected == 0

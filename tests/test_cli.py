@@ -41,11 +41,12 @@ class TestParser:
         assert tuple(args.shape) == (128, 128, 128)
 
     def test_wholeapp_bands_option(self):
-        # --bands stays as an alias of the shared --grids knob
-        args = build_parser().parse_args(["wholeapp", "--bands", "128"])
-        assert args.grids == 128
+        # the band count is the shared --grids knob; --bands is not an
+        # alias of it (under `repro metrics` it means SCF bands)
         args = build_parser().parse_args(["wholeapp", "--grids", "128"])
         assert args.grids == 128
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["wholeapp", "--bands", "128"])
 
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
@@ -86,6 +87,11 @@ class TestDiagnosisUsageErrors:
             ["timeline", "--cores", "3"],
             ["critpath", "--plane", "model", "--cores", "6", "--grids", "2"],
             ["doctor", "--cores", "3"],
+            ["critpath", "--cores", "3"],
+            ["trace", "--plane", "sim", "--cores", "3"],
+            ["metrics", "--bands", "0"],
+            ["metrics", "--size", "0"],
+            ["metrics", "--iterations", "0"],
         ],
     )
     def test_bad_configuration_exits_2_with_one_error_line(
@@ -141,7 +147,7 @@ class TestCommands:
         assert "hybrid multiple" in out
 
     def test_wholeapp(self, capsys):
-        out = run(capsys, "wholeapp", "--bands", "128")
+        out = run(capsys, "wholeapp", "--grids", "128")
         assert "128 bands" in out
         assert "Amdahl" in out
 
@@ -190,7 +196,7 @@ class TestCommands:
         assert "chaos suite: PASS (seed 0)" in out
 
     def test_mtbf(self, capsys):
-        out = run(capsys, "mtbf", "--cores", "4096", "--bands", "32",
+        out = run(capsys, "mtbf", "--cores", "4096", "--grids", "32",
                   "--shape", "64", "64", "64")
         assert "Daly checkpoint cadence" in out
         assert "32 bands of 64^3 on 4096 cores" in out

@@ -134,24 +134,21 @@ class TestRuntimeSpec:
         assert JobSpec.from_dict(d).runtime.placement == "auto"
 
     def test_placement_feeds_the_des_runner(self):
-        # simulate_spec defaults its placement from the spec; an explicit
-        # argument still overrides (the sweep tools rely on it)
-        from repro.core.simrun import simulate_spec
+        # simulate_spec takes its placement from the spec
+        from repro.core.simrun import simulate_fd, simulate_spec
 
         base = JobSpec(
             problem=ProblemSpec(shape=(16, 16, 16), n_grids=4),
             layout=LayoutSpec(approach="flat-optimized", n_cores=4),
         )
-        cyc = base.with_runtime(placement="cyclic")
-        spr = base.with_runtime(placement="spread")
-        assert (
-            simulate_spec(cyc).total
-            == simulate_spec(base, placement="cyclic").total
-        )
-        assert (
-            simulate_spec(spr).total
-            == simulate_spec(base, placement="spread").total
-        )
+        for placement in ("cyclic", "spread"):
+            direct = simulate_fd(
+                base.fd_job(), base.approach_obj(), 4, placement=placement
+            )
+            assert (
+                simulate_spec(base.with_runtime(placement=placement)).total
+                == direct.total
+            )
 
 
 class TestJobSpec:
@@ -279,11 +276,12 @@ class TestCliKnobs:
         assert args.cores == 32
         assert not hasattr(args, "grids")
 
-    def test_bands_alias_maps_to_grids(self):
+    def test_grids_has_no_bands_alias(self):
         defaults = {"grids": 512, "shape": (8, 8, 8)}
-        assert self.parse(defaults, ["--bands", "64"]).grids == 64
         assert self.parse(defaults, ["--grids", "64"]).grids == 64
         assert self.parse(defaults, []).grids == 512
+        with pytest.raises(SystemExit):
+            self.parse(defaults, ["--bands", "64"])
 
     def test_spec_from_args(self):
         args = self.parse(

@@ -290,22 +290,25 @@ class TestEmbeddedJobSpec:
             other.run(resume_from=ckpt)
         assert any("shape" in m for m in exc.value.mismatches)
 
-    def test_version1_checkpoint_without_spec_still_resumes(self):
-        # the legacy field-by-field checks keep guarding old snapshots
-        store = MemoryCheckpointStore()
+    def test_marker_without_spec_is_rejected(self, tmp_path):
+        # a version-1 marker carries no JobSpec: resuming from it is a
+        # typed error, not an unchecked restart
+        import json
+
+        from repro.core import SpecMismatchError
+
+        store = FileCheckpointStore(tmp_path)
         aniso_scf(2, store, max_iterations=2).run()
-        ckpt = store.latest()
-        legacy = SCFCheckpoint(
-            iteration=ckpt.iteration,
-            n_domains=ckpt.n_domains,
-            shape=ckpt.shape,
-            energies=ckpt.energies,
-            blocks=ckpt.blocks,
-            n_band_groups=ckpt.n_band_groups,
-        )
-        assert legacy.jobspec is None
-        resumed = aniso_scf(2, store=None).run(resume_from=legacy)
-        assert resumed.iterations == 4
+        (marker,) = [
+            p for p in tmp_path.glob("it*.json")
+            if int(p.stem[2:]) == store.latest().iteration
+        ]
+        data = json.loads(marker.read_text())
+        del data["jobspec"]
+        marker.write_text(json.dumps(data))
+        legacy = store.latest()
+        with pytest.raises(SpecMismatchError, match="version-1"):
+            aniso_scf(2, store=None).run(resume_from=legacy)
 
 
 class TestRegroupCheckpoint:

@@ -115,8 +115,8 @@ class TestEigensolver:
 
     def test_deterministic_with_seed(self):
         gd, v = harmonic_grid(n=10)
-        a = lowest_eigenstates(Hamiltonian(gd, v), k=2, seed=7)
-        b = lowest_eigenstates(Hamiltonian(gd, v), k=2, seed=7)
+        a = lowest_eigenstates(Hamiltonian(gd, v), k=2)
+        b = lowest_eigenstates(Hamiltonian(gd, v), k=2)
         np.testing.assert_allclose(a.energies, b.energies, rtol=1e-12)
 
 

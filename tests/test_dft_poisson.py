@@ -128,7 +128,7 @@ class TestPoissonMultigrid:
     def test_odd_shapes_fall_back_gracefully(self):
         """Shapes that cannot be halved still solve (no coarse levels)."""
         gd = GridDescriptor((9, 9, 9), pbc=(False,) * 3, spacing=0.5)
-        solver = PoissonSolver(gd, tolerance=1e-6, max_iterations=3000)
+        solver = PoissonSolver(gd, tolerance=1e-6)
         assert solver._levels == []
         rho, _ = gaussian_rho_phi(gd, sigma=1.0)
         res = solver.solve(rho)
@@ -138,14 +138,6 @@ class TestPoissonMultigrid:
         """Multigrid is the one method: there is no option to pick another."""
         with pytest.raises(TypeError):
             PoissonSolver(GridDescriptor((8, 8, 8)), method="jacobi")
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_max_iterations_validated(self, bad):
-        """A non-positive cap used to fail inside ``solve`` with an
-        ``UnboundLocalError``; the constructor rejects it."""
-        gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3)
-        with pytest.raises(ValueError, match="max_iterations"):
-            PoissonSolver(gd, max_iterations=bad)
 
     def test_rho_shape_checked(self):
         solver = PoissonSolver(GridDescriptor((8, 8, 8)))

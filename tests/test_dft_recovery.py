@@ -181,16 +181,14 @@ class TestDegradationLadder:
         assert len(ctrl.reports) == 2  # initial + one retry
 
     def test_no_feasible_layout_raises_degradation_error(self):
-        # blast radius eats every rank: the ladder runs out of rungs
-        # and raises the typed error with the survivor count
-        scf = band_scf(n_ranks=2, n_band_groups=1,
+        # the only rank dies: the ladder runs out of rungs and raises
+        # the typed error with the survivor count
+        scf = band_scf(n_ranks=1, n_band_groups=1,
                        store=MemoryCheckpointStore())
-        plan = FaultPlan(seed=0, kill_at={1: 400})
+        plan = FaultPlan(seed=0, kill_at={0: 40})
         ctrl = RecoveryController(
             scf,
-            policy=DegradationPolicy(
-                ranks_lost_per_failure=2, adaptive_cadence=False
-            ),
+            policy=DegradationPolicy(adaptive_cadence=False),
             transport_factory=kill_then_clean(plan),
         )
         with pytest.raises(DegradationError) as exc:
@@ -261,24 +259,6 @@ class TestObservability:
         assert reg.histogram("recovery_downtime_seconds").count == 1
         assert reg.gauge("recovery_ranks").value == 3.0
 
-    def test_recovery_spans_on_tracer(self):
-        from repro.obs import SpanTracer
-
-        tracer = SpanTracer()
-        scf = band_scf(n_ranks=4, n_band_groups=2,
-                       store=MemoryCheckpointStore())
-        plan = FaultPlan(seed=0, kill_at={2: 400})
-        ctrl = RecoveryController(
-            scf,
-            policy=DegradationPolicy(adaptive_cadence=False),
-            transport_factory=kill_then_clean(plan),
-            tracer=tracer,
-        )
-        ctrl.run()
-        resources = {s.resource for s in tracer.spans()}
-        assert "recovery.attempt1" in resources  # the crashed attempt
-        assert "recovery.attempt2" in resources  # the completed one
-
 
 class TestAdaptiveCadence:
     def test_interval_matches_daly_within_10_percent(self):
@@ -293,11 +273,9 @@ class TestAdaptiveCadence:
             assert interval * t_iter == pytest.approx(opt, rel=0.10)
 
     def test_interval_clamped_to_policy_bounds(self):
-        cadence = AdaptiveCadence(
-            checkpoint_seconds=0.05, mtbf=100.0, min_every=2, max_every=4
-        )
-        assert cadence.interval_iterations(100.0) == 2  # slow iterations
-        assert cadence.interval_iterations(1e-6) == 4  # fast iterations
+        cadence = AdaptiveCadence(checkpoint_seconds=0.05, mtbf=100.0)
+        assert cadence.interval_iterations(100.0) == 1  # slow iterations
+        assert cadence.interval_iterations(1e-6) == 1000  # fast iterations
 
     def test_due_fires_on_the_interval(self):
         cadence = AdaptiveCadence(checkpoint_seconds=0.05, mtbf=100.0)
@@ -381,11 +359,6 @@ class TestAdaptiveCadence:
 class TestDegradationPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"max_restarts": -1},
-        {"min_ranks": 0},
-        {"ranks_lost_per_failure": 0},
-        {"checkpoint_seconds": -1.0},
-        {"min_checkpoint_every": 0},
-        {"max_checkpoint_every": 0},
         {"expected_mtbf": 0.0},
     ])
     def test_rejects(self, kwargs):

@@ -39,13 +39,6 @@ class TestKineticPreconditioner:
             pre.apply(2 * a - 3 * b), 2 * pre.apply(a) - 3 * pre.apply(b), atol=1e-10
         )
 
-    def test_validation(self):
-        gd = GridDescriptor((8, 8, 8))
-        with pytest.raises(ValueError):
-            KineticPreconditioner(gd, shift=0.0)
-        with pytest.raises(ValueError):
-            KineticPreconditioner(gd, sweeps=0)
-
 
 class TestRmmDiis:
     def test_matches_arpack_spectrum(self):
@@ -78,8 +71,8 @@ class TestRmmDiis:
 
     def test_deterministic(self):
         gd, ham = harmonic(n=10)
-        a = RmmDiis(ham, n_bands=2, tolerance=1e-3, seed=3).run()
-        b = RmmDiis(ham, n_bands=2, tolerance=1e-3, seed=3).run()
+        a = RmmDiis(ham, n_bands=2, tolerance=1e-3).run()
+        b = RmmDiis(ham, n_bands=2, tolerance=1e-3).run()
         np.testing.assert_array_equal(a.energies, b.energies)
         assert a.iterations == b.iterations
 

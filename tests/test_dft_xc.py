@@ -75,14 +75,19 @@ class TestLdaEnergyIntegral:
     def test_homogeneous_box(self):
         gd = GridDescriptor((8, 8, 8), spacing=0.5)
         rho = np.full(gd.shape, 0.3)
-        e = lda_energy(rho, gd.spacing, correlation=False)
+        e = lda_energy(rho, gd.spacing)
         volume = gd.n_points * gd.spacing**3
-        expected = float(lda_exchange_energy_density(np.array([0.3]))[0]) * volume
+        rho0 = np.array([0.3])
+        expected = float(
+            lda_exchange_energy_density(rho0)[0]
+            + wigner_correlation_energy_density(rho0)[0]
+        ) * volume
         assert e == pytest.approx(expected)
 
     def test_correlation_included_by_default(self):
         rho = np.full((4, 4, 4), 0.3)
-        assert lda_energy(rho, 0.5) < lda_energy(rho, 0.5, correlation=False)
+        exchange_only = float(lda_exchange_energy_density(rho).sum() * 0.5**3)
+        assert lda_energy(rho, 0.5) < exchange_only
 
 
 class TestLdaScf:

@@ -156,8 +156,6 @@ class TestSeededReplay:
             seed=seed, p_drop=0.03, p_corrupt=0.03, p_duplicate=0.05,
             p_delay=0.05, delay=0.0005, kill_at={1: 10},
         )
-        reports = []
-
         def rank_fn(ep):
             mine = {gid: blocks[gid][ep.rank] for gid in blocks}
             return engine.apply(ep, mine)
@@ -169,13 +167,12 @@ class TestSeededReplay:
             run_ranks_supervised(
                 2, rank_fn, transport_factory=factory,
                 policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-                on_crash=reports.append,
             )
-        return plan.events, exc_info.value.crash_report, reports
+        return plan.events, exc_info.value.crash_report
 
     def test_same_seed_replays_identically(self):
-        events_a, crash_a, _ = self._run_once(seed=3)
-        events_b, crash_b, _ = self._run_once(seed=3)
+        events_a, crash_a = self._run_once(seed=3)
+        events_b, crash_b = self._run_once(seed=3)
         assert events_a == events_b  # bit-identical fault sequence
         assert crash_a.failed_rank == crash_b.failed_rank == 1
         assert crash_a.error_type == crash_b.error_type == "RankKilledError"

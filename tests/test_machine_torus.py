@@ -17,8 +17,8 @@ def make_machine():
     return Machine(64, spec=TORUS)
 
 
-def replay(messages, trace=False):
-    return _replay_messages(make_machine(), messages, trace=trace)
+def replay(messages):
+    return _replay_messages(make_machine(), messages)
 
 
 class TestTopologyGeometry:
@@ -143,11 +143,10 @@ class TestTorusNetworkTransfers:
     def test_contention_serializes_shared_link(self):
         """Two messages over the same directed link take twice as long."""
         nbytes = 1_000_000
-        eng = replay([(0, 1, 0, nbytes), (0, 1, 1, nbytes)], trace=True)
-        (link,) = [r for r in eng.tracer.resources() if r.startswith("link")]
-        ends = [s.end for s in eng.tracer.spans(link)]
         one = BGP_SPEC.torus.message_time(nbytes, 1)
-        assert ends == [pytest.approx(one), pytest.approx(2 * one)]
+        assert replay([(0, 1, 0, nbytes)]).total == pytest.approx(one)
+        eng = replay([(0, 1, 0, nbytes), (0, 1, 1, nbytes)])
+        assert eng.total == pytest.approx(2 * one)
 
     def test_opposite_directions_do_not_contend(self):
         """Links are bidirectional: 0->1 and 1->0 proceed concurrently."""

@@ -12,7 +12,6 @@ from repro.obs import (
     StragglerRank,
     check_conformance,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
 
@@ -90,33 +89,3 @@ class TestFindings:
         assert f.kind == "StragglerRank"
         assert CommDrift(severity=0.5, detail="y").kind == "CommDrift"
         assert LoadImbalance(severity=0.3, detail="z").kind == "LoadImbalance"
-
-
-class TestRegistryWiring:
-    def test_obs_metrics_land_in_registry(self):
-        from repro.transport import FaultPlan
-
-        reg = MetricsRegistry()
-        spec = _spec(approach="flat-optimized", n_cores=4)
-        tracer = _sim_trace(
-            spec,
-            fault_plan=FaultPlan(
-                seed=0, inject={(1, 0): "delay"}, delay=0.05
-            ),
-        )
-        report = check_conformance(tracer, spec, metrics=reg)
-        assert reg.value("obs_conformance_score") == report.score
-        assert reg.value("obs_conformance_drift") == report.drift
-        assert (
-            sum(
-                reg.value("obs_findings_total", kind=f.kind)
-                for f in report.findings
-            )
-            >= len(report.findings)
-        )
-
-    def test_null_registry_default_is_silent(self):
-        spec = _spec()
-        # no metrics argument: instrument calls go to NULL_REGISTRY
-        report = check_conformance(_sim_trace(spec), spec)
-        assert report.score > 0

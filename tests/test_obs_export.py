@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.timeline import step_trace
 from repro.core import FDJob, PerformanceModel, approach_by_name
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec
-from repro.core.simrun import simulate_spec
+from repro.core.simrun import simulate_fd
 from repro.grid import GridDescriptor
 from repro.obs.export import (
     ascii_gantt,
@@ -58,7 +58,10 @@ class TestChromeTraceRoundTrip:
         for tracer in tracers:
             assert tracer.config_hash == spec.config_hash()
         # the DES activity trace (core and link spans) is one more input
-        activity = simulate_spec(spec, trace=True).trace
+        activity = simulate_fd(
+            spec.fd_job(), spec.approach_obj(), spec.layout.n_cores,
+            batch_size=spec.layout.batch_size, trace=True,
+        ).trace
         for tracer in tracers + [activity]:
             reparsed = parse_chrome_trace(chrome_trace(tracer))
             assert reparsed == _spans_sorted(tracer)

@@ -6,7 +6,6 @@ from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
 from repro.grid import GridDescriptor
 from repro.obs import FlightRecorder
 from repro.obs.export import parse_chrome_trace
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import StepSpan
 
 
@@ -49,19 +48,6 @@ class TestRingBuffer:
         rec.mark_iteration(0)
         rec.tracer.add(_span(1))  # not yet rotated
         assert len(rec.spans()) == 2
-
-    def test_metric_deltas_only_record_changes(self):
-        reg = MetricsRegistry()
-        rec = FlightRecorder(capacity=4, metrics=reg)
-        reg.counter("scf_iterations_total").inc()
-        r0 = rec.mark_iteration(0)
-        assert r0.metric_deltas == {"scf_iterations_total": 1.0}
-        # nothing changed -> empty delta map, not a full snapshot
-        r1 = rec.mark_iteration(1)
-        assert r1.metric_deltas == {}
-        reg.counter("scf_iterations_total").inc(3)
-        r2 = rec.mark_iteration(2)
-        assert r2.metric_deltas == {"scf_iterations_total": 3.0}
 
 
 class TestSCFWiring:
@@ -118,7 +104,8 @@ class TestSCFWiring:
 
 class TestDump:
     def test_dump_round_trips_chrome_trace(self):
-        rec = FlightRecorder(capacity=2, config_hash="abc123")
+        rec = FlightRecorder(capacity=2)
+        rec.config_hash = "abc123"
         for it in range(3):
             rec.tracer.add(_span(it))
             rec.mark_iteration(it)

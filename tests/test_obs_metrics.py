@@ -5,13 +5,13 @@ import threading
 import pytest
 
 from repro.obs.metrics import (
+    HISTOGRAM_BOUNDS,
     NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    log_spaced_buckets,
     resolve_registry,
 )
 
@@ -59,26 +59,30 @@ class TestGauge:
 
 class TestHistogram:
     def test_buckets_are_log_spaced(self):
-        b = log_spaced_buckets(lo=1e-2, hi=1e1, per_decade=1)
-        assert b == pytest.approx([1e-2, 1e-1, 1e0, 1e1])
+        b = HISTOGRAM_BOUNDS
+        assert b[0] == pytest.approx(1e-6) and b[-1] == pytest.approx(1e3)
+        # three bounds per decade
+        assert b[3::3] == pytest.approx([10 * x for x in b[:-3:3]])
 
     def test_observations_land_in_buckets(self):
-        h = Histogram("lat", bounds=[1.0, 10.0, 100.0])
-        for v in (0.5, 5.0, 50.0, 500.0):
+        h = Histogram("lat")
+        for v in (1e-7, 5.0, 50.0, 5000.0):
             h.observe(v)
-        assert h.snapshot()["buckets"] == [1, 1, 1, 1]  # last is overflow
+        buckets = h.snapshot()["buckets"]
+        assert sum(buckets) == 4
+        assert buckets[0] == 1 and buckets[-1] == 1  # last is overflow
         assert h.count == 4
-        assert h.sum == pytest.approx(555.5)
-        assert h.mean == pytest.approx(555.5 / 4)
+        assert h.sum == pytest.approx(5055.0000001)
+        assert h.mean == pytest.approx(5055.0000001 / 4)
 
     def test_bounds_are_inclusive_upper_edges(self):
-        h = Histogram("lat", bounds=[1.0, 10.0])
-        h.observe(1.0)   # == bounds[0] -> bucket 0 (Prometheus `le`)
-        h.observe(10.0)  # == bounds[1] -> bucket 1
-        assert h.snapshot()["buckets"] == [1, 1, 0]
+        h = Histogram("lat")
+        h.observe(h.bounds[0])  # == bounds[0] -> bucket 0 (Prometheus `le`)
+        h.observe(h.bounds[1])  # == bounds[1] -> bucket 1
+        assert h.snapshot()["buckets"][:3] == [1, 1, 0]
 
     def test_snapshot_reports_extremes(self):
-        h = Histogram("lat", bounds=[1.0])
+        h = Histogram("lat")
         h.observe(0.25)
         h.observe(4.0)
         snap = h.snapshot()

@@ -249,6 +249,314 @@ def _reachability():
     return unreached, modules - used
 
 
+#: hardware and calibration data: their defaults are the machine's and the
+#: paper's published constants, so no root needs to pass them.  Exact, as
+#: ``_ORACLE_NAMES``: a class with no unset default fails the scan
+_CALIBRATION_CLASSES = {
+    "CoreSpec", "NodeSpec", "TorusSpec", "TreeSpec", "ThreadSpec",
+    "MachineSpec", "PaperAnchors",
+}
+#: ``(owner, parameter)`` defaults nothing passes yet.  Exact, shrink-only
+_UNSET_PARAMETERS = {
+    # decomposing on the partition (ROADMAP, "Decompose on the
+    # partition") passes the partition's shape from ``timing_plan``
+    ("Decomposition", "domains_shape"),
+}
+#: the callee under which ``dataclasses.replace`` and attribute stores
+#: record the fields they set
+_ANY_FIELD = "<field>"
+
+
+def _spelling(node) -> str:
+    """The name a call or decorator is spelled with (``a.b`` -> ``b``)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _is_dataclass(cls) -> bool:
+    return any(_spelling(d) == "dataclass" for d in cls.decorator_list)
+
+
+def _has_decorator(fn, name: str) -> bool:
+    return any(_spelling(d) == name for d in fn.decorator_list)
+
+
+def _init_fields(cls, classes) -> list:
+    """``[(name, has_default, own)]`` of a dataclass's ``__init__``
+    fields, in order: inherited dataclass fields first."""
+    out = []
+    for base in cls.bases:
+        parent = classes.get(getattr(base, "id", None))
+        if parent is not None and _is_dataclass(parent):
+            out += [(n, d, False) for n, d, _ in _init_fields(parent, classes)]
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _spelling(value) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if getattr(kw.get("init"), "value", True) is False:
+                continue
+            default = "default" in kw or "default_factory" in kw
+        else:
+            default = value is not None
+        out = [f for f in out if f[0] != item.target.id]
+        out.append((item.target.id, default, True))
+    return out
+
+
+class _Calls(ast.NodeVisitor):
+    """What a body of code passes, indexed by callee spelling.
+
+    ``keywords[name]`` holds the keyword names and ``positional[name]``
+    the most positional arguments any call spelled ``name`` passes.
+    ``super().__init__`` and ``cls(...)`` in a classmethod are calls of
+    the class; ``dataclasses.replace`` and an attribute store outside
+    ``self`` set fields of any dataclass; ``**kwargs`` forwarding and a
+    call through a parameter are resolved by :meth:`resolve`.
+    """
+
+    def __init__(self):
+        self.keywords: dict = {}
+        self.positional: dict = {}
+        self.forwards: dict = {}  # callee -> functions whose **kwargs it gets
+        self.arguments: dict = {}  # (callee, position or keyword) -> names
+        self._classes: list = []
+        self._functions: list = []
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node):
+        self._functions.append(node)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            if isinstance(target, ast.Attribute) and not (
+                isinstance(target.value, ast.Name) and target.value.id == "self"
+            ):
+                self.keywords.setdefault(_ANY_FIELD, set()).add(target.attr)
+        self.generic_visit(node)
+
+    def _callees(self, func) -> set:
+        fn = self._functions[-1] if self._functions else None
+        if isinstance(func, ast.Name):
+            if func.id == "replace":
+                return {_ANY_FIELD}
+            if func.id == "cls" and fn and _has_decorator(fn, "classmethod"):
+                return {self._classes[-1].name}
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args] if fn else []
+            if func.id in params:  # resolved once every caller is known
+                skip = 1 if self._classes and params[0] in ("self", "cls") else 0
+                return {(fn.name, params.index(func.id) - skip)}
+            return {func.id}
+        if isinstance(func, ast.Attribute):
+            target = func.value
+            if func.attr == "__init__" and isinstance(target, ast.Call) and (
+                getattr(target.func, "id", None) == "super"
+            ):
+                bases = self._classes[-1].bases
+                return {b.id for b in bases if isinstance(b, ast.Name)}
+            if func.attr == "replace" and getattr(target, "id", None) == "dataclasses":
+                return {_ANY_FIELD}
+            return {func.attr}
+        return set()
+
+    def visit_Call(self, node):
+        fn = self._functions[-1] if self._functions else None
+        n_args = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            n_args = float("inf")
+        for callee in self._callees(node.func):
+            if callee == _ANY_FIELD:
+                n_args = 0  # replace(obj, ...): the object is no field
+            self.positional[callee] = max(self.positional.get(callee, 0), n_args)
+            kws = self.keywords.setdefault(callee, set())
+            for i, arg in enumerate(node.args):
+                self._argument(callee, i, arg)
+            for k in node.keywords:
+                if k.arg is not None:
+                    kws.add(k.arg)
+                    self._argument(callee, k.arg, k.value)
+                elif fn and fn.args.kwarg and (
+                    getattr(k.value, "id", None) == fn.args.kwarg.arg
+                ):
+                    self.forwards.setdefault(callee, set()).add(fn.name)
+                elif fn and isinstance(k.value, ast.Name):
+                    kws |= _dict_keys(fn, k.value.id)
+        self.generic_visit(node)
+
+    def _argument(self, callee, slot, value):
+        if isinstance(value, (ast.Name, ast.Attribute)):
+            name = value.id if isinstance(value, ast.Name) else value.attr
+            self.arguments.setdefault((callee, slot), set()).add(name)
+
+    def resolve(self) -> None:
+        """Fold calls through parameters and ``**kwargs`` forwards into
+        the callees they reach."""
+        for key in [k for k in self.positional if isinstance(k, tuple)]:
+            function, index = key
+            for name in self.arguments.get((function, index), ()):
+                self.positional[name] = max(
+                    self.positional.get(name, 0), self.positional[key]
+                )
+                self.keywords.setdefault(name, set()).update(self.keywords[key])
+                self.forwards.setdefault(name, set()).update(
+                    self.forwards.get(key, ())
+                )
+        grew = True
+        while grew:
+            grew = False
+            for callee, functions in self.forwards.items():
+                got = self.keywords.setdefault(callee, set())
+                for function in functions:
+                    new = self.keywords.get(function, set()) - got
+                    if new:
+                        got |= new
+                        grew = True
+
+
+def _dict_keys(function, name: str) -> set:
+    """Keys of ``name = {...}`` / ``name = dict(...)`` inside ``function``."""
+    keys = set()
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Assign) or not any(
+            getattr(t, "id", None) == name for t in node.targets
+        ):
+            continue
+        if isinstance(node.value, ast.Dict):
+            keys |= {k.value for k in node.value.keys if isinstance(k, ast.Constant)}
+        elif isinstance(node.value, ast.Call) and _spelling(node.value) == "dict":
+            keys |= {k.arg for k in node.value.keywords if k.arg}
+    return keys
+
+
+def _serialised_fields(tree) -> set:
+    """``(class, field)`` pairs ``JobSpec.to_dict`` writes into a config."""
+    (jobspec,) = [
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "JobSpec"
+    ]
+    sections = {
+        item.target.id: ast.unparse(item.annotation)
+        for item in jobspec.body if isinstance(item, ast.AnnAssign)
+    }
+    (to_dict,) = [
+        n for n in jobspec.body
+        if isinstance(n, ast.FunctionDef) and n.name == "to_dict"
+    ]
+    return {
+        (sections[node.value.attr], node.attr)
+        for node in ast.walk(to_dict)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and getattr(node.value.value, "id", None) == "self"
+        and node.value.attr in sections
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _parameters():
+    """``(every defaulted parameter, those no root passes)``.
+
+    The subjects are the defaulted parameters of the definitions
+    ``_reachability`` scans (oracles aside: only tests call them) and the
+    defaulted ``__init__`` fields of dataclasses, keyed ``(owner, name)``
+    with ``owner`` a function, a ``Class.method`` or a dataclass.  A
+    subject is passed when a call of a spelling that reaches it passes
+    its keyword, or enough positional arguments; the roots are the same
+    as ``_reachability``'s.  A parameter named like a ``CLI_KNOBS`` knob
+    and a spec field ``JobSpec.to_dict`` serialises are set by the CLI
+    and by a stored config.
+    """
+    from repro.core.jobspec import CLI_KNOBS
+
+    calls = _Calls()
+    for tree in _ci_python():
+        calls.visit(tree)
+    trees = {}
+    for top in _SCANNED_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            trees[rel] = ast.parse(path.read_text())
+            calls.visit(trees[rel])
+    calls.resolve()
+    serialised = _serialised_fields(trees["src/repro/core/jobspec.py"])
+    classes = {
+        node.name: node
+        for rel, tree in trees.items() if rel.startswith("src/repro/")
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+
+    def constructors(name) -> set:
+        """Spellings that run ``name.__init__``: the class and subclasses
+        that inherit it."""
+        out, grew = {name}, True
+        while grew:
+            grew = False
+            for c in classes.values():
+                if c.name not in out and not _is_dataclass(c) and any(
+                    getattr(b, "id", None) in out for b in c.bases
+                ) and not any(
+                    isinstance(i, _FUNCS) and i.name == "__init__" for i in c.body
+                ):
+                    out.add(c.name)
+                    grew = True
+        return out
+
+    subjects = {}  # (owner, name) -> (callee spellings, position or None)
+
+    def add(owner, fn, callees, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            subjects[owner, arg.arg] = (callees, i - skip)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                subjects[owner, arg.arg] = (callees, None)
+
+    for rel, tree in trees.items():
+        if not rel.startswith("src/repro/") or rel in _ORACLE_MODULES:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, _FUNCS) and stmt.name not in _ORACLE_NAMES:
+                add(stmt.name, stmt, {stmt.name}, 0)
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            if _is_dataclass(stmt):
+                for i, (name, default, own) in enumerate(_init_fields(stmt, classes)):
+                    if default and own:
+                        subjects[stmt.name, name] = ({stmt.name, _ANY_FIELD}, i)
+            for item in stmt.body:
+                if isinstance(item, _FUNCS):
+                    callees = (
+                        constructors(stmt.name) if item.name == "__init__"
+                        else {item.name}
+                    )
+                    skip = 0 if _has_decorator(item, "staticmethod") else 1
+                    add(f"{stmt.name}.{item.name}", item, callees, skip)
+
+    def passed(key) -> bool:
+        (owner, name), (callees, position) = key, subjects[key]
+        if name in CLI_KNOBS or (owner, name) in serialised:
+            return True
+        return any(
+            name in calls.keywords.get(c, ())
+            or (position is not None and calls.positional.get(c, 0) > position)
+            for c in callees
+        )
+
+    return set(subjects), {key for key in subjects if not passed(key)}
+
+
 class TestReachability:
     """Nothing outside the tests reaches dead code, so it cannot hide:
     every definition under ``src/repro`` is reached from what ships."""
@@ -272,4 +580,25 @@ class TestReachability:
         assert _ORACLE_MODULES - unused == set(), (
             "allowlisted modules that are now used or gone: "
             "drop them from _ORACLE_MODULES"
+        )
+
+    def test_every_default_is_set_from_an_entry_point(self):
+        _, unset = _parameters()
+        calibration = {
+            key for key in unset
+            if key[0].partition(".")[0] in _CALIBRATION_CLASSES
+        }
+        assert unset - calibration - _UNSET_PARAMETERS == set(), (
+            "defaults nothing outside the tests sets: delete the "
+            "parameter or make it a module constant"
+        )
+        assert _UNSET_PARAMETERS - unset == set(), (
+            "allowlisted parameters that are now passed or gone: "
+            "drop them from _UNSET_PARAMETERS"
+        )
+        assert {
+            owner.partition(".")[0] for owner, _ in calibration
+        } == _CALIBRATION_CLASSES, (
+            "allowlisted classes whose defaults are all set or gone: "
+            "drop them from _CALIBRATION_CLASSES"
         )

