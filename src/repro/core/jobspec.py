@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from repro.core.approaches import Approach, approach_by_name
 from repro.grid.grid import GridDescriptor
@@ -199,9 +199,6 @@ class JobSpec:
     def grid(self) -> GridDescriptor:
         return self.problem.grid()
 
-    def fd_job(self):
-        return self.problem.fd_job()
-
     def approach_obj(self) -> Approach:
         return approach_by_name(self.layout.approach)
 
@@ -260,8 +257,13 @@ class JobSpec:
 
         Missing keys fall back to the dataclass defaults so specs written
         by an older release still load — the one-way compatibility rule
-        the checkpoint markers already follow.
+        the checkpoint markers already follow.  The dict is input from
+        outside the program (a checkpoint marker): a spec or section that
+        is not a mapping, or a section that lacks a required field, is a
+        ``ValueError`` naming it.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"JobSpec must be a mapping, got {type(data).__name__}")
         known_sections = {"version", "problem", "layout", "runtime"}
         unknown = set(data) - known_sections
         if unknown:
@@ -274,16 +276,28 @@ class JobSpec:
             ("layout", LayoutSpec),
             ("runtime", RuntimeSpec),
         ):
-            payload = dict(data.get(section, {}))
-            names = {f.name for f in fields(klass)}
-            bad = set(payload) - names
+            payload = data.get(section, {})
+            if not isinstance(payload, dict):
+                raise ValueError(
+                    f"JobSpec {section} section must be a mapping, "
+                    f"got {type(payload).__name__}"
+                )
+            bad = set(payload) - {f.name for f in fields(klass)}
             if bad:
                 raise ValueError(
                     f"unknown JobSpec {section} fields {sorted(bad)}"
                 )
-            for key in ("shape", "pbc"):
-                if key in payload:
-                    payload[key] = tuple(payload[key])
+            missing = [
+                f.name for f in fields(klass)
+                if f.default is MISSING and f.default_factory is MISSING
+                and f.name not in payload
+            ]
+            if missing:
+                raise ValueError(f"JobSpec {section} section needs {missing}")
+            payload = {
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in payload.items()
+            }
             parts[section] = klass(**payload)
         return cls(**parts)
 

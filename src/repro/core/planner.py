@@ -397,10 +397,6 @@ class Planner:
             problem=problem, n_cores=n_cores, choices=choices, rejected=rejected
         )
 
-    def best(self, problem: ProblemSpec, n_cores: int) -> PlanChoice:
-        """The fastest feasible configuration (the ``repro plan`` verdict)."""
-        return self.rank(problem, n_cores).best()
-
     # -- DES cross-check ---------------------------------------------------
     def cross_check(self, choice: PlanChoice) -> float:
         """DES seconds of the choice's SCF-relevant step.

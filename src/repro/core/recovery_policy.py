@@ -78,25 +78,6 @@ class DegradationStep:
     #: planner rejections collected while finding this rung
     rejections: tuple = ()
 
-    @property
-    def shrank(self) -> bool:
-        return (self.to_ranks, self.to_groups) != (
-            self.from_ranks, self.from_groups
-        )
-
-    def describe(self) -> str:
-        move = (
-            f"{self.from_ranks}r/{self.from_groups}g -> "
-            f"{self.to_ranks}r/{self.to_groups}g"
-            if self.shrank
-            else f"retry in place ({self.from_ranks}r/{self.from_groups}g)"
-        )
-        return (
-            f"attempt {self.attempt}: {self.error_type} on rank "
-            f"{self.failed_rank} -> {move}, resume from iteration "
-            f"{self.resumed_iteration}"
-        )
-
 
 class DegradationError(ValueError):
     """No surviving resource count admits any feasible layout.

@@ -46,7 +46,7 @@ materializes a step for it.  Grid ids inside steps are *logical indices*
 ``0..n_grids-1``; the functional engine maps them onto its callers' grid
 ids, the timing planes use them as-is.
 
-Plans are cached in a module-level LRU keyed on
+Plans are cached in a module-level ``functools.lru_cache`` keyed on
 ``(approach, decomposition, n_grids, batch_size, ramp_up, halo width,
 workers)`` — all frozen dataclasses — so an SCF loop compiles once and
 re-executes per iteration, and the three planes evaluating the same
@@ -55,8 +55,8 @@ configuration share one plan object.
 
 from __future__ import annotations
 
+import functools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -210,11 +210,6 @@ class WorkerPlan:
     grid_ids: tuple[int, ...]
     steps: tuple[Step, ...]
 
-    @property
-    def message_count(self) -> int:
-        """Messages this worker sends per invocation."""
-        return sum(1 for s in self.steps if isinstance(s, PostSend))
-
 
 @dataclass(frozen=True)
 class RankPlan:
@@ -222,10 +217,6 @@ class RankPlan:
 
     domain: int
     workers: tuple[WorkerPlan, ...]
-
-    @property
-    def message_count(self) -> int:
-        return sum(w.message_count for w in self.workers)
 
 
 class SchedulePlan:
@@ -496,80 +487,32 @@ def _format_step(st: Step) -> str:
         return f"GridBarrier       grid {st.grid_id}"
     if isinstance(st, JoinBarrier):
         return f"JoinBarrier       worker {st.worker}"
-    if isinstance(st, RingSendRecv):
-        return (
-            f"RingSendRecv stage {st.seq:<2d} phase {st.phase} "
-            f"-> group {st.dst_group} <- group {st.src_group}  {st.nbytes} B"
-        )
-    if isinstance(st, PartialGemm):
-        return (
-            f"PartialGemm  stage {st.seq:<2d} phase {st.phase} "
-            f"bands of group {st.src_group}  "
-            f"{st.m}x{st.k} @ {st.k}x{st.n}"
-        )
     return repr(st)
 
 
 # -- compilation and caching --------------------------------------------------
-class PlanCache:
-    """A thread-safe LRU of compiled plans with hit/miss accounting.
-
-    The functional engine's rank threads compile concurrently; the lock
-    keeps the bookkeeping consistent (a duplicate compile would be
-    harmless but would skew the statistics the benchmarks report).
-    """
-
-    #: plans kept before the least recently used one is evicted
-    maxsize = 256
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self._plans: "OrderedDict[tuple, SchedulePlan]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[SchedulePlan]:
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._plans.move_to_end(key)
-            return plan
-
-    def put(self, key: tuple, plan: SchedulePlan) -> None:
-        with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-
-_PLAN_CACHE = PlanCache()
+#: plans each cache keeps before the least recently used one is evicted
+PLAN_CACHE_SIZE = 256
+# the cached constructors take the normalised positional key; the rank
+# threads of the functional engine compile concurrently, and lru_cache
+# keeps its bookkeeping consistent across them
+_schedule_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(SchedulePlan)
 
 
 def plan_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters of the module-level plan cache."""
+    """Hit/miss/size counters summed over the FD and band plan caches."""
+    infos = [_schedule_plan.cache_info(), _band_plan.cache_info()]
     return {
-        "hits": _PLAN_CACHE.hits,
-        "misses": _PLAN_CACHE.misses,
-        "size": len(_PLAN_CACHE),
+        "hits": sum(i.hits for i in infos),
+        "misses": sum(i.misses for i in infos),
+        "size": sum(i.currsize for i in infos),
     }
 
 
 def clear_plan_cache() -> None:
     """Drop all cached plans and reset the counters (tests, benchmarks)."""
-    _PLAN_CACHE.clear()
+    _schedule_plan.cache_clear()
+    _band_plan.cache_clear()
 
 
 def timing_plan(
@@ -632,14 +575,9 @@ def compile_schedule(
         resolved = check_positive_int(n_workers, "n_workers")
     else:
         resolved = approach.compute_threads
-    key = (approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = SchedulePlan(
-            approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved
-        )
-        _PLAN_CACHE.put(key, plan)
-    return plan
+    return _schedule_plan(
+        approach, decomp, n_grids, batch_size, ramp_up, halo_width, resolved
+    )
 
 
 # -- the band-parallel orthogonalization plan ---------------------------------
@@ -674,7 +612,7 @@ class BandSchedulePlan:
         layout: BandGroups,
         gemm_points: int,
         ring_points: int,
-        bytes_per_point: int = 8,
+        bytes_per_point: int,
     ):
         self.layout = layout
         self.gemm_points = check_positive_int(gemm_points, "gemm_points")
@@ -748,16 +686,8 @@ class BandSchedulePlan:
                 steps.append(WaitAll(seq=stage + 1, grid_ids=()))
         return tuple(steps)
 
-    def describe(self, group: int = 0) -> str:
-        """Human-readable step dump of one group (CLI, debugging)."""
-        lines = [
-            f"band plan: {self.layout.describe()}, "
-            f"gemm k={self.gemm_points}, "
-            f"{self.stage_nbytes} B/ring stage",
-        ]
-        for i, st in enumerate(self.group_steps(group)):
-            lines.append(f"  {i:3d}  {_format_step(st)}")
-        return "\n".join(lines)
+
+_band_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(BandSchedulePlan)
 
 
 def compile_band_schedule(
@@ -767,12 +697,7 @@ def compile_band_schedule(
     bytes_per_point: int = 8,
 ) -> BandSchedulePlan:
     """Compile (or fetch from cache) the ring-orthogonalization plan."""
-    key = ("band", layout, gemm_points, ring_points, bytes_per_point)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = BandSchedulePlan(layout, gemm_points, ring_points, bytes_per_point)
-        _PLAN_CACHE.put(key, plan)
-    return plan
+    return _band_plan(layout, gemm_points, ring_points, bytes_per_point)
 
 
 # -- step dependency metadata -------------------------------------------------

@@ -105,11 +105,6 @@ class Workspace:
         finally:
             self.release(buf)
 
-    def clear(self) -> None:
-        """Drop all pooled buffers (outstanding borrows stay valid)."""
-        with self._lock:
-            self._free.clear()
-
     # -- accounting --------------------------------------------------------
     @property
     def allocations(self) -> int:

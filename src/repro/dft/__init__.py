@@ -46,7 +46,6 @@ from repro.dft.density import density_from_states
 from repro.dft.scf import SCFLoop, SCFResult
 from repro.dft.rmm_diis import KineticPreconditioner, RmmDiis, RmmDiisResult
 from repro.dft.distributed import (
-    DistributedPoissonResult,
     DistributedPoissonSolver,
     PoissonBreakdownError,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "RmmDiis",
     "RmmDiisResult",
     "DistributedPoissonSolver",
-    "DistributedPoissonResult",
     "PoissonBreakdownError",
     "DistributedSCF",
     "DistributedSCFResult",

@@ -79,12 +79,6 @@ class SCFCheckpoint:
     #: corruption; a snapshot without one (version 1) is rejected.
     jobspec: dict | None = None
 
-    def nbytes(self) -> int:
-        """Total payload size of the snapshot."""
-        return sum(
-            arr.nbytes for fields in self.blocks.values() for arr in fields.values()
-        )
-
 
 def _interior_slices(t: Transfer, decomp: Decomposition, rank: int):
     """Global slab -> slab inside the rank's *interior* (no halo) block."""
@@ -258,19 +252,14 @@ class MemoryCheckpointStore(_DepositTelemetry):
     rank threads of the in-process transport deposit concurrently.
     """
 
-    def __init__(self, keep: int = 2, metrics=None):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.keep = keep
+    #: committed snapshots retained; older ones are dropped on commit
+    keep = 2
+
+    def __init__(self, metrics=None):
         self._init_metrics(metrics)
         self._lock = threading.Lock()
         self._pending: dict[int, dict] = {}  # iteration -> partial snapshot
         self._committed: dict[int, SCFCheckpoint] = {}
-
-    @classmethod
-    def from_spec(cls, spec, metrics=None) -> "MemoryCheckpointStore":
-        """Retention window from ``spec.runtime.checkpoint_keep``."""
-        return cls(keep=spec.runtime.checkpoint_keep, metrics=metrics)
 
     def deposit(
         self,
@@ -327,11 +316,6 @@ class MemoryCheckpointStore(_DepositTelemetry):
                     del self._committed[it]
         self._record_deposit(fields, time.perf_counter() - t0, committed)
         return committed
-
-    def iterations(self) -> list[int]:
-        """Committed snapshot iterations, ascending."""
-        with self._lock:
-            return sorted(self._committed)
 
     def latest(self) -> SCFCheckpoint | None:
         with self._lock:

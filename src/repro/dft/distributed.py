@@ -23,18 +23,16 @@ and depend on the rank count only through reduction round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.approaches import Approach, FLAT_OPTIMIZED
 from repro.core.engine import DistributedStencil
-from repro.grid.array import LocalGrid, gather, scatter
+from repro.grid.array import LocalGrid
 from repro.grid.decompose import Decomposition
 from repro.grid.grid import GridDescriptor
 from repro.grid.halo import HaloSpec
 from repro.stencil.coefficients import laplacian_coefficients
-from repro.transport.inproc import RankEndpoint, run_ranks
+from repro.transport.inproc import RankEndpoint
 
 
 class PoissonBreakdownError(ArithmeticError):
@@ -43,16 +41,6 @@ class PoissonBreakdownError(ArithmeticError):
     Positive-definiteness was lost or a reduction came back non-finite
     (e.g. NaN in ``rho``).
     """
-
-
-@dataclass
-class DistributedPoissonResult:
-    """Gathered solution + convergence record."""
-
-    potential: np.ndarray
-    residual_norm: float
-    sweeps: int
-    converged: bool
 
 
 class DistributedPoissonSolver:
@@ -152,20 +140,3 @@ class DistributedPoissonSolver:
         if self.fully_periodic:
             x -= ep.allreduce(float(x.sum()))[0] / self.grid.n_points
         return phi, residual_norm, sweep, converged
-
-    # -- public API --------------------------------------------------------------
-    def solve(self, rho: np.ndarray) -> DistributedPoissonResult:
-        """Scatter, iterate on rank threads, gather the converged potential."""
-        self.grid.check_array(rho, "rho")
-        rho_blocks = scatter(rho, self.decomp, self.halo)
-        results = run_ranks(self.decomp.n_domains, self._rank_solve, rho_blocks)
-        phis = [r[0] for r in results]
-        residual, sweeps, converged = results[0][1], results[0][2], results[0][3]
-        # collective decisions must agree across ranks
-        assert all(r[2] == sweeps and r[3] == converged for r in results)
-        return DistributedPoissonResult(
-            potential=gather(phis),
-            residual_norm=residual,
-            sweeps=sweeps,
-            converged=converged,
-        )

@@ -245,12 +245,10 @@ class RecoveryController:
             except TransportError as exc:
                 t1 = time.perf_counter()
                 attempt += 1
-                report = getattr(exc, "crash_report", None)
-                if report is None:
-                    plan = getattr(transport, "plan", None)
-                    report = crash_report_from(
-                        exc, attempt, plan.events if plan is not None else ()
-                    )
+                plan = getattr(transport, "plan", None)
+                report = crash_report_from(
+                    exc, attempt, plan.events if plan is not None else ()
+                )
                 self.reports.append(report)
                 if self.flight_recorder is not None:
                     self.flight_dumps.append(self.flight_recorder.dump(

@@ -90,35 +90,6 @@ class SCFLoop:
         self.xc = xc
         self.poisson = PoissonSolver(grid, tolerance=1e-8)
 
-    @classmethod
-    def from_spec(
-        cls,
-        spec: JobSpec,
-        external_potential: np.ndarray,
-        *,
-        occupations: np.ndarray | list[float] | None = None,
-    ) -> "SCFLoop":
-        """Build the sequential loop from a :class:`JobSpec`.
-
-        Layout fields are ignored (this loop is single-rank); the
-        problem and runtime sections — including ``eig_tol`` and
-        ``eigensolver`` — map directly.
-        """
-        scf = cls(
-            spec.grid(),
-            external_potential,
-            spec.problem.n_grids,
-            occupations=occupations,
-            mixing=spec.runtime.mixing,
-            tolerance=spec.runtime.tolerance,
-            max_iterations=spec.runtime.max_iterations,
-            eig_tol=spec.runtime.eig_tol,
-            xc=spec.runtime.xc,
-            eigensolver=spec.runtime.eigensolver,
-        )
-        scf.spec = spec
-        return scf
-
     def _xc_potential(self, rho: np.ndarray) -> np.ndarray:
         if self.xc == "lda":
             from repro.dft.xc import lda_potential

@@ -39,10 +39,6 @@ class LocalGrid:
             )
 
     @property
-    def block_shape(self) -> tuple[int, int, int]:
-        return self.decomp.block_shape(self.domain)
-
-    @property
     def interior(self) -> np.ndarray:
         """View of the block without ghost shells (writable)."""
         return self.data[self.halo.interior(self.data.shape)]

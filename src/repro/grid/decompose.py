@@ -170,13 +170,6 @@ class Decomposition:
             for step in (+1, -1)
         )
 
-    def total_points(self) -> int:
-        """Sanity: block points sum to the global grid."""
-        return sum(
-            self.block_shape(d)[0] * self.block_shape(d)[1] * self.block_shape(d)[2]
-            for d in range(self.n_domains)
-        )
-
     def max_block_points(self) -> int:
         """Points in the largest block (per-process compute load)."""
         return (

@@ -68,11 +68,6 @@ class HaloMessage:
         """Periodic wrap onto the same domain: a memcpy, not a message."""
         return self.src_domain == self.dst_domain
 
-    @property
-    def tag(self) -> int:
-        """A tag unique per (dim, step) — composes with grid ids upstream."""
-        return self.dim * 2 + (0 if self.step > 0 else 1)
-
 
 def _axis_slab(
     block: tuple[int, int, int], width: int, dim: int, lo: int, hi: int

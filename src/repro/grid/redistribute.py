@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
 
@@ -39,12 +37,6 @@ class Transfer:
     src: int
     dst: int
     global_slices: Slices3
-
-    @property
-    def n_points(self) -> int:
-        return int(
-            np.prod([s.stop - s.start for s in self.global_slices])
-        )
 
 
 def _intersect(a: Slices3, b: Slices3) -> Slices3 | None:

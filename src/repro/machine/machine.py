@@ -39,9 +39,5 @@ class Machine:
         return self.partition.n_nodes
 
     @property
-    def n_ranks(self) -> int:
-        return self.partition.n_ranks
-
-    @property
     def mode(self) -> NodeMode:
         return self.partition.mode

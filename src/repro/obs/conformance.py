@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.obs.critpath import CriticalPathResult, critical_path, plan_for_spec
+from repro.obs.export import step_kind_seconds
 from repro.obs.spans import SpanTracer, StepSpan
 
 __all__ = [
@@ -91,10 +92,6 @@ class ConformanceReport:
     findings: list[PerfFinding] = field(default_factory=list)
     critpath: Optional[CriticalPathResult] = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
     def format(self) -> str:
         """Aligned verdict table (``repro doctor``)."""
         lines = [
@@ -114,13 +111,6 @@ class ConformanceReport:
         else:
             lines.append("  no findings")
         return "\n".join(lines)
-
-
-def _per_kind_seconds(spans: Iterable[StepSpan]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for s in spans:
-        out[s.step_kind] = out.get(s.step_kind, 0.0) + s.duration
-    return out
 
 
 #: an exposed-comm residual ratio farther than this from 1 is drift ...
@@ -188,9 +178,9 @@ def check_conformance(
     resources = {s.resource for s in spans}
     n_resources = max(1, len(resources))
     measured_kinds = {
-        k: v / n_resources for k, v in _per_kind_seconds(spans).items()
+        k: v / n_resources for k, v in step_kind_seconds(spans).items()
     }
-    model_kinds = _per_kind_seconds(model_trace.spans())
+    model_kinds = step_kind_seconds(model_trace)
     residuals = {
         kind: (measured_kinds.get(kind, 0.0), model_kinds.get(kind, 0.0))
         for kind in sorted(set(measured_kinds) | set(model_kinds))

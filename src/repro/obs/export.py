@@ -44,6 +44,14 @@ def _as_spans(trace) -> list:
     return list(trace)
 
 
+def step_kind_seconds(trace) -> dict[str, float]:
+    """Summed span seconds per step kind, across all resources."""
+    out: dict[str, float] = {}
+    for s in _as_spans(trace):
+        out[s.step_kind] = out.get(s.step_kind, 0.0) + s.duration
+    return out
+
+
 # -- ASCII Gantt ---------------------------------------------------------------
 def ascii_gantt(
     trace,
@@ -233,12 +241,9 @@ def utilization_report(trace) -> dict:
     makespan = max(s.end for s in spans) - t0
     resources = sorted({s.resource for s in spans})
     categories = {"compute": 0.0, "comm": 0.0, "sync": 0.0, "other": 0.0}
-    step_kinds: dict[str, float] = {}
+    step_kinds = step_kind_seconds(spans)
     for s in spans:
-        kind = s.step_kind
-        dur = s.end - s.start
-        categories[step_category(kind)] += dur
-        step_kinds[kind] = step_kinds.get(kind, 0.0) + dur
+        categories[step_category(s.step_kind)] += s.duration
     wall = makespan * len(resources)  # total resource-time available
     fractions = {
         k: (v / wall if wall > 0 else 0.0) for k, v in categories.items()
@@ -317,8 +322,8 @@ def diff_step_kinds(trace_a, trace_b) -> dict[str, dict]:
     interesting output is where the time went differently (e.g. real
     ``WaitAll`` exceeding simulated — an un-modeled pipeline hole).
     """
-    ka = _totals(trace_a)
-    kb = _totals(trace_b)
+    ka = step_kind_seconds(trace_a)
+    kb = step_kind_seconds(trace_b)
     out: dict[str, dict] = {}
     for kind in sorted(set(ka) | set(kb)):
         a, b = ka.get(kind, 0.0), kb.get(kind, 0.0)
@@ -328,13 +333,6 @@ def diff_step_kinds(trace_a, trace_b) -> dict[str, dict]:
             "delta": a - b,
             "ratio": (a / b) if b > 0 else None,
         }
-    return out
-
-
-def _totals(trace) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for s in _as_spans(trace):
-        out[s.step_kind] = out.get(s.step_kind, 0.0) + (s.end - s.start)
     return out
 
 

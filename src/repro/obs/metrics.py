@@ -266,10 +266,6 @@ class MetricsRegistry:
             out[inst.kind + "s"].append(inst.snapshot())
         return out
 
-    def clear(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
 
 class _NullCounter(Counter):
     __slots__ = ()

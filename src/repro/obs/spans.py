@@ -25,7 +25,7 @@ Producers
 
 Timestamps are stored **raw** (``time.perf_counter`` for real runs,
 simulated seconds for the others); consumers normalize against
-:meth:`SpanTracer.t0` so traces from different clocks align at zero.
+the earliest span start so traces from different clocks align at zero.
 Exporters live in :mod:`repro.obs.export`; they order spans by the
 explicit :attr:`StepSpan.sort_key`.
 """
@@ -264,10 +264,6 @@ class SpanTracer:
     def resources(self) -> list[str]:
         return sorted({s.resource for s in self.spans()})
 
-    def t0(self) -> float:
-        """Earliest timestamp — the zero point for normalization."""
-        return min((s.start for s in self.spans()), default=0.0)
-
     def makespan(self) -> float:
         """Last end minus first start (0 for an empty trace)."""
         spans = self.spans()
@@ -287,18 +283,6 @@ class SpanTracer:
             else:
                 last_end = max(last_end, s.end)
         return total
-
-    def utilization(self, resource: str) -> float:
-        """Busy fraction of one resource over the makespan."""
-        total = self.makespan()
-        return 0.0 if total <= 0 else self.busy_time(resource) / total
-
-    def step_kinds(self) -> dict[str, float]:
-        """Total seconds per step kind, across all resources."""
-        out: dict[str, float] = {}
-        for s in self.spans():
-            out[s.step_kind] = out.get(s.step_kind, 0.0) + s.duration
-        return out
 
 
 def engine_hook(

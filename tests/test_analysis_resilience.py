@@ -71,7 +71,10 @@ class TestDalyModel:
             spec, np.zeros(gd.shape), checkpoint_store=store
         ).run()
         ckpt = store.latest()
-        assert ckpt.nbytes() == checkpoint_bytes(FDJob(gd, 2))
+        payload = sum(
+            arr.nbytes for fields in ckpt.blocks.values() for arr in fields.values()
+        )
+        assert payload == checkpoint_bytes(FDJob(gd, 2))
 
 
 class TestMtbfSweep:

@@ -117,8 +117,8 @@ class TestRuntimeSpec:
             problem=ProblemSpec(shape=(8, 8, 8), n_grids=2),
             runtime=RuntimeSpec(checkpoint_keep=7),
         )
-        assert MemoryCheckpointStore.from_spec(spec).keep == 7
         assert FileCheckpointStore.from_spec(spec, tmp_path / "c").keep == 7
+        assert MemoryCheckpointStore().keep == 2
 
     def test_placement_validated_and_round_trips(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestRuntimeSpec:
         )
         for placement in ("cyclic", "spread"):
             direct = simulate_fd(
-                base.fd_job(), base.approach_obj(), 4, placement=placement
+                base.problem.fd_job(), base.approach_obj(), 4, placement=placement
             )
             assert (
                 simulate_spec(base.with_runtime(placement=placement)).total
@@ -172,7 +172,7 @@ class TestJobSpec:
     def test_group_job(self):
         s = self.spec(n_band_groups=2)
         assert s.group_job().n_grids == 4
-        assert s.fd_job().n_grids == 8
+        assert s.problem.fd_job().n_grids == 8
 
     def test_round_trip_exact(self):
         s = self.spec(n_band_groups=2, ramp_up=True)
@@ -200,6 +200,21 @@ class TestJobSpec:
     def test_from_dict_needs_problem(self):
         with pytest.raises(ValueError, match="problem"):
             JobSpec.from_dict({"layout": {"n_cores": 4}})
+
+    @pytest.mark.parametrize("data, match", [
+        (5, "JobSpec must be a mapping, got int"),
+        ({"problem": 5}, "problem section must be a mapping, got int"),
+        (
+            {"problem": {"shape": [8, 8, 8], "n_grids": 2},
+             "layout": [["n_cores", 4]]},
+            "layout section must be a mapping, got list",
+        ),
+        ({"problem": {"shape": [8, 8, 8]}}, r"problem section needs \['n_grids'\]"),
+    ], ids=["scalar-spec", "scalar-section", "list-section", "missing-field"])
+    def test_from_dict_malformed_is_a_value_error(self, data, match):
+        # a checkpoint marker is outside input: no internal TypeError leaks
+        with pytest.raises(ValueError, match=match):
+            JobSpec.from_dict(data)
 
     def test_from_dict_fills_missing_fields_with_defaults(self):
         # the one-way compatibility rule: an older writer's spec loads

@@ -82,7 +82,7 @@ def brute_force_best(machine, problem, n_cores, max_groups=8):
 class TestSweepAgreement:
     @pytest.mark.parametrize("machine,problem,n_cores", COMBOS)
     def test_best_matches_brute_force(self, machine, problem, n_cores):
-        choice = Planner().best(problem, n_cores)
+        choice = Planner().rank(problem, n_cores).best()
         step, (name, batch, nb) = brute_force_best(machine, problem, n_cores)
         lay = choice.spec.layout
         assert (lay.approach, lay.batch_size, lay.n_band_groups) == (

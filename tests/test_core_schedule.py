@@ -86,7 +86,7 @@ class TestCrossPlaneConsistency:
             sends = sum(
                 1 for w in rp.workers for s in w.steps if isinstance(s, PostSend)
             )
-            assert sends == rp.message_count == plan.message_count(d)
+            assert sends == plan.message_count(d)
             posted += sends
             barriers = sum(
                 1 for w in rp.workers for s in w.steps if isinstance(s, GridBarrier)
@@ -213,7 +213,8 @@ class TestModelRoundsAreTheExecutedSteps:
                         assert st.nbytes == recv_bytes[st.dim, st.step] * len(
                             st.grid_ids
                         )
-                assert w.message_count == len(send_dirs) * len(rounds)
+                sent = sum(isinstance(s, PostSend) for s in w.steps)
+                assert sent == len(send_dirs) * len(rounds)
 
 
 class TestBatchValidation:

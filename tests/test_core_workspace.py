@@ -75,16 +75,6 @@ class TestWorkspaceBasics:
         assert ws.borrow((5,)) is buf
         assert (ws.allocations, ws.reuses) == (1, 1)
 
-    def test_clear_drops_pool_keeps_borrows_valid(self):
-        ws = Workspace()
-        a = ws.borrow((4,))
-        b = ws.borrow((4,))
-        ws.release(b)
-        ws.clear()
-        assert ws.n_free == 0
-        a[:] = 7.0  # outstanding borrow still usable
-        assert ws.release(a)
-
     def test_dtype_like_keys_normalized(self):
         ws = Workspace()
         a = ws.borrow((3,), "float64")

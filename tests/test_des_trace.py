@@ -37,12 +37,12 @@ class TestTracer:
         tr.record("r", 0.0, 2.0)
         tr.record("other", 0.0, 4.0)
         assert tr.makespan() == 4.0
-        assert tr.utilization("r") == pytest.approx(0.5)
+        assert tr.busy_time("r") / tr.makespan() == pytest.approx(0.5)
 
     def test_empty(self):
         tr = SpanTracer()
         assert tr.makespan() == 0.0
-        assert tr.utilization("r") == 0.0
+        assert tr.busy_time("r") == 0.0
         assert ascii_gantt(tr) == "(empty trace)"
 
     def test_gantt_renders_rows(self):
@@ -117,4 +117,4 @@ class TestSimrunTracing:
         # utilization of every core is clearly below 100%
         for res in r.trace.resources():
             if ".core" in res:
-                assert r.trace.utilization(res) < 0.95
+                assert r.trace.busy_time(res) / r.trace.makespan() < 0.95

@@ -1,5 +1,7 @@
 """End-to-end composition tests: distributed Poisson over the FD engine."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from repro.dft import (
     PoissonBreakdownError,
     PoissonSolver,
 )
-from repro.grid import GridDescriptor, scatter
+from repro.grid import GridDescriptor, gather, scatter
 from repro.transport import InprocTransport, run_ranks
 
 
@@ -21,6 +23,20 @@ def gaussian_rho(gd):
     c = (gd.shape[0] + 1) * gd.spacing / 2
     r2 = (x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2
     return np.exp(-r2 / 2.0)
+
+
+Solve = namedtuple("Solve", "potential residual_norm sweeps converged")
+
+
+def solve(solver, rho):
+    """One solve on ``solver``'s ranks: scatter ``rho``, run every rank's
+    CG, gather the potential."""
+    blocks = scatter(rho, solver.decomp, solver.halo)
+    results = run_ranks(solver.decomp.n_domains, solver._rank_solve, blocks)
+    _, residual, sweeps, converged = results[0]
+    # collective decisions must agree across ranks
+    assert all(r[2] == sweeps and r[3] == converged for r in results)
+    return Solve(gather([r[0] for r in results]), residual, sweeps, converged)
 
 
 class TestAllreduce:
@@ -63,13 +79,12 @@ class TestDistributedPoisson:
         the order the dot products are summed in."""
         gd = GridDescriptor((12, 12, 12), pbc=(False,) * 3, spacing=0.5)
         rho = gaussian_rho(gd)
-        ref = DistributedPoissonSolver(gd, n_ranks=1, tolerance=1e-8).solve(rho)
+        ref = solve(DistributedPoissonSolver(gd, n_ranks=1, tolerance=1e-8), rho)
         assert ref.converged
         scale = np.abs(ref.potential).max()
         for n_ranks in (2, 4, 8):
-            got = DistributedPoissonSolver(
-                gd, n_ranks=n_ranks, tolerance=1e-8
-            ).solve(rho)
+            solver = DistributedPoissonSolver(gd, n_ranks=n_ranks, tolerance=1e-8)
+            got = solve(solver, rho)
             assert (got.sweeps, got.converged) == (ref.sweeps, True)
             np.testing.assert_allclose(
                 got.potential, ref.potential, rtol=0, atol=1e-12 * scale
@@ -80,7 +95,7 @@ class TestDistributedPoisson:
         rho = gaussian_rho(gd)
         dist = DistributedPoissonSolver(gd, n_ranks=8, tolerance=1e-8,
                                         max_sweeps=20000)
-        got = dist.solve(rho)
+        got = solve(dist, rho)
         assert got.converged
         mg = PoissonSolver(gd, tolerance=1e-10).solve(rho)
         np.testing.assert_allclose(got.potential, mg.potential, atol=1e-5)
@@ -88,8 +103,9 @@ class TestDistributedPoisson:
     def test_solution_satisfies_pde(self):
         gd = GridDescriptor((12, 12, 12), pbc=(False,) * 3, spacing=0.5)
         rho = gaussian_rho(gd)
-        got = DistributedPoissonSolver(gd, n_ranks=2, tolerance=1e-9,
-                                       max_sweeps=30000).solve(rho)
+        solver = DistributedPoissonSolver(gd, n_ranks=2, tolerance=1e-9,
+                                          max_sweeps=30000)
+        got = solve(solver, rho)
         assert got.converged
         lhs = Laplacian(gd).apply(got.potential)
         rhs = -4 * np.pi * rho
@@ -98,8 +114,9 @@ class TestDistributedPoisson:
     def test_periodic_neutralization(self):
         gd = GridDescriptor((8, 8, 8), spacing=0.5)  # fully periodic
         rho = gaussian_rho(gd)  # non-neutral on purpose
-        got = DistributedPoissonSolver(gd, n_ranks=4, tolerance=1e-7,
-                                       max_sweeps=30000).solve(rho)
+        solver = DistributedPoissonSolver(gd, n_ranks=4, tolerance=1e-7,
+                                          max_sweeps=30000)
+        got = solve(solver, rho)
         assert got.converged
         assert abs(got.potential.mean()) < 1e-9
 
@@ -109,17 +126,21 @@ class TestDistributedPoisson:
     def test_every_approach_gives_same_answer(self, approach):
         gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3, spacing=0.5)
         rho = gaussian_rho(gd)
-        ref = DistributedPoissonSolver(
-            gd, n_ranks=4, tolerance=0.0, max_sweeps=10
-        ).solve(rho)
-        got = DistributedPoissonSolver(
-            gd, n_ranks=4, tolerance=0.0, max_sweeps=10, approach=approach
-        ).solve(rho)
+        ref = solve(
+            DistributedPoissonSolver(gd, n_ranks=4, tolerance=0.0, max_sweeps=10),
+            rho,
+        )
+        got = solve(
+            DistributedPoissonSolver(
+                gd, n_ranks=4, tolerance=0.0, max_sweeps=10, approach=approach
+            ),
+            rho,
+        )
         np.testing.assert_allclose(got.potential, ref.potential, atol=1e-13)
 
     def test_zero_rhs(self):
         gd = GridDescriptor((8, 8, 8), pbc=(False,) * 3)
-        got = DistributedPoissonSolver(gd, n_ranks=2).solve(gd.zeros())
+        got = solve(DistributedPoissonSolver(gd, n_ranks=2), gd.zeros())
         assert got.converged
         assert got.sweeps == 0
         np.testing.assert_array_equal(got.potential, 0.0)
@@ -139,7 +160,7 @@ class TestDistributedPoisson:
         gd = GridDescriptor((8, 8, 8))
         solver = DistributedPoissonSolver(gd, n_ranks=2)
         with pytest.raises(ValueError):
-            solver.solve(np.zeros((4, 4, 4)))
+            solve(solver, np.zeros((4, 4, 4)))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -168,8 +189,8 @@ class TestDistributedPoisson:
             )
             rho = rho + charge * np.exp(-r2 / (2 * width ** 2))
         tol = 1e-8
-        ref = DistributedPoissonSolver(gd, 1, tolerance=tol).solve(rho)
-        got = DistributedPoissonSolver(gd, n_ranks, tolerance=tol).solve(rho)
+        ref = solve(DistributedPoissonSolver(gd, 1, tolerance=tol), rho)
+        got = solve(DistributedPoissonSolver(gd, n_ranks, tolerance=tol), rho)
         assert ref.converged and got.converged
         assert got.sweeps == ref.sweeps
         rhs = -4 * np.pi * rho
@@ -216,9 +237,9 @@ class TestCommunicationProfile:
         gd = GridDescriptor((10, 9, 8), pbc=(periodic,) * 3, spacing=0.5)
         solver = DistributedPoissonSolver(gd, n_ranks=1, tolerance=1e-8)
         ws = solver.engine.workspace
-        first = solver.solve(gaussian_rho(gd))
+        first = solve(solver, gaussian_rho(gd))
         allocated, reused = ws.allocations, ws.reuses
-        again = solver.solve(gaussian_rho(gd))
+        again = solve(solver, gaussian_rho(gd))
         assert first.sweeps == again.sweeps > 0
         assert ws.allocations == allocated
         assert ws.reuses > reused
@@ -275,5 +296,5 @@ class TestBreakdown:
         rho = gaussian_rho(gd)
         rho[-1, -1, -1] = np.inf
         with pytest.raises(TransportError) as info:
-            DistributedPoissonSolver(gd, n_ranks=2).solve(rho)
+            solve(DistributedPoissonSolver(gd, n_ranks=2), rho)
         assert isinstance(info.value.__cause__, PoissonBreakdownError)

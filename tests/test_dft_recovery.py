@@ -114,7 +114,6 @@ class TestDegradationLadder:
         # the ladder shrank onto a planner-chosen layout
         assert len(ctrl.steps) == 1
         step = ctrl.steps[0]
-        assert step.shrank
         assert step.from_ranks == 4 and step.from_groups == 4
         assert step.to_ranks == 3  # survivors after blast radius 1
         assert step.to_ranks == ctrl.scf.layout.n_ranks
@@ -156,7 +155,9 @@ class TestDegradationLadder:
         )
         assert ctrl.scf.layout.n_ranks == 4  # no shrink
         assert len(ctrl.steps) == 1
-        assert ctrl.steps[0].transient and not ctrl.steps[0].shrank
+        step = ctrl.steps[0]
+        assert step.transient
+        assert (step.to_ranks, step.to_groups) == (step.from_ranks, step.from_groups)
 
     def test_restart_budget_exhausted_reraises(self):
         # every attempt killed: after max_restarts the error propagates
@@ -364,16 +365,3 @@ class TestDegradationPolicy:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             DegradationPolicy(**kwargs)
-
-    def test_degradation_step_describe(self):
-        from repro.core import DegradationStep
-
-        step = DegradationStep(
-            attempt=1, failed_rank=2, error_type="RankKilledError",
-            transient=False, from_ranks=4, from_groups=4, to_ranks=3,
-            to_groups=1, batch_size=1, resumed_iteration=2,
-            checkpoint_every=1,
-        )
-        text = step.describe()
-        assert "4" in text and "3" in text
-        assert step.shrank

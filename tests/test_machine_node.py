@@ -8,7 +8,7 @@ class TestMachine:
     def test_assembles_partition(self):
         m = Machine(512, NodeMode.VN)
         assert m.n_nodes == 512
-        assert m.n_ranks == 2048
+        assert m.partition.n_ranks == 2048
         assert m.topology.torus  # 512 nodes form a torus
         assert m.topology.shape == (8, 8, 8)
 

@@ -40,7 +40,7 @@ class TestAnalyticCurve:
 class TestMachineEdges:
     def test_dual_mode_machine(self):
         m = Machine(2, NodeMode.DUAL)
-        assert m.n_ranks == 4
+        assert m.partition.n_ranks == 4
         assert [m.partition.node_of_rank(r) for r in range(4)] == [0, 0, 1, 1]
 
     def test_two_machines_do_not_share_state(self):

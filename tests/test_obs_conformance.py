@@ -44,7 +44,7 @@ class TestFaultFreeConformance:
     ):
         spec = _spec(approach, n_cores, n_grids, shape, batch)
         report = check_conformance(_sim_trace(spec), spec)
-        assert report.ok, [f.detail for f in report.findings]
+        assert not report.findings, [f.detail for f in report.findings]
         assert report.drift < 0.1
         assert report.score > 0.9
         assert report.critpath is not None
@@ -81,7 +81,7 @@ class TestFindings:
         assert stragglers[0].blocked_seconds > 0.01
         # the 0.05 s stall also blows up exposed comm vs the model
         assert any(isinstance(f, CommDrift) for f in report.findings)
-        assert not report.ok
+        assert report.findings
 
     def test_finding_kinds_are_class_names(self):
         f = StragglerRank(severity=1.0, detail="x", rank=3,

@@ -24,6 +24,7 @@ from repro.obs.export import (
     format_metrics,
     format_utilization,
     parse_chrome_trace,
+    step_kind_seconds,
     utilization_report,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -59,7 +60,7 @@ class TestChromeTraceRoundTrip:
             assert tracer.config_hash == spec.config_hash()
         # the DES activity trace (core and link spans) is one more input
         activity = simulate_fd(
-            spec.fd_job(), spec.approach_obj(), spec.layout.n_cores,
+            spec.problem.fd_job(), spec.approach_obj(), spec.layout.n_cores,
             batch_size=spec.layout.batch_size, trace=True,
         ).trace
         for tracer in tracers + [activity]:
@@ -115,7 +116,7 @@ class TestCrossPlaneConsistency:
         # same step-kind vocabulary per rank.
         spec = _spec("flat-subgroups")
         real, sim = step_trace(spec, "real"), step_trace(spec, "sim")
-        assert set(real.step_kinds()) == set(sim.step_kinds())
+        assert set(step_kind_seconds(real)) == set(step_kind_seconds(sim))
 
     def test_master_only_sequences_match(self):
         spec = _spec("hybrid-master-only", batch_size=1)
@@ -126,8 +127,8 @@ class TestCrossPlaneConsistency:
         # the model reconstructs one representative worker, so it cannot
         # match span-for-span — but it must speak the same IR vocabulary
         model, sim = step_trace(_spec(), "model"), step_trace(_spec(), "sim")
-        model_kinds = set(model.step_kinds())
-        sim_kinds = set(sim.step_kinds())
+        model_kinds = set(step_kind_seconds(model))
+        sim_kinds = set(step_kind_seconds(sim))
         assert model_kinds <= sim_kinds | {"JoinBarrier", "GridBarrier"}
         assert model.resources() == ["rank0.w0"]
 
@@ -211,7 +212,9 @@ class TestDiff:
     def test_real_vs_sim_diff_covers_all_kinds(self):
         real, sim = step_trace(_spec(), "real"), step_trace(_spec(), "sim")
         diff = diff_step_kinds(real, sim)
-        assert set(diff) == set(real.step_kinds()) | set(sim.step_kinds())
+        assert set(diff) == (
+            set(step_kind_seconds(real)) | set(step_kind_seconds(sim))
+        )
 
 
 class TestFormatMetrics:

@@ -128,51 +128,109 @@ _DEFS = _FUNCS + (ast.ClassDef,)
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-def _is_docstring(stmt, owner) -> bool:
-    return (
-        owner.body[0] is stmt
-        and isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )
+class _Loads(ast.NodeVisitor):
+    """The references the code under one node makes, typed by receiver.
 
-
-def _is_all(stmt) -> bool:
-    return isinstance(stmt, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-    )
-
-
-def _names(*nodes) -> set:
-    """Every name the code under ``nodes`` loads.
-
-    Variables, attributes and identifier-shaped string constants (the
-    benchmark's ``getattr`` seams name their targets as strings); not
-    docstrings, comments, stores or import statements.
+    Each reference is ``(kind, class, name)``: ``"def"`` for a bare name,
+    ``"own"`` for a bare name in the body of ``class`` (not in its
+    methods), ``"line"`` for ``self.name``/``cls.name``/``super().name``
+    in ``class`` or ``C.name``/``mod.C.name`` for a library class ``C``,
+    and ``"any"`` for an attribute on any other receiver or an
+    identifier-shaped string passed to a call.  Docstrings, comments,
+    stores and import statements make none.
     """
-    docstrings = {
-        id(owner.body[0].value)
-        for node in nodes
-        for owner in ast.walk(node)
-        if isinstance(owner, (ast.Module,) + _DEFS)
-        and owner.body
-        and _is_docstring(owner.body[0], owner)
-    }
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.attr)
-            elif (
-                isinstance(sub, ast.Constant)
-                and isinstance(sub.value, str)
-                and id(sub) not in docstrings
-                and _IDENTIFIER.match(sub.value)
+
+    def __init__(self, classes, cls=None, body=None):
+        self.classes = classes
+        self.refs: set = set()
+        self._cls = cls  # the class ``self`` and ``cls`` are an instance of
+        self._body = body  # the class whose body is being read directly
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.refs.add(("def", None, node.id))
+            if self._body is not None:
+                self.refs.add(("own", self._body, node.id))
+
+    def _receiver_class(self, receiver):
+        """The library class the syntax says ``receiver`` is, if any."""
+        if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
+            return self._cls
+        if isinstance(receiver, ast.Call) and _spelling(receiver) == "super":
+            return self._cls
+        name = getattr(receiver, "id", None) or getattr(receiver, "attr", None)
+        return name if name in self.classes else None
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            cls = self._receiver_class(node.value)
+            if cls in self.classes:
+                self.refs.add(("line", cls, node.attr))
+            else:
+                self.refs.add(("any", None, node.attr))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        for arg in node.args + [k.value for k in node.keywords]:
+            if (
+                isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and _IDENTIFIER.match(arg.value)
             ):
-                out.add(sub.value)
-    return out
+                self.refs.add(("any", None, arg.value))
+        self.generic_visit(node)
+
+    def _visit_function_body(self, body):
+        """A function's or lambda's body: not part of any class body."""
+        outer, self._body = self._body, None
+        for stmt in body:
+            self.visit(stmt)
+        self._body = outer
+
+    def visit_FunctionDef(self, node):
+        for expr in node.decorator_list + [node.args]:
+            self.visit(expr)
+        self._visit_function_body(node.body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.visit(node.args)
+        self._visit_function_body([node.body])
+
+    def visit_ClassDef(self, node):
+        for expr in node.decorator_list + node.bases + node.keywords:
+            self.visit(expr)
+        outer = self._cls, self._body
+        self._cls = self._body = node.name
+        for stmt in node.body:
+            self.visit(stmt)
+        self._cls, self._body = outer
+
+
+def _lineages(classes) -> dict:
+    """``class name -> {it, its ancestors, its descendants}``."""
+    parents = {
+        name: {_spelling(b) for b in node.bases} & set(classes)
+        for name, node in classes.items()
+    }
+
+    children = {
+        name: {n for n, ps in parents.items() if name in ps} for name in classes
+    }
+
+    def closure(start, edges):
+        out, todo = set(), [start]
+        while todo:
+            for nxt in edges[todo.pop()] - out:
+                out.add(nxt)
+                todo.append(nxt)
+        return out
+
+    return {
+        name: {name} | closure(name, parents) | closure(name, children)
+        for name in classes
+    }
 
 
 def _ci_python() -> list:
@@ -192,57 +250,97 @@ def _reachability():
 
     The subjects are every top-level function and class and every method
     under ``src/repro``, private ones included.  The roots are what runs
-    without being called by name: every module-level statement except
-    ``__all__``, decorators, default values, base classes and class-body
-    statements, every dunder method, every file under ``bench/``,
+    without being called by name: every module-level statement,
+    decorators, default values, base classes and class-body statements,
+    every dunder method, every file under ``bench/``,
     ``tools/`` and ``examples/``, and the Python inlined in the CI
-    workflow.  A subject is reached when its name is in the closure of
-    names loaded from the roots; its own body then adds to the closure.
-    Names are matched by spelling, so two methods of one name are reached
-    together.  A module is unused when none of its definitions is reached.
+    workflow.  A subject is reached when a reference from the roots, or
+    from a reached subject's body, names it; the syntax types the
+    receiver where it can (see :class:`_Loads`):
+
+    1. a bare name reaches the module-level definitions of that name and,
+       in a class-body statement, that class's members of that name;
+    2. ``self.x``, ``cls.x`` or ``super().x`` in class ``C`` reaches
+       ``x`` on ``C``, its ancestors and its descendants, never on a
+       sibling;
+    3. ``C.x`` and ``mod.C.x``, for a class ``C`` under ``src/repro``,
+       reach ``x`` on the same lineage of ``C``;
+    4. an identifier-shaped string reaches every definition of that
+       spelling only as a call argument (the ``getattr``/``_seam``/
+       ``hasattr`` case), never as a dict key or docstring.
+
+    Any other attribute reaches every definition of its spelling.  That
+    is the blind spot left: ``obj.x`` on a receiver the syntax does not
+    type (a parameter, a local, a call result) keeps alive every ``x`` of
+    every class, so a method can still hide behind a live namesake on an
+    untyped receiver.  A module is unused when none of its definitions
+    is reached.
     """
-    subjects: dict[tuple[str, str], set] = {}
-    roots: list = _ci_python()
+    sources = {}
     for top in _SCANNED_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            rel = path.relative_to(ROOT).as_posix()
-            tree = ast.parse(path.read_text())
-            if not rel.startswith("src/repro/"):
-                roots.append(tree)
+            sources[path.relative_to(ROOT).as_posix()] = ast.parse(path.read_text())
+    classes = {
+        stmt.name: stmt
+        for rel, tree in sources.items() if rel.startswith("src/repro/")
+        for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+    }
+    lineage = _lineages(classes)
+
+    def refs(node, cls=None, body=None) -> set:
+        loads = _Loads(classes, cls, body)
+        loads.visit(node)
+        return loads.refs
+
+    subjects: dict[tuple[str, str], set] = {}
+    roots = set().union(*(refs(tree) for tree in _ci_python()))
+    for rel, tree in sources.items():
+        if not rel.startswith("src/repro/"):
+            roots |= refs(tree)
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, _DEFS):
+                roots |= refs(stmt)
                 continue
-            for stmt in tree.body:
-                if _is_docstring(stmt, tree) or _is_all(stmt):
-                    continue
-                if not isinstance(stmt, _DEFS):
-                    roots.append(stmt)
-                    continue
-                roots += stmt.decorator_list
-                if not isinstance(stmt, ast.ClassDef):
-                    subjects[rel, stmt.name] = _names(stmt)
-                    roots.append(stmt.args)
-                    continue
-                subjects[rel, stmt.name] = set()
-                roots += stmt.bases + stmt.keywords
-                for item in stmt.body:
-                    if _is_docstring(item, stmt):
-                        continue
-                    if isinstance(item, _FUNCS) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
-                        subjects[rel, f"{stmt.name}.{item.name}"] = _names(item)
-                        roots += item.decorator_list + [item.args]
-                    else:
-                        roots.append(item)
-    reached_names = _names(*roots)
+            for expr in stmt.decorator_list:
+                roots |= refs(expr)
+            if not isinstance(stmt, ast.ClassDef):
+                subjects[rel, stmt.name] = refs(stmt)
+                roots |= refs(stmt.args)
+                continue
+            subjects[rel, stmt.name] = set()
+            for expr in stmt.bases + stmt.keywords:
+                roots |= refs(expr)
+            for item in stmt.body:
+                if isinstance(item, _FUNCS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    subjects[rel, f"{stmt.name}.{item.name}"] = refs(item, stmt.name)
+                    for expr in item.decorator_list + [item.args]:
+                        roots |= refs(expr, stmt.name, stmt.name)
+                else:
+                    roots |= refs(item, stmt.name, stmt.name)
+
+    targets: dict = {}  # reference -> the subjects it reaches
+    for key in subjects:
+        owner, _, name = key[1].rpartition(".")
+        targets.setdefault(("any", None, name), set()).add(key)
+        if not owner:
+            targets.setdefault(("def", None, name), set()).add(key)
+            continue
+        targets.setdefault(("own", owner, name), set()).add(key)
+        for cls in lineage[owner]:
+            targets.setdefault(("line", cls, name), set()).add(key)
     reached: set = set()
-    grew = True
-    while grew:
-        grew = False
-        for key, loads in subjects.items():
-            if key not in reached and key[1].rpartition(".")[2] in reached_names:
+    todo = list(roots)
+    seen = set(roots)
+    while todo:
+        for key in targets.get(todo.pop(), ()):
+            if key not in reached:
                 reached.add(key)
-                reached_names |= loads
-                grew = True
+                new = subjects[key] - seen
+                seen |= new
+                todo += new
     unreached = {key for key in subjects if key not in reached}
     modules = {rel for rel, _ in subjects}
     used = {rel for rel, _ in reached}
@@ -560,6 +658,25 @@ def _parameters():
 class TestReachability:
     """Nothing outside the tests reaches dead code, so it cannot hide:
     every definition under ``src/repro`` is reached from what ships."""
+
+    def test_references_are_typed_by_receiver(self):
+        tree = ast.parse(textwrap.dedent('''
+            class C:
+                alias = helper
+                def m(self, obj):
+                    self.a, C.b, obj.c, getattr(obj, "d"), {"e": 1}, f
+        '''))
+        loads = _Loads({"C": tree.body[0]})
+        loads.visit(tree)
+        assert {
+            ("own", "C", "helper"), ("def", None, "helper"),
+            ("line", "C", "a"), ("line", "C", "b"),
+            ("any", None, "c"), ("any", None, "d"), ("def", None, "f"),
+        } <= loads.refs
+        names = {name for _, _, name in loads.refs}
+        assert "e" not in names
+        assert ("any", None, "a") not in loads.refs
+        assert ("own", "C", "f") not in loads.refs  # a method body is no class body
 
     def test_every_def_is_reached_from_an_entry_point(self):
         unreached, _ = _reachability()
