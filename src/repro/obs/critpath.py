@@ -45,6 +45,13 @@ plan, a wait's producer is matched among *all* same-tag sends on other
 resources (the latest one ending by the wait's end), which is correct
 for symmetric plans and degrades gracefully to program order only.
 
+Attribution reads a :class:`~repro.obs.spans.SpanTracer`'s raw step
+records (:meth:`~repro.obs.spans.SpanTracer.records`) into per-span
+columns once and walks the DAG on integer indices; a
+:class:`~repro.obs.spans.StepSpan` is built only for the spans on the
+returned path.  A list of built spans goes through the same columns and
+gives the same result, bit for bit.
+
 The same code runs on all three planes: real-engine traces, DES traces
 (``simulate_fd(..., step_tracer=...)``) and the model's reconstructed
 timeline (:meth:`~repro.core.perfmodel.PerformanceModel.step_trace`,
@@ -56,10 +63,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
-from repro.obs.spans import SpanTracer, StepSpan
+from repro.obs.spans import SpanTracer, StepSpan, _step_fields
 
 __all__ = [
     "BLAME_BUCKETS",
@@ -212,18 +221,118 @@ def _empty_result() -> CriticalPathResult:
     )
 
 
+#: a built span's columns, in :class:`_Columns` order
+_SPAN_ROW = attrgetter(
+    "resource", "worker", "start", "end",
+    "step_kind", "grid_ids", "seq", "dim", "direction",
+)
+
+
+class _Columns:
+    """One trace as per-span columns, indexed by insertion position.
+
+    Built once from either input kind: a tracer's raw ``(resource,
+    step, worker, start, end)`` records, whose step fields are read once
+    per step object (the records of one run share the few hundred steps
+    of its compiled plans), or built :class:`~repro.obs.spans.StepSpan`\\ s.
+    A span object is only made for the indices :meth:`span` is asked for.
+    """
+
+    def __init__(self, trace: Union[SpanTracer, Iterable[StepSpan]]):
+        if isinstance(trace, SpanTracer):
+            self.entries, self.plane = trace.records(), trace.plane
+        else:
+            self.entries, self.plane = list(trace), None
+        fields: dict[int, tuple] = {}  # id(step) -> _step_fields(step)
+        rows = []
+        append = rows.append
+        for e in self.entries:
+            if type(e) is tuple:
+                step = e[1]
+                f = fields.get(id(step))
+                if f is None:
+                    f = fields[id(step)] = _step_fields(step)
+                append((e[0], e[2], e[3], e[4]) + f)
+            else:
+                append(_SPAN_ROW(e))
+        (
+            self.resource, self.worker, self.start, self.end,
+            self.kind, self.grid_ids, self.seq, self.dim, self.direction,
+        ) = ([r[k] for r in rows] for k in range(9))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def sort_key(self, i: int) -> tuple:
+        """:attr:`StepSpan.sort_key` of span ``i``."""
+        seq = self.seq[i]
+        return (
+            self.start[i],
+            self.end[i],
+            self.resource[i],
+            self.kind[i],
+            self.worker[i],
+            -1 if seq is None else seq,
+            self.grid_ids[i],
+        )
+
+    def latest(self, cands) -> int:
+        """The candidate with the largest ``(end, sort_key)``; the first
+        one on a full tie, as ``max`` picks.  ``sort_key`` is built only
+        when two ends tie."""
+        end = self.end
+        it = iter(cands)
+        best = next(it)
+        best_end = end[best]
+        best_key = None
+        for c in it:
+            e = end[c]
+            if e != best_end:
+                if e > best_end:
+                    best, best_end, best_key = c, e, None
+                continue
+            if best_key is None:
+                best_key = self.sort_key(best)
+            key = self.sort_key(c)
+            if key > best_key:
+                best, best_key = c, key
+        return best
+
+    def span(self, i: int) -> StepSpan:
+        """Span ``i`` — the entry itself when it already is one."""
+        e = self.entries[i]
+        if type(e) is not tuple:
+            return e
+        return StepSpan(
+            resource=self.resource[i],
+            step_kind=self.kind[i],
+            start=self.start[i],
+            end=self.end[i],
+            plane=self.plane,
+            worker=self.worker[i],
+            grid_ids=self.grid_ids[i],
+            seq=self.seq[i],
+            dim=self.dim[i],
+            direction=self.direction[i],
+        )
+
+
 def _cross_edges(
-    by_resource: dict[str, list[StepSpan]],
+    cols: _Columns,
+    by_resource: dict[str, list[int]],
+    owners: dict[str, Optional[int]],
     plan,
-) -> dict[int, list[StepSpan]]:
-    """``id(wait span) -> producer spans`` for every wait in the trace.
+) -> dict[int, list[int]]:
+    """``wait index -> producer indices`` for every wait in the trace.
 
     Producers are matched by tag: a ``WaitAll(seq)`` completes the
     ``PostRecv(seq, dim, dir)``\\ s (or ring stages) posted before it on
     the same resource, and each receive's producer is the matching
     ``PostSend``/``RingSendRecv`` on the source owner's resource.  With
     repeated invocations in one trace (tags recur), the producer chosen
-    is the latest one ending by the wait's end.
+    is the latest one ending by the wait's end.  Without a plan the
+    candidates are every same-tag producer on another resource, visited
+    owner by owner in the order the trace first shows each owner's tag.
     """
     sources: Optional[dict] = None
     if plan is not None:
@@ -231,73 +340,81 @@ def _cross_edges(
 
         sources = recv_sources(plan)
 
-    # producer indexes over the whole trace
-    sends: dict[tuple, list[StepSpan]] = {}  # (owner, seq, dim, dir)
-    ring_sends: dict[tuple, list[StepSpan]] = {}  # (owner, seq)
-    owners: dict[str, Optional[int]] = {}
-    for resource, spans in by_resource.items():
-        owner = owners.setdefault(resource, owner_of_resource(resource))
-        for s in spans:
-            if s.step_kind == "PostSend":
-                sends.setdefault(
-                    (owner, s.seq, s.dim, s.direction), []
-                ).append(s)
-            elif s.step_kind == "RingSendRecv":
-                ring_sends.setdefault((owner, s.seq), []).append(s)
+    kind, seq, dim, direction = cols.kind, cols.seq, cols.dim, cols.direction
+    resource_of, end = cols.resource, cols.end
 
-    def latest_by(cands: Iterable[StepSpan], deadline: float):
+    # producer indexes over the whole trace
+    sends: dict[tuple, list[int]] = {}  # (owner, seq, dim, dir)
+    ring_sends: dict[tuple, list[int]] = {}  # (owner, seq)
+    for resource, rows in by_resource.items():
+        owner = owners[resource]
+        for i in rows:
+            k = kind[i]
+            if k == "PostSend":
+                sends.setdefault(
+                    (owner, seq[i], dim[i], direction[i]), []
+                ).append(i)
+            elif k == "RingSendRecv":
+                ring_sends.setdefault((owner, seq[i]), []).append(i)
+    # without a plan a receive's candidates are its tag's per-owner
+    # lists, in key creation order: the first of equally late sends wins
+    sends_by_tag: dict[tuple, list[list[int]]] = {}  # (seq, dim, dir)
+    rings_by_seq: dict[int, list[list[int]]] = {}
+    if sources is None:
+        for key, lst in sends.items():
+            sends_by_tag.setdefault(key[1:], []).append(lst)
+        for (_owner, s), lst in ring_sends.items():
+            rings_by_seq.setdefault(s, []).append(lst)
+
+    def latest_by(cands, deadline: float) -> Optional[int]:
         best = None
+        best_end = 0.0
         for c in cands:
-            if c.end <= deadline and (best is None or c.end > best.end):
-                best = c
+            e = end[c]
+            if e <= deadline and (best is None or e > best_end):
+                best, best_end = c, e
         return best
 
-    edges: dict[int, list[StepSpan]] = {}
-    for resource, spans in by_resource.items():
+    def elsewhere(lists, resource: str):
+        return (c for lst in lists for c in lst if resource_of[c] != resource)
+
+    edges: dict[int, list[int]] = {}
+    for resource, rows in by_resource.items():
         owner = owners[resource]
-        pending: dict[int, list[StepSpan]] = {}  # seq -> posted recvs
+        pending: dict[int, list[int]] = {}  # seq -> posted recvs
         ring_pending: dict[int, int] = {}  # seq -> ring stages posted
-        for s in spans:
-            if s.step_kind == "PostRecv":
-                pending.setdefault(s.seq, []).append(s)
-            elif s.step_kind == "RingSendRecv":
-                ring_pending[s.seq] = ring_pending.get(s.seq, 0) + 1
-            elif s.step_kind == "WaitAll":
-                preds: list[StepSpan] = []
-                for pr in pending.pop(s.seq, ()):
+        for i in rows:
+            k = kind[i]
+            if k == "PostRecv":
+                pending.setdefault(seq[i], []).append(i)
+            elif k == "RingSendRecv":
+                ring_pending[seq[i]] = ring_pending.get(seq[i], 0) + 1
+            elif k == "WaitAll":
+                s = seq[i]
+                deadline = end[i]
+                preds: list[int] = []
+                for pr in pending.pop(s, ()):
+                    d, dr = dim[pr], direction[pr]
                     if sources is not None:
-                        src = sources.get((owner, pr.dim, pr.direction))
-                        cands = sends.get(
-                            (src, pr.seq, pr.dim, pr.direction), ()
-                        )
+                        src = sources.get((owner, d, dr))
+                        cands = sends.get((src, s, d, dr), ())
                     else:
-                        cands = [
-                            c
-                            for key, lst in sends.items()
-                            if key[1:] == (pr.seq, pr.dim, pr.direction)
-                            for c in lst
-                            if c.resource != resource
-                        ]
-                    hit = latest_by(cands, s.end)
+                        cands = elsewhere(
+                            sends_by_tag.get((s, d, dr), ()), resource
+                        )
+                    hit = latest_by(cands, deadline)
                     if hit is not None:
                         preds.append(hit)
-                if ring_pending.pop(s.seq, 0):
+                if ring_pending.pop(s, 0):
                     if sources is not None:
-                        src = sources.get(owner)
-                        cands = ring_sends.get((src, s.seq), ())
+                        cands = ring_sends.get((sources.get(owner), s), ())
                     else:
-                        cands = [
-                            c
-                            for (o, seq), lst in ring_sends.items()
-                            if seq == s.seq
-                            for c in lst
-                            if c.resource != resource
-                        ]
-                    hit = latest_by(cands, s.end)
+                        cands = elsewhere(rings_by_seq.get(s, ()), resource)
+                    hit = latest_by(cands, deadline)
                     if hit is not None:
                         preds.append(hit)
                 if preds:
-                    edges[id(s)] = preds
+                    edges[i] = preds
     return edges
 
 
@@ -312,26 +429,35 @@ def critical_path(
     program order — the invariant every producer maintains).  ``plan``
     (optional) is the compiled schedule the trace executed; with it,
     cross-rank edges resolve exactly via
-    :func:`~repro.core.schedule.recv_sources`.
+    :func:`~repro.core.schedule.recv_sources`.  Both input kinds give
+    the same result; a tracer's raw records are read without building
+    a :class:`~repro.obs.spans.StepSpan` for any span off the path.
     """
-    spans = trace.spans() if isinstance(trace, SpanTracer) else list(trace)
-    if not spans:
+    cols = _Columns(trace)
+    n_spans = len(cols)
+    if not n_spans:
         return _empty_result()
+    resource_of, kind, start, end = (
+        cols.resource, cols.kind, cols.start, cols.end
+    )
 
-    by_resource: dict[str, list[StepSpan]] = {}
-    position: dict[int, tuple[str, int]] = {}
-    for s in spans:
-        row = by_resource.setdefault(s.resource, [])
-        position[id(s)] = (s.resource, len(row))
-        row.append(s)
-    cross = _cross_edges(by_resource, plan)
+    # program order: each resource's span indices, ascending
+    by_resource: dict[str, list[int]] = {}
+    owners: dict[str, Optional[int]] = {}
+    for i, r in enumerate(resource_of):
+        rows = by_resource.get(r)
+        if rows is None:
+            rows = by_resource[r] = []
+            owners[r] = owner_of_resource(r)
+        rows.append(i)
+    cross = _cross_edges(cols, by_resource, owners, plan)
 
-    t0 = min(s.start for s in spans)
-    t_end = max(s.end for s in spans)
+    t0 = min(start)
+    t_end = max(end)
     wall = t_end - t0
     buckets = {b: 0.0 for b in BLAME_BUCKETS}
     by_rank: dict[int, float] = {}
-    path: list[StepSpan] = []
+    path: list[int] = []
 
     # straggler attribution: every wait blocked past its arrival by a
     # cross-rank producer charges the blocked seconds to that producer's
@@ -339,55 +465,45 @@ def critical_path(
     # critical path happens to stay on the straggler's own resource
     # (e.g. a delayed send stalls the sender and its peers alike)
     imbalance: dict[int, float] = {}
-    span_by_id = {id(s): s for s in spans}
-    for wait_id, preds in cross.items():
-        wait = span_by_id[wait_id]
-        owner = owner_of_resource(wait.resource)
-        binding = max(preds, key=lambda p: (p.end, p.sort_key))
-        blocked = min(binding.end, wait.end) - wait.start
-        src_owner = owner_of_resource(binding.resource)
+    for wait, preds in cross.items():
+        owner = owners[resource_of[wait]]
+        binding = cols.latest(preds)
+        blocked = min(end[binding], end[wait]) - start[wait]
+        src_owner = owners[resource_of[binding]]
         if blocked > 0 and src_owner is not None and src_owner != owner:
             imbalance[src_owner] = imbalance.get(src_owner, 0.0) + blocked
 
-    def blame(span: StepSpan, lo: float, hi: float) -> None:
+    def blame(i: int, bucket: str, lo: float, hi: float) -> None:
         if hi <= lo:
             return
-        buckets[blame_bucket(span.step_kind)] += hi - lo
-        owner = owner_of_resource(span.resource)
+        buckets[bucket] += hi - lo
+        owner = owners[resource_of[i]]
         if owner is not None:
             by_rank[owner] = by_rank.get(owner, 0.0) + (hi - lo)
 
-    def blame_gap(span: StepSpan, lo: float, hi: float) -> None:
-        if hi <= lo:
-            return
-        buckets["wait_imbalance"] += hi - lo
-        owner = owner_of_resource(span.resource)
-        if owner is not None:
-            by_rank[owner] = by_rank.get(owner, 0.0) + (hi - lo)
-
-    cur = max(spans, key=lambda s: (s.end, s.sort_key))
-    t_hi = cur.end
-    for _ in range(len(spans) + 1):
+    cur = cols.latest([i for i, e in enumerate(end) if e == t_end])
+    t_hi = end[cur]
+    for _ in range(n_spans + 1):
         path.append(cur)
-        resource, idx = position[id(cur)]
-        preds = list(cross.get(id(cur), ()))
+        preds = list(cross.get(cur, ()))
+        rows = by_resource[resource_of[cur]]
+        idx = bisect_left(rows, cur)
         if idx > 0:
-            preds.append(by_resource[resource][idx - 1])
-        binding = (
-            max(preds, key=lambda p: (p.end, p.sort_key)) if preds else None
-        )
+            preds.append(rows[idx - 1])
+        binding = cols.latest(preds) if preds else None
+        bucket = blame_bucket(kind[cur])
         if binding is None:
-            blame(cur, cur.start, t_hi)
-            blame_gap(cur, t0, cur.start)
+            blame(cur, bucket, start[cur], t_hi)
+            blame(cur, "wait_imbalance", t0, start[cur])
             break
-        release = min(binding.end, t_hi)
-        if release > cur.start:
+        release = min(end[binding], t_hi)
+        if release > start[cur]:
             # blocked past its start by the producer: the path continues
             # on the producer's side until it released this span
-            blame(cur, release, t_hi)
+            blame(cur, bucket, release, t_hi)
         else:
-            blame(cur, cur.start, t_hi)
-            blame_gap(cur, release, cur.start)
+            blame(cur, bucket, start[cur], t_hi)
+            blame(cur, "wait_imbalance", release, start[cur])
         cur, t_hi = binding, release
 
     # fold the telescoping-sum float residual (a few ulps) into the
@@ -402,7 +518,7 @@ def critical_path(
         top = max(buckets, key=lambda b: buckets[b])
         units[top] += round(wall / ulp) - sum(units.values())
         buckets = {b: n * ulp for b, n in units.items()}
-        owner = owner_of_resource(path[-1].resource) if path else None
+        owner = owners[resource_of[path[-1]]]
         if owner is not None and owner in by_rank:
             by_rank[owner] += residual
 
@@ -410,8 +526,8 @@ def critical_path(
     return CriticalPathResult(
         wall_time=wall,
         buckets=buckets,
-        path=path,
+        path=[cols.span(i) for i in path],
         by_rank=by_rank,
         imbalance_by_rank=imbalance,
-        n_spans=len(spans),
+        n_spans=n_spans,
     )

@@ -129,6 +129,23 @@ class StepSpan:
         return out
 
 
+def _step_fields(step) -> tuple:
+    """``(step_kind, grid_ids, seq, dim, direction)`` of one schedule step.
+
+    The optional attributes are picked up with ``getattr`` so every step
+    type maps onto the one schema (mirroring ``engine._step_info``).
+    """
+    gid = getattr(step, "grid_id", None)
+    grid_ids = getattr(step, "grid_ids", (gid,) if gid is not None else ())
+    return (
+        type(step).__name__,
+        tuple(grid_ids),
+        getattr(step, "seq", None),
+        getattr(step, "dim", None),
+        getattr(step, "step", None),
+    )
+
+
 class SpanTracer:
     """Collects :class:`StepSpan`\\ s from concurrently running workers.
 
@@ -154,7 +171,7 @@ class SpanTracer:
         # start, end) tuples; record_step defers StepSpan construction so
         # the enabled hot path is one lock + one append (the bench gate's
         # <3% budget), and _materialize builds the dataclasses on first
-        # query.
+        # query (records() hands the raw tuples out unbuilt).
         self._entries: list = []
 
     # -- recording ---------------------------------------------------------
@@ -172,11 +189,10 @@ class SpanTracer:
     ) -> None:
         """Record one executed schedule-IR step.
 
-        ``step`` is any :data:`repro.core.schedule.Step`; the optional
-        attributes are picked up with ``getattr`` so every step type maps
-        onto the one schema (mirroring ``engine._step_info``).  The step
+        ``step`` is any :data:`repro.core.schedule.Step`.  The step
         object is stored as-is and converted to a :class:`StepSpan`
-        lazily — schedule steps are immutable, so deferral is safe.
+        lazily (:func:`_step_fields`) — schedule steps are immutable, so
+        deferral is safe.
         """
         if end < start:
             raise ValueError(f"span ends before it starts: {start}..{end}")
@@ -212,27 +228,40 @@ class SpanTracer:
             )
         )
 
+    def records(self) -> list:
+        """A snapshot of the entries, in insertion order, under the lock.
+
+        Each entry is either a built :class:`StepSpan` or a raw
+        ``(resource, step, worker, start, end)`` record from
+        :meth:`record_step`; nothing is materialized, so a consumer that
+        reads only a few fields (``critical_path``) builds spans only
+        where it needs them.
+        """
+        with self._lock:
+            return list(self._entries)
+
     def _materialize(self) -> list[StepSpan]:
         """Replace raw records with built spans, in place, under the lock."""
         entries = self._entries
+        fields: dict[int, tuple] = {}  # id(step) -> _step_fields(step)
         for i, e in enumerate(entries):
             if type(e) is tuple:
                 resource, step, worker, start, end = e
-                gid = getattr(step, "grid_id", None)
-                grid_ids = getattr(
-                    step, "grid_ids", (gid,) if gid is not None else ()
-                )
+                f = fields.get(id(step))
+                if f is None:
+                    f = fields[id(step)] = _step_fields(step)
+                kind, grid_ids, seq, dim, direction = f
                 entries[i] = StepSpan(
                     resource=resource,
-                    step_kind=type(step).__name__,
+                    step_kind=kind,
                     start=start,
                     end=end,
                     plane=self.plane,
                     worker=worker,
-                    grid_ids=tuple(grid_ids),
-                    seq=getattr(step, "seq", None),
-                    dim=getattr(step, "dim", None),
-                    direction=getattr(step, "step", None),
+                    grid_ids=grid_ids,
+                    seq=seq,
+                    dim=dim,
+                    direction=direction,
                 )
         return list(entries)
 

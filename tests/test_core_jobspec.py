@@ -111,14 +111,36 @@ class TestRuntimeSpec:
         assert loaded.runtime.checkpoint_keep == 5
 
     def test_checkpoint_stores_build_from_spec(self, tmp_path):
-        from repro.dft import FileCheckpointStore, MemoryCheckpointStore
+        import numpy as np
+
+        from repro.dft import (
+            DistributedSCF,
+            FileCheckpointStore,
+            MemoryCheckpointStore,
+        )
 
         spec = JobSpec(
             problem=ProblemSpec(shape=(8, 8, 8), n_grids=2),
+            layout=LayoutSpec(n_cores=1),
             runtime=RuntimeSpec(checkpoint_keep=7),
         )
-        assert FileCheckpointStore.from_spec(spec, tmp_path / "c").keep == 7
+        v = np.zeros((8, 8, 8))
+        store = FileCheckpointStore.from_spec(spec, tmp_path / "c")
+        assert store.keep == 7
+        assert DistributedSCF.from_spec(
+            spec, v, checkpoint_store=store
+        ).checkpoint_store is store
+        # the in-process store keeps 2: a spec asking for 7 is rejected
+        # by name instead of running with the wrong window
         assert MemoryCheckpointStore().keep == 2
+        with pytest.raises(ValueError, match="checkpoint_keep"):
+            DistributedSCF.from_spec(
+                spec, v, checkpoint_store=MemoryCheckpointStore()
+            )
+        default = replace(spec, runtime=RuntimeSpec())
+        DistributedSCF.from_spec(
+            default, v, checkpoint_store=MemoryCheckpointStore()
+        )
 
     def test_placement_validated_and_round_trips(self):
         with pytest.raises(ValueError):

@@ -208,3 +208,66 @@ class TestResultSurface:
         result = critical_path(tracer)
         total = sum(result.fraction(b) for b in BLAME_BUCKETS)
         assert total == pytest.approx(1.0, rel=1e-9)
+
+
+def _assert_input_kinds_agree(tracer, plan):
+    """A fresh tracer (raw records), its built span list and the same
+    tracer once materialized give equal results, with and without the
+    plan."""
+    plans = (plan, None)
+    assert any(type(e) is tuple for e in tracer.records())
+    fresh = [critical_path(tracer, plan=p) for p in plans]
+    spans = tracer.spans()
+    assert not any(type(e) is tuple for e in tracer.records())
+    for p, want in zip(plans, fresh):
+        assert all(type(s) is StepSpan for s in want.path)
+        assert critical_path(spans, plan=p) == want
+        assert critical_path(tracer, plan=p) == want
+
+
+@st.composite
+def _small_specs(draw):
+    """A small FD spec: any approach, up to 64 cores, periodic or open."""
+    approach = draw(st.sampled_from(ALL_APPROACHES))
+    n_grids = draw(st.integers(1, 4))
+    batch = (
+        draw(st.integers(1, n_grids)) if approach.supports_batching else 1
+    )
+    return JobSpec(
+        problem=ProblemSpec(
+            shape=(16, 16, 16),
+            n_grids=n_grids,
+            pbc=(draw(st.booleans()),) * 3,
+        ),
+        layout=LayoutSpec(
+            approach=approach.name,
+            n_cores=draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+            batch_size=batch,
+        ),
+    )
+
+
+class TestInputKinds:
+    """A tracer's raw records and its built spans attribute identically."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(spec=_small_specs())
+    # the no-plan fallback's worst case: --durations shows it turning
+    # quadratic in the core count again
+    @example(spec=_spec("flat-original", n_cores=128, n_grids=8,
+                        shape=(32, 32, 32), batch_size=1))
+    def test_property_raw_records_match_built_spans(self, spec):
+        _assert_input_kinds_agree(step_trace(spec, "sim"), plan_for_spec(spec))
+
+    def test_band_ring_trace(self):
+        from repro.core.planner import Planner
+        from repro.core.simrun import simulate_band_plan
+
+        plan = Planner().band_plan(
+            ProblemSpec(shape=(32, 32, 32), n_grids=16), 64, 4
+        )
+        tracer = SpanTracer(plane="sim")
+        simulate_band_plan(plan, step_tracer=tracer)
+        assert any(type(e) is tuple and type(e[1]).__name__ == "RingSendRecv"
+                   for e in tracer.records())
+        _assert_input_kinds_agree(tracer, plan)
