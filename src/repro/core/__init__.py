@@ -44,7 +44,6 @@ from repro.core.batching import batch_schedule
 from repro.core.schedule import (
     BandSchedulePlan,
     PartialGemm,
-    RingSendRecv,
     SchedulePlan,
     clear_plan_cache,
     compile_band_schedule,
@@ -101,7 +100,6 @@ __all__ = [
     "BandSchedulePlan",
     "batch_schedule",
     "PartialGemm",
-    "RingSendRecv",
     "SchedulePlan",
     "clear_plan_cache",
     "compile_band_schedule",

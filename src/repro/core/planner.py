@@ -57,7 +57,7 @@ from repro.core.perfmodel import FDJob, PerformanceModel
 from repro.core.schedule import (
     BandSchedulePlan,
     PartialGemm,
-    RingSendRecv,
+    PostSend,
     compile_band_schedule,
 )
 from repro.core.wholeapp import WholeAppModel
@@ -246,7 +246,7 @@ class Planner:
         """``(compute, ring)`` seconds of one group's compiled step list.
 
         Every :class:`PartialGemm` is priced at the node's GEMM rate,
-        every :class:`RingSendRecv` at the torus link (one hop to the
+        every ring :class:`PostSend` at the torus link (one hop to the
         neighbouring group's partition).
         """
         rate = self.machine.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
@@ -255,7 +255,7 @@ class Planner:
         for st in plan.group_steps(0):
             if isinstance(st, PartialGemm):
                 compute += st.flops / rate
-            elif isinstance(st, RingSendRecv):
+            elif isinstance(st, PostSend):
                 ring += self.machine.torus.message_time(st.nbytes, hops=1)
         return compute, ring
 

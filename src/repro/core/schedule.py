@@ -31,6 +31,13 @@ Step types
 ``JoinBarrier``
     End-of-invocation marker for one worker of a thread team; the thread
     spawn/join cost lives here in the timing planes.
+``PartialGemm``
+    One blocked GEMM tile of the band-ring orthogonalization; it carries
+    its flops.
+
+The band ring (:class:`BandSchedulePlan`) compiles to the same
+``PostSend``/``PostRecv``/``WaitAll`` steps as a halo exchange, on the
+direction index :data:`RING_DIM` that no halo direction uses.
 
 Plan structure
 --------------
@@ -70,6 +77,18 @@ from repro.util.validation import check_positive_int
 
 #: the paper's stencil radius — the default halo width of compiled plans
 DEFAULT_HALO_WIDTH = 2
+#: the direction index of band-ring exchanges.  Halo directions use
+#: 0..2, so a ring message never shares a ``(seq, dim, direction)`` key
+#: with a halo message, even in a trace that holds both.
+RING_DIM = 3
+
+
+def _wire_tag(seq: int, dim: int, step: int, phase: int) -> int:
+    """The tag one exchange step sends under: ring stages keep
+    :func:`ring_tag`, halo messages :func:`message_tag`."""
+    if dim == RING_DIM:
+        return ring_tag(phase, seq)
+    return message_tag(seq, dim, step)
 
 
 # -- step types ---------------------------------------------------------------
@@ -80,14 +99,15 @@ class PostSend:
     seq: int
     dim: int
     step: int
-    dst: int  # destination domain
+    dst: int  # destination domain (band group for ring stages)
     grid_ids: tuple[int, ...]
     nbytes: int  # whole message (all grids of the batch)
     slot: int = 0  # rank offset within a node (flat sub-groups)
+    phase: int = 0  # ring pass of a RING_DIM stage; 0 for halo messages
 
     @property
     def tag(self) -> int:
-        return message_tag(self.seq, self.dim, self.step)
+        return _wire_tag(self.seq, self.dim, self.step, self.phase)
 
 
 @dataclass(frozen=True)
@@ -97,14 +117,15 @@ class PostRecv:
     seq: int
     dim: int
     step: int
-    src: int  # source domain
+    src: int  # source domain (band group for ring stages)
     grid_ids: tuple[int, ...]
     nbytes: int
     slot: int = 0
+    phase: int = 0
 
     @property
     def tag(self) -> int:
-        return message_tag(self.seq, self.dim, self.step)
+        return _wire_tag(self.seq, self.dim, self.step, self.phase)
 
 
 @dataclass(frozen=True)
@@ -151,25 +172,6 @@ class JoinBarrier:
 
 
 @dataclass(frozen=True)
-class RingSendRecv:
-    """Post one ring stage of the band orthogonalization: start the
-    non-blocking send of the currently held band block to the next
-    group's same-domain peer, and post the receive from the previous
-    group's peer.  Both overlap the :class:`PartialGemm` that follows;
-    the matching :class:`WaitAll` completes the stage."""
-
-    seq: int  # the stage this exchange delivers (1 .. nb-1)
-    phase: int  # 0 = overlap-matrix pass, 1 = rotation pass
-    dst_group: int
-    src_group: int
-    nbytes: int
-
-    @property
-    def tag(self) -> int:
-        return ring_tag(self.phase, self.seq)
-
-
-@dataclass(frozen=True)
 class PartialGemm:
     """One blocked GEMM tile against the band block currently held:
     an ``m x k @ k x n`` product building one strip of the overlap
@@ -196,7 +198,6 @@ Step = Union[
     ComputeInterior,
     GridBarrier,
     JoinBarrier,
-    RingSendRecv,
     PartialGemm,
 ]
 
@@ -313,6 +314,11 @@ class SchedulePlan:
                     recvs.append((dim, step, src, d.send_bytes(src, dim, step, w)))
         self._dir_cache[domain] = (tuple(sends), tuple(recvs))
         return self._dir_cache[domain]
+
+    @property
+    def n_owners(self) -> int:
+        """Owners of step lists: the domains."""
+        return self.decomp.n_domains
 
     def n_directions(self, domain: int) -> int:
         """Remote send directions of one domain (<= 6)."""
@@ -592,11 +598,14 @@ class BandSchedulePlan:
     Two passes run back to back, each a full trip of band blocks around
     the group ring: the **overlap** pass builds this group's strips of
     the G x G overlap (or Hamiltonian) matrix, the **rotate** pass
-    accumulates the rotated states.  Per stage the plan posts the ring
-    exchange first (:class:`RingSendRecv`), runs the
-    :class:`PartialGemm` on the block it already holds, then completes
-    the receive (:class:`WaitAll`) — the exchange rides under the GEMM,
-    which is the whole point of the ring formulation.
+    accumulates the rotated states.  Per stage the plan posts the send
+    of the held block to the next group's same-domain peer
+    (:class:`PostSend`) and the receive from the previous group's
+    (:class:`PostRecv`), runs the :class:`PartialGemm` on the block it
+    already holds, then completes the receive (:class:`WaitAll`) — the
+    exchange rides under the GEMM, which is the whole point of the ring
+    formulation.  Ring exchanges use direction ``(RING_DIM, +1)`` and
+    send under :func:`~repro.transport.errors.ring_tag`.
 
     ``nb = 1`` degenerates to one :class:`PartialGemm` per phase and no
     ring traffic at all.
@@ -624,7 +633,8 @@ class BandSchedulePlan:
         self._lock = threading.Lock()
 
     @property
-    def n_groups(self) -> int:
+    def n_owners(self) -> int:
+        """Owners of step lists: the band groups."""
         return self.layout.n_groups
 
     @property
@@ -634,6 +644,22 @@ class BandSchedulePlan:
             self.layout.bands_per_group
             * self.ring_points
             * self.bytes_per_point
+        )
+
+    def directions(self, group: int) -> tuple[tuple, tuple]:
+        """(outgoing, incoming) ring directions of one group.
+
+        :meth:`SchedulePlan.directions`' format: ``(RING_DIM, +1,
+        peer_group, stage_nbytes)`` to the ring successor and from the
+        ring predecessor; none at ``nb = 1``.
+        """
+        lay = self.layout
+        if lay.n_groups == 1:
+            return (), ()
+        nbytes = self.stage_nbytes
+        return (
+            ((RING_DIM, +1, lay.ring_send_group(group), nbytes),),
+            ((RING_DIM, +1, lay.ring_recv_group(group), nbytes),),
         )
 
     def phase_steps(self, group: int, phase: int) -> tuple[Step, ...]:
@@ -660,17 +686,15 @@ class BandSchedulePlan:
         lay = self.layout
         nb = lay.n_groups
         m = lay.bands_per_group
+        dst, src = lay.ring_send_group(group), lay.ring_recv_group(group)
+        nbytes = self.stage_nbytes
         steps: list[Step] = []
         for stage in range(nb):
-            if stage < nb - 1:
-                steps.append(
-                    RingSendRecv(
-                        seq=stage + 1,
-                        phase=phase,
-                        dst_group=lay.ring_send_group(group),
-                        src_group=lay.ring_recv_group(group),
-                        nbytes=self.stage_nbytes,
-                    )
+            seq = stage + 1  # the stage this exchange delivers
+            if seq < nb:
+                steps += (
+                    PostSend(seq, RING_DIM, +1, dst, (), nbytes, phase=phase),
+                    PostRecv(seq, RING_DIM, +1, src, (), nbytes, phase=phase),
                 )
             steps.append(
                 PartialGemm(
@@ -682,8 +706,8 @@ class BandSchedulePlan:
                     k=self.gemm_points,
                 )
             )
-            if stage < nb - 1:
-                steps.append(WaitAll(seq=stage + 1, grid_ids=()))
+            if seq < nb:
+                steps.append(WaitAll(seq=seq, grid_ids=()))
         return tuple(steps)
 
 
@@ -702,24 +726,16 @@ def compile_band_schedule(
 
 # -- step dependency metadata -------------------------------------------------
 def recv_sources(plan) -> dict:
-    """Producer-owner lookup for every receive direction of a plan.
+    """``(owner, dim, direction) -> source owner`` for every receive
+    direction of a plan (domains of a :class:`SchedulePlan`, band groups
+    of a :class:`BandSchedulePlan`).
 
-    The geometry is seq-independent, so the map stays small:
-
-    * :class:`SchedulePlan` — ``(domain, dim, direction) -> source
-      domain`` for every remote receive direction of every domain.
-    * :class:`BandSchedulePlan` — ``group -> source group`` (the ring
-      predecessor every stage receives from).
-
-    This is the metadata :mod:`repro.obs.critpath` uses to resolve a
-    trace's cross-rank edges without re-deriving the halo geometry.
+    The geometry is seq-independent, so the map stays small; it is the
+    metadata :mod:`repro.obs.critpath` resolves a trace's cross-rank
+    edges with, without re-deriving the geometry.
     """
     out: dict = {}
-    if isinstance(plan, BandSchedulePlan):
-        for group in range(plan.layout.n_groups):
-            out[group] = plan.layout.ring_recv_group(group)
-        return out
-    for domain in range(plan.decomp.n_domains):
-        for dim, step, src, _nbytes in plan.directions(domain)[1]:
-            out[(domain, dim, step)] = src
+    for owner in range(plan.n_owners):
+        for dim, step, src, _nbytes in plan.directions(owner)[1]:
+            out[(owner, dim, step)] = src
     return out

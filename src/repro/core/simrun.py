@@ -27,7 +27,9 @@ Every replay runs on one table-driven micro-op machine:
   are capacity-1 FIFO :class:`_CbLock`\\ s; receives match by
   ``(source, tag)`` in FIFO order.
 
-Three lowerings feed it:
+One step lowering (:meth:`_Replay._lower`) turns a compiled step list
+into micro-ops; a plan's :meth:`~repro.core.schedule.SchedulePlan
+.directions` give each worker its peer tables.  Two plan replays use it:
 
 * FD :class:`~repro.core.schedule.SchedulePlan`\\ s
   (:func:`simulate_fd`).  Ranks are grouped by their *direction
@@ -36,9 +38,12 @@ Three lowerings feed it:
   representative plan is lowered per signature, which on a regular
   domain grid is a handful of programs for thousands of ranks.
 * :class:`~repro.core.schedule.BandSchedulePlan` rings
-  (:func:`simulate_band_plan`).
-* Point-to-point message sets (:func:`_replay_messages`), which Fig. 2's
-  ping-pong runs on.
+  (:func:`simulate_band_plan`), whose stages compile to the same
+  ``PostSend``/``PostRecv``/``WaitAll`` steps.
+
+Point-to-point message sets (:func:`_replay_messages`), which Fig. 2's
+ping-pong runs on, are written as micro-ops directly: they have no
+direction geometry to lower.
 
 Exactness contract
 ------------------
@@ -80,12 +85,10 @@ from repro.core.schedule import (
     PartialGemm,
     PostRecv,
     PostSend,
-    RingSendRecv,
     WaitAll,
-    WorkerPlan,
-    message_tag,
     timing_plan,
 )
+from repro.core.wholeapp import WholeAppModel
 from repro.grid.decompose import Decomposition
 from repro.machine.machine import Machine
 from repro.machine.partition import NodeMode
@@ -696,8 +699,9 @@ class _Replay:
     """The shared state of one replay on one :class:`Machine`.
 
     Node busy arrays, torus links, per-rank MPI locks, match queues and
-    the byte/message counters, all created lazily; every lowering
-    starts its workers on one of these and calls :meth:`run`.
+    the byte/message counters, all created lazily; every replay lowers
+    its workers (:meth:`_lower`), starts them on one of these and calls
+    :meth:`run`.
     """
 
     def __init__(
@@ -718,6 +722,13 @@ class _Replay:
         self.pays_lock = pays_lock
         self.ovh = spec.threads.mpi_multiple_overhead
         self.n_node_cores = spec.node.n_cores
+        self.t_call = spec.threads.mpi_call_cpu_time
+        self.barrier_time = spec.threads.barrier_time
+        self.gemm_rate = spec.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
+        #: the micro-op row of one ComputeInterior (stencil plans set it)
+        self.interior_op: Optional[tuple] = None
+        #: plan owner (domain, band group) -> the rank it is placed on
+        self.rank_of_owner: list[int] = []
         self.fault_plan = fault_plan
         # rank -> node / first-core tables (partition properties are too
         # slow to chase once per peer per rank)
@@ -808,6 +819,73 @@ class _Replay:
         src_node = rank_node[rank]
         return [(dst, self._path(src_node, rank_node[dst])) for dst in dsts]
 
+    def _peers(self, send_dirs, recv_dirs, rank: int, slot: int):
+        """One worker's ``(sends, rsrcs)`` tables from its owner's
+        direction lists (peers placed by :attr:`rank_of_owner`)."""
+        ro = self.rank_of_owner
+        return (
+            self._send_table(
+                rank, [ro[peer] + slot for _d, _s, peer, _nb in send_dirs]
+            ),
+            [ro[peer] + slot for _d, _s, peer, _nb in recv_dirs],
+        )
+
+    def _lower(self, steps, worker: int, send_dirs, recv_dirs, rounds,
+               lookahead: int) -> list:
+        """Lower one worker's step list to micro-op rows.
+
+        Exchange steps find their peer-table slot by ``(dim, step)`` in
+        the owner's direction lists.  ``rounds`` (the worker's
+        ``(seq, grids)`` exchange rounds, empty when the plan pays no
+        separate call CPU) charges the per-round CPU cost of entering the
+        MPI library (sends + recvs + one waitall per round) when a
+        round's calls are issued, which is ``lookahead`` rounds ahead of
+        the ``WaitAll`` being replayed.  With step tracing, every step
+        lands as a span on the worker's resource.
+        """
+        send_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(send_dirs)}
+        recv_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(recv_dirs)}
+        fp = self.fault_plan
+        with_steps = self.step_buf is not None
+        prog: list = []
+        round_call_cpu = (len(send_index) + len(recv_index) + 1) * self.t_call
+        next_round = 0
+        for st in steps:
+            if with_steps:
+                prog.append((OP_T0,))
+            if rounds and isinstance(st, (PostSend, PostRecv, WaitAll)):
+                limit = st.seq + (lookahead if isinstance(st, WaitAll) else 0)
+                while next_round < len(rounds) and rounds[next_round][0] <= limit:
+                    next_round += 1
+                    prog.append((OP_COMPUTE, round_call_cpu))
+            if isinstance(st, PostSend):
+                d = send_index[(st.dim, st.step)]
+                if fp is not None:
+                    prog.append((OP_FAULT_SEND, d, st.nbytes, st.tag))
+                else:
+                    prog.append((OP_SEND, d, st.nbytes, st.tag))
+            elif isinstance(st, PostRecv):
+                if fp is not None:
+                    prog.append((OP_FAULT_CLOCK,))
+                prog.append((OP_RECV, recv_index[(st.dim, st.step)], st.tag, st.seq))
+            elif isinstance(st, WaitAll):
+                if fp is not None:
+                    prog.append((OP_FAULT_CLOCK,))
+                prog.append((OP_WAITALL, st.seq))
+            elif isinstance(st, ComputeInterior):
+                prog.append(self.interior_op)
+            elif isinstance(st, PartialGemm):
+                prog.append((OP_COMPUTE, st.flops / self.gemm_rate))
+            elif isinstance(st, GridBarrier):
+                prog.append((OP_TIMEOUT, self.barrier_time))
+            # ApplyLocalWraps / ComputeBoundary: in-block memcpys and
+            # zeroing, free at this fidelity (their cost is inside the
+            # calibrated per-point compute time); JoinBarrier: the team
+            # runner pays the join cost once
+            if with_steps:
+                prog.append((OP_STEP, st, worker))
+        return prog
+
     def _deliver(self, dst: int, src: int, tag: int) -> None:
         """Payload arrived: complete the matching posted receive or queue it."""
         posted = self.posted.get(dst)
@@ -824,7 +902,7 @@ class _Replay:
         self.unexpected.setdefault(dst, []).append((src, tag))
 
 
-# -- lowering 1: FD schedule plans --------------------------------------------
+# -- FD schedule plans --------------------------------------------------------
 class _SigUnit:
     """Everything lowered once per plan signature, shared by its ranks."""
 
@@ -875,18 +953,29 @@ class _FDSimulation(_Replay):
             approach, job.grid, job.n_grids, n_cores, batch_size, ramp_up
         )
         self.decomp = self.plan.decomp
-        self.rank_of_domain = _domain_to_rank(self.decomp, self.machine, placement)
-        self.block_points = self.decomp.max_block_points()
+        self.rank_of_owner = _domain_to_rank(self.decomp, self.machine, placement)
         # per-point compute cost: the analytic model's small-block halo
-        # penalty, and master-only's per-thread quarter block
+        # penalty; master-only's shared-grid kernel splits one grid over
+        # four cores, each at the per-thread quarter block's cost
+        block_points = self.decomp.max_block_points()
         model = PerformanceModel(spec)
-        self.t_point = model._point_time(self.decomp)
-        self.t_point_quarter = model._point_time(self.decomp, min(4, n_cores))
+        if self.plan.sync_per_grid:
+            threads = min(4, n_cores)
+            self.interior_op = (
+                OP_QUARTER,
+                threads,
+                math.ceil(block_points / threads)
+                * model._point_time(self.decomp, threads),
+            )
+        else:
+            self.interior_op = (
+                OP_COMPUTE, block_points * model._point_time(self.decomp)
+            )
 
     def run(self) -> SimResult:
         sim = self.sim
         plan = self.plan
-        rod = self.rank_of_domain
+        rod = self.rank_of_owner
         spawn_time = self.spec.threads.spawn_time
         join_time = self.spec.threads.join_time
         with_steps = self.step_buf is not None
@@ -914,7 +1003,7 @@ class _FDSimulation(_Replay):
                 # ranks each replay their own worker, offset by slot
                 for _windex, slot, prog in unit.workers:
                     rank = base + slot
-                    sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, rank, slot)
+                    sends, rsrcs = self._peers(send_dirs, recv_dirs, rank, slot)
                     w = _Worker(
                         self, prog, rank,
                         self.rank_core[rank],
@@ -922,7 +1011,7 @@ class _FDSimulation(_Replay):
                     )
                     sim.call_soon(w._advance)
             elif plan.uses_thread_team:
-                sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, base, 0)
+                sends, rsrcs = self._peers(send_dirs, recv_dirs, base, 0)
                 runner = _TeamRunner(sim, spawn_time, join_time)
                 runner.workers = [
                     _Worker(
@@ -934,7 +1023,7 @@ class _FDSimulation(_Replay):
                 sim.call_soon(runner._start)
             else:
                 # sequential rank program: all workers in one chain
-                sends, rsrcs = self._dirs_for(send_dirs, recv_dirs, base, 0)
+                sends, rsrcs = self._peers(send_dirs, recv_dirs, base, 0)
                 w = _Worker(
                     self, unit.seq_prog, base,
                     self.rank_core[base],
@@ -961,28 +1050,30 @@ class _FDSimulation(_Replay):
             events=sim.events_processed,
         )
 
-    def _dirs_for(self, send_dirs, recv_dirs, rank, slot):
-        """Instantiate one rank's peer tables from its direction lists."""
-        rod = self.rank_of_domain
-        return (
-            self._send_table(
-                rank, [rod[peer] + slot for _d, _s, peer, _nb in send_dirs]
-            ),
-            [rod[peer] + slot for _d, _s, peer, _nb in recv_dirs],
-        )
-
     def _compile_unit(self, domain: int) -> _SigUnit:
-        """Lower one representative rank plan to shared micro-op programs."""
+        """Lower one representative rank plan to shared micro-op programs.
+
+        Besides the steps themselves, a worker pays the per-round call
+        CPU (:meth:`_Replay._lower`), one round ahead under double
+        buffering.  Blocking plans pay no separate call CPU (the fixed
+        cost sits inside the network model's per-message overhead).
+        Step spans land on resource ``rank{domain}.w{worker}`` — the
+        naming the real engine's :func:`repro.obs.spans.engine_hook`
+        uses, so the traces diff step for step.
+        """
         plan = self.plan
         rp = plan.rank_plan(domain)
         send_dirs, recv_dirs = plan.directions(domain)
-        send_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(send_dirs)}
-        recv_index = {(d, s): i for i, (d, s, _p, _nb) in enumerate(recv_dirs)}
+        charged = self.t_call and not plan.blocking
+        lookahead = 1 if plan.double_buffered else 0
         unit = _SigUnit()
         unit.n_workers = len(rp.workers)
         unit.n_steps = sum(len(wp.steps) for wp in rp.workers)
         progs = [
-            self._compile_worker(wp, send_index, recv_index)
+            self._lower(
+                wp.steps, wp.index, send_dirs, recv_dirs,
+                plan.worker_rounds(wp.index) if charged else (), lookahead,
+            )
             for wp in rp.workers
         ]
         if plan.workers_are_ranks or plan.uses_thread_team:
@@ -998,81 +1089,6 @@ class _FDSimulation(_Replay):
                 seq.extend(prog)
             unit.seq_prog = seq
         return unit
-
-    def _compile_worker(self, wp: WorkerPlan, send_index, recv_index) -> list:
-        """Lower one worker's step list to micro-op rows.
-
-        Besides the steps themselves, the worker pays the per-round CPU
-        cost of entering the MPI library (sends + recvs + one waitall per
-        exchange round) — charged when a round's calls are issued, which
-        under double buffering is one round ahead of the ``WaitAll``
-        being replayed.  Blocking plans pay no separate call CPU (the
-        fixed cost sits inside the network model's per-message overhead).
-        With step tracing, every step lands as a span on resource
-        ``rank{domain}.w{worker}`` — the naming the real engine's
-        :func:`repro.obs.spans.engine_hook` uses, so the traces diff
-        step for step.
-        """
-        plan = self.plan
-        spec = self.spec
-        fp = self.fault_plan
-        with_steps = self.step_tracer is not None
-        prog: list = []
-        t_call = spec.threads.mpi_call_cpu_time
-        lookahead = 1 if plan.double_buffered else 0
-        rounds = plan.worker_rounds(wp.index)
-        round_call_cpu = (len(send_index) + len(recv_index) + 1) * t_call
-        next_round = 0
-        for st in wp.steps:
-            if with_steps:
-                prog.append((OP_T0,))
-            if (
-                not plan.blocking
-                and t_call
-                and isinstance(st, (PostSend, PostRecv, WaitAll))
-            ):
-                # charge the per-round CPU cost of issuing the MPI calls
-                limit = st.seq + (lookahead if isinstance(st, WaitAll) else 0)
-                while next_round < len(rounds) and rounds[next_round][0] <= limit:
-                    next_round += 1
-                    prog.append((OP_COMPUTE, round_call_cpu))
-            if isinstance(st, PostSend):
-                tag = message_tag(st.seq, st.dim, st.step)
-                d = send_index[(st.dim, st.step)]
-                if fp is not None:
-                    prog.append((OP_FAULT_SEND, d, st.nbytes, tag))
-                else:
-                    prog.append((OP_SEND, d, st.nbytes, tag))
-            elif isinstance(st, PostRecv):
-                if fp is not None:
-                    prog.append((OP_FAULT_CLOCK,))
-                tag = message_tag(st.seq, st.dim, st.step)
-                prog.append((OP_RECV, recv_index[(st.dim, st.step)], tag, st.seq))
-            elif isinstance(st, WaitAll):
-                if fp is not None:
-                    prog.append((OP_FAULT_CLOCK,))
-                prog.append((OP_WAITALL, st.seq))
-            elif isinstance(st, ComputeInterior):
-                if plan.sync_per_grid:
-                    # master-only's shared-grid kernel: four cores split
-                    # one grid
-                    threads = min(4, self.n_cores)
-                    secs = (
-                        math.ceil(self.block_points / threads)
-                        * self.t_point_quarter
-                    )
-                    prog.append((OP_QUARTER, threads, secs))
-                else:
-                    prog.append((OP_COMPUTE, self.block_points * self.t_point))
-            elif isinstance(st, GridBarrier):
-                prog.append((OP_TIMEOUT, spec.threads.barrier_time))
-            # ApplyLocalWraps / ComputeBoundary: in-block memcpys and
-            # zeroing, free at this fidelity (their cost is inside the
-            # calibrated per-point compute time); JoinBarrier: the team
-            # runner pays the join cost once
-            if with_steps:
-                prog.append((OP_STEP, st, wp.index))
-        return prog
 
 
 def simulate_fd(
@@ -1144,7 +1160,7 @@ def simulate_spec(
     )
 
 
-# -- lowering 2: band-ring plans ----------------------------------------------
+# -- band-ring plans ----------------------------------------------------------
 @dataclass
 class BandSimResult:
     """Outcome of one simulated band-orthogonalization (ring) pass."""
@@ -1165,41 +1181,21 @@ def simulate_band_plan(
     The ring only talks *between* groups — every rank exchanges with the
     same-domain peer of the neighbouring group and all domains of a group
     progress in lockstep — so one representative rank per group (domain
-    0) reproduces the critical path: ``nb`` SMP nodes, each running its
-    group's step list.  :class:`RingSendRecv` lowers to the non-blocking
-    send + receive pair that the following GEMM overlaps;
-    :class:`PartialGemm` occupies the core at the calibrated GEMM rate;
-    ``WaitAll`` completes the stage.  This is the same step sequence the
-    functional executor interprets and the analytic model walks.  Step
-    spans land on resource ``bg{group}.rank0.w0``.
+    0) reproduces the critical path: ``nb`` SMP nodes, one per group,
+    each running its group's step list through the same lowering as an
+    FD plan.  This is the same step sequence the functional executor
+    interprets and the analytic model walks.  Step spans land on
+    resource ``bg{group}.rank0.w0``.
     """
-    from repro.core.wholeapp import WholeAppModel
-
-    nb = plan.n_groups
-    layout = plan.layout
+    nb = plan.n_owners
     eng = _Replay(Machine(nb, NodeMode.SMP, spec), step_tracer=step_tracer)
-    rate = spec.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
-    with_steps = step_tracer is not None
+    eng.rank_of_owner = list(range(nb))
     for group in range(nb):
-        prog: list = []
-        for st in plan.group_steps(group):
-            if with_steps:
-                prog.append((OP_T0,))
-            if isinstance(st, RingSendRecv):
-                prog.append((OP_SEND, 0, st.nbytes, st.tag))
-                prog.append((OP_RECV, 0, st.tag, st.seq))
-            elif isinstance(st, PartialGemm):
-                prog.append((OP_COMPUTE, st.flops / rate))
-            elif isinstance(st, WaitAll):
-                prog.append((OP_WAITALL, st.seq))
-            else:  # pragma: no cover - the compiler emits no other kinds
-                continue
-            if with_steps:
-                prog.append((OP_STEP, st, 0))
+        send_dirs, recv_dirs = plan.directions(group)
+        sends, rsrcs = eng._peers(send_dirs, recv_dirs, group, 0)
+        prog = eng._lower(plan.group_steps(group), 0, send_dirs, recv_dirs, (), 0)
         w = _Worker(
-            eng, prog, group, eng.rank_core[group], None,
-            eng._send_table(group, [layout.ring_send_group(group)]),
-            [layout.ring_recv_group(group)],
+            eng, prog, group, eng.rank_core[group], None, sends, rsrcs,
             [f"bg{group}.rank0.w0"],
         )
         eng.sim.call_soon(w._advance)
@@ -1212,7 +1208,7 @@ def simulate_band_plan(
     )
 
 
-# -- lowering 3: point-to-point message sets ----------------------------------
+# -- point-to-point message sets ----------------------------------------------
 def _replay_messages(machine: Machine, messages) -> _Replay:
     """Replay point-to-point messages ``(src, dst, tag, nbytes)`` between ranks.
 

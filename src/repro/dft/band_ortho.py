@@ -5,7 +5,8 @@ builds and subspace rotations — need data from *every* band group, but
 each rank only holds its own group's ``G/nb`` wave-function blocks.  The
 compiled :class:`repro.core.schedule.BandSchedulePlan` prescribes the
 classic systolic ring: ``nb - 1`` stages, each posting a non-blocking
-block exchange with the neighbouring groups *before* running the blocked
+block exchange with the neighbouring groups (the schedule IR's ordinary
+``PostSend``/``PostRecv``/``WaitAll``) *before* running the blocked
 GEMM on the block currently held, so the transfer hides behind the
 matrix multiply.  This module interprets that plan on real NumPy blocks
 over the in-process transport — the same step sequence the DES replay
@@ -42,16 +43,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.engine import _step_info
 from repro.core.schedule import (
     OVERLAP_PHASE,
     ROTATE_PHASE,
     BandSchedulePlan,
     PartialGemm,
-    RingSendRecv,
+    PostRecv,
+    PostSend,
 )
 from repro.core.workspace import Workspace
 from repro.grid.bandgroups import BandGroups
-from repro.transport.errors import RING_STAGES, ring_tag
+from repro.transport.errors import RING_STAGES, TransportError, ring_tag
 
 __all__ = [
     "BAND_REDUCE_PHASE",
@@ -96,11 +99,13 @@ class BandRingExecutor:
     ) -> None:
         """Circulate ``block`` round this rank's band ring for ``phase``.
 
-        Interprets the compiled phase's steps: ``RingSendRecv`` passes
-        the held block on and posts the receive of the next one,
-        ``WaitAll`` takes that block in hand, and ``PartialGemm`` calls
-        ``gemm(src_bands, held)`` with the band slice the held block
-        carries.
+        Interprets the compiled phase's steps: ``PostSend`` passes the
+        held block on to the next group's same-domain peer, ``PostRecv``
+        posts the receive of the next block, ``WaitAll`` takes that
+        block in hand, and ``PartialGemm`` calls ``gemm(src_bands,
+        held)`` with the band slice the held block carries.  A transport
+        failure is attributed to the step being interpreted, as in the
+        stencil engine (its ``peer`` is a band group).
         """
         lay = self.layout
         domain = lay.domain_of(ep.rank)
@@ -109,16 +114,19 @@ class BandRingExecutor:
         pending = None
         for st in self.plan.phase_steps(lay.group_of(ep.rank), phase):
             t0 = time.perf_counter() if self.on_step else 0.0
-            if isinstance(st, RingSendRecv):
-                ep.isend(lay.rank_of(st.dst_group, domain), held, tag=st.tag)
-                pending = ep.irecv(
-                    src=lay.rank_of(st.src_group, domain), tag=st.tag
-                )
-            elif isinstance(st, PartialGemm):
-                gemm(lay.bands_of(st.src_group), held)
-            else:  # WaitAll: the next block has to be in hand
-                held = pending.wait().reshape(m, -1)
-                pending = None
+            try:
+                if isinstance(st, PostSend):
+                    ep.isend(lay.rank_of(st.dst, domain), held, tag=st.tag)
+                elif isinstance(st, PostRecv):
+                    pending = ep.irecv(src=lay.rank_of(st.src, domain), tag=st.tag)
+                elif isinstance(st, PartialGemm):
+                    gemm(lay.bands_of(st.src_group), held)
+                else:  # WaitAll: the next block has to be in hand
+                    held = pending.wait().reshape(m, -1)
+                    pending = None
+            except TransportError as exc:
+                exc.attach_step(_step_info(ep.rank, 0, st, []))
+                raise
             if self.on_step:
                 self.on_step(st, 0, t0, time.perf_counter())
 

@@ -192,16 +192,7 @@ def check_conformance(
     # timeline shows comm as WaitAll — the overlap leftovers — while a
     # measured trace also records the nonblocking posting overhead,
     # which the model prices into its per-round comm term instead
-    comm_meas = sum(
-        meas
-        for kind, (meas, _mod) in residuals.items()
-        if kind in ("WaitAll", "RingSendRecv")
-    )
-    comm_mod = sum(
-        mod
-        for kind, (_meas, mod) in residuals.items()
-        if kind in ("WaitAll", "RingSendRecv")
-    )
+    comm_meas, comm_mod = residuals.get("WaitAll", (0.0, 0.0))
     comm_ratio = comm_meas / comm_mod if comm_mod > 0 else 1.0
     comm_gap = abs(comm_meas - comm_mod)
     if (
@@ -238,7 +229,15 @@ def check_conformance(
             )
 
     if len(resources) > 1:
-        busy = [tracer.busy_time(r) for r in sorted(resources)]
+        # group the spans once: a resource's own tracer holds only its
+        # spans, so busy_time costs what they do, not the whole trace
+        own: dict[str, SpanTracer] = {}
+        for s in spans:
+            t = own.get(s.resource)
+            if t is None:
+                t = own[s.resource] = SpanTracer(tracer.plane)
+            t.add(s)
+        busy = [own[r].busy_time(r) for r in sorted(resources)]
         mean = sum(busy) / len(busy)
         spread = max(busy) / mean - 1.0 if mean > 0 else 0.0
         if spread > IMBALANCE_THRESHOLD:

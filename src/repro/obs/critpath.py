@@ -3,10 +3,10 @@
 The telemetry plane records *what ran when* (:mod:`repro.obs.spans`);
 this module answers *what bound the finish time*.  It reconstructs the
 dependency DAG of a trace's :class:`~repro.obs.spans.StepSpan`\\ s —
-program order within each worker resource, send→wait message edges and
-ring-stage edges across resources — walks the critical path backwards
-from the last-ending span, and partitions the whole wall time into typed
-**blame buckets**:
+program order within each worker resource and send→wait message edges
+across resources (halo exchanges and band-ring stages alike) — walks
+the critical path backwards from the last-ending span, and partitions
+the whole wall time into typed **blame buckets**:
 
 ``interior_compute``
     ``ComputeInterior``/``PartialGemm`` time on the path — the useful
@@ -30,7 +30,7 @@ the iteration".
 
 Straggler identification uses the whole DAG, not just the path: every
 ``WaitAll`` *blocked* past its arrival by a producer on another rank (a
-late remote ``PostSend`` or ring stage) charges the blocked seconds to
+late remote ``PostSend``) charges the blocked seconds to
 the producer's rank in :attr:`CriticalPathResult.imbalance_by_rank` —
 the rank with the largest charge is the straggler.  In a balanced run
 sends post long before the matching waits release, so the charges are
@@ -39,7 +39,8 @@ blocked wait.
 
 Cross-resource edges need to know which peer each receive comes from.
 Pass the compiled plan (:class:`~repro.core.schedule.SchedulePlan` or
-:class:`~repro.core.schedule.BandSchedulePlan`) and the edges resolve
+:class:`~repro.core.schedule.BandSchedulePlan`, whose ring stages are
+ordinary sends and receives) and the edges resolve
 through :func:`~repro.core.schedule.recv_sources` — exact.  Without a
 plan, a wait's producer is matched among *all* same-tag sends on other
 resources (the latest one ending by the wait's end), which is correct
@@ -97,7 +98,6 @@ _BUCKET_OF = {
     "PostSend": "exposed_comm",
     "PostRecv": "exposed_comm",
     "WaitAll": "exposed_comm",
-    "RingSendRecv": "exposed_comm",
     "GridBarrier": "barrier_skew",
     "JoinBarrier": "barrier_skew",
 }
@@ -326,13 +326,15 @@ def _cross_edges(
     """``wait index -> producer indices`` for every wait in the trace.
 
     Producers are matched by tag: a ``WaitAll(seq)`` completes the
-    ``PostRecv(seq, dim, dir)``\\ s (or ring stages) posted before it on
-    the same resource, and each receive's producer is the matching
-    ``PostSend``/``RingSendRecv`` on the source owner's resource.  With
-    repeated invocations in one trace (tags recur), the producer chosen
-    is the latest one ending by the wait's end.  Without a plan the
-    candidates are every same-tag producer on another resource, visited
-    owner by owner in the order the trace first shows each owner's tag.
+    ``PostRecv(seq, dim, dir)``\\ s posted before it on the same
+    resource, and each receive's producer is the matching ``PostSend``
+    on the source owner's resource.  Band-ring stages exchange on a
+    ``dim`` of their own, so they match the same way and never a halo
+    message.  With repeated invocations in one trace (tags recur), the
+    producer chosen is the latest one ending by the wait's end.  Without
+    a plan the candidates are every same-tag producer on another
+    resource, visited owner by owner in the order the trace first shows
+    each owner's tag.
     """
     sources: Optional[dict] = None
     if plan is not None:
@@ -343,28 +345,21 @@ def _cross_edges(
     kind, seq, dim, direction = cols.kind, cols.seq, cols.dim, cols.direction
     resource_of, end = cols.resource, cols.end
 
-    # producer indexes over the whole trace
+    # producer index over the whole trace
     sends: dict[tuple, list[int]] = {}  # (owner, seq, dim, dir)
-    ring_sends: dict[tuple, list[int]] = {}  # (owner, seq)
     for resource, rows in by_resource.items():
         owner = owners[resource]
         for i in rows:
-            k = kind[i]
-            if k == "PostSend":
+            if kind[i] == "PostSend":
                 sends.setdefault(
                     (owner, seq[i], dim[i], direction[i]), []
                 ).append(i)
-            elif k == "RingSendRecv":
-                ring_sends.setdefault((owner, seq[i]), []).append(i)
     # without a plan a receive's candidates are its tag's per-owner
     # lists, in key creation order: the first of equally late sends wins
     sends_by_tag: dict[tuple, list[list[int]]] = {}  # (seq, dim, dir)
-    rings_by_seq: dict[int, list[list[int]]] = {}
     if sources is None:
         for key, lst in sends.items():
             sends_by_tag.setdefault(key[1:], []).append(lst)
-        for (_owner, s), lst in ring_sends.items():
-            rings_by_seq.setdefault(s, []).append(lst)
 
     def latest_by(cands, deadline: float) -> Optional[int]:
         best = None
@@ -375,20 +370,14 @@ def _cross_edges(
                 best, best_end = c, e
         return best
 
-    def elsewhere(lists, resource: str):
-        return (c for lst in lists for c in lst if resource_of[c] != resource)
-
     edges: dict[int, list[int]] = {}
     for resource, rows in by_resource.items():
         owner = owners[resource]
         pending: dict[int, list[int]] = {}  # seq -> posted recvs
-        ring_pending: dict[int, int] = {}  # seq -> ring stages posted
         for i in rows:
             k = kind[i]
             if k == "PostRecv":
                 pending.setdefault(seq[i], []).append(i)
-            elif k == "RingSendRecv":
-                ring_pending[seq[i]] = ring_pending.get(seq[i], 0) + 1
             elif k == "WaitAll":
                 s = seq[i]
                 deadline = end[i]
@@ -399,17 +388,12 @@ def _cross_edges(
                         src = sources.get((owner, d, dr))
                         cands = sends.get((src, s, d, dr), ())
                     else:
-                        cands = elsewhere(
-                            sends_by_tag.get((s, d, dr), ()), resource
+                        cands = (
+                            c
+                            for lst in sends_by_tag.get((s, d, dr), ())
+                            for c in lst
+                            if resource_of[c] != resource
                         )
-                    hit = latest_by(cands, deadline)
-                    if hit is not None:
-                        preds.append(hit)
-                if ring_pending.pop(s, 0):
-                    if sources is not None:
-                        cands = ring_sends.get((sources.get(owner), s), ())
-                    else:
-                        cands = elsewhere(rings_by_seq.get(s, ()), resource)
                     hit = latest_by(cands, deadline)
                     if hit is not None:
                         preds.append(hit)

@@ -46,8 +46,8 @@ __all__ = [
     "step_category",
 ]
 
-#: step kinds whose time is halo-exchange communication
-COMM_STEPS = frozenset({"PostSend", "PostRecv", "WaitAll", "RingSendRecv"})
+#: step kinds whose time is communication (halo exchanges, band rings)
+COMM_STEPS = frozenset({"PostSend", "PostRecv", "WaitAll"})
 #: step kinds whose time is stencil computation (incl. ghost finalization)
 COMPUTE_STEPS = frozenset(
     {"ComputeInterior", "ComputeBoundary", "ApplyLocalWraps", "PartialGemm"}

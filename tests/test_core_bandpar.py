@@ -7,6 +7,7 @@ count, and the model-vs-DES cross-validation (<= 5%).
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     HYBRID_MULTIPLE,
@@ -14,9 +15,18 @@ from repro.core import (
     PerformanceModel,
     Planner,
     ProblemSpec,
-    RingSendRecv,
 )
-from repro.core.schedule import OVERLAP_PHASE, ROTATE_PHASE, WaitAll
+from repro.core.schedule import (
+    OVERLAP_PHASE,
+    RING_DIM,
+    ROTATE_PHASE,
+    PostRecv,
+    PostSend,
+    WaitAll,
+    recv_sources,
+)
+from repro.core.simrun import simulate_band_plan
+from repro.transport.errors import ring_tag
 
 PAPER = ProblemSpec(shape=(192, 192, 192), n_grids=2816)
 
@@ -149,8 +159,12 @@ class TestCompiledPlan:
             steps = plan.phase_steps(0, phase)
             kinds = [type(s) for s in steps]
             assert kinds.count(PartialGemm) == nb
-            assert kinds.count(RingSendRecv) == nb - 1
+            assert kinds.count(PostSend) == nb - 1
+            assert kinds.count(PostRecv) == nb - 1
             assert kinds.count(WaitAll) == nb - 1
+            assert {s.dim for s in steps if isinstance(s, (PostSend, PostRecv))} == {
+                RING_DIM
+            }
 
     def test_group_steps_concatenates_the_phases(self, planner):
         plan = planner.band_plan(PAPER, 16384, 4)
@@ -163,10 +177,11 @@ class TestCompiledPlan:
         plan = planner.band_plan(PAPER, 16384, 4)
         steps = plan.phase_steps(2, OVERLAP_PHASE)
         for i, st in enumerate(steps):
-            if isinstance(st, RingSendRecv):
-                assert isinstance(steps[i + 1], PartialGemm)
-                assert isinstance(steps[i + 2], WaitAll)
-                assert steps[i + 2].seq == st.seq
+            if isinstance(st, PostSend):
+                assert isinstance(steps[i + 1], PostRecv)
+                assert isinstance(steps[i + 2], PartialGemm)
+                assert isinstance(steps[i + 3], WaitAll)
+                assert steps[i + 1].seq == steps[i + 3].seq == st.seq
 
     def test_gemm_sources_walk_the_ring(self, planner):
         nb = 4
@@ -181,10 +196,57 @@ class TestCompiledPlan:
 
     def test_ring_tags_distinct_across_phases_and_stages(self, planner):
         plan = planner.band_plan(PAPER, 16384, 4)
-        tags = [
-            s.tag for s in plan.group_steps(0) if isinstance(s, RingSendRecv)
-        ]
+        sends = [s for s in plan.group_steps(0) if isinstance(s, PostSend)]
+        recvs = [s for s in plan.group_steps(0) if isinstance(s, PostRecv)]
+        tags = [s.tag for s in sends]
         assert len(tags) == len(set(tags)) == 6
+        # a stage receives under the tag it sends under: the wire tags
+        # are the ring's own, whatever step kind carries them
+        assert [s.tag for s in recvs] == tags
+        assert tags == [
+            ring_tag(phase, stage)
+            for phase in (OVERLAP_PHASE, ROTATE_PHASE)
+            for stage in (1, 2, 3)
+        ]
+
+
+@st.composite
+def _ring_layouts(draw):
+    """``(n_bands, nb, n_cores)`` the planner accepts: ``nb`` divides the
+    bands and whole hybrid nodes per group."""
+    nb = draw(st.integers(1, 6))
+    return (
+        nb * draw(st.integers(1, 6)),
+        nb,
+        4 * nb * draw(st.integers(1, 8)),
+    )
+
+
+class TestExactRingCounts:
+    """The ring plan's exchanges are counted, not estimated: the DES
+    sends, the critical path resolves and the planner prices exactly the
+    plan's ``PostSend`` steps."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(layout=_ring_layouts())
+    def test_property_plan_counts_are_exact(self, planner, layout):
+        n_bands, nb, n_cores = layout
+        plan = planner.band_plan(ProblemSpec((16, 16, 16), n_bands), n_cores, nb)
+        sends = [
+            [s for s in plan.group_steps(g) if isinstance(s, PostSend)]
+            for g in range(nb)
+        ]
+        assert sum(map(len, sends)) == simulate_band_plan(plan).messages
+        sources = recv_sources(plan)
+        for g in range(nb):
+            assert len(sends[g]) == 2 * (nb - 1)
+            if nb > 1:
+                assert sources.pop((g, RING_DIM, +1)) == plan.layout.ring_recv_group(g)
+        assert sources == {}
+        ring = 0.0
+        for s in sends[0]:
+            ring += planner.machine.torus.message_time(s.nbytes, hops=1)
+        assert planner._subspace_times(plan)[1] == ring
 
 
 class TestModelVsDes:

@@ -24,7 +24,7 @@ from repro.core.approaches import ALL_APPROACHES, approach_by_name
 from repro.core.jobspec import JobSpec, ProblemSpec
 from repro.core.perfmodel import PerformanceModel
 from repro.core.planner import Planner
-from repro.core.schedule import PartialGemm, RingSendRecv
+from repro.core.schedule import PartialGemm, PostSend
 from repro.core.wholeapp import WholeAppModel
 from repro.machine.spec import BGP_SPEC
 
@@ -64,7 +64,7 @@ def brute_force(machine, problem, n_cores, max_groups=8):
                        if isinstance(s, PartialGemm))
             ring = sum(machine.torus.message_time(s.nbytes, hops=1)
                        for s in plan.group_steps(0)
-                       if isinstance(s, RingSendRecv))
+                       if isinstance(s, PostSend))
             group_cores = n_cores // nb
             group_job = type(job)(job.grid, job.n_grids // nb)
             for b in fd_model.batch_candidates(group_job, a, group_cores):

@@ -387,16 +387,17 @@ class TestPlanDependencies:
 
     def test_band_plan_ring_edges(self):
         from repro.core import Planner, ProblemSpec
-        from repro.core.schedule import RingSendRecv, recv_sources
+        from repro.core.schedule import RING_DIM, PostRecv, recv_sources
 
         nb = 4
         plan = Planner().band_plan(ProblemSpec((16, 16, 16), 16), 16, nb)
         sources = recv_sources(plan)
-        assert sorted(sources) == list(range(nb))
+        assert sorted(sources) == [(g, RING_DIM, +1) for g in range(nb)]
         for group in range(nb):
             # each group's ring stages are fed by its ring predecessor
-            assert sources[group] == plan.layout.ring_recv_group(group)
+            src = sources[(group, RING_DIM, +1)]
+            assert src == plan.layout.ring_recv_group(group)
             stages = [st for st in plan.group_steps(group)
-                      if isinstance(st, RingSendRecv)]
+                      if isinstance(st, PostRecv)]
             assert stages
-            assert {st.src_group for st in stages} == {sources[group]}
+            assert {st.src for st in stages} == {src}

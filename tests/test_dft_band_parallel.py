@@ -12,12 +12,20 @@ group.
 import numpy as np
 import pytest
 
+from repro.core.engine import DistributedStencil
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
+from repro.core.schedule import RING_DIM, compile_band_schedule
 from repro.dft import MemoryCheckpointStore, overlap_matrix
-from repro.dft.band_ortho import band_axis_sum
+from repro.dft.band_ortho import BandRingExecutor, band_axis_sum
 from repro.dft.distributed_scf import DistributedSCF
-from repro.grid import BandGroups, GridDescriptor
+from repro.grid import BandGroups, Decomposition, GridDescriptor, HaloSpec, scatter
+from repro.obs import SpanTracer, engine_hook
+from repro.obs.critpath import _Columns, _cross_edges, owner_of_resource
+from repro.stencil import laplacian_coefficients
 from repro.transport import run_ranks
+from repro.transport.errors import CorruptPayloadError, RankKilledError
+from repro.transport.faults import FaultPlan, FaultyTransport
+from repro.transport.inproc import InprocTransport
 
 
 def aniso_trap(n=8, spacing=0.6):
@@ -177,30 +185,105 @@ class TestCheckpointRestart:
         )
 
 
-class TestTelemetry:
-    def test_spans_tag_resources_by_band_group(self):
-        from repro.obs import SpanTracer
+@pytest.fixture(scope="module")
+def ring_trace():
+    """The real-plane step trace of one nb=2 SCF iteration on 4 ranks."""
+    tracer = SpanTracer()
+    band_scf(n_ranks=4, n_band_groups=2, max_iterations=1).run(
+        step_tracer=tracer
+    )
+    return tracer
 
-        tracer = SpanTracer()
-        band_scf(n_ranks=4, n_band_groups=2, max_iterations=1).run(
-            step_tracer=tracer
-        )
-        spans = tracer.spans()
+
+class TestTelemetry:
+    def test_spans_tag_resources_by_band_group(self, ring_trace):
+        spans = ring_trace.spans()
         resources = {s.resource for s in spans}
         assert {"bg0.rank0.w0", "bg0.rank1.w0", "bg1.rank0.w0", "bg1.rank1.w0"} <= resources
         kinds = {s.step_kind for s in spans}
-        assert {"RingSendRecv", "PartialGemm", "WaitAll"} <= kinds
+        assert {"PostSend", "PostRecv", "PartialGemm", "WaitAll"} <= kinds
+        # the ring stages are exchanges on their own direction index
+        assert {s.step_kind for s in spans if s.dim == RING_DIM} == {
+            "PostSend", "PostRecv"
+        }
 
     def test_single_group_plan_has_no_ring_spans(self):
-        from repro.obs import SpanTracer
-
         tracer = SpanTracer()
         band_scf(n_ranks=2, n_band_groups=1, max_iterations=1).run(
             step_tracer=tracer
         )
-        kinds = {s.step_kind for s in tracer.spans()}
-        assert "PartialGemm" in kinds
-        assert "RingSendRecv" not in kinds
+        spans = tracer.spans()
+        assert "PartialGemm" in {s.step_kind for s in spans}
+        assert not any(s.dim == RING_DIM for s in spans)
+
+    def test_no_plan_attribution_never_feeds_a_halo_wait_from_the_ring(
+        self, ring_trace
+    ):
+        """Without a plan, producers match on ``(seq, dim, direction)``
+        alone; the ring's own ``dim`` keeps ring sends off halo waits
+        although both share seqs and resources in this trace."""
+        tracer = SpanTracer()
+        for span in ring_trace.spans():
+            tracer.add(span)
+        # each group's halo exchanges, recorded on the ring's resources
+        gd = GridDescriptor((12, 12, 12))
+        decomp = Decomposition(gd, 2)
+        engine = DistributedStencil(decomp, laplacian_coefficients(2))
+        blocks = [scatter(gd.random(seed=g), decomp, HaloSpec(2)) for g in range(2)]
+        for group in range(2):
+            run_ranks(2, lambda ep: engine.apply(
+                ep, {g: blocks[g][ep.rank] for g in range(2)},
+                on_step=engine_hook(tracer, ep.rank, f"bg{group}.rank"),
+            ))
+        cols = _Columns(tracer)
+        by_resource: dict = {}
+        for i, r in enumerate(cols.resource):
+            by_resource.setdefault(r, []).append(i)
+        owners = {r: owner_of_resource(r) for r in by_resource}
+        edges = _cross_edges(cols, by_resource, owners, None)
+        fed = {"halo": 0, "ring": 0}
+        for wait, preds in edges.items():
+            # a ring WaitAll carries no grid batch, a halo WaitAll does
+            ring_wait = cols.grid_ids[wait] == ()
+            assert all(
+                (cols.dim[p] == RING_DIM) == ring_wait for p in preds
+            )
+            fed["ring" if ring_wait else "halo"] += 1
+        assert fed["halo"] and fed["ring"]
+
+
+class TestRingFailureAttribution:
+    """A transport failure inside the ring walk names its compiled step,
+    as the stencil engine's failures do."""
+
+    LAYOUT = BandGroups(n_ranks=4, n_bands=4, n_groups=2)
+
+    def _overlap(self, fault_plan):
+        plan = compile_band_schedule(self.LAYOUT, 8, 8)
+        block = np.arange(16.0).reshape(2, 8)
+
+        def fn(ep):
+            BandRingExecutor(self.LAYOUT, plan).band_matrix(ep, block, block, 1.0)
+
+        run_ranks(
+            4, fn, transport=FaultyTransport(InprocTransport(4), fault_plan)
+        )
+
+    def test_corrupt_ring_block_names_the_wait(self):
+        # rank 0's first send is its ring block to rank 2 (group 1)
+        with pytest.raises(CorruptPayloadError) as info:
+            self._overlap(FaultPlan(seed=0, inject={(0, 0): "corrupt"}))
+        si = info.value.step_info
+        assert (si.rank, si.step_kind, si.seq) == (2, "WaitAll", 1)
+
+    def test_killed_receive_names_rank_stage_and_peer(self):
+        # rank 1's transport ops: the ring isend (0), then the irecv (1)
+        with pytest.raises(RankKilledError) as info:
+            self._overlap(FaultPlan(seed=0, kill_at={1: 1}))
+        si = info.value.step_info
+        assert (si.rank, si.step_kind, si.seq, si.dim, si.peer) == (
+            1, "PostRecv", 1, RING_DIM, self.LAYOUT.ring_recv_group(0)
+        )
 
 
 class TestBandAxisSum:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.analysis.timeline import step_trace
 from repro.core.approaches import ALL_APPROACHES
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
+from repro.core.schedule import RING_DIM
 from repro.obs.critpath import (
     BLAME_BUCKETS,
     blame_bucket,
@@ -60,7 +61,7 @@ class TestBlameBuckets:
         assert blame_bucket("PartialGemm") == "interior_compute"
         assert blame_bucket("ComputeBoundary") == "boundary_compute"
         assert blame_bucket("ApplyLocalWraps") == "boundary_compute"
-        for kind in ("PostSend", "PostRecv", "WaitAll", "RingSendRecv"):
+        for kind in ("PostSend", "PostRecv", "WaitAll"):
             assert blame_bucket(kind) == "exposed_comm"
         assert blame_bucket("GridBarrier") == "barrier_skew"
         assert blame_bucket("JoinBarrier") == "barrier_skew"
@@ -268,6 +269,6 @@ class TestInputKinds:
         )
         tracer = SpanTracer(plane="sim")
         simulate_band_plan(plan, step_tracer=tracer)
-        assert any(type(e) is tuple and type(e[1]).__name__ == "RingSendRecv"
-                   for e in tracer.records())
+        assert any(type(e) is tuple and type(e[1]).__name__ == "PostSend"
+                   and e[1].dim == RING_DIM for e in tracer.records())
         _assert_input_kinds_agree(tracer, plan)
