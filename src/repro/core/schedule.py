@@ -726,10 +726,10 @@ def compile_band_schedule(
 
 # -- step dependency metadata -------------------------------------------------
 def recv_sources(plan) -> dict:
-    """``(owner, dim, direction) -> source owner`` for every receive
-    direction of a plan (domains of a :class:`SchedulePlan`, band groups
-    of a :class:`BandSchedulePlan`).
+    """Producer-owner lookup for every receive direction of a plan.
 
+    ``(owner, dim, direction) -> source owner``: domains of a
+    :class:`SchedulePlan`, band groups of a :class:`BandSchedulePlan`.
     The geometry is seq-independent, so the map stays small; it is the
     metadata :mod:`repro.obs.critpath` resolves a trace's cross-rank
     edges with, without re-deriving the geometry.

@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from repro.obs.critpath import CriticalPathResult, critical_path, plan_for_spec
+from repro.obs.critpath import (
+    CriticalPathResult,
+    _attribute,
+    _Columns,
+    plan_for_spec,
+)
 from repro.obs.export import step_kind_seconds
 from repro.obs.spans import SpanTracer, StepSpan
 
@@ -123,6 +128,21 @@ STRAGGLER_THRESHOLD = 0.1
 IMBALANCE_THRESHOLD = 0.25
 
 
+def _busy_time(cols: _Columns, rows: list[int]) -> float:
+    """Non-overlapping busy time of one resource's spans ``rows``."""
+    total = 0.0
+    last_end = float("-inf")
+    for i in sorted(rows, key=cols.sort_key):
+        start = max(cols.start[i], last_end)
+        end = cols.end[i]
+        if end > start:
+            total += end - start
+            last_end = end
+        else:
+            last_end = max(last_end, end)
+    return total
+
+
 def check_conformance(
     measured: Union[SpanTracer, Iterable[StepSpan]],
     spec,
@@ -148,13 +168,10 @@ def check_conformance(
     """
     from repro.core.perfmodel import PerformanceModel
 
-    if isinstance(measured, SpanTracer):
-        tracer = measured
-    else:
-        tracer = SpanTracer(plane="real")
-        for s in measured:
-            tracer.add(s)
-
+    # one read of the trace serves every check: a tracer's raw records
+    # are never built into spans
+    cols = _Columns(measured)
+    cp = _attribute(cols, plan_for_spec(spec))
     model_trace = PerformanceModel().step_trace(
         spec.group_job(),
         spec.approach_obj(),
@@ -163,8 +180,7 @@ def check_conformance(
         spec.layout.ramp_up,
     )
 
-    spans = tracer.spans()
-    measured_makespan = tracer.makespan()
+    measured_makespan = cp.wall_time
     model_makespan = model_trace.makespan()
     drift = (
         abs(measured_makespan - model_makespan) / model_makespan
@@ -175,11 +191,12 @@ def check_conformance(
 
     # per-step-kind residuals: the model emits one representative
     # worker's timeline, so the measured side is the per-resource mean
-    resources = {s.resource for s in spans}
+    resources = sorted(cols.by_resource)
     n_resources = max(1, len(resources))
-    measured_kinds = {
-        k: v / n_resources for k, v in step_kind_seconds(spans).items()
-    }
+    measured_kinds: dict[str, float] = {}
+    for k, start, end in zip(cols.kind, cols.start, cols.end):
+        measured_kinds[k] = measured_kinds.get(k, 0.0) + (end - start)
+    measured_kinds = {k: v / n_resources for k, v in measured_kinds.items()}
     model_kinds = step_kind_seconds(model_trace)
     residuals = {
         kind: (measured_kinds.get(kind, 0.0), model_kinds.get(kind, 0.0))
@@ -210,7 +227,6 @@ def check_conformance(
             )
         )
 
-    cp = critical_path(tracer, plan=plan_for_spec(spec))
     if cp.imbalance_by_rank and measured_makespan > 0:
         rank, blocked = max(
             cp.imbalance_by_rank.items(), key=lambda kv: kv[1]
@@ -229,15 +245,7 @@ def check_conformance(
             )
 
     if len(resources) > 1:
-        # group the spans once: a resource's own tracer holds only its
-        # spans, so busy_time costs what they do, not the whole trace
-        own: dict[str, SpanTracer] = {}
-        for s in spans:
-            t = own.get(s.resource)
-            if t is None:
-                t = own[s.resource] = SpanTracer(tracer.plane)
-            t.add(s)
-        busy = [own[r].busy_time(r) for r in sorted(resources)]
+        busy = [_busy_time(cols, cols.by_resource[r]) for r in resources]
         mean = sum(busy) / len(busy)
         spread = max(busy) / mean - 1.0 if mean > 0 else 0.0
         if spread > IMBALANCE_THRESHOLD:
@@ -253,7 +261,9 @@ def check_conformance(
             )
 
     return ConformanceReport(
-        config_hash=tracer.config_hash or spec.config_hash(),
+        config_hash=(
+            isinstance(measured, SpanTracer) and measured.config_hash
+        ) or spec.config_hash(),
         drift=drift,
         score=score,
         measured_makespan=measured_makespan,

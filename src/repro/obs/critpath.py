@@ -259,6 +259,15 @@ class _Columns:
             self.resource, self.worker, self.start, self.end,
             self.kind, self.grid_ids, self.seq, self.dim, self.direction,
         ) = ([r[k] for r in rows] for k in range(9))
+        # program order: each resource's span indices, ascending
+        self.by_resource: dict[str, list[int]] = {}
+        self.owners: dict[str, Optional[int]] = {}
+        for i, r in enumerate(self.resource):
+            indices = self.by_resource.get(r)
+            if indices is None:
+                indices = self.by_resource[r] = []
+                self.owners[r] = owner_of_resource(r)
+            indices.append(i)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -317,12 +326,7 @@ class _Columns:
         )
 
 
-def _cross_edges(
-    cols: _Columns,
-    by_resource: dict[str, list[int]],
-    owners: dict[str, Optional[int]],
-    plan,
-) -> dict[int, list[int]]:
+def _cross_edges(cols: _Columns, plan) -> dict[int, list[int]]:
     """``wait index -> producer indices`` for every wait in the trace.
 
     Producers are matched by tag: a ``WaitAll(seq)`` completes the
@@ -344,6 +348,7 @@ def _cross_edges(
 
     kind, seq, dim, direction = cols.kind, cols.seq, cols.dim, cols.direction
     resource_of, end = cols.resource, cols.end
+    by_resource, owners = cols.by_resource, cols.owners
 
     # producer index over the whole trace
     sends: dict[tuple, list[int]] = {}  # (owner, seq, dim, dir)
@@ -417,24 +422,19 @@ def critical_path(
     the same result; a tracer's raw records are read without building
     a :class:`~repro.obs.spans.StepSpan` for any span off the path.
     """
-    cols = _Columns(trace)
+    return _attribute(_Columns(trace), plan)
+
+
+def _attribute(cols: _Columns, plan) -> CriticalPathResult:
+    """:func:`critical_path` of a trace already read into columns."""
     n_spans = len(cols)
     if not n_spans:
         return _empty_result()
     resource_of, kind, start, end = (
         cols.resource, cols.kind, cols.start, cols.end
     )
-
-    # program order: each resource's span indices, ascending
-    by_resource: dict[str, list[int]] = {}
-    owners: dict[str, Optional[int]] = {}
-    for i, r in enumerate(resource_of):
-        rows = by_resource.get(r)
-        if rows is None:
-            rows = by_resource[r] = []
-            owners[r] = owner_of_resource(r)
-        rows.append(i)
-    cross = _cross_edges(cols, by_resource, owners, plan)
+    by_resource, owners = cols.by_resource, cols.owners
+    cross = _cross_edges(cols, plan)
 
     t0 = min(start)
     t_end = max(end)

@@ -282,13 +282,10 @@ class SpanTracer:
         with self._lock:
             return len(self._entries)
 
-    def spans(self, resource: Optional[str] = None) -> list[StepSpan]:
-        """All spans in insertion order, optionally for one resource."""
+    def spans(self) -> list[StepSpan]:
+        """All spans in insertion order."""
         with self._lock:
-            spans = self._materialize()
-        if resource is None:
-            return spans
-        return [s for s in spans if s.resource == resource]
+            return self._materialize()
 
     def resources(self) -> list[str]:
         return sorted({s.resource for s in self.spans()})
@@ -299,19 +296,6 @@ class SpanTracer:
         if not spans:
             return 0.0
         return max(s.end for s in spans) - min(s.start for s in spans)
-
-    def busy_time(self, resource: str) -> float:
-        """Non-overlapping busy time of one resource."""
-        total = 0.0
-        last_end = float("-inf")
-        for s in sorted(self.spans(resource), key=lambda s: s.sort_key):
-            start = max(s.start, last_end)
-            if s.end > start:
-                total += s.end - start
-                last_end = s.end
-            else:
-                last_end = max(last_end, s.end)
-        return total
 
 
 def engine_hook(

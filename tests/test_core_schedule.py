@@ -37,6 +37,7 @@ from repro.obs.export import ascii_gantt
 from repro.obs.spans import SpanTracer, engine_hook
 from repro.stencil import laplacian_coefficients
 from repro.transport import InprocTransport, run_ranks
+from tests.helpers import resource_spans
 
 EVERY_APPROACH = ALL_APPROACHES + (FLAT_SUBGROUPS,)
 
@@ -363,7 +364,7 @@ class TestTracerHook:
         for rank in range(n_ranks):
             resource = f"rank{rank}.w0"
             assert resource in tracer.resources()
-            kinds = {s.step_kind for s in tracer.spans(resource)}
+            kinds = {s.step_kind for s in resource_spans(tracer, resource)}
             assert {"ComputeInterior", "PostSend", "WaitAll"} <= kinds
             assert resource in chart
 

@@ -8,6 +8,7 @@ from repro.grid import GridDescriptor
 from repro.machine import Machine
 from repro.obs.export import ascii_gantt
 from repro.obs.spans import SpanTracer
+from tests.helpers import busy_time, resource_spans
 
 
 class TestTracer:
@@ -16,7 +17,7 @@ class TestTracer:
         tr.record("core0", 0.0, 1.0, "compute")
         tr.record("core1", 0.5, 2.0)
         assert len(tr) == 2
-        assert len(tr.spans("core0")) == 1
+        assert len(resource_spans(tr, "core0")) == 1
         assert tr.resources() == ["core0", "core1"]
 
     def test_busy_time_merges_overlaps(self):
@@ -24,25 +25,25 @@ class TestTracer:
         tr.record("r", 0.0, 2.0)
         tr.record("r", 1.0, 3.0)  # overlapping
         tr.record("r", 5.0, 6.0)
-        assert tr.busy_time("r") == pytest.approx(4.0)
+        assert busy_time(tr, "r") == pytest.approx(4.0)
 
     def test_busy_time_contained_span(self):
         tr = SpanTracer()
         tr.record("r", 0.0, 10.0)
         tr.record("r", 2.0, 3.0)  # fully contained
-        assert tr.busy_time("r") == pytest.approx(10.0)
+        assert busy_time(tr, "r") == pytest.approx(10.0)
 
     def test_makespan_and_utilization(self):
         tr = SpanTracer()
         tr.record("r", 0.0, 2.0)
         tr.record("other", 0.0, 4.0)
         assert tr.makespan() == 4.0
-        assert tr.busy_time("r") / tr.makespan() == pytest.approx(0.5)
+        assert busy_time(tr, "r") / tr.makespan() == pytest.approx(0.5)
 
     def test_empty(self):
         tr = SpanTracer()
         assert tr.makespan() == 0.0
-        assert tr.busy_time("r") == 0.0
+        assert busy_time(tr, "r") == 0.0
         assert ascii_gantt(tr) == "(empty trace)"
 
     def test_gantt_renders_rows(self):
@@ -60,7 +61,7 @@ class TestMachineTracing:
     def test_compute_records_span(self):
         r = simulate_fd(FDJob(GridDescriptor((16, 16, 16)), 1), FLAT_ORIGINAL,
                         1, trace=True)
-        (span,) = r.trace.spans("node0.core0")
+        (span,) = resource_spans(r.trace, "node0.core0")
         assert span.duration == pytest.approx(r.total)
         assert (span.step_kind, span.plane) == ("compute", "sim")
 
@@ -69,7 +70,7 @@ class TestMachineTracing:
                         8, trace=True)
         tr = r.trace
         link_spans = [s for r in tr.resources() if r.startswith("link")
-                      for s in tr.spans(r)]
+                      for s in resource_spans(tr, r)]
         assert link_spans
         for span in link_spans:
             src, _, dst = span.step_kind.partition("->")
@@ -100,9 +101,9 @@ class TestSimrunTracing:
         job = FDJob(GridDescriptor((24, 24, 24)), 8)
         r = simulate_fd(job, FLAT_OPTIMIZED, 8, batch_size=2, trace=True)
         core_spans = [s for res in r.trace.resources() if ".core" in res
-                      for s in r.trace.spans(res)]
+                      for s in resource_spans(r.trace, res)]
         link_spans = [s for res in r.trace.resources() if res.startswith("link")
-                      for s in r.trace.spans(res)]
+                      for s in resource_spans(r.trace, res)]
         assert any(
             ls.start < cs.end and cs.start < ls.end
             for ls in link_spans
@@ -117,4 +118,4 @@ class TestSimrunTracing:
         # utilization of every core is clearly below 100%
         for res in r.trace.resources():
             if ".core" in res:
-                assert r.trace.busy_time(res) / r.trace.makespan() < 0.95
+                assert busy_time(r.trace, res) / r.trace.makespan() < 0.95

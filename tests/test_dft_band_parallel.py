@@ -20,7 +20,7 @@ from repro.dft.band_ortho import BandRingExecutor, band_axis_sum
 from repro.dft.distributed_scf import DistributedSCF
 from repro.grid import BandGroups, Decomposition, GridDescriptor, HaloSpec, scatter
 from repro.obs import SpanTracer, engine_hook
-from repro.obs.critpath import _Columns, _cross_edges, owner_of_resource
+from repro.obs.critpath import _Columns, _cross_edges
 from repro.stencil import laplacian_coefficients
 from repro.transport import run_ranks
 from repro.transport.errors import CorruptPayloadError, RankKilledError
@@ -236,11 +236,7 @@ class TestTelemetry:
                 on_step=engine_hook(tracer, ep.rank, f"bg{group}.rank"),
             ))
         cols = _Columns(tracer)
-        by_resource: dict = {}
-        for i, r in enumerate(cols.resource):
-            by_resource.setdefault(r, []).append(i)
-        owners = {r: owner_of_resource(r) for r in by_resource}
-        edges = _cross_edges(cols, by_resource, owners, None)
+        edges = _cross_edges(cols, None)
         fed = {"halo": 0, "ring": 0}
         for wait, preds in edges.items():
             # a ring WaitAll carries no grid batch, a halo WaitAll does

@@ -15,7 +15,7 @@ from repro.obs.spans import (
     engine_hook,
     step_category,
 )
-from tests.helpers import step_sequence
+from tests.helpers import busy_time, step_sequence
 
 
 class TestStepCategory:
@@ -105,7 +105,7 @@ class TestSpanTracer:
         tr.record("a", 2.0, 4.0)  # overlaps: busy time merges
         tr.record("b", 5.0, 6.0)
         assert tr.makespan() == pytest.approx(5.0)
-        assert tr.busy_time("a") == pytest.approx(3.0)
+        assert busy_time(tr, "a") == pytest.approx(3.0)
 
     def test_step_kinds_totals(self):
         tr = SpanTracer()
