@@ -722,8 +722,7 @@ class _Replay:
         self.pays_lock = pays_lock
         self.ovh = spec.threads.mpi_multiple_overhead
         self.n_node_cores = spec.node.n_cores
-        self.t_call = spec.threads.mpi_call_cpu_time
-        self.barrier_time = spec.threads.barrier_time
+        self.threads = spec.threads
         self.gemm_rate = spec.node.core.peak_flops * WholeAppModel.GEMM_EFFICIENCY
         #: the micro-op row of one ComputeInterior (stencil plans set it)
         self.interior_op: Optional[tuple] = None
@@ -848,7 +847,8 @@ class _Replay:
         fp = self.fault_plan
         with_steps = self.step_buf is not None
         prog: list = []
-        round_call_cpu = (len(send_index) + len(recv_index) + 1) * self.t_call
+        t_call = self.threads.mpi_call_cpu_time
+        round_call_cpu = (len(send_index) + len(recv_index) + 1) * t_call
         next_round = 0
         for st in steps:
             if with_steps:
@@ -877,7 +877,7 @@ class _Replay:
             elif isinstance(st, PartialGemm):
                 prog.append((OP_COMPUTE, st.flops / self.gemm_rate))
             elif isinstance(st, GridBarrier):
-                prog.append((OP_TIMEOUT, self.barrier_time))
+                prog.append((OP_TIMEOUT, self.threads.barrier_time))
             # ApplyLocalWraps / ComputeBoundary: in-block memcpys and
             # zeroing, free at this fidelity (their cost is inside the
             # calibrated per-point compute time); JoinBarrier: the team
@@ -938,7 +938,6 @@ class _FDSimulation(_Replay):
         self.approach = approach
         self.n_cores = n_cores
         self.batch_size = batch_size
-        self.spec = spec
         mode, n_nodes = _node_mode_for(approach, n_cores)
         super().__init__(
             Machine(n_nodes, mode, spec),
@@ -976,8 +975,8 @@ class _FDSimulation(_Replay):
         sim = self.sim
         plan = self.plan
         rod = self.rank_of_owner
-        spawn_time = self.spec.threads.spawn_time
-        join_time = self.spec.threads.join_time
+        spawn_time = self.threads.spawn_time
+        join_time = self.threads.join_time
         with_steps = self.step_buf is not None
         units: dict = {}
         ir_steps = 0
@@ -1053,18 +1052,15 @@ class _FDSimulation(_Replay):
     def _compile_unit(self, domain: int) -> _SigUnit:
         """Lower one representative rank plan to shared micro-op programs.
 
-        Besides the steps themselves, a worker pays the per-round call
-        CPU (:meth:`_Replay._lower`), one round ahead under double
-        buffering.  Blocking plans pay no separate call CPU (the fixed
-        cost sits inside the network model's per-message overhead).
-        Step spans land on resource ``rank{domain}.w{worker}`` — the
-        naming the real engine's :func:`repro.obs.spans.engine_hook`
-        uses, so the traces diff step for step.
+        Blocking plans pay no separate call CPU (the fixed cost sits
+        inside the network model's per-message overhead).  Step spans
+        land on resource ``rank{domain}.w{worker}``, the real engine's
+        naming (:func:`repro.obs.spans.engine_hook`).
         """
         plan = self.plan
         rp = plan.rank_plan(domain)
         send_dirs, recv_dirs = plan.directions(domain)
-        charged = self.t_call and not plan.blocking
+        charged = self.threads.mpi_call_cpu_time and not plan.blocking
         lookahead = 1 if plan.double_buffered else 0
         unit = _SigUnit()
         unit.n_workers = len(rp.workers)

@@ -261,9 +261,7 @@ def check_conformance(
             )
 
     return ConformanceReport(
-        config_hash=(
-            isinstance(measured, SpanTracer) and measured.config_hash
-        ) or spec.config_hash(),
+        config_hash=getattr(measured, "config_hash", None) or spec.config_hash(),
         drift=drift,
         score=score,
         measured_makespan=measured_makespan,

@@ -259,6 +259,7 @@ class _Columns:
             self.resource, self.worker, self.start, self.end,
             self.kind, self.grid_ids, self.seq, self.dim, self.direction,
         ) = ([r[k] for r in rows] for k in range(9))
+        del rows, append  # the row tuples: free them before the grouping
         # program order: each resource's span indices, ascending
         self.by_resource: dict[str, list[int]] = {}
         self.owners: dict[str, Optional[int]] = {}

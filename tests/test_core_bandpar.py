@@ -162,9 +162,8 @@ class TestCompiledPlan:
             assert kinds.count(PostSend) == nb - 1
             assert kinds.count(PostRecv) == nb - 1
             assert kinds.count(WaitAll) == nb - 1
-            assert {s.dim for s in steps if isinstance(s, (PostSend, PostRecv))} == {
-                RING_DIM
-            }
+            exchanges = [s for s in steps if isinstance(s, (PostSend, PostRecv))]
+            assert {s.dim for s in exchanges} == {RING_DIM}
 
     def test_group_steps_concatenates_the_phases(self, planner):
         plan = planner.band_plan(PAPER, 16384, 4)
@@ -241,7 +240,8 @@ class TestExactRingCounts:
         for g in range(nb):
             assert len(sends[g]) == 2 * (nb - 1)
             if nb > 1:
-                assert sources.pop((g, RING_DIM, +1)) == plan.layout.ring_recv_group(g)
+                src = sources.pop((g, RING_DIM, +1))
+                assert src == plan.layout.ring_recv_group(g)
         assert sources == {}
         ring = 0.0
         for s in sends[0]:
