@@ -651,7 +651,8 @@ class BandSchedulePlan:
 
         :meth:`SchedulePlan.directions`' format: ``(RING_DIM, +1,
         peer_group, stage_nbytes)`` to the ring successor and from the
-        ring predecessor; none at ``nb = 1``.
+        ring predecessor (none at ``nb = 1``); the ring's exchange steps
+        are expanded from these.
         """
         lay = self.layout
         if lay.n_groups == 1:
@@ -686,16 +687,18 @@ class BandSchedulePlan:
         lay = self.layout
         nb = lay.n_groups
         m = lay.bands_per_group
-        dst, src = lay.ring_send_group(group), lay.ring_recv_group(group)
-        nbytes = self.stage_nbytes
+        send_dirs, recv_dirs = self.directions(group)
         steps: list[Step] = []
         for stage in range(nb):
             seq = stage + 1  # the stage this exchange delivers
             if seq < nb:
-                steps += (
-                    PostSend(seq, RING_DIM, +1, dst, (), nbytes, phase=phase),
-                    PostRecv(seq, RING_DIM, +1, src, (), nbytes, phase=phase),
-                )
+                steps += [
+                    PostSend(seq, dim, step, peer, (), nbytes, phase=phase)
+                    for dim, step, peer, nbytes in send_dirs
+                ] + [
+                    PostRecv(seq, dim, step, peer, (), nbytes, phase=phase)
+                    for dim, step, peer, nbytes in recv_dirs
+                ]
             steps.append(
                 PartialGemm(
                     seq=stage,
