@@ -1189,6 +1189,7 @@ def simulate_band_plan(
     for group in range(nb):
         send_dirs, recv_dirs = plan.directions(group)
         sends, rsrcs = eng._peers(send_dirs, recv_dirs, group, 0)
+        # no per-round call CPU: the ring costs its links and GEMMs only
         prog = eng._lower(plan.group_steps(group), 0, send_dirs, recv_dirs, (), 0)
         w = _Worker(
             eng, prog, group, eng.rank_core[group], None, sends, rsrcs,
