@@ -162,6 +162,21 @@ class TestChaosSuite:
         kill = by_name["rank-kill"]
         assert kill.outcome == "crashed"
         assert "RankKilledError" in kill.errors
+        # the stencil rows' retry outcome: attempts, outcome, errors seen
+        assert {
+            name: (o.attempts, o.outcome, o.errors)
+            for name, o in by_name.items()
+            if name.startswith("one-") or name in ("storm", "rank-kill")
+        } == {
+            "one-delay": (1, "clean", ()),
+            "one-duplicate": (1, "clean", ()),
+            "one-drop": (2, "recovered", ("HaloTimeoutError",)),
+            "one-corrupt": (2, "recovered", ("CorruptPayloadError",)),
+            "storm": (
+                5, "recovered", ("CorruptPayloadError", "HaloTimeoutError"),
+            ),
+            "rank-kill": (1, "crashed", ("RankKilledError",)),
+        }
 
     def test_suite_is_deterministic_per_seed(self, chaos_seed0):
         # dataclass equality: full survival matrix
