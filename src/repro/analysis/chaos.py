@@ -4,16 +4,16 @@
 compiled schedules, transport and SCF the correctness tests use — under
 a deterministic :class:`~repro.transport.faults.FaultPlan`, and prints a
 survival matrix: which fault class was injected, how many faults fired,
-how many attempts the supervisor needed, and whether the recovered
-result is bit-identical to the fault-free oracle.
+how many attempts the run needed, and whether the recovered result is
+bit-identical to the fault-free oracle.
 
 Every scenario is a pure function of the seed, so a CI failure replays
 locally with the same command line.  Expected outcomes:
 
 * transient faults (delay / drop / duplicate / corruption) — recovered,
   bit-identical;
-* a killed rank under plain supervision — *crashed*, but with a typed,
-  step-attributed crash report (never a hang);
+* a killed rank under the stencil scenario's retry loop — *crashed*,
+  but with a typed, step-attributed crash report (never a hang);
 * a paper-scale DES storm (512 ranks, compiled replay engine) run twice
   from pristine plan replicas — bit-identical makespan and event counts;
 * a killed rank mid-SCF with checkpointing — the
@@ -35,12 +35,13 @@ from repro.core import DegradationError, DegradationPolicy, DistributedStencil
 from repro.grid import Decomposition, GridDescriptor, HaloSpec, gather, scatter
 from repro.stencil import apply_stencil_global, laplacian_coefficients
 from repro.transport import (
+    CrashReport,
     FaultPlan,
     FaultyTransport,
     InprocTransport,
-    RetryPolicy,
     TransportError,
-    run_ranks_supervised,
+    crash_report_from,
+    run_ranks,
 )
 
 
@@ -94,39 +95,36 @@ class _StencilScenario:
     def run(
         self, name: str, plan: FaultPlan, max_retries: int
     ) -> ChaosOutcome:
-        def factory(attempt: int):
-            return FaultyTransport(
+        """Run under ``plan``, retrying a transient failure up to
+        ``max_retries`` times on a fresh transport that shares the plan."""
+        reports: list[CrashReport] = []
+        results = None
+        while results is None and len(reports) <= max_retries:
+            tr = FaultyTransport(
                 InprocTransport(self.n_ranks, default_timeout=_TIMEOUT), plan
             )
-
-        try:
-            res = run_ranks_supervised(
-                self.n_ranks,
-                self.rank_fn,
-                transport_factory=factory,
-                policy=RetryPolicy(max_retries=max_retries, backoff_base=0.0),
-            )
-        except TransportError as exc:
-            report = getattr(exc, "crash_report", None)
-            errors = tuple(
-                {type(exc).__name__}
-                | {r.error_type for r in ([report] if report else [])}
-            )
+            try:
+                results = run_ranks(self.n_ranks, self.rank_fn, transport=tr)
+            except TransportError as exc:
+                reports.append(crash_report_from(exc, len(reports) + 1, tr))
+                if not exc.transient:
+                    break
+        errors = tuple(sorted({r.error_type for r in reports}))
+        if results is None:
             return ChaosOutcome(
                 scenario=name,
                 injected=len(plan.events),
-                attempts=(report.attempts if report else 1),
+                attempts=len(reports),
                 outcome="crashed",
                 identical=False,
                 errors=errors,
             )
-        errors = tuple(sorted({r.error_type for r in res.reports}))
         return ChaosOutcome(
             scenario=name,
             injected=len(plan.events),
-            attempts=res.attempts,
-            outcome="recovered" if res.reports else "clean",
-            identical=self.check(res.results),
+            attempts=len(reports) + 1,
+            outcome="recovered" if reports else "clean",
+            identical=self.check(results),
             errors=errors,
         )
 

@@ -8,7 +8,7 @@ handling into a policy-driven **degradation ladder**:
 
 1. **Observe** — a :class:`~repro.transport.errors.TransportError`
    raised by an attempt is attributed via :func:`~repro.transport
-   .supervisor.crash_report_from` (failed rank, transient vs fatal,
+   .errors.crash_report_from` (failed rank, transient vs fatal,
    schedule-step info, injected fault events).
 2. **Decide** — a transient failure retries in place; a fatal one
    shrinks the resource set by one rank and asks
@@ -46,8 +46,7 @@ from repro.core.recovery_policy import (
     DegradationStep,
 )
 from repro.dft.distributed_scf import DistributedSCF, DistributedSCFResult
-from repro.transport.errors import TransportError
-from repro.transport.supervisor import CrashReport, crash_report_from
+from repro.transport.errors import CrashReport, TransportError, crash_report_from
 
 __all__ = ["RecoveryController"]
 
@@ -245,10 +244,7 @@ class RecoveryController:
             except TransportError as exc:
                 t1 = time.perf_counter()
                 attempt += 1
-                plan = getattr(transport, "plan", None)
-                report = crash_report_from(
-                    exc, attempt, plan.events if plan is not None else ()
-                )
+                report = crash_report_from(exc, attempt, transport)
                 self.reports.append(report)
                 if self.flight_recorder is not None:
                     self.flight_dumps.append(self.flight_recorder.dump(

@@ -11,7 +11,7 @@ one drain per iteration.  Recording adds no operation to the run: a
 recorded SCF sends the bare run's messages and reaches its energy bit
 for bit (``tests/test_obs_flightrec.py``).
 
-On a crash (:class:`~repro.transport.supervisor.CrashReport`) or a
+On a crash (:class:`~repro.transport.errors.CrashReport`) or a
 fatal degradation, :meth:`FlightRecorder.dump` turns the window into a
 self-contained JSON artifact: the Chrome trace of the buffered spans
 (round-trips :func:`~repro.obs.export.parse_chrome_trace`), the
@@ -97,7 +97,7 @@ class FlightRecorder:
         ``trace`` round-trips :func:`~repro.obs.export
         .parse_chrome_trace`; ``critical_path`` is the blame summary of
         the whole buffered window; ``crash_report`` (optional) is a
-        :class:`~repro.transport.supervisor.CrashReport` embedded as its
+        :class:`~repro.transport.errors.CrashReport` embedded as its
         formatted text plus the failure coordinates.
         """
         spans = self.spans()

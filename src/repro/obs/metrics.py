@@ -8,10 +8,10 @@ event lists, per-test tallies); this registry gives them one shared
 currency:
 
 * :class:`Counter` — monotonically increasing total (messages, bytes,
-  injected faults, supervisor retries).
+  injected faults, transient-failure retries).
 * :class:`Gauge` — last-written value (SCF residual, band energy).
 * :class:`Histogram` — counts over **fixed log-spaced buckets**
-  (checkpoint deposit latency, backoff sleeps).  Fixed buckets make
+  (checkpoint deposit latency, recovery downtime).  Fixed buckets make
   snapshots mergeable across ranks and runs — the Prometheus contract.
 
 Instruments are identified by ``(name, labels)``; asking the registry for

@@ -17,24 +17,23 @@ The robustness layer (docs/ROBUSTNESS.md) lives alongside:
 
 * :mod:`repro.transport.errors` — the typed error taxonomy
   (``PeerDeadError`` / ``CorruptPayloadError`` / ``HaloTimeoutError`` /
-  ``RankKilledError``) with schedule-step attribution,
+  ``RankKilledError``) with schedule-step attribution and crash reports,
 * :mod:`repro.transport.faults` — seeded deterministic fault injection
   (:class:`FaultPlan` / :class:`FaultyTransport`) with checksummed
-  payload framing,
-* :mod:`repro.transport.supervisor` — bounded-retry supervision with
-  crash reports.
+  payload framing.
 """
 
 from repro.transport.errors import (
     CorruptPayloadError,
+    CrashReport,
     HaloTimeoutError,
     PeerDeadError,
     RankKilledError,
     StepInfo,
     TransportError,
+    crash_report_from,
     decode_halo_tag,
     describe_tag,
-    is_transient,
 )
 from repro.transport.faults import (
     FaultEvent,
@@ -48,13 +47,6 @@ from repro.transport.inproc import (
     InprocTransport,
     RankEndpoint,
     run_ranks,
-)
-from repro.transport.supervisor import (
-    CrashReport,
-    RetryPolicy,
-    SupervisedResult,
-    crash_report_from,
-    run_ranks_supervised,
 )
 
 __all__ = [
@@ -71,14 +63,10 @@ __all__ = [
     "PeerDeadError",
     "RankEndpoint",
     "RankKilledError",
-    "RetryPolicy",
     "StepInfo",
-    "SupervisedResult",
     "TransportError",
     "crash_report_from",
     "decode_halo_tag",
     "describe_tag",
-    "is_transient",
     "run_ranks",
-    "run_ranks_supervised",
 ]

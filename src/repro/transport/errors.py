@@ -3,9 +3,10 @@
 A distributed engine that fails with a bare ``RuntimeError`` at 16384
 ranks is undebuggable: *which* rank, *which* message, *which* compiled
 schedule step?  This module gives every transport failure a type (so
-supervisors can decide between retry and crash) and a :class:`StepInfo`
+a retry loop can decide between retry and crash), a :class:`StepInfo`
 payload (so every failure points at the schedule-IR step that was being
-interpreted when it happened).
+interpreted when it happened) and a :class:`CrashReport` that gathers
+both with the faults the plan injected.
 
 It also owns the wire-tag format: :func:`message_tag` and
 :func:`ring_tag` build the tags every plane sends under (the schedule IR
@@ -110,7 +111,7 @@ class StepInfo:
 class TransportError(RuntimeError):
     """Base of all transport failures (misuse, timeout, fault injection).
 
-    Subclasses form the error taxonomy supervisors dispatch on;
+    Subclasses form the error taxonomy retry loops dispatch on;
     ``step_info`` (attached by the engine) attributes the failure to one
     compiled schedule step.  ``transient`` marks errors a bounded retry
     can plausibly fix (a lost or corrupted message) as opposed to
@@ -155,6 +156,57 @@ class RankKilledError(TransportError):
     transient = False
 
 
-def is_transient(exc: BaseException) -> bool:
-    """True when a bounded retry could plausibly clear the failure."""
-    return isinstance(exc, TransportError) and exc.transient
+@dataclass(frozen=True)
+class CrashReport:
+    """Everything known about one failed attempt of a distributed run."""
+
+    failed_rank: Optional[int]
+    error_type: str
+    message: str
+    transient: bool
+    attempts: int
+    step_info: Optional[StepInfo] = None
+    fault_events: tuple = ()
+    peer_errors: tuple = ()
+
+    def format(self) -> str:
+        lines = [
+            f"crash report: rank {self.failed_rank} died with "
+            f"{self.error_type} after {self.attempts} attempt(s)",
+            f"  error     : {self.message}",
+            f"  transient : {self.transient}",
+            f"  step      : "
+            + (self.step_info.describe() if self.step_info else "(not attributed)"),
+        ]
+        if self.fault_events:
+            lines.append("  injected faults:")
+            for ev in self.fault_events:
+                lines.append(
+                    f"    rank {ev.rank} op {ev.op_index}: {ev.kind} ({ev.op})"
+                )
+        for rank, exc in self.peer_errors[1:]:
+            lines.append(f"  also failed: rank {rank}: {exc!r}")
+        return "\n".join(lines)
+
+
+def crash_report_from(
+    exc: TransportError, attempts: int, transport: object
+) -> CrashReport:
+    """Build the :class:`CrashReport` of one failed attempt.
+
+    ``exc`` ended attempt number ``attempts``, run on ``transport``.  The
+    injected faults are read from the transport's fault plan (a
+    :class:`~repro.transport.faults.FaultyTransport`); a plain transport
+    contributes none.
+    """
+    plan = getattr(transport, "plan", None)
+    return CrashReport(
+        failed_rank=getattr(exc, "failed_rank", None),
+        error_type=type(exc).__name__,
+        message=str(exc),
+        transient=exc.transient,
+        attempts=attempts,
+        step_info=exc.step_info,
+        fault_events=plan.events if plan is not None else (),
+        peer_errors=getattr(exc, "peer_errors", ()),
+    )

@@ -19,8 +19,8 @@ conditions deterministically:
   silently wrong numerics.
 
 Faults are **one-shot**: a fault fires at most once per plan, so a
-supervised retry of the same invocation (sharing the plan) models a
-*transient* fault clearing — while a fresh plan with the same seed
+retry of the same invocation on a fresh transport sharing the plan
+models a *transient* fault clearing — while a fresh plan with the same seed
 replays the identical sequence.
 """
 

@@ -468,9 +468,11 @@ def run_ranks(
     as the *same type* (with ``failed_rank`` and any attached schedule
     step preserved), so callers can dispatch on the taxonomy.
 
-    Unsupervised: the one supervised entry point (retries with backoff
-    on transient failures, crash reports on permanent ones) is
-    :func:`repro.transport.supervisor.run_ranks_supervised`.
+    Fails fast: retrying a transient failure is the caller's choice
+    (the chaos suite's stencil scenario and
+    :class:`~repro.dft.recovery.RecoveryController` each run a short
+    retry loop), and :func:`~repro.transport.errors.crash_report_from`
+    attributes a failure.
     """
     tr = transport if transport is not None else InprocTransport(size)
     if tr.size != size:

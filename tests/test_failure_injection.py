@@ -142,37 +142,24 @@ class TestFailureAttribution:
 class TestSeededReplay:
     """Same seed ⇒ identical fault sequence and identical crash report."""
 
-    def _run_once(self, seed):
-        from repro.transport import (
-            FaultPlan,
-            FaultyTransport,
-            RetryPolicy,
-            run_ranks_supervised,
-        )
+    def _run_once(self, monkeypatch, seed):
+        from repro.transport import FaultPlan
+        from tests.helpers import run_stencil_scenario
 
-        gd, engine, blocks = make_engine()
         # ~16 transport ops per rank per attempt; op 10 is mid-schedule
         plan = FaultPlan(
             seed=seed, p_drop=0.03, p_corrupt=0.03, p_duplicate=0.05,
             p_delay=0.05, delay=0.0005, kill_at={1: 10},
         )
-        def rank_fn(ep):
-            mine = {gid: blocks[gid][ep.rank] for gid in blocks}
-            return engine.apply(ep, mine)
+        outcome, reports, _ = run_stencil_scenario(
+            monkeypatch, plan, max_retries=3, timeout=0.3
+        )
+        assert outcome.outcome == "crashed"
+        return plan.events, reports[-1]
 
-        def factory(attempt):
-            return FaultyTransport(InprocTransport(2, default_timeout=0.3), plan)
-
-        with pytest.raises(TransportError) as exc_info:
-            run_ranks_supervised(
-                2, rank_fn, transport_factory=factory,
-                policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-            )
-        return plan.events, exc_info.value.crash_report
-
-    def test_same_seed_replays_identically(self):
-        events_a, crash_a = self._run_once(seed=3)
-        events_b, crash_b = self._run_once(seed=3)
+    def test_same_seed_replays_identically(self, monkeypatch):
+        events_a, crash_a = self._run_once(monkeypatch, seed=3)
+        events_b, crash_b = self._run_once(monkeypatch, seed=3)
         assert events_a == events_b  # bit-identical fault sequence
         assert crash_a.failed_rank == crash_b.failed_rank == 1
         assert crash_a.error_type == crash_b.error_type == "RankKilledError"

@@ -78,6 +78,45 @@ class TestRepositoryDocs:
             "docs/API.md is stale: run `python tools/gen_api_index.py`"
         )
 
+    def test_docs_name_only_what_exists(self):
+        """Every dotted ``repro.…`` name in the docs imports, and every
+        backticked ``*.py`` path exists (``bench/README.md`` is sealed
+        with the benchmark, so it is not scanned)."""
+        docs = [ROOT / name for name in (
+            "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+        )] + sorted((ROOT / "docs").glob("*.md"))
+
+        def resolves(dotted):
+            parts = dotted.split(".")
+            for i in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:i]))
+                except ImportError:
+                    continue
+                return functools.reduce(
+                    lambda o, attr: getattr(o, attr, None), parts[i:], obj
+                ) is not None
+            return False
+
+        stale, names, paths = [], 0, 0
+        for doc in docs:
+            text = doc.read_text()
+            for dotted in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text):
+                names += 1
+                if not resolves(dotted):
+                    stale.append(f"{doc.name}: {dotted}")
+            # inline code only: a fenced block's backticks pair differently
+            inline = re.sub(r"```.*?```", "", text, flags=re.S)
+            roots = (ROOT, ROOT / "src", ROOT / "src" / "repro",
+                     ROOT / "tests", doc.parent)
+            for span in re.findall(r"`([^`]+)`", inline):
+                for path in re.findall(r"[\w./-]+\.py\b", span):
+                    paths += 1
+                    if not any((root / path).exists() for root in roots):
+                        stale.append(f"{doc.name}: {path}")
+        assert names > 100 and paths > 50  # the scan still finds the docs' names
+        assert stale == [], f"docs name what does not exist: {stale}"
+
 
 class TestBenchSeams:
     """The benchmark reaches the program only through ``bench/adapters.py``;

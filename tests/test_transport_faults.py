@@ -1,4 +1,4 @@
-"""Deterministic fault injection: plans, framing, supervision.
+"""Deterministic fault injection: plans, framing, retry.
 
 The robustness contract under test (docs/ROBUSTNESS.md):
 
@@ -6,8 +6,8 @@ The robustness contract under test (docs/ROBUSTNESS.md):
   never a hang, never silent corruption;
 * fault sequences are a pure function of the seed — identical across
   runs and thread interleavings;
-* transient faults clear under bounded supervised retry, and the
-  recovered result is bit-identical to the fault-free oracle.
+* transient faults clear under bounded retry, and the recovered result
+  is bit-identical to the fault-free oracle.
 """
 
 import numpy as np
@@ -23,13 +23,10 @@ from repro.transport import (
     HaloTimeoutError,
     InprocTransport,
     RankKilledError,
-    RetryPolicy,
-    TransportError,
-    is_transient,
     run_ranks,
-    run_ranks_supervised,
 )
 from repro.transport.faults import FAULT_KINDS, decode_payload, encode_payload
+from tests.helpers import run_stencil_scenario
 
 
 # -- checksummed framing ------------------------------------------------------
@@ -156,7 +153,7 @@ class TestFaultyTransport:
         tr = FaultyTransport(InprocTransport(2, default_timeout=0.3), plan)
         with pytest.raises(HaloTimeoutError) as exc_info:
             run_ranks(2, rank_fn, transport=tr)
-        assert is_transient(exc_info.value)
+        assert exc_info.value.transient
         assert exc_info.value.step_info is not None  # engine attributed it
 
     def test_corrupt_raises_checksum_error_with_step(self):
@@ -183,57 +180,57 @@ class TestFaultyTransport:
         with pytest.raises(RankKilledError) as exc_info:
             run_ranks(2, rank_fn, transport=tr)
         exc = exc_info.value
-        assert not is_transient(exc)
+        assert not exc.transient
         assert exc.failed_rank == 1
         assert "killed by fault plan" in str(exc)
 
 
 class TestSupervisedRecovery:
-    def _factory(self, plan, timeout=0.5):
-        def factory(attempt):
-            return FaultyTransport(InprocTransport(2, default_timeout=timeout), plan)
-        return factory
+    """The chaos stencil scenario's retry loop: a transient failure is
+    retried on a fresh transport sharing the plan; a permanent one ends
+    the row crashed, with a typed crash report."""
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
-    def test_single_fault_recovers_bit_identical(self, kind):
-        rank_fn, identical = make_case()
+    def test_single_fault_recovers_bit_identical(self, kind, monkeypatch):
         plan = FaultPlan(seed=0, inject={(0, 1): kind}, delay=0.001)
-        res = run_ranks_supervised(
-            2, rank_fn, transport_factory=self._factory(plan),
-            policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+        outcome, reports, _ = run_stencil_scenario(
+            monkeypatch, plan, max_retries=2, timeout=0.5
         )
-        assert identical(res.results)
+        assert outcome.identical
         assert [e.kind for e in plan.events] == [kind]
         if kind in ("drop", "corrupt"):
-            assert res.attempts == 2 and len(res.reports) == 1
-            assert res.reports[0].transient
+            assert outcome.attempts == 2 and len(reports) == 1
+            assert reports[0].transient
+            assert outcome.outcome == "recovered"
         else:
-            assert res.attempts == 1 and not res.reports
+            assert outcome.attempts == 1 and not reports
+            assert outcome.outcome == "clean"
 
-    def test_permanent_fault_crashes_with_report(self):
-        rank_fn, _ = make_case()
+    def test_permanent_fault_crashes_with_report(self, monkeypatch):
         plan = FaultPlan(seed=0, kill_at={1: 3})
-        with pytest.raises(RankKilledError) as exc_info:
-            run_ranks_supervised(
-                2, rank_fn, transport_factory=self._factory(plan, timeout=0.3),
-                policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-            )
-        report = exc_info.value.crash_report
+        outcome, reports, _ = run_stencil_scenario(
+            monkeypatch, plan, max_retries=3, timeout=0.3
+        )
+        assert outcome.outcome == "crashed" and outcome.attempts == 1
+        assert outcome.errors == ("RankKilledError",)
+        (report,) = reports
         assert report.failed_rank == 1
         assert report.error_type == "RankKilledError"
         assert not report.transient
-        assert report.fault_events  # the kill is in the report
+        assert report.fault_events == plan.events  # the kill is in the report
+        assert [e.kind for e in report.fault_events] == ["kill"]
         assert "RankKilledError" in report.format()
 
-    def test_retry_budget_exhaustion_propagates(self):
-        rank_fn, _ = make_case()
+    def test_retry_budget_exhaustion_propagates(self, monkeypatch):
         # every send drops: each attempt times out, the budget runs dry
         plan = FaultPlan(seed=0, p_drop=1.0)
-        with pytest.raises(HaloTimeoutError):
-            run_ranks_supervised(
-                2, rank_fn, transport_factory=self._factory(plan, timeout=0.2),
-                policy=RetryPolicy(max_retries=1, backoff_base=0.0),
-            )
+        outcome, reports, _ = run_stencil_scenario(
+            monkeypatch, plan, max_retries=1, timeout=0.2
+        )
+        assert outcome.outcome == "crashed" and outcome.attempts == 2
+        assert outcome.errors == ("HaloTimeoutError",)
+        assert [r.attempts for r in reports] == [1, 2]
+        assert all(r.transient for r in reports)
 
 
 class TestTagCrossCheck:
@@ -280,43 +277,35 @@ class TestTagCrossCheck:
 
 
 class TestStatsUnderRetries:
-    """TransportStats keeps counting across supervised retries — the
-    cost of recovery (resent messages, duplicate copies) is visible."""
+    """TransportStats keeps counting across the stencil scenario's
+    retries — the cost of recovery (resent messages, duplicate copies)
+    is visible."""
 
-    def _run(self, plan, n_ranks=2, timeout=0.4, max_retries=2):
-        transports = []
-
-        def factory(attempt):
-            tr = FaultyTransport(
-                InprocTransport(n_ranks, default_timeout=timeout), plan
-            )
-            transports.append(tr)
-            return tr
-
-        def rank_fn(ep):
-            if ep.rank == 0:
-                ep.send(1, np.arange(16, dtype=float), tag=0)
-            else:
-                ep.recv(src=0, tag=0)
-            ep.barrier()
-
-        res = run_ranks_supervised(
-            n_ranks, rank_fn, transport_factory=factory,
-            policy=RetryPolicy(max_retries=max_retries, backoff_base=0.0),
+    def _clean_stats(self, monkeypatch):
+        _, _, (tr,) = run_stencil_scenario(
+            monkeypatch, FaultPlan(seed=0), max_retries=2, timeout=0.4
         )
-        return res, transports
+        return tr.stats[0]
 
-    def test_duplicate_inflates_message_count(self):
-        res, transports = self._run(FaultPlan(seed=0, inject={(0, 0): "duplicate"}))
-        assert res.attempts == 1
+    def test_duplicate_inflates_message_count(self, monkeypatch):
+        clean = self._clean_stats(monkeypatch)
+        outcome, _, transports = run_stencil_scenario(
+            monkeypatch, FaultPlan(seed=0, inject={(0, 0): "duplicate"}),
+            max_retries=2, timeout=0.4,
+        )
+        assert outcome.attempts == 1
         # one logical send, two wire messages
-        assert transports[0].stats[0].messages == 2
+        assert transports[0].stats[0].messages == clean.messages + 1
 
-    def test_retry_uses_fresh_transport_and_recounts(self):
-        res, transports = self._run(FaultPlan(seed=0, inject={(0, 0): "drop"}))
-        assert res.attempts == 2 and len(transports) == 2
-        # attempt 0: the send was swallowed before reaching the wire
-        assert transports[0].stats[0].messages == 0
-        # attempt 1: clean resend
-        assert transports[1].stats[0].messages == 1
-        assert transports[1].stats[0].bytes > 0
+    def test_retry_uses_fresh_transport_and_recounts(self, monkeypatch):
+        clean = self._clean_stats(monkeypatch)
+        outcome, _, transports = run_stencil_scenario(
+            monkeypatch, FaultPlan(seed=0, inject={(0, 0): "drop"}),
+            max_retries=2, timeout=0.4,
+        )
+        assert outcome.attempts == 2 and len(transports) == 2
+        # attempt 0: the dropped send was swallowed before reaching the wire
+        assert transports[0].stats[0].messages == clean.messages - 1
+        # attempt 1: a fresh transport counts the clean resend from zero
+        assert transports[1].stats[0].messages == clean.messages
+        assert transports[1].stats[0].bytes == clean.bytes
