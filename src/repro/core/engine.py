@@ -271,7 +271,13 @@ class DistributedStencil:
             except TransportError as exc:
                 # Attribute the failure to the compiled step being
                 # interpreted: rank, worker, round, direction, grids.
-                exc.attach_step(_step_info(ep.rank, wp.index, st, grid_ids))
+                # Rank and peer are transport ranks: a band group's
+                # endpoint numbers its domains from its ``base``
+                base = getattr(ep, "base", 0)
+                exc.attach_step(_step_info(
+                    ep.rank + base, wp.index, st, grid_ids,
+                    peer_rank=lambda domain: domain + base,
+                ))
                 raise
             if on_step is not None:
                 on_step(st, wp.index, t0, clock())
@@ -325,13 +331,28 @@ class DistributedStencil:
         # nothing to synchronize here.
 
 
-def _step_info(rank: int, worker: int, st: object, grid_ids: list[int]) -> StepInfo:
-    """Schedule-IR coordinates of ``st`` for failure attribution."""
+def _step_info(
+    rank: int,
+    worker: int,
+    st: object,
+    grid_ids: list[int],
+    peer_rank: Callable[[int], int],
+) -> StepInfo:
+    """Schedule-IR coordinates of ``st`` for failure attribution.
+
+    ``rank`` is the failing transport rank; ``peer_rank`` maps the
+    step's ``dst``/``src`` (a domain, or a band group on ring stages)
+    to the transport rank it names, so a report speaks one numbering.
+    """
     logical = getattr(st, "grid_ids", None)
     if logical is None:
         gid = getattr(st, "grid_id", None)
         logical = () if gid is None else (gid,)
     direction = getattr(st, "step", None)
+    peer = (
+        getattr(st, "dst", None) if isinstance(st, _PostSend)
+        else getattr(st, "src", None)
+    )
     return StepInfo(
         rank=rank,
         worker=worker,
@@ -339,7 +360,6 @@ def _step_info(rank: int, worker: int, st: object, grid_ids: list[int]) -> StepI
         seq=getattr(st, "seq", None),
         dim=getattr(st, "dim", None),
         direction=direction if direction in (+1, -1) else None,
-        peer=getattr(st, "dst", None) if isinstance(st, _PostSend)
-        else getattr(st, "src", None),
+        peer=None if peer is None else peer_rank(peer),
         grid_ids=tuple(grid_ids[i] for i in logical if i < len(grid_ids)),
     )

@@ -27,6 +27,15 @@ examples and integration tests:
 * :mod:`repro.dft.band_ortho` — the functional executor of the band-ring
   orthogonalization plan (2D grid x band decomposition,
   ``DistributedSCF.from_spec`` on a ``LayoutSpec(n_band_groups=...)``).
+
+SciPy is the sequential oracle's dependency only.  Four entry points
+load it, each on first call: :func:`~repro.dft.eigensolver.lowest_eigenstates`
+(ARPACK), :meth:`Hamiltonian.as_linear_operator
+<repro.dft.hamiltonian.Hamiltonian.as_linear_operator>`,
+:class:`~repro.dft.scf.SCFLoop` (through ``lowest_eigenstates``) and
+:class:`~repro.dft.rmm_diis.RmmDiis` (its 2x2 line search).  Importing
+this package, the distributed SCF and its recovery controller run on
+NumPy alone.
 """
 
 from repro.dft.band_ortho import BandRingExecutor, band_axis_sum

@@ -105,7 +105,8 @@ class BandRingExecutor:
         block in hand, and ``PartialGemm`` calls ``gemm(src_bands,
         held)`` with the band slice the held block carries.  A transport
         failure is attributed to the step being interpreted, as in the
-        stencil engine (its ``peer`` is a band group).
+        stencil engine (its ``peer`` is the transport rank of the band
+        group's same-domain peer).
         """
         lay = self.layout
         domain = lay.domain_of(ep.rank)
@@ -125,7 +126,10 @@ class BandRingExecutor:
                     held = pending.wait().reshape(m, -1)
                     pending = None
             except TransportError as exc:
-                exc.attach_step(_step_info(ep.rank, 0, st, []))
+                exc.attach_step(_step_info(
+                    ep.rank, 0, st, [],
+                    peer_rank=lambda group: lay.rank_of(group, domain),
+                ))
                 raise
             if self.on_step:
                 self.on_step(st, 0, t0, time.perf_counter())

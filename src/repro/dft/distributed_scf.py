@@ -45,7 +45,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as geigh
+# loaded with the module, not by the first run's np.random access
+from numpy.random import default_rng
 
 from repro.core.engine import DistributedStencil
 from repro.core.jobspec import (
@@ -65,6 +66,21 @@ from repro.grid.decompose import Decomposition
 from repro.grid.halo import HaloSpec
 from repro.stencil.coefficients import laplacian_coefficients
 from repro.transport.inproc import GroupEndpoint, RankEndpoint, run_ranks
+
+
+def _lowest_pencil_vector(a: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric-definite pencil ``a v = lam s v``.
+
+    ``s = L L^T`` (Cholesky) reduces the pencil to the standard symmetric
+    problem ``C y = lam y`` with ``C = L^-1 a L^-T``; the eigenvector maps
+    back as ``v = L^-T y``, so ``v^T s v = y^T y = 1``.  The same route as
+    LAPACK's ``sygvd``, which ``scipy.linalg.eigh(a, s)`` calls, in
+    NumPy only: the distributed SCF does not load SciPy.
+    """
+    chol = np.linalg.cholesky(s)
+    chol_inv = np.linalg.inv(chol)
+    lams, ys = np.linalg.eigh(chol_inv @ a @ chol_inv.T)
+    return float(lams[0]), chol_inv.T @ ys[:, 0]
 
 
 @dataclass
@@ -397,7 +413,10 @@ class DistributedSCF:
                 h_dirs = self._apply_h(gep, directions, v_local)
                 # per-band 2x2 Rayleigh line search; each rank fills its
                 # own bands' entries and one global reduce sums domains
-                # within each owning group (other groups contribute 0)
+                # within each owning group (other groups contribute 0).
+                # Each band's pencil (a, s2) is solved in NumPy by
+                # _lowest_pencil_vector: Cholesky-reduce s2, eigh, back-
+                # transform; the lowest root mixes psi and its direction
                 n = self.n_bands
                 partial = np.zeros(5 * n)
                 for b in bands:
@@ -415,8 +434,7 @@ class DistributedSCF:
                     s2 = np.array([[1.0, spd], [spd, sdd]])
                     if np.linalg.det(s2) < 1e-14:
                         continue
-                    _, vecs = geigh(a, s2)
-                    c0, c1 = vecs[:, 0]
+                    _, (c0, c1) = _lowest_pencil_vector(a, s2)
                     states[b].interior[...] = (
                         c0 * states[b].interior + c1 * directions[b].interior
                     )
@@ -561,7 +579,7 @@ class DistributedSCF:
         if resume_from is None:
             # every group draws the same full band set, then keeps its
             # slice — initial states are independent of n_band_groups
-            rng = np.random.default_rng(self.spec.runtime.seed)
+            rng = default_rng(self.spec.runtime.seed)
             initial = [
                 rng.standard_normal(self.grid.shape) for _ in range(self.n_bands)
             ]

@@ -4,7 +4,9 @@ Uses ARPACK (``scipy.sparse.linalg.eigsh``) through the Hamiltonian's
 LinearOperator view — the standard route for "give me the lowest k states
 of a big sparse operator" — with ``sigma``-free smallest-algebraic mode.
 Wave functions come back grid-shaped and orthonormal (ARPACK guarantees an
-orthonormal basis of the converged invariant subspace).
+orthonormal basis of the converged invariant subspace).  SciPy is
+imported when :func:`lowest_eigenstates` is first called, not when this
+module is imported.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from repro.dft.hamiltonian import Hamiltonian
 
@@ -31,6 +32,8 @@ def lowest_eigenstates(
     tol: float = 1e-8,
 ) -> EigenResult:
     """The ``k`` lowest eigenpairs of ``hamiltonian`` (seeded start vector)."""
+    from scipy.sparse.linalg import eigsh
+
     n = hamiltonian.grid.n_points
     if not 1 <= k < n - 1:
         raise ValueError(f"k must be in 1..{n - 2}, got {k}")

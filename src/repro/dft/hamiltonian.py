@@ -7,11 +7,15 @@ their sum in the SCF loop.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from repro.dft.operators import Kinetic
 from repro.grid.grid import GridDescriptor
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 
 class Hamiltonian:
@@ -42,7 +46,13 @@ class Hamiltonian:
         return np.stack([self.apply(p) for p in psis])
 
     def as_linear_operator(self) -> LinearOperator:
-        """SciPy view of H for iterative eigensolvers."""
+        """SciPy view of H for iterative eigensolvers.
+
+        SciPy is imported here, on first use, so importing the DFT layer
+        does not load it.
+        """
+        from scipy.sparse.linalg import LinearOperator
+
         n = self.grid.n_points
         shape = self.grid.shape
         dtype = self.grid.dtype

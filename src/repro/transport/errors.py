@@ -167,7 +167,11 @@ class CrashReport:
     attempts: int
     step_info: Optional[StepInfo] = None
     fault_events: tuple = ()
+    #: ``(rank, exception)`` of every failed rank, the primary first and
+    #: the others by rank (``run_ranks``' ``peer_errors``)
     peer_errors: tuple = ()
+    #: the primary rank's own exception (the one ``message`` wraps)
+    cause: Optional[BaseException] = None
 
     def format(self) -> str:
         lines = [
@@ -184,8 +188,9 @@ class CrashReport:
                 lines.append(
                     f"    rank {ev.rank} op {ev.op_index}: {ev.kind} ({ev.op})"
                 )
-        for rank, exc in self.peer_errors[1:]:
-            lines.append(f"  also failed: rank {rank}: {exc!r}")
+        for rank, exc in self.peer_errors:
+            if exc is not self.cause:
+                lines.append(f"  also failed: rank {rank}: {exc!r}")
         return "\n".join(lines)
 
 
@@ -209,4 +214,5 @@ def crash_report_from(
         step_info=exc.step_info,
         fault_events=plan.events if plan is not None else (),
         peer_errors=getattr(exc, "peer_errors", ()),
+        cause=exc.__cause__,
     )

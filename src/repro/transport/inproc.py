@@ -508,6 +508,10 @@ def run_ranks(
         if isinstance(exc, TransportError):
             wrapped.step_info = exc.step_info
         wrapped.failed_rank = rank
-        wrapped.peer_errors = tuple(errors)
+        # primary first, then the other ranks in rank order: the threads'
+        # completion order varies from run to run, the crash report not
+        wrapped.peer_errors = ((rank, exc),) + tuple(
+            sorted((e for e in errors if e[1] is not exc), key=lambda e: e[0])
+        )
         raise wrapped from exc
     return results

@@ -23,7 +23,11 @@ from repro.obs import SpanTracer, engine_hook
 from repro.obs.critpath import _Columns, _cross_edges
 from repro.stencil import laplacian_coefficients
 from repro.transport import run_ranks
-from repro.transport.errors import CorruptPayloadError, RankKilledError
+from repro.transport.errors import (
+    CorruptPayloadError,
+    RankKilledError,
+    crash_report_from,
+)
 from repro.transport.faults import FaultPlan, FaultyTransport
 from repro.transport.inproc import InprocTransport
 
@@ -277,9 +281,53 @@ class TestRingFailureAttribution:
         with pytest.raises(RankKilledError) as info:
             self._overlap(FaultPlan(seed=0, kill_at={1: 1}))
         si = info.value.step_info
+        # rank 1 (group 0, domain 1) receives from group 1's domain 1:
+        # the peer is transport rank 3, the numbering ``si.rank`` uses
+        assert self.LAYOUT.ring_recv_group(0) == 1
         assert (si.rank, si.step_kind, si.seq, si.dim, si.peer) == (
-            1, "PostRecv", 1, RING_DIM, self.LAYOUT.ring_recv_group(0)
+            1, "PostRecv", 1, RING_DIM, 3
         )
+
+
+class TestBandParallelCrashReport:
+    """A rank killed inside a band group's halo exchange: the report
+    names transport ranks only and reads the same on every replay."""
+
+    def _killed_run(self, kill_op, victim=2):
+        plan = FaultPlan(seed=0, kill_at={victim: kill_op})
+        tr = FaultyTransport(InprocTransport(4, default_timeout=0.1), plan)
+        with pytest.raises(RankKilledError) as info:
+            band_scf(4, 2, max_iterations=1).run(transport=tr)
+        return info.value, crash_report_from(info.value, 1, tr)
+
+    def test_step_names_transport_ranks(self):
+        # op 10 of rank 2 (group 1, domain 0) posts a halo receive from
+        # its group's domain 1, transport rank 3
+        exc, _ = self._killed_run(10)
+        si = exc.step_info
+        assert si.rank == exc.failed_rank == 2
+        assert (si.step_kind, si.peer) == ("PostRecv", 3)
+
+    def test_ring_step_peer_is_a_transport_rank(self):
+        # op 0 of rank 3 (group 1, domain 1) sends its ring block to
+        # group 0's domain 1, transport rank 1
+        exc, _ = self._killed_run(0, victim=3)
+        si = exc.step_info
+        assert (si.rank, si.step_kind, si.dim, si.peer) == (
+            3, "PostSend", RING_DIM, 1
+        )
+
+    def test_report_replays_exactly(self):
+        # the three peers time out together, in any thread order
+        texts = {self._killed_run(10)[1].format() for _ in range(3)}
+        assert len(texts) == 1
+        (text,) = texts
+        also = [
+            line.split(":")[1].strip() for line in text.splitlines()
+            if line.startswith("  also failed")
+        ]
+        assert also == ["rank 0", "rank 1", "rank 3"]
+        assert text.count("rank 2 killed") == 1  # the primary, once
 
 
 class TestBandAxisSum:

@@ -7,11 +7,12 @@ transport.  The physics must match the sequential SCF.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.approaches import HYBRID_MULTIPLE
 from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
 from repro.dft import SCFLoop
-from repro.dft.distributed_scf import DistributedSCF
+from repro.dft.distributed_scf import DistributedSCF, _lowest_pencil_vector
 from repro.grid import GridDescriptor
 
 
@@ -163,3 +164,30 @@ class TestAgainstSequential:
             tolerance=1e-4, max_iterations=30, eig_tol=1e-8, xc="lda",
         ).run()
         assert dist.total_energy == pytest.approx(seq.total_energy, abs=3e-2)
+
+
+class TestLineSearchPencil:
+    """The line search's NumPy 2x2 solve against SciPy's LAPACK one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+        diag=st.lists(st.floats(1e-3, 10), min_size=2, max_size=2),
+        corr=st.floats(-1, 1),
+    )
+    def test_matches_scipy_generalized_eigh(self, a, diag, corr):
+        from scipy.linalg import eigh
+
+        a = np.array([[a[0], a[1]], [a[1], a[2]]])
+        s12 = corr * np.sqrt(diag[0] * diag[1])
+        s2 = np.array([[diag[0], s12], [s12, diag[1]]])
+        assume(np.linalg.det(s2) >= 1e-14)
+        ref_lams, ref_vecs = eigh(a, s2)
+        lam, v = _lowest_pencil_vector(a, s2)
+        scale = np.abs(ref_lams).max()
+        assert abs(lam - ref_lams[0]) <= 1e-12 * scale
+        assert v @ s2 @ v == pytest.approx(1.0, abs=1e-10)
+        # the vector is defined up to sign only where the roots differ
+        assume(ref_lams[1] - ref_lams[0] > 1e-6 * scale)
+        ref = ref_vecs[:, 0] * np.sign(v @ ref_vecs[:, 0])
+        np.testing.assert_allclose(v, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
