@@ -39,7 +39,8 @@ from repro.core.perfmodel import FDJob
 #: BG/P rack-scale GPFS installation sustained a few GB/s
 IO_BANDWIDTH = 4e9
 
-#: supervisor restart penalty (job relaunch + checkpoint read), seconds
+#: time one failure costs before work resumes (job relaunch and
+#: checkpoint read, what a RecoveryController retry pays), seconds
 RESTART_TIME = 180.0
 
 #: the node MTBFs the cadence sweep visits, in years

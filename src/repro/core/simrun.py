@@ -1108,9 +1108,12 @@ def simulate_fd(
     ``fault_plan`` replays the same :class:`~repro.transport.faults.FaultPlan`
     the functional plane injects, as *timing* perturbations: delays,
     retransmit windows, spurious wire copies, and restart penalties for
-    killed ranks (the supervisor restarts a rank from its last
-    checkpoint, so it — and, through stalled messages, its neighbours —
-    loses ``restart_time`` simulated seconds).  The plan's counters
+    killed ranks.  A kill does not end the rank's replay: it stalls for
+    ``restart_time`` simulated seconds — the cost of relaunching from
+    the last checkpoint — and then resumes its program, so it and,
+    through stalled messages, its neighbours lose that time.  The
+    functional plane's :class:`~repro.dft.recovery.RecoveryController`
+    is what really replans and resumes.  The plan's counters
     advance during the replay — pass ``plan.replica()`` to keep the
     original pristine.
 

@@ -8,12 +8,12 @@ files implement, scaled down to this library's functional plane:
 * :class:`SCFCheckpoint` — one committed snapshot of SCF state: per-rank
   interior blocks of every wave function, the mixed density history and
   potentials, plus the iteration counter and band energies.
-* Stores — :class:`MemoryCheckpointStore` (in-process, used by the test
-  suite and chaos runs) and :class:`FileCheckpointStore` (one ``.npz``
-  per rank per snapshot, the on-disk restart-file format described in
-  docs/ROBUSTNESS.md).  Both commit *atomically*: a snapshot becomes
-  visible only once every rank has deposited its block, so a rank dying
-  mid-checkpoint can never produce a half-written restart point.
+* :class:`CheckpointStore` — one commit protocol over two media that
+  only do the I/O: :class:`MemoryCheckpointStore` (in-process, used by
+  the test suite and chaos runs) and :class:`FileCheckpointStore` (the
+  on-disk restart-file format of docs/ROBUSTNESS.md).  A snapshot
+  commits once, after every rank's write has returned, so a rank dying
+  mid-checkpoint never produces a half-written restart point.
 * :func:`redistribute_blocks` — pure-numpy execution of
   :func:`repro.grid.redistribute.transfer_plan`, so a checkpoint written
   by ``N`` ranks can be resumed by ``M`` ranks (shrink-to-fewer-ranks
@@ -35,6 +35,8 @@ own block — N-N checkpointing — so no gather bottleneck exists).
 from __future__ import annotations
 
 import json
+import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.jobspec import RuntimeSpec
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
 from repro.grid.redistribute import Transfer, band_regroup_plan, transfer_plan
@@ -209,57 +212,126 @@ def regroup_checkpoint(
     )
 
 
-def _validate_payload(fields: dict[str, np.ndarray]) -> None:
-    missing = set(CHECKPOINT_FIELDS) - set(fields)
-    if missing:
-        raise ValueError(f"checkpoint deposit missing fields {sorted(missing)}")
+def _snapshot(marker: dict, blocks: dict[int, dict[str, np.ndarray]]) -> SCFCheckpoint:
+    """A commit marker plus its rank blocks; both media read through here
+    (a version-1 marker has no ``n_band_groups`` and no ``jobspec``)."""
+    return SCFCheckpoint(
+        iteration=marker["iteration"],
+        n_domains=marker["n_domains"],
+        shape=tuple(marker["shape"]),
+        energies=np.asarray(marker["energies"]),
+        blocks=blocks,
+        n_band_groups=marker.get("n_band_groups", 1),
+        jobspec=marker.get("jobspec"),
+    )
 
 
-class _DepositTelemetry:
-    """Shared store instrumentation: bytes, latency, commits.
+class _MemoryMedium:
+    """In-process medium: rank blocks in flight, and committed snapshots."""
 
-    Both stores time every :meth:`deposit` into the
-    ``checkpoint_deposit_seconds`` histogram, count the deposited payload
-    into ``checkpoint_bytes_total`` and count committed snapshots into
-    ``checkpoint_commits_total`` — on the registry passed at construction
-    (the null registry by default, so untelemetered stores pay only the
-    no-op calls).
+    def __init__(self):
+        self._blocks: dict[int, dict[int, dict[str, np.ndarray]]] = {}
+        self._committed: dict[int, SCFCheckpoint] = {}
+
+    def put(self, iteration: int, rank: int, fields: dict) -> None:
+        copied = {k: np.array(v, copy=True) for k, v in fields.items()}
+        self._blocks.setdefault(iteration, {})[rank] = copied
+
+    def commit(self, iteration: int, marker: dict) -> None:
+        self._committed[iteration] = _snapshot(marker, self._blocks.pop(iteration))
+
+    def iterations(self) -> list[int]:
+        return sorted(self._committed)
+
+    def read(self, iteration: int) -> SCFCheckpoint:
+        return self._committed[iteration]
+
+    def drop(self, iteration: int) -> None:
+        self._committed.pop(iteration, None)
+        self._blocks.pop(iteration, None)
+
+    def drop_uncommitted(self) -> set[int]:
+        dropped = set(self._blocks)
+        self._blocks.clear()
+        return dropped
+
+
+class _FileMedium:
+    """``it00007_rank0.npz`` per rank and the ``it00007.json`` commit
+    marker, renamed into place so it appears whole or not at all."""
+
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def _rank_path(self, iteration: int, rank: int) -> Path:
+        return self.root / f"it{iteration:05d}_rank{rank}.npz"
+
+    def _marker_path(self, iteration: int) -> Path:
+        return self.root / f"it{iteration:05d}.json"
+
+    def put(self, iteration: int, rank: int, fields: dict) -> None:
+        np.savez(self._rank_path(iteration, rank), **fields)
+
+    def commit(self, iteration: int, marker: dict) -> None:
+        path = self._marker_path(iteration)
+        tmp = path.with_name(path.name + ".tmp")  # not matched by it*.json
+        tmp.write_text(json.dumps(marker))
+        os.replace(tmp, path)
+
+    def iterations(self) -> list[int]:
+        return sorted(int(p.stem[2:]) for p in self.root.glob("it*.json"))
+
+    def read(self, iteration: int) -> SCFCheckpoint:
+        marker = json.loads(self._marker_path(iteration).read_text())
+        blocks: dict[int, dict[str, np.ndarray]] = {}
+        for rank in range(marker["n_domains"]):
+            with np.load(self._rank_path(iteration, rank)) as npz:
+                blocks[rank] = {name: npz[name] for name in CHECKPOINT_FIELDS}
+        return _snapshot(marker, blocks)
+
+    def drop(self, iteration: int) -> None:
+        self._marker_path(iteration).unlink(missing_ok=True)  # invisible first
+        for p in self.root.glob(f"it{iteration:05d}_rank*.npz"):
+            p.unlink(missing_ok=True)
+
+    def drop_uncommitted(self) -> set[int]:
+        committed = set(self.iterations())
+        dropped = set()
+        for p in [*self.root.glob("it*_rank*.npz"), *self.root.glob("it*.json.tmp")]:
+            it = int(re.match(r"it(\d+)", p.name)[1])
+            if it not in committed:
+                p.unlink(missing_ok=True)
+                dropped.add(it)
+        return dropped
+
+
+class CheckpointStore:
+    """N-N checkpoint store: one commit protocol over a storage medium.
+
+    Each rank deposits its own blocks; the snapshot of iteration ``k``
+    commits — becomes visible to :meth:`latest` — exactly once, when the
+    last of its ``n_domains`` ranks registers, after that rank's own
+    write has returned.  The registered ranks are kept in memory, so a
+    block this store never received cannot complete a snapshot.  Each
+    commit keeps the last ``runtime.checkpoint_keep`` snapshots of the
+    deposit's embedded spec.  Thread-safe: the rank threads of the
+    in-process transport deposit concurrently.  Deposits are timed into
+    ``checkpoint_deposit_seconds`` and counted into
+    ``checkpoint_bytes_total`` / ``checkpoint_commits_total``.
     """
 
-    def _init_metrics(self, metrics) -> None:
+    def __init__(self, medium, metrics):
         from repro.obs.metrics import resolve_registry
 
+        self._medium = medium
         self.metrics = resolve_registry(metrics)
         self._m_bytes = self.metrics.counter("checkpoint_bytes_total")
         self._m_commits = self.metrics.counter("checkpoint_commits_total")
         self._m_latency = self.metrics.histogram("checkpoint_deposit_seconds")
-
-    def _record_deposit(
-        self, fields: dict[str, np.ndarray], elapsed: float, committed: bool
-    ) -> None:
-        self._m_bytes.inc(sum(arr.nbytes for arr in fields.values()))
-        self._m_latency.observe(elapsed)
-        if committed:
-            self._m_commits.inc()
-
-
-class MemoryCheckpointStore(_DepositTelemetry):
-    """In-process checkpoint store with atomic commit.
-
-    Each rank deposits its own blocks (N-N checkpointing); a snapshot for
-    iteration ``k`` is committed — becomes visible to :meth:`latest` —
-    only once all ``n_domains`` ranks have deposited.  Thread-safe: the
-    rank threads of the in-process transport deposit concurrently.
-    """
-
-    #: committed snapshots retained; older ones are dropped on commit
-    keep = 2
-
-    def __init__(self, metrics=None):
-        self._init_metrics(metrics)
         self._lock = threading.Lock()
-        self._pending: dict[int, dict] = {}  # iteration -> partial snapshot
-        self._committed: dict[int, SCFCheckpoint] = {}
+        #: iteration -> (marker fixed by its first deposit, ranks registered)
+        self._pending: dict[int, tuple[dict, set[int]]] = {}
 
     def deposit(
         self,
@@ -273,193 +345,94 @@ class MemoryCheckpointStore(_DepositTelemetry):
         jobspec: dict | None = None,
     ) -> bool:
         """Deposit one rank's blocks; True if this commits the snapshot."""
-        _validate_payload(fields)
+        missing = set(CHECKPOINT_FIELDS) - set(fields)
+        if missing:
+            raise ValueError(f"checkpoint deposit missing fields {sorted(missing)}")
+        if not 0 <= rank < n_domains:
+            raise ValueError(f"rank {rank} outside the {n_domains} depositing ranks")
         t0 = time.perf_counter()
-        copied = {k: np.array(v, copy=True) for k, v in fields.items()}
+        marker = {
+            "version": CHECKPOINT_VERSION,
+            "iteration": iteration,
+            "n_domains": n_domains,
+            "n_band_groups": n_band_groups,
+            "shape": list(shape),
+            "energies": [float(e) for e in np.atleast_1d(energies)],
+        }
+        if jobspec is not None:
+            marker["jobspec"] = jobspec
         with self._lock:
-            slot = self._pending.setdefault(
-                iteration,
-                {
-                    "n_domains": n_domains,
-                    "n_band_groups": n_band_groups,
-                    "shape": tuple(shape),
-                    "energies": np.array(energies, copy=True),
-                    "jobspec": jobspec,
-                    "blocks": {},
-                },
+            if iteration not in self._pending:
+                # a re-deposited iteration is withdrawn before any of
+                # its new blocks land, so old and new never mix
+                self._medium.drop(iteration)
+                self._pending[iteration] = (marker, set())
+            slot = self._pending[iteration]
+            first, ranks = slot
+            for key in ("n_domains", "n_band_groups", "shape"):
+                if first[key] != marker[key]:
+                    raise ValueError(
+                        f"iteration {iteration}: deposits disagree on {key} "
+                        f"({first[key]} vs {marker[key]})"
+                    )
+        self._medium.put(iteration, rank, fields)
+        with self._lock:
+            ranks.add(rank)
+            # a slot that discard_pending dropped meanwhile never commits
+            committed = (
+                self._pending.get(iteration) is slot and len(ranks) == n_domains
             )
-            if slot["n_domains"] != n_domains:
-                raise ValueError(
-                    f"iteration {iteration}: deposits disagree on rank count "
-                    f"({slot['n_domains']} vs {n_domains})"
-                )
-            if slot["n_band_groups"] != n_band_groups:
-                raise ValueError(
-                    f"iteration {iteration}: deposits disagree on band "
-                    f"groups ({slot['n_band_groups']} vs {n_band_groups})"
-                )
-            slot["blocks"][rank] = copied
-            committed = len(slot["blocks"]) == n_domains
             if committed:
-                ckpt = SCFCheckpoint(
-                    iteration=iteration,
-                    n_domains=n_domains,
-                    shape=slot["shape"],
-                    energies=slot["energies"],
-                    blocks=slot["blocks"],
-                    n_band_groups=slot["n_band_groups"],
-                    jobspec=slot["jobspec"],
-                )
                 del self._pending[iteration]
-                self._committed[iteration] = ckpt
-                for it in sorted(self._committed)[: -self.keep]:
-                    del self._committed[it]
-        self._record_deposit(fields, time.perf_counter() - t0, committed)
+                self._medium.commit(iteration, first)
+                runtime = first.get("jobspec", {}).get("runtime", {})
+                keep = runtime.get("checkpoint_keep", RuntimeSpec.checkpoint_keep)
+                for it in self._medium.iterations()[:-keep]:
+                    self._medium.drop(it)
+        self._m_bytes.inc(sum(arr.nbytes for arr in fields.values()))
+        self._m_latency.observe(time.perf_counter() - t0)
+        if committed:
+            self._m_commits.inc()
         return committed
-
-    def latest(self) -> SCFCheckpoint | None:
-        with self._lock:
-            if not self._committed:
-                return None
-            return self._committed[max(self._committed)]
-
-    def load(self, iteration: int) -> SCFCheckpoint:
-        with self._lock:
-            if iteration not in self._committed:
-                raise KeyError(f"no committed checkpoint for iteration {iteration}")
-            return self._committed[iteration]
-
-    def discard_pending(self) -> int:
-        """Drop partial (uncommitted) deposits; returns how many slots.
-
-        Called by recovery before a retry: a failed attempt may have left
-        half-deposited iterations that must not mix with the rerun's.
-        """
-        with self._lock:
-            n = len(self._pending)
-            self._pending.clear()
-            return n
-
-
-class FileCheckpointStore(_DepositTelemetry):
-    """On-disk checkpoint store: one ``.npz`` per rank per snapshot.
-
-    Layout under ``root``::
-
-        it00007_rank0.npz   # fields of rank 0 at iteration 7
-        it00007_rank1.npz
-        it00007.json        # commit marker, written last (atomic commit)
-
-    The marker carries the snapshot metadata; a snapshot without its
-    marker is invisible to :meth:`latest` — exactly the crash-consistency
-    rule real restart writers follow.
-    """
-
-    def __init__(self, root: str | Path, keep: int = 2, metrics=None):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
-        self._init_metrics(metrics)
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_spec(cls, spec, root: str | Path, metrics=None) -> "FileCheckpointStore":
-        """Retention window from ``spec.runtime.checkpoint_keep``."""
-        return cls(root, keep=spec.runtime.checkpoint_keep, metrics=metrics)
-
-    def _rank_path(self, iteration: int, rank: int) -> Path:
-        return self.root / f"it{iteration:05d}_rank{rank}.npz"
-
-    def _marker_path(self, iteration: int) -> Path:
-        return self.root / f"it{iteration:05d}.json"
-
-    def deposit(
-        self,
-        iteration: int,
-        rank: int,
-        n_domains: int,
-        shape: tuple[int, int, int],
-        energies: np.ndarray,
-        fields: dict[str, np.ndarray],
-        n_band_groups: int = 1,
-        jobspec: dict | None = None,
-    ) -> bool:
-        _validate_payload(fields)
-        t0 = time.perf_counter()
-        np.savez(self._rank_path(iteration, rank), **fields)
-        with self._lock:
-            have = [
-                r for r in range(n_domains)
-                if self._rank_path(iteration, r).exists()
-            ]
-            committed = len(have) == n_domains
-            if committed:
-                marker = {
-                    "version": CHECKPOINT_VERSION,
-                    "iteration": iteration,
-                    "n_domains": n_domains,
-                    "n_band_groups": n_band_groups,
-                    "shape": list(shape),
-                    "energies": [float(e) for e in np.atleast_1d(energies)],
-                }
-                if jobspec is not None:
-                    marker["jobspec"] = jobspec
-                self._marker_path(iteration).write_text(json.dumps(marker))
-                self._prune()
-        self._record_deposit(fields, time.perf_counter() - t0, committed)
-        return committed
-
-    def _prune(self) -> None:
-        committed = sorted(self._iterations_unlocked())
-        for it in committed[: -self.keep]:
-            self._marker_path(it).unlink(missing_ok=True)
-            for p in self.root.glob(f"it{it:05d}_rank*.npz"):
-                p.unlink(missing_ok=True)
-
-    def _iterations_unlocked(self) -> list[int]:
-        return sorted(
-            int(p.stem[2:]) for p in self.root.glob("it*.json")
-        )
 
     def iterations(self) -> list[int]:
         with self._lock:
-            return self._iterations_unlocked()
+            return self._medium.iterations()
 
     def latest(self) -> SCFCheckpoint | None:
-        its = self.iterations()
-        if not its:
-            return None
-        return self.load(its[-1])
+        with self._lock:
+            its = self._medium.iterations()
+            return self._medium.read(its[-1]) if its else None
 
     def load(self, iteration: int) -> SCFCheckpoint:
-        marker_path = self._marker_path(iteration)
-        if not marker_path.exists():
-            raise KeyError(f"no committed checkpoint for iteration {iteration}")
-        marker = json.loads(marker_path.read_text())
-        blocks: dict[int, dict[str, np.ndarray]] = {}
-        for rank in range(marker["n_domains"]):
-            with np.load(self._rank_path(iteration, rank)) as npz:
-                blocks[rank] = {name: npz[name] for name in CHECKPOINT_FIELDS}
-        return SCFCheckpoint(
-            iteration=marker["iteration"],
-            n_domains=marker["n_domains"],
-            shape=tuple(marker["shape"]),
-            energies=np.asarray(marker["energies"]),
-            blocks=blocks,
-            n_band_groups=marker.get("n_band_groups", 1),
-            jobspec=marker.get("jobspec"),
-        )
+        with self._lock:
+            if iteration not in self._medium.iterations():
+                raise KeyError(f"no committed checkpoint for iteration {iteration}")
+            return self._medium.read(iteration)
 
     def discard_pending(self) -> int:
-        """Remove rank files of snapshots that never got their marker."""
+        """Drop uncommitted deposits, on disk also a dead process's;
+        returns how many iterations.  Recovery calls it before a retry."""
         with self._lock:
-            committed = set(self._iterations_unlocked())
-            n = 0
-            for p in self.root.glob("it*_rank*.npz"):
-                it = int(p.stem.split("_")[0][2:])
-                if it not in committed:
-                    p.unlink(missing_ok=True)
-                    n += 1
-            return n
+            dropped = set(self._pending) | self._medium.drop_uncommitted()
+            self._pending.clear()
+            return len(dropped)
+
+
+class MemoryCheckpointStore(CheckpointStore):
+    """Checkpoints held in process (the test suite and chaos runs)."""
+
+    def __init__(self, metrics=None):
+        super().__init__(_MemoryMedium(), metrics)
+
+
+class FileCheckpointStore(CheckpointStore):
+    """Checkpoints on disk under ``root``, readable by a later process."""
+
+    def __init__(self, root: str | Path, metrics=None):
+        super().__init__(_FileMedium(root), metrics)
+
+    @classmethod
+    def from_spec(cls, spec, root: str | Path, metrics=None) -> "FileCheckpointStore":
+        """Retention follows each deposit's embedded spec; ``spec`` is not read."""
+        return cls(root, metrics=metrics)

@@ -127,16 +127,6 @@ class DistributedSCF:
         )
         if self.occ.shape != (n_bands,):
             raise ValueError(f"occupations must have {n_bands} entries")
-        keep = getattr(checkpoint_store, "keep", None)
-        if keep is not None and keep != spec.runtime.checkpoint_keep:
-            # the in-process store always keeps 2: a spec asking for
-            # another window must not silently get that one
-            raise ValueError(
-                f"runtime.checkpoint_keep is "
-                f"{spec.runtime.checkpoint_keep} but the checkpoint store "
-                f"keeps {keep}; build the store from the spec "
-                f"(FileCheckpointStore.from_spec)"
-            )
         self.checkpoint_store = checkpoint_store
         #: optional :class:`repro.core.recovery_policy.AdaptiveCadence`;
         #: when set, it replaces the static ``checkpoint_every`` gate —

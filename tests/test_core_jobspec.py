@@ -125,21 +125,26 @@ class TestRuntimeSpec:
             runtime=RuntimeSpec(checkpoint_keep=7),
         )
         v = np.zeros((8, 8, 8))
-        store = FileCheckpointStore.from_spec(spec, tmp_path / "c")
-        assert store.keep == 7
-        assert DistributedSCF.from_spec(
-            spec, v, checkpoint_store=store
-        ).checkpoint_store is store
-        # the in-process store keeps 2: a spec asking for 7 is rejected
-        # by name instead of running with the wrong window
-        assert MemoryCheckpointStore().keep == 2
-        with pytest.raises(ValueError, match="checkpoint_keep"):
-            DistributedSCF.from_spec(
-                spec, v, checkpoint_store=MemoryCheckpointStore()
-            )
-        default = replace(spec, runtime=RuntimeSpec())
+        fields = {"states": np.zeros((2, 8, 8, 8))}
+        for name in ("rho_old", "v_h", "v_xc"):
+            fields[name] = np.zeros((8, 8, 8))
+        # both media keep the depositing run's checkpoint_keep snapshots
+        for store in (
+            MemoryCheckpointStore(),
+            FileCheckpointStore.from_spec(spec, tmp_path / "c"),
+        ):
+            for it in range(1, 10):
+                assert store.deposit(
+                    iteration=it, rank=0, n_domains=1, shape=(8, 8, 8),
+                    energies=np.zeros(2), fields=fields,
+                    jobspec=spec.to_dict(),
+                )
+            assert store.iterations() == list(range(3, 10))
+            assert DistributedSCF.from_spec(
+                spec, v, checkpoint_store=store
+            ).checkpoint_store is store
         DistributedSCF.from_spec(
-            default, v, checkpoint_store=MemoryCheckpointStore()
+            spec, v, checkpoint_store=MemoryCheckpointStore()
         )
 
     def test_placement_validated_and_round_trips(self):
