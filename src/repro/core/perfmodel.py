@@ -84,8 +84,6 @@ class FDTiming:
     sync: float
     #: inter-node bytes sent per node per invocation (Fig 6 right axis)
     comm_bytes_per_node: float
-    #: MPI messages sent per rank per invocation
-    messages_per_rank: int
     #: bytes of a single surface message (before batching)
     message_bytes: float
 
@@ -331,17 +329,11 @@ class PerformanceModel:
                 job, approach, n_cores, plan, domain, rounds
             )
 
-        threads = min(4, n_cores) if plan.uses_thread_team else 1
         ideal_per_core = job.total_points / n_cores * self.spec.stencil_point_time
 
         total = _pipeline_time(comm, comp) + spawn_join
         compute_per_core = sum(comp)
         exposed = total - spawn_join - compute_per_core
-        msgs_per_rank = (
-            plan.n_directions(domain)
-            * len(rounds)
-            * (threads if plan.uses_thread_team else 1)
-        )
 
         return FDTiming(
             approach_name=approach.name,
@@ -355,7 +347,6 @@ class PerformanceModel:
             comm_bytes_per_node=self._comm_per_node(
                 plan.decomp, domain, approach, n_cores, job.n_grids
             ),
-            messages_per_rank=msgs_per_rank,
             message_bytes=self._message_bytes(plan.decomp, domain),
         )
 
@@ -408,7 +399,6 @@ class PerformanceModel:
             comm_bytes_per_node=self._comm_per_node(
                 decomp, domain, approach, n_cores, job.n_grids
             ),
-            messages_per_rank=len(send_times) * len(rounds),
             message_bytes=self._message_bytes(decomp, domain),
         )
 

@@ -45,6 +45,7 @@ through :func:`~repro.core.schedule.recv_sources` — exact.  Without a
 plan, a wait's producer is matched among *all* same-tag sends on other
 resources (the latest one ending by the wait's end), which is correct
 for symmetric plans and degrades gracefully to program order only.
+Either way a band-ring edge stays within one domain (``bg*.rank{d}``).
 
 Attribution reads a :class:`~repro.obs.spans.SpanTracer`'s raw step
 records (:meth:`~repro.obs.spans.SpanTracer.records`) into per-span
@@ -111,6 +112,10 @@ def blame_bucket(step_kind: str) -> str:
 #: leading owner token of a resource name: ``rank3.w1`` -> 3,
 #: ``bg1.rank0.w0`` -> 1 (the band group — the unit ring edges connect)
 _OWNER_RE = re.compile(r"^(?:bg|rank)(\d+)")
+#: domain of a band-group resource: ``bg1.rank0.w0`` -> 0.  Band-group
+#: resources record ring stages, and a stage passes its block to the
+#: *same* domain of the next group, so their edges join one domain
+_DOMAIN_RE = re.compile(r"^bg\d+\.rank(\d+)")
 
 
 def owner_of_resource(resource: str) -> Optional[int]:
@@ -263,11 +268,15 @@ class _Columns:
         # program order: each resource's span indices, ascending
         self.by_resource: dict[str, list[int]] = {}
         self.owners: dict[str, Optional[int]] = {}
+        #: resource -> its domain in a band group (None off band traces)
+        self.domains: dict[str, Optional[int]] = {}
         for i, r in enumerate(self.resource):
             indices = self.by_resource.get(r)
             if indices is None:
                 indices = self.by_resource[r] = []
                 self.owners[r] = owner_of_resource(r)
+                m = _DOMAIN_RE.match(r)
+                self.domains[r] = int(m.group(1)) if m else None
             indices.append(i)
 
     def __len__(self) -> int:
@@ -335,11 +344,13 @@ def _cross_edges(cols: _Columns, plan) -> dict[int, list[int]]:
     resource, and each receive's producer is the matching ``PostSend``
     on the source owner's resource.  Band-ring stages exchange on a
     ``dim`` of their own, so they match the same way and never a halo
-    message.  With repeated invocations in one trace (tags recur), the
-    producer chosen is the latest one ending by the wait's end.  Without
-    a plan the candidates are every same-tag producer on another
-    resource, visited owner by owner in the order the trace first shows
-    each owner's tag.
+    message; their owner is the band group, and the producer must hold
+    the receiver's domain (a ring passes blocks between same-domain
+    ranks of neighbouring groups).  With repeated invocations in one
+    trace (tags recur), the producer chosen is the latest one ending by
+    the wait's end.  Without a plan the candidates are every same-tag
+    producer on another resource, visited owner by owner in the order
+    the trace first shows each owner's tag.
     """
     sources: Optional[dict] = None
     if plan is not None:
@@ -349,20 +360,20 @@ def _cross_edges(cols: _Columns, plan) -> dict[int, list[int]]:
 
     kind, seq, dim, direction = cols.kind, cols.seq, cols.dim, cols.direction
     resource_of, end = cols.resource, cols.end
-    by_resource, owners = cols.by_resource, cols.owners
+    by_resource, owners, domains = cols.by_resource, cols.owners, cols.domains
 
     # producer index over the whole trace
-    sends: dict[tuple, list[int]] = {}  # (owner, seq, dim, dir)
+    sends: dict[tuple, list[int]] = {}  # (owner, domain, seq, dim, dir)
     for resource, rows in by_resource.items():
-        owner = owners[resource]
+        owner, domain = owners[resource], domains[resource]
         for i in rows:
             if kind[i] == "PostSend":
                 sends.setdefault(
-                    (owner, seq[i], dim[i], direction[i]), []
+                    (owner, domain, seq[i], dim[i], direction[i]), []
                 ).append(i)
     # without a plan a receive's candidates are its tag's per-owner
     # lists, in key creation order: the first of equally late sends wins
-    sends_by_tag: dict[tuple, list[list[int]]] = {}  # (seq, dim, dir)
+    sends_by_tag: dict[tuple, list[list[int]]] = {}  # (domain, seq, dim, dir)
     if sources is None:
         for key, lst in sends.items():
             sends_by_tag.setdefault(key[1:], []).append(lst)
@@ -378,7 +389,7 @@ def _cross_edges(cols: _Columns, plan) -> dict[int, list[int]]:
 
     edges: dict[int, list[int]] = {}
     for resource, rows in by_resource.items():
-        owner = owners[resource]
+        owner, domain = owners[resource], domains[resource]
         pending: dict[int, list[int]] = {}  # seq -> posted recvs
         for i in rows:
             k = kind[i]
@@ -392,11 +403,11 @@ def _cross_edges(cols: _Columns, plan) -> dict[int, list[int]]:
                     d, dr = dim[pr], direction[pr]
                     if sources is not None:
                         src = sources.get((owner, d, dr))
-                        cands = sends.get((src, s, d, dr), ())
+                        cands = sends.get((src, domain, s, d, dr), ())
                     else:
                         cands = (
                             c
-                            for lst in sends_by_tag.get((s, d, dr), ())
+                            for lst in sends_by_tag.get((domain, s, d, dr), ())
                             for c in lst
                             if resource_of[c] != resource
                         )

@@ -8,16 +8,17 @@ stencil.
 
 :class:`~repro.transport.inproc.InprocTransport` runs every rank in one OS
 thread (NumPy releases the GIL, so kernels genuinely overlap), with an
-mpi4py-flavoured non-blocking API: ``isend``/``irecv`` handles completed
-by ``wait()``, ``barrier`` and (source, tag) matching.  Message payloads are copied at
-send time — eager buffered semantics — which keeps arbitrary schedules
-deadlock-free and the engine's correctness independent of timing.
+mpi4py-flavoured non-blocking API: ``isend``/``irecv`` handles finished
+by ``wait()``, receives matched on an explicit (source, tag) pair, and a
+rank-ordered ``allreduce``.  Message payloads are copied at send time —
+eager buffered semantics — which keeps arbitrary schedules deadlock-free
+and the engine's correctness independent of timing.
 
 The robustness layer (docs/ROBUSTNESS.md) lives alongside:
 
 * :mod:`repro.transport.errors` — the typed error taxonomy
-  (``PeerDeadError`` / ``CorruptPayloadError`` / ``HaloTimeoutError`` /
-  ``RankKilledError``) with schedule-step attribution and crash reports,
+  (``CorruptPayloadError`` / ``HaloTimeoutError`` / ``RankKilledError``)
+  with schedule-step attribution and crash reports,
 * :mod:`repro.transport.faults` — seeded deterministic fault injection
   (:class:`FaultPlan` / :class:`FaultyTransport`) with checksummed
   payload framing.
@@ -27,7 +28,6 @@ from repro.transport.errors import (
     CorruptPayloadError,
     CrashReport,
     HaloTimeoutError,
-    PeerDeadError,
     RankKilledError,
     StepInfo,
     TransportError,
@@ -42,7 +42,6 @@ from repro.transport.faults import (
     FaultyTransport,
 )
 from repro.transport.inproc import (
-    AttributableBarrier,
     GroupEndpoint,
     InprocTransport,
     RankEndpoint,
@@ -50,7 +49,6 @@ from repro.transport.inproc import (
 )
 
 __all__ = [
-    "AttributableBarrier",
     "CorruptPayloadError",
     "CrashReport",
     "FaultEvent",
@@ -60,7 +58,6 @@ __all__ = [
     "GroupEndpoint",
     "HaloTimeoutError",
     "InprocTransport",
-    "PeerDeadError",
     "RankEndpoint",
     "RankKilledError",
     "StepInfo",

@@ -56,8 +56,6 @@ def describe_tag(tag: int) -> str:
     "halo exchange seq 1, dim 2, -z direction" — the difference between
     grepping a tag table and reading the failure.
     """
-    if tag < 0:
-        return "any tag"
     if tag >= COLL_TAG_BASE:
         return f"collective round {tag - COLL_TAG_BASE}"
     if tag >= RING_TAG_BASE:
@@ -142,12 +140,6 @@ class CorruptPayloadError(TransportError):
     """A received payload failed its checksum."""
 
     transient = True
-
-
-class PeerDeadError(TransportError):
-    """A peer rank is known dead (broken barrier, failed join)."""
-
-    transient = False
 
 
 class RankKilledError(TransportError):

@@ -36,7 +36,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.transport.errors import CorruptPayloadError, RankKilledError
-from repro.transport.inproc import ANY_SOURCE, ANY_TAG, TransportStats, _allreduce
+from repro.transport.inproc import TransportStats, _allreduce
 
 #: the injectable fault kinds, in decision order
 FAULT_KINDS = ("delay", "drop", "duplicate", "corrupt")
@@ -110,8 +110,8 @@ class FaultPlan:
 
     ``p_delay``/``p_drop``/``p_duplicate``/``p_corrupt`` are per-*send*
     probabilities; ``kill_at`` maps a rank to the transport-operation
-    index at which it dies (sends, receives, barriers and allreduces all
-    count).  Decisions are drawn from per-rank
+    index at which it dies (sends, receives and allreduces all count).
+    Decisions are drawn from per-rank
     ``numpy.random.Philox``-free counter streams: fault ``k`` of rank
     ``r`` depends only on ``(seed, r, k)``, never on thread timing.
 
@@ -204,9 +204,9 @@ class FaultPlan:
     def next_op(self, rank: int) -> int:
         """Allocate the next operation index of ``rank`` (kill clock).
 
-        Every endpoint call counts — sends, receives, barriers,
-        allreduces — so ``kill_at`` can place a death anywhere in the
-        schedule, mid-iteration included.
+        Every endpoint call counts — sends, receives, allreduces — so
+        ``kill_at`` can place a death anywhere in the schedule,
+        mid-iteration included.
         """
         with self._lock:
             op = self._op_counts.get(rank, 0)
@@ -279,20 +279,12 @@ class _DroppedSendHandle:
     def wait(self, timeout: Optional[float] = None) -> None:
         return None
 
-    @property
-    def complete(self) -> bool:
-        return True
-
 
 class _DecodingRecvHandle:
     """Wraps an inner recv handle; decodes the checksummed frame."""
 
     def __init__(self, inner: Any):
         self._inner = inner
-
-    @property
-    def complete(self) -> bool:
-        return self._inner.complete
 
     def wait(self, timeout: Optional[float] = None) -> np.ndarray:
         return decode_payload(self._inner.wait(timeout))
@@ -355,23 +347,17 @@ class FaultyEndpoint:
         self.isend(dst, payload, tag).wait()
 
     # -- receiving ---------------------------------------------------------
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+    def irecv(self, src: int, tag: int) -> Any:
         self._op("irecv")
         inner = self.inner.irecv(src=src, tag=tag)
         return _DecodingRecvHandle(inner)
 
     def recv(
-        self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
+        self, src: int, tag: int, timeout: Optional[float] = None
     ) -> np.ndarray:
         self._op("recv")
         payload = self.inner.recv(src=src, tag=tag, timeout=timeout)
         return decode_payload(payload)
-
-    # -- synchronization ---------------------------------------------------
-    def barrier(self, timeout: Optional[float] = None) -> None:
-        self._op("barrier")
-        self.inner.barrier(timeout=timeout)
 
     # -- collectives -------------------------------------------------------
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
@@ -389,7 +375,7 @@ class FaultyTransport:
     """Wraps a whole transport so every endpoint injects the same plan.
 
     Presents the surface :func:`repro.transport.inproc.run_ranks`
-    consumes (``size`` / ``endpoint`` / ``abort`` / ``stats``); any
+    consumes (``size`` / ``endpoint`` / ``stats``); any
     transport with that surface can be wrapped, not just the in-process
     one.
     """
@@ -412,6 +398,3 @@ class FaultyTransport:
 
     def endpoint(self, rank: int) -> FaultyEndpoint:
         return FaultyEndpoint(self.inner.endpoint(rank), self.plan)
-
-    def abort(self, dead_rank: Optional[int] = None) -> None:
-        self.inner.abort(dead_rank)

@@ -4,13 +4,14 @@ Design notes
 ------------
 
 * **Eager buffered sends.**  ``isend`` copies the payload and deposits it
-  in the destination's mailbox immediately; the send handle is complete at
-  once.  This mirrors MPI's buffered mode: no schedule can deadlock on
-  send order, which is the right property for a correctness oracle (the
-  *timing* consequences of schedules live in the performance plane).
+  in the destination's mailbox immediately; the send handle has nothing
+  left to wait for.  This mirrors MPI's buffered mode: no schedule can
+  deadlock on send order, which is the right property for a correctness
+  oracle (the *timing* consequences of schedules live in the performance
+  plane).
 * **(source, tag) matching** with FIFO non-overtaking per (source, tag)
-  pair, like MPI — receivers block on a condition variable until a match
-  arrives.
+  pair, like MPI — every receive names both, and receivers block on a
+  condition variable until a match arrives.
 * **Instrumentation.**  The transport counts messages and bytes per rank
   (:class:`TransportStats`, a view over :mod:`repro.obs.metrics`
   counters when a registry is passed); tests use this to verify that
@@ -28,15 +29,10 @@ import numpy as np
 from repro.transport.errors import (
     COLL_TAG_BASE,
     HaloTimeoutError,
-    PeerDeadError,
     TransportError,
     describe_tag,
 )
 from repro.util.validation import check_positive_int
-
-#: MPI_ANY_SOURCE / MPI_ANY_TAG wildcard markers
-ANY_SOURCE = -1
-ANY_TAG = -1
 
 _DEFAULT_TIMEOUT = 60.0  # a stuck functional test fails loudly, not forever
 
@@ -50,16 +46,12 @@ class _Mail:
 
 @dataclass
 class SendHandle:
-    """Completed-at-once handle for an eager send."""
+    """Handle of an eager send: the payload is already in the mailbox."""
 
     nbytes: int
 
     def wait(self, timeout: float = _DEFAULT_TIMEOUT) -> None:
         return None
-
-    @property
-    def complete(self) -> bool:
-        return True
 
 
 class RecvHandle:
@@ -71,10 +63,6 @@ class RecvHandle:
         self.tag = tag
         self._payload: Optional[np.ndarray] = None
         self._done = False
-
-    @property
-    def complete(self) -> bool:
-        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> np.ndarray:
         if self._done:
@@ -130,70 +118,10 @@ class TransportStats:
         return f"TransportStats(messages={self.messages}, bytes={self.bytes})"
 
 
-class AttributableBarrier:
-    """A barrier that knows *who* arrived when it fails.
-
-    ``threading.Barrier`` reports only "broken"; at any useful rank count
-    the first question is which rank is missing.  This barrier tracks the
-    arrival set per generation, so a timeout or abort names the arrived
-    and missing ranks — the attribution the failure-injection suite
-    asserts on.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._cond = threading.Condition()
-        self._arrived: set[int] = set()
-        self._generation = 0
-        self._broken = False
-        self._dead: list[int] = []
-
-    def _failure_message(self, rank: int) -> str:
-        arrived = sorted(self._arrived)
-        missing = sorted(set(range(self.size)) - self._arrived)
-        msg = (
-            f"rank {rank}: barrier failed — arrived ranks {arrived}, "
-            f"missing ranks {missing}"
-        )
-        if self._dead:
-            msg += f" (known dead: {sorted(self._dead)})"
-        return msg
-
-    def wait(self, rank: int, timeout: float) -> None:
-        with self._cond:
-            if self._broken:
-                raise PeerDeadError(self._failure_message(rank))
-            gen = self._generation
-            self._arrived.add(rank)
-            if len(self._arrived) == self.size:
-                self._generation += 1
-                self._arrived = set()
-                self._cond.notify_all()
-                return
-            ok = self._cond.wait_for(
-                lambda: self._generation != gen or self._broken, timeout=timeout
-            )
-            if self._broken:
-                raise PeerDeadError(self._failure_message(rank))
-            if not ok:
-                message = self._failure_message(rank) + f" after {timeout}s"
-                self._broken = True
-                self._cond.notify_all()
-                raise HaloTimeoutError(message)
-
-    def abort(self, dead_rank: Optional[int] = None) -> None:
-        """Break the barrier (a rank died); wakes every waiter."""
-        with self._cond:
-            if dead_rank is not None:
-                self._dead.append(dead_rank)
-            self._broken = True
-            self._cond.notify_all()
-
-
 class InprocTransport:
     """A set of ``size`` rank endpoints sharing mailboxes in one process.
 
-    ``default_timeout`` bounds every blocking wait (receives, barriers):
+    ``default_timeout`` bounds every blocking wait (a receive):
     a schedule bug — ranks disagreeing on batch sizes, a died peer — fails
     loudly with :class:`TransportError` instead of hanging the test run.
     """
@@ -217,16 +145,11 @@ class InprocTransport:
         self.stats = [
             TransportStats(registry=metrics, rank=r) for r in range(size)
         ]
-        self._barrier = AttributableBarrier(size)
 
     def endpoint(self, rank: int) -> "RankEndpoint":
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
         return RankEndpoint(self, rank)
-
-    def abort(self, dead_rank: Optional[int] = None) -> None:
-        """Unblock barrier waiters after a rank death (see ``run_ranks``)."""
-        self._barrier.abort(dead_rank)
 
 
 class RankEndpoint:
@@ -283,17 +206,16 @@ class RankEndpoint:
         return SendHandle(nbytes=data.nbytes)
 
     def send(self, dst: int, payload: np.ndarray, tag: int = 0) -> None:
-        """Blocking send (trivially complete under eager semantics)."""
+        """Blocking send (returns at once under eager semantics)."""
         self.isend(dst, payload, tag).wait()
 
     # -- receiving -----------------------------------------------------------
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvHandle:
-        """Post a receive; completion happens inside ``wait()``."""
+    def irecv(self, src: int, tag: int) -> RecvHandle:
+        """Post a receive; the match happens inside ``wait()``."""
         return RecvHandle(self, src, tag)
 
     def recv(
-        self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
+        self, src: int, tag: int, timeout: Optional[float] = None
     ) -> np.ndarray:
         """Blocking receive; returns the payload array."""
         return self._take(src, tag, timeout)
@@ -306,7 +228,7 @@ class RankEndpoint:
 
         def find() -> Optional[int]:
             for i, mail in enumerate(box):
-                if src in (ANY_SOURCE, mail.src) and tag in (ANY_TAG, mail.tag):
+                if mail.src == src and mail.tag == tag:
                     return i
             return None
 
@@ -324,16 +246,6 @@ class RankEndpoint:
                 idx = find()
             assert idx is not None
             return box.pop(idx).payload
-
-    # -- synchronization --------------------------------------------------------
-    def barrier(self, timeout: Optional[float] = None) -> None:
-        """Block until all ranks arrive.
-
-        On failure the error names the arrived and the missing ranks
-        (an :class:`AttributableBarrier` underneath).
-        """
-        timeout = self.transport.default_timeout if timeout is None else timeout
-        self.transport._barrier.wait(self.rank, timeout=timeout)
 
     # -- collectives ------------------------------------------------------------
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
@@ -409,18 +321,15 @@ class GroupEndpoint:
     def send(self, dst: int, payload: np.ndarray, tag: int = 0) -> None:
         self.isend(dst, payload, tag).wait()
 
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvHandle:
-        if src != ANY_SOURCE:
-            src = self._global(src, "src")
-        return self.endpoint.irecv(src=src, tag=tag)
+    def irecv(self, src: int, tag: int) -> RecvHandle:
+        return self.endpoint.irecv(src=self._global(src, "src"), tag=tag)
 
     def recv(
-        self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
+        self, src: int, tag: int, timeout: Optional[float] = None
     ) -> np.ndarray:
-        if src != ANY_SOURCE:
-            src = self._global(src, "src")
-        return self.endpoint.recv(src, tag, timeout=timeout)
+        return self.endpoint.recv(
+            self._global(src, "src"), tag, timeout=timeout
+        )
 
     def allreduce(self, value: np.ndarray | float, round_id: int = 0) -> np.ndarray:
         """Sum-allreduce over the group's ranks only."""
@@ -485,8 +394,6 @@ def run_ranks(
             results[rank] = fn(tr.endpoint(rank), *args)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors.append((rank, exc))
-            # Unblock peers stuck in the barrier so the join terminates.
-            tr.abort(dead_rank=rank)
 
     threads = [
         threading.Thread(target=runner, args=(rank,), name=f"rank{rank}")
@@ -497,10 +404,8 @@ def run_ranks(
     for t in threads:
         t.join()
     if errors:
-        # The first appended error is the root cause: peers only fail
-        # with PeerDeadError *after* the abort it triggered.
-        primary = [e for e in errors if not isinstance(e[1], PeerDeadError)]
-        rank, exc = (primary or errors)[0]
+        # the first appended error is the root cause
+        rank, exc = errors[0]
         # Preserve the taxonomy: a typed transport failure surfaces as the
         # same type, step attribution and transience flags intact.
         cls = type(exc) if isinstance(exc, TransportError) else TransportError
@@ -509,7 +414,7 @@ def run_ranks(
             wrapped.step_info = exc.step_info
         wrapped.failed_rank = rank
         # primary first, then the other ranks in rank order: the threads'
-        # completion order varies from run to run, the crash report not
+        # finishing order varies from run to run, the crash report not
         wrapped.peer_errors = ((rank, exc),) + tuple(
             sorted((e for e in errors if e[1] is not exc), key=lambda e: e[0])
         )

@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.analysis import fig6_rows
 from repro.core.perfmodel import _pipeline_time
+from repro.core.schedule import timing_plan
 from repro.grid import GridDescriptor
 from repro.machine.spec import BGP_SPEC
 
@@ -150,10 +151,16 @@ class TestBatching:
         ramped = pm.evaluate(job, FLAT_OPTIMIZED, 4096, batch_size=128, ramp_up=True)
         assert ramped.total <= plain.total
 
-    def test_messages_per_rank_drop_with_batching(self, pm, fig5_job):
-        plain = pm.evaluate(fig5_job, FLAT_OPTIMIZED, 512, batch_size=1)
-        batched = pm.evaluate(fig5_job, FLAT_OPTIMIZED, 512, batch_size=8)
-        assert plain.messages_per_rank == 8 * batched.messages_per_rank
+    def test_messages_per_rank_drop_with_batching(self, fig5_job):
+        def plan(batch_size):
+            return timing_plan(
+                FLAT_OPTIMIZED, fig5_job.grid, fig5_job.n_grids, 512, batch_size
+            )
+
+        plain, batched = plan(1), plan(8)
+        for domain in (0, plain.decomp.n_domains - 1):
+            assert plain.message_count(domain) > 0
+            assert plain.message_count(domain) == 8 * batched.message_count(domain)
 
 
 class TestPaperAnchors:

@@ -49,15 +49,15 @@ def _batch_for(approach, batch_size):
     return batch_size if approach.supports_batching else 1
 
 
-def _busiest_worker_sends(plan, n_cores):
-    """``PostSend`` steps of the busiest domain's first worker, times the
-    thread team (the model counts messages per rank, one worker's worth
-    per thread)."""
-    sends = max(
-        sum(isinstance(s, PostSend) for s in plan.rank_plan(d).workers[0].steps)
-        for d in range(plan.decomp.n_domains)
-    )
-    return sends * (min(4, n_cores) if plan.uses_thread_team else 1)
+def _priced_domain(gd, n_grids, approach, n_cores, batch):
+    """The domain whose plan the analytic model prices."""
+    return PerformanceModel()._plan_costs(
+        FDJob(gd, n_grids), approach, n_cores, batch, False
+    )[1]
+
+
+def _busiest_domain_sends(plan):
+    return max(plan.message_count(d) for d in range(plan.decomp.n_domains))
 
 
 def _total_messages(plan):
@@ -110,10 +110,8 @@ class TestCrossPlaneConsistency:
         n_cores, n_grids, batch = config
         batch = _batch_for(approach, batch)
         gd, _, plan = _compile(approach, n_cores, n_grids, batch)
-        timing = PerformanceModel().evaluate(
-            FDJob(gd, n_grids), approach, n_cores, batch
-        )
-        assert timing.messages_per_rank == _busiest_worker_sends(plan, n_cores)
+        domain = _priced_domain(gd, n_grids, approach, n_cores, batch)
+        assert plan.message_count(domain) == _busiest_domain_sends(plan)
 
     @pytest.mark.parametrize("approach", EVERY_APPROACH, ids=lambda a: a.name)
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
@@ -125,18 +123,16 @@ class TestCrossPlaneConsistency:
         gd = GridDescriptor((24, 24, 24), pbc=(periodic,) * 3)
         plan = timing_plan(approach, gd, n_grids, n_cores, batch)
         assert max(plan.decomp.domains_shape) >= 3
-        timing = PerformanceModel().evaluate(
-            FDJob(gd, n_grids), approach, n_cores, batch
-        )
-        assert timing.messages_per_rank == _busiest_worker_sends(plan, n_cores)
+        domain = _priced_domain(gd, n_grids, approach, n_cores, batch)
+        assert plan.message_count(domain) == _busiest_domain_sends(plan)
 
     def test_open_grid_is_priced_at_an_interior_domain(self):
         gd = GridDescriptor((64, 64, 64), pbc=(False,) * 3)
         plan = timing_plan(FLAT_OPTIMIZED, gd, 8, 512, 2)
-        timing = PerformanceModel().evaluate(FDJob(gd, 8), FLAT_OPTIMIZED, 512, 2)
         assert plan.decomp.coords_of(73) == (1, 1, 1)
         assert plan.message_count(0) == 12
-        assert timing.messages_per_rank == plan.message_count(73) == 24
+        assert _priced_domain(gd, 8, FLAT_OPTIMIZED, 512, 2) == 73
+        assert plan.message_count(73) == 24
 
     @pytest.mark.parametrize(
         "approach", ALL_APPROACHES, ids=lambda a: a.name

@@ -167,6 +167,7 @@ class TestZeroAllocationSteadyState:
         blocks = {gid: scatter(a, decomp, halo) for gid, a in arrays.items()}
         batch = 2 if approach.supports_batching else 1
         n_iters = 20
+        warm = threading.Barrier(4, timeout=60)
 
         def rank_fn(ep):
             mine = {gid: blocks[gid][ep.rank] for gid in arrays}
@@ -176,10 +177,10 @@ class TestZeroAllocationSteadyState:
                     ep, mine, approach=approach, batch_size=batch, out=result
                 )
                 if i == 2:
-                    ep.barrier()
+                    warm.wait()
                     if ep.rank == 0:
                         settled.append(engine.workspace.allocations)
-                    ep.barrier()
+                    warm.wait()
             return result
 
         settled = []

@@ -53,17 +53,6 @@ class TestScheduleDesync:
 
 
 class TestDyingRanks:
-    def test_peer_death_breaks_barrier(self):
-        tr = InprocTransport(2, default_timeout=0.3)
-
-        def rank_fn(ep):
-            if ep.rank == 1:
-                raise RuntimeError("simulated crash")
-            ep.barrier()
-
-        with pytest.raises(TransportError, match="rank 1 failed"):
-            run_ranks(2, rank_fn, transport=tr)
-
     def test_peer_death_before_send_times_out_receiver(self):
         tr = InprocTransport(2, default_timeout=0.3)
         outcomes = {}
@@ -105,20 +94,6 @@ class TestTimeoutConfiguration:
 
 class TestFailureAttribution:
     """Failures must *name things*: ranks, messages, schedule steps."""
-
-    def test_barrier_failure_names_arrived_and_missing_ranks(self):
-        tr = InprocTransport(3, default_timeout=0.2)
-
-        def rank_fn(ep):
-            if ep.rank == 2:
-                return  # never arrives
-            ep.barrier()
-
-        with pytest.raises(
-            TransportError,
-            match=r"barrier failed — arrived ranks \[0, 1\], missing ranks \[2\]",
-        ):
-            run_ranks(3, rank_fn, transport=tr)
 
     def test_recv_timeout_decodes_halo_tag_meaning(self):
         from repro.core.schedule import message_tag

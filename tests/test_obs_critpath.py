@@ -7,6 +7,8 @@ matches the analytic model's iteration time within 5% for the same
 JobSpec, and an injected delay fault is attributed to the injected rank.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,6 +18,8 @@ from repro.core.jobspec import JobSpec, LayoutSpec, ProblemSpec, RuntimeSpec
 from repro.core.schedule import RING_DIM
 from repro.obs.critpath import (
     BLAME_BUCKETS,
+    _Columns,
+    _cross_edges,
     blame_bucket,
     critical_path,
     owner_of_resource,
@@ -272,3 +276,67 @@ class TestInputKinds:
         assert any(type(e) is tuple and type(e[1]).__name__ == "PostSend"
                    and e[1].dim == RING_DIM for e in tracer.records())
         _assert_input_kinds_agree(tracer, plan)
+
+
+def _message_edges(tracer, plan):
+    """``(columns, [(wait, producer)])``: every cross-resource edge."""
+    cols = _Columns(tracer)
+    edges = _cross_edges(cols, plan)
+    return cols, [(w, p) for w, preds in sorted(edges.items()) for p in preds]
+
+
+def _domain(resource: str) -> int:
+    return int(re.match(r"bg\d+\.rank(\d+)\.", resource).group(1))
+
+
+@pytest.fixture(scope="module")
+def ring_scf_trace():
+    """One band-parallel SCF iteration: 8^3 grid, 4 bands, 4 ranks in two
+    band groups, so each group has two domains."""
+    from repro.dft.distributed_scf import DistributedSCF
+    from repro.grid import GridDescriptor
+
+    n, h = 8, 0.6
+    gd = GridDescriptor((n, n, n), pbc=(False,) * 3, spacing=h)
+    x, y, z = gd.coordinates()
+    c = (n + 1) * h / 2
+    v = 0.5 * ((x - c) ** 2 + 1.44 * (y - c) ** 2 + 1.96 * (z - c) ** 2)
+    spec = JobSpec(
+        problem=ProblemSpec.from_grid(gd, 4),
+        layout=LayoutSpec(n_cores=4, n_band_groups=2),
+        runtime=RuntimeSpec(
+            mixing=0.6, tolerance=0.0, max_iterations=1, band_iterations=2
+        ),
+    )
+    scf = DistributedSCF.from_spec(spec, v, occupations=[2.0] * 4)
+    tracer = SpanTracer(plane="real")
+    scf.run(step_tracer=tracer)
+    return scf.band_plan, tracer
+
+
+class TestMessageEdges:
+    """A message edge joins the two resources that exchanged it."""
+
+    @pytest.mark.parametrize("with_plan", [True, False], ids=["plan", "no-plan"])
+    def test_ring_edges_join_same_domain_peers(self, ring_scf_trace, with_plan):
+        plan, tracer = ring_scf_trace
+        cols, edges = _message_edges(tracer, plan if with_plan else None)
+        waits = [i for i, k in enumerate(cols.kind) if k == "WaitAll"]
+        assert waits and [w for w, _ in edges] == waits  # one producer each
+        crossing = [
+            (cols.resource[w], cols.resource[p]) for w, p in edges
+            if _domain(cols.resource[w]) != _domain(cols.resource[p])
+        ]
+        assert crossing == []
+
+    @pytest.mark.parametrize("plane", ["sim", "real"])
+    @pytest.mark.parametrize(
+        "name", ["hybrid-multiple", "flat-optimized", "hybrid-master-only"]
+    )
+    def test_fd_edges_stay_on_one_worker(self, plane, name):
+        spec = _spec(name)
+        tracer = step_trace(spec, plane)
+        for plan in (plan_for_spec(spec), None):
+            cols, edges = _message_edges(tracer, plan)
+            assert edges
+            assert all(cols.worker[w] == cols.worker[p] for w, p in edges)

@@ -35,7 +35,6 @@ def test_property_timing_fields_consistent(approach, cores, grids, batch):
     assert t.comm_exposed >= 0
     assert t.sync >= 0
     assert 0 < t.utilization <= 1
-    assert t.messages_per_rank >= 0
     assert t.comm_bytes_per_node >= 0
 
 

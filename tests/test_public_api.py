@@ -176,7 +176,9 @@ class _Loads(ast.NodeVisitor):
     in ``class`` or ``C.name``/``mod.C.name`` for a library class ``C``,
     and ``"any"`` for an attribute on any other receiver or an
     identifier-shaped string passed to a call.  Docstrings, comments,
-    stores and import statements make none.
+    stores and import statements make none, and neither does forwarding:
+    ``self.<attr>.name`` inside a def named ``name`` (a wrapper handing
+    the call on to the object it wraps) reaches nothing on its own.
     """
 
     def __init__(self, classes, cls=None, body=None):
@@ -184,6 +186,7 @@ class _Loads(ast.NodeVisitor):
         self.refs: set = set()
         self._cls = cls  # the class ``self`` and ``cls`` are an instance of
         self._body = body  # the class whose body is being read directly
+        self._def = None  # the name of the innermost enclosing def
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
@@ -200,8 +203,18 @@ class _Loads(ast.NodeVisitor):
         name = getattr(receiver, "id", None) or getattr(receiver, "attr", None)
         return name if name in self.classes else None
 
+    def _forwards(self, node) -> bool:
+        """``self.<attr>.name`` inside ``def name``."""
+        inner = node.value
+        return (
+            node.attr == self._def
+            and isinstance(inner, ast.Attribute)
+            and isinstance(inner.value, ast.Name)
+            and inner.value.id == "self"
+        )
+
     def visit_Attribute(self, node):
-        if isinstance(node.ctx, ast.Load):
+        if isinstance(node.ctx, ast.Load) and not self._forwards(node):
             cls = self._receiver_class(node.value)
             if cls in self.classes:
                 self.refs.add(("line", cls, node.attr))
@@ -229,7 +242,9 @@ class _Loads(ast.NodeVisitor):
     def visit_FunctionDef(self, node):
         for expr in node.decorator_list + [node.args]:
             self.visit(expr)
+        outer, self._def = self._def, node.name
         self._visit_function_body(node.body)
+        self._def = outer
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -308,7 +323,10 @@ def _reachability():
        spelling only as a call argument (the ``getattr``/``_seam``/
        ``hasattr`` case), never as a dict key or docstring.
 
-    Any other attribute reaches every definition of its spelling.  That
+    A wrapper's forwarding call, ``self.<attr>.x`` inside its own ``def
+    x``, reaches nothing: a method that only wrappers forward to is as
+    dead as the wrappers.  Any other attribute reaches every definition
+    of its spelling.  That
     is the blind spot left: ``obj.x`` on a receiver the syntax does not
     type (a parameter, a local, a call result) keeps alive every ``x`` of
     every class, so a method can still hide behind a live namesake on an
@@ -716,6 +734,34 @@ class TestReachability:
         assert "e" not in names
         assert ("any", None, "a") not in loads.refs
         assert ("own", "C", "f") not in loads.refs  # a method body is no class body
+
+    def test_forwarding_reaches_nothing(self):
+        tree = ast.parse(textwrap.dedent('''
+            class W:
+                def send(self, x):
+                    self.inner.send(x)
+                    self.inner.other(x)
+                    return self.send, other.send
+
+                @property
+                def size(self):
+                    return self.inner.size
+
+                def nested(self):
+                    def deeper():
+                        return self.inner.nested
+                    return self.inner.deeper
+        '''))
+        loads = _Loads({"W": tree.body[0]})
+        loads.visit(tree)
+        assert ("any", None, "other") in loads.refs
+        assert ("line", "W", "send") in loads.refs  # self.send is no forward
+        assert ("any", None, "send") in loads.refs  # nor is other.send
+        names = {name for _, _, name in loads.refs}
+        assert "size" not in names
+        # the innermost def counts: deeper forwards nothing named nested
+        assert ("any", None, "nested") in loads.refs
+        assert ("any", None, "deeper") in loads.refs
 
     def test_every_def_is_reached_from_an_entry_point(self):
         unreached, _ = _reachability()

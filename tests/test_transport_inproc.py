@@ -1,5 +1,8 @@
 """Tests for the in-process functional transport."""
 
+import pathlib
+import re
+import threading
 import time
 
 import numpy as np
@@ -12,7 +15,9 @@ from repro.transport import (
     TransportError,
     run_ranks,
 )
-from repro.transport.inproc import ANY_SOURCE, ANY_TAG, GroupEndpoint
+from repro.transport.inproc import GroupEndpoint
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestBasics:
@@ -28,15 +33,16 @@ class TestBasics:
 
     def test_payload_is_copied(self):
         """Mutating the source array after isend must not corrupt the message."""
+        mutated = threading.Barrier(2, timeout=60)
 
         def fn(ep):
             if ep.rank == 0:
                 a = np.ones(4)
                 ep.isend(1, a, tag=0)
                 a[:] = -1.0
-                ep.barrier()
+                mutated.wait()
                 return None
-            ep.barrier()
+            mutated.wait()
             return ep.recv(src=0, tag=0)
 
         results = run_ranks(2, fn)
@@ -76,16 +82,6 @@ class TestBasics:
 
         assert run_ranks(2, fn)[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_wildcards(self):
-        def fn(ep):
-            if ep.rank < 2:
-                ep.send(2, np.array([float(ep.rank)]), tag=ep.rank + 10)
-                return None
-            got = {ep.recv(src=ANY_SOURCE, tag=ANY_TAG)[0] for _ in range(2)}
-            return got
-
-        assert run_ranks(3, fn)[2] == {0.0, 1.0}
-
     def test_irecv_waitall(self):
         def fn(ep):
             if ep.rank == 0:
@@ -97,20 +93,6 @@ class TestBasics:
             return [p[0] for p in payloads]
 
         assert run_ranks(2, fn)[1] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_barrier_synchronizes(self):
-        order = []
-
-        def fn(ep):
-            if ep.rank == 0:
-                order.append("pre")
-            ep.barrier()
-            if ep.rank == 1:
-                order.append("post")
-            ep.barrier()
-
-        run_ranks(2, fn)
-        assert order == ["pre", "post"]
 
     def test_recv_timeout_is_loud(self):
         def fn(ep):
@@ -124,10 +106,12 @@ class TestBasics:
         def fn(ep):
             if ep.rank == 1:
                 raise ValueError("intentional")
-            ep.barrier()  # would hang forever without abort-on-error
+            return ep.rank
 
-        with pytest.raises(TransportError, match="rank 1 failed"):
+        with pytest.raises(TransportError, match="rank 1 failed") as info:
             run_ranks(2, fn)
+        assert info.value.failed_rank == 1
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_invalid_dst(self):
         def fn(ep):
@@ -223,40 +207,21 @@ class TestConcurrency:
         for rank, got in enumerate(results):
             assert got == sorted(float(s) for s in range(n) if s != rank)
 
-    def test_repeated_barriers(self):
-        n = 4
-        counter = {"v": 0}
-        lock = __import__("threading").Lock()
-
-        def fn(ep):
-            seen = []
-            for _ in range(5):
-                with lock:
-                    counter["v"] += 1
-                ep.barrier()
-                seen.append(counter["v"])
-                ep.barrier()
-            return seen
-
-        results = run_ranks(n, fn)
-        # After each barrier all n increments of the round are visible.
-        for seen in results:
-            assert seen == [n, 2 * n, 3 * n, 4 * n, 5 * n]
-
 
 class TestCopyModes:
     def test_copy_true_snapshots_once(self):
         """copy=True hands the receiver an independent C-contiguous
         snapshot, even for strided views."""
+        mutated = threading.Barrier(2, timeout=60)
 
         def fn(ep):
             if ep.rank == 0:
                 a = np.arange(16.0).reshape(4, 4)
                 ep.isend(1, a[:, 1], tag=0)  # strided view, default copy
                 a[:] = -1.0
-                ep.barrier()
+                mutated.wait()
                 return None
-            ep.barrier()
+            mutated.wait()
             got = ep.recv(src=0, tag=0)
             assert got.flags.c_contiguous
             return got
@@ -388,3 +353,45 @@ class TestGroupEndpointOverFaults:
         got = run_ranks(2, fn, transport=tr)[1]
         np.testing.assert_array_equal(got, payload)
         assert plan.ops(1) == 1
+
+
+#: what every endpoint offers and README's porting list names
+ENDPOINT_SURFACE = {
+    "rank", "size", "isend", "irecv", "recv", "send", "allreduce",
+    "zero_copy_sends",
+}
+
+
+def _porting_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    start = text.index("## Porting the functional plane to a cluster")
+    return text[start: text.index("\n## ", start + 1)]
+
+
+class TestEndpointSurface:
+    """The three endpoints are interchangeable: one public surface, the
+    one a cluster adapter must offer."""
+
+    @staticmethod
+    def _endpoints():
+        plain = InprocTransport(2).endpoint(0)
+        faulty = FaultyTransport(InprocTransport(2), FaultPlan(seed=0))
+        return {
+            "RankEndpoint": plain,
+            "GroupEndpoint": GroupEndpoint(plain, 0, 2),
+            "FaultyEndpoint": faulty.endpoint(0),
+        }
+
+    def test_every_endpoint_offers_the_same_surface(self):
+        for name, ep in self._endpoints().items():
+            # methods, properties and class constants; ``rank`` may be
+            # a plain attribute set per instance
+            public = {a for a in dir(type(ep)) if not a.startswith("_")}
+            assert public | {"rank"} == ENDPOINT_SURFACE, name
+            assert ep.rank == 0, name
+
+    def test_readme_porting_list_names_the_surface(self):
+        section = _porting_section()
+        for name in ENDPOINT_SURFACE:
+            assert re.search(rf"`{name}[`(]", section), name
+        assert "barrier" not in section
